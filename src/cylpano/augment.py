@@ -126,22 +126,22 @@ def _remap_instances(org_inst: np.ndarray | None, new_inst: np.ndarray | None) -
     if new_inst is None:
         return None
     base = int(org_inst.max()) if org_inst is not None and len(org_inst) else 0
-    out = new_inst.astype(np.int64)
-    ids = np.unique(out[out > 0])
+    ids = np.unique(new_inst[new_inst > 0])
     if base + len(ids) > np.iinfo(np.uint16).max:
         raise ValueError("instance id space exhausted while remapping")
-    for rank, old in enumerate(ids):
-        out[new_inst == old] = base + 1 + rank
-    return out.astype(np.uint16)
+    fresh = base + 1 + np.searchsorted(ids, new_inst)
+    return np.where(new_inst > 0, fresh, 0).astype(np.uint16)
 
 
 def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     """Voxel-wise mix: where the mask is set take the new grid's voxel, else the original.
 
-    Point lists, labels, and per-voxel source tags travel with their voxel;
-    image pairings are carried over from the contributing grid. Incoming
-    nonzero instance ids are remapped above the original scan's maximum so
-    panoptic ground truth stays consistent.
+    Point lists, labels, and per-voxel source tags travel with their voxel, so
+    each tag comes from the contributing grid's row; image pairings are
+    carried over from the contributing grid. The mixed grid is built from the
+    kept voxels of both inputs, without re-binning, and drops no points.
+    Incoming nonzero instance ids are remapped above the original scan's
+    maximum so panoptic ground truth stays consistent.
     """
     if org.spec != new.spec:
         raise SpecMismatchError("grids must share one spec")
@@ -159,18 +159,19 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
         new_cloud.instance = _remap_instances(org_cloud.instance, new_cloud.instance)
     merged = PointCloud.concat([org_cloud, new_cloud])
 
-    mixed = voxelize(merged, org.spec)
-    # Tags follow the contributing grid, not the merged points, so tags set by
-    # earlier augmentation rounds survive on untouched voxels.
-    rows_org = org.rows_of(mixed.voxel_ids)
-    rows_new = new.rows_of(mixed.voxel_ids)
-    from_new = flat_mask[mixed.voxel_ids]
-    src = np.zeros(mixed.num_voxels, dtype=np.uint8)
-    o = (~from_new) & (rows_org >= 0)
-    n = from_new & (rows_new >= 0)
-    src[o] = org.source[rows_org[o]]
-    src[n] = new.source[rows_new[n]]
-    mixed.source = src
+    # Merged rows hold each kept voxel's points as one run; the two voxel sets
+    # are disjoint, so one sort by flat id interleaves them uniquely.
+    voxel_ids = np.concatenate([org.voxel_ids[org_keep], new.voxel_ids[new_keep]])
+    counts = np.concatenate([org.counts[org_keep], new.counts[new_keep]])
+    source = np.concatenate([org.source[org_keep], new.source[new_keep]])
+    run_starts = np.cumsum(counts) - counts
+    perm = np.argsort(voxel_ids)
+    counts = counts[perm]
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    order = np.repeat(run_starts[perm] - starts[:-1], counts) + np.arange(starts[-1])
+    mixed = CylGrid(
+        org.spec, merged, voxel_ids[perm], starts, order, np.zeros(0, dtype=np.int64), source[perm]
+    )
 
     cams = set(org.pairings) | set(new.pairings)
     for cam_id in cams:
@@ -271,6 +272,15 @@ def paste_instances(
             {cam_id: np.zeros((0, 4), dtype=np.int32) for cam_id in range(len(org.cams))},
         )
 
+    paste_grid, mask = _paste_grid(donor, spec, instance_ids, transforms)
+    sample, _, rects = _mix(org, voxelize(org.cloud, spec), donor, paste_grid, mask)
+    return sample, mask, rects
+
+
+def _paste_grid(
+    donor: MultiModalSample, spec: CylGridSpec, instance_ids, transforms
+) -> tuple[CylGrid, np.ndarray]:
+    """Grid of the transformed donor instances, paired with the donor cameras, and its voxel mask."""
     pieces = []
     for inst_id, t in zip(instance_ids, transforms):
         idx = np.flatnonzero(donor.cloud.instance == inst_id)
@@ -283,11 +293,16 @@ def paste_instances(
     paste_grid = pair_voxel_image(voxelize(paste_cloud, spec), donor.cams)
     mask = np.zeros(spec.shape, dtype=bool)
     mask.reshape(-1)[paste_grid.voxel_ids] = True
+    return paste_grid, mask
 
-    org_grid = voxelize(org.cloud, spec)
-    mixed = apply_mix(org_grid, paste_grid, mask)
-    images, rects = sync_image_swap(org.images, donor.images, mask, paste_grid.pairings)
-    return MultiModalSample(mixed.cloud, images, org.cams), mask, rects
+
+def _mix(
+    work: MultiModalSample, work_grid: CylGrid, donor: MultiModalSample, donor_grid: CylGrid, mask: np.ndarray
+) -> tuple[MultiModalSample, CylGrid, dict[int, np.ndarray]]:
+    """Mix the donor's masked voxels and their paired image rectangles into `work`."""
+    mixed = apply_mix(work_grid, donor_grid, mask)
+    images, rects = sync_image_swap(work.images, donor.images, mask, donor_grid.pairings)
+    return MultiModalSample(mixed.cloud, images, work.cams), mixed, rects
 
 
 @dataclass
@@ -295,9 +310,11 @@ class AugResult:
     """Augmented sample plus the bookkeeping needed by provenance checks.
 
     `masks` holds the per-strategy selection masks in the bin space that
-    existed when each strategy ran (before the global transform); the final
-    grid's per-voxel tags are re-derived from per-point provenance after the
-    transform, and `global_transform` maps old points to new ones.
+    existed when each strategy ran (before the global transform). The final
+    grid is the last mixed grid, whose per-voxel tags come from the rows of
+    the grid each voxel was taken from; only after a non-identity global
+    transform is the cloud re-binned, with tags re-derived from per-point
+    provenance. `global_transform` maps old points to new ones.
     """
 
     sample: MultiModalSample
@@ -314,24 +331,6 @@ def _merge_rects(acc: dict[int, np.ndarray], extra: dict[int, np.ndarray]):
             acc[cam_id] = np.concatenate([acc[cam_id], rects])
         else:
             acc[cam_id] = rects
-
-
-def _scene_swap(work, new, spec, axis, splits, rects_acc, masks, new_pairings):
-    n_bins = {"angle": spec.theta_bins, "height": spec.z_bins}[axis]
-    selected = alternating_slices(n_bins, splits)
-    mask = scene_swap_mask(axis, selected, spec)
-    work_grid = voxelize(work.cloud, spec)
-    mixed = apply_mix(work_grid, _new_grid_for(new, spec, new_pairings), mask)
-    images, rects = sync_image_swap(work.images, new.images, mask, new_pairings)
-    _merge_rects(rects_acc, rects)
-    masks[axis] = mask
-    return MultiModalSample(mixed.cloud, images, work.cams)
-
-
-def _new_grid_for(new: MultiModalSample, spec: CylGridSpec, pairings) -> CylGrid:
-    grid = voxelize(new.cloud, spec)
-    grid.pairings = pairings
-    return grid
 
 
 def augment(
@@ -381,10 +380,7 @@ def augment(
     )
     new_work = MultiModalSample(new_cloud, new.images, new.cams)
 
-    applied = {"instance": False, "height": False, "angle": False}
-    masks: dict[str, np.ndarray] = {}
-    rects_acc: dict[int, np.ndarray] = {}
-    new_pairings = None
+    mixes = []  # (strategy, mask, donor grid) in application order
 
     if do_paste:
         lo, hi = cfg.instance_count_range
@@ -405,23 +401,23 @@ def augment(
                 )
                 for _ in range(s)
             ]
-            work, mask, rects = paste_instances(
-                work, new_work, spec, s, transforms=transforms, instance_ids=ids
-            )
-            applied["instance"] = True
-            masks["instance"] = mask
-            _merge_rects(rects_acc, rects)
+            paste_grid, mask = _paste_grid(new_work, spec, ids, transforms)
+            mixes.append(("instance", mask, paste_grid))
 
     if do_height or do_angle:
-        new_pairings = pair_voxel_image(voxelize(new_work.cloud, spec), new_work.cams).pairings
-    if do_height:
-        splits = int(rng.choice(np.asarray(cfg.split_choices)))
-        work = _scene_swap(work, new_work, spec, "height", splits, rects_acc, masks, new_pairings)
-        applied["height"] = True
-    if do_angle:
-        splits = int(rng.choice(np.asarray(cfg.split_choices)))
-        work = _scene_swap(work, new_work, spec, "angle", splits, rects_acc, masks, new_pairings)
-        applied["angle"] = True
+        new_grid = pair_voxel_image(voxelize(new_work.cloud, spec), new_work.cams)
+    for axis, on, n_bins in (("height", do_height, spec.z_bins), ("angle", do_angle, spec.theta_bins)):
+        if on:
+            splits = int(rng.choice(np.asarray(cfg.split_choices)))
+            mixes.append((axis, scene_swap_mask(axis, alternating_slices(n_bins, splits), spec), new_grid))
+
+    grid = voxelize(work.cloud, spec) if mixes else None
+    rects_acc: dict[int, np.ndarray] = {}
+    for _, mask, donor_grid in mixes:
+        work, grid, rects = _mix(work, grid, new_work, donor_grid, mask)
+        _merge_rects(rects_acc, rects)
+    masks = {name: mask for name, mask, _ in mixes}
+    applied = {name: name in masks for name in ("instance", "height", "angle")}
 
     # Global transforms; draws always consume the stream so seeds stay aligned.
     angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
@@ -434,6 +430,8 @@ def augment(
         cloud.xyz = (cloud.xyz.astype(np.float64) @ A.T).astype(np.float32)
         cams = [transform_camera(c, A) for c in work.cams]
         work = MultiModalSample(cloud, work.images, cams)
-
-    final_grid = pair_voxel_image(voxelize(work.cloud, spec), work.cams)
-    return AugResult(work, final_grid, applied, masks, rects_acc, A)
+        grid = None
+    # Mixing moves no point, so without a transform the last mixed grid bins work.cloud.
+    if grid is None:
+        grid = voxelize(work.cloud, spec)
+    return AugResult(work, pair_voxel_image(grid, work.cams), applied, masks, rects_acc, A)

@@ -34,13 +34,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, timings, threads=0):
+def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, timings):
     manifest = {
         "version": 1,
         "command": command,
         "argv": argv,
         "seed": seed,
-        "threads": threads,
         "config": str(config_path) if config_path else None,
         "config_sha256": _sha256(Path(config_path)) if config_path else None,
         "config_snapshot": Path(config_path).read_text() if config_path else None,
@@ -91,7 +90,7 @@ def cmd_synth(args) -> int:
     for i, mask in enumerate(synth.masks):
         formats.write_mask(out / "masks" / f"mask_{i:03d}.msk2", mask)
     synth.table.save(out / "classes.cfg")
-    _write_manifest(out, "synth", args._argv, args.seed, args.config, [], {"synth": time.perf_counter() - t0}, args.threads)
+    _write_manifest(out, "synth", args._argv, args.seed, args.config, [], {"synth": time.perf_counter() - t0})
     return 0
 
 
@@ -115,7 +114,7 @@ def cmd_voxelize(args) -> int:
             indent=1,
         )
     )
-    _write_manifest(out, "voxelize", args._argv, None, args.config, [args.cloud], {"voxelize": dt}, args.threads)
+    _write_manifest(out, "voxelize", args._argv, None, args.config, [args.cloud], {"voxelize": dt})
     return 0
 
 
@@ -132,7 +131,7 @@ def cmd_augment(args) -> int:
     _write_sample(out, result.sample)
     formats.write_provenance(out / "provenance.pvox", result.grid.indices3, result.grid.source)
     inputs = [Path(args.org) / "cloud.plcd", Path(args.new) / "cloud.plcd"]
-    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, {"augment": dt}, args.threads)
+    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, {"augment": dt})
     return 0
 
 
@@ -174,7 +173,7 @@ def cmd_fuse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     formats.write_tokens(out / "tokens.toks", tokens)
     inputs = [Path(args.sample) / "cloud.plcd"] + ([args.features] if args.features else [])
-    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, {"fuse": dt}, args.threads)
+    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, {"fuse": dt})
     return 0
 
 
@@ -207,7 +206,7 @@ def cmd_queries(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     formats.write_queries(out / "queries.qrys", qs)
     inputs = [Path(args.sample) / "cloud.plcd", args.tokens]
-    _write_manifest(out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, {"queries": dt}, args.threads)
+    _write_manifest(out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, {"queries": dt})
     return 0
 
 
@@ -240,7 +239,7 @@ def cmd_render_overlay(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for k, img in enumerate(images):
         formats.write_ppm(out / f"overlay{k:02d}.ppm", img)
-    _write_manifest(out, "render-overlay", args._argv, None, None, [Path(args.sample) / "cloud.plcd"], {}, args.threads)
+    _write_manifest(out, "render-overlay", args._argv, None, None, [Path(args.sample) / "cloud.plcd"], {})
     return 0
 
 
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seed=False):
         sp.add_argument("--config", default=None, help="pipeline config (INI)")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=0, help="0 = auto (recorded only)")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 

@@ -207,14 +207,6 @@ class CylGrid:
             return i
         return -1
 
-    def rows_of(self, flat_ids: np.ndarray) -> np.ndarray:
-        """Vectorized row lookup; -1 where a flat id is not occupied."""
-        flat_ids = np.asarray(flat_ids, dtype=np.int64)
-        if self.num_voxels == 0:
-            return np.full(flat_ids.shape, -1, dtype=np.int64)
-        pos = np.clip(np.searchsorted(self.voxel_ids, flat_ids), 0, self.num_voxels - 1)
-        return np.where(self.voxel_ids[pos] == flat_ids, pos, -1)
-
     def points_of_row(self, row: int) -> np.ndarray:
         return self.order[self.starts[row]:self.starts[row + 1]]
 

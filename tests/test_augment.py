@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from cylpano.augment import (
     AugConfig,
     MultiModalSample,
+    _remap_instances,
     alternating_slices,
     apply_mix,
     augment,
@@ -154,6 +157,27 @@ class TestApplyMix:
             rec = (round(float(x), 5), round(float(y), 5), round(float(z), 5), int(s))
             assert rec in (new_rec if src else org_rec)
 
+    @pytest.mark.parametrize("mask_kind", ["zeros", "ones", "random"])
+    @pytest.mark.parametrize("cloud_kind", ["random", "out_of_range", "empty"])
+    def test_merge_equals_rebinning(self, mask_kind, cloud_kind):
+        rng = np.random.default_rng(7)
+        n = 0 if cloud_kind == "empty" else 400
+        org_cloud = random_sample(rng, n)
+        new_cloud = random_sample(rng, n, scan_tag=1)
+        if cloud_kind == "out_of_range":
+            far = np.array([[30.0, 0.0, 0.0], [0.0, 5.0, 2.5], [1.0, 1.0, -9.0]])
+            org_cloud = PointCloud.concat([org_cloud, PointCloud(far, np.zeros(3), np.ones(3), np.ones(3))])
+        mask = {
+            "zeros": np.zeros(SPEC.shape, dtype=bool),
+            "ones": np.ones(SPEC.shape, dtype=bool),
+            "random": rng.random(SPEC.shape) < 0.4,
+        }[mask_kind]
+        mixed = apply_mix(voxelize(org_cloud, SPEC), voxelize(new_cloud, SPEC), mask)
+        rebinned = voxelize(mixed.cloud, SPEC)
+        for name in ("voxel_ids", "starts", "order", "source", "dropped"):
+            got, want = getattr(mixed, name), getattr(rebinned, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     def test_spec_mismatch(self):
         rng = np.random.default_rng(6)
         org = voxelize(random_sample(rng), SPEC)
@@ -163,6 +187,20 @@ class TestApplyMix:
             apply_mix(org, new, np.zeros(SPEC.shape, dtype=bool))
         with pytest.raises(SpecMismatchError):
             apply_mix(org, voxelize(random_sample(rng), SPEC), np.zeros((1, 2, 3), dtype=bool))
+
+
+class TestRemapInstances:
+    def test_remap_up_to_last_uint16_id(self):
+        out = _remap_instances(np.array([65533], np.uint16), np.array([0, 9, 4, 9], np.uint16))
+        assert out.dtype == np.uint16
+        assert out.tolist() == [0, 65535, 65534, 65535]
+
+    def test_one_id_past_uint16_raises(self):
+        with pytest.raises(ValueError):
+            _remap_instances(np.array([65534], np.uint16), np.array([4, 9], np.uint16))
+
+    def test_unlabeled_cloud_returns_none(self):
+        assert _remap_instances(np.array([3], np.uint16), None) is None
 
 
 class TestSyncImageSwap:
@@ -392,6 +430,28 @@ class TestAugment:
         uv_after, _, valid_after = valid_projections(result.sample.cloud.xyz, result.sample.cams[0])
         assert np.array_equal(valid_before, valid_after)
         assert np.allclose(uv_before[valid_before], uv_after[valid_after], atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "probs, calls",
+        [((0, 0, 0), 1), ((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3), ((1, 1, 1), 4)],
+        ids=["none", "paste", "height", "angle", "all"],
+    )
+    def test_voxelize_calls(self, monkeypatch, probs, calls):
+        # the package re-exports the function `augment`, which shadows the module attribute
+        module = sys.modules["cylpano.augment"]
+        seen = []
+
+        def counting(cloud, spec):
+            seen.append(len(cloud))
+            return voxelize(cloud, spec)
+
+        monkeypatch.setattr(module, "voxelize", counting)
+        org, new = scene_pair(35)
+        cfg = self._cfg(p_instance=probs[0], p_height_swap=probs[1], p_angle_swap=probs[2],
+                        rotation_range=0.5, rng_seed=1)
+        result = augment(org, new, SPEC, cfg)
+        assert sum(result.applied.values()) == sum(probs)
+        assert len(seen) == calls
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
