@@ -25,7 +25,9 @@ from .grid import extreme_points_batch, voxelize
 from .metrics import ClassTable, SegLabeling, evaluate
 from .queries import assemble_queries, build_bev_heatmap, geometric_hints, texture_hints
 from .synth import generate_scene, render_overlay
-from .tokens import FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, spe_batch
+from .tokens import (
+    FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, containing_rows, spe_batch,
+)
 
 
 def _sha256(path: Path) -> str:
@@ -34,7 +36,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, timings):
+def _write_manifest(
+    out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, timings, counters=None
+):
     manifest = {
         "version": 1,
         "command": command,
@@ -50,6 +54,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_p
             if p.is_file() and p.name != "manifest.json"
         },
         "timings": timings,
+        "counters": counters or {},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
@@ -202,11 +207,20 @@ def cmd_queries(args) -> int:
         geo, tex, grid, tokens, params, qc.l_pr, qc.l_lt, num_classes=len(table.entries)
     )
     dt = time.perf_counter() - t0
+    counters = {
+        "hints_geometric": len(geo),
+        "hints_texture": len(tex),
+        "prior_queries": qs.num_prior,
+        # prior queries whose hint lies in no occupied voxel, so took the nearest centroid's token
+        "prior_fallback": int((containing_rows(grid, [h.position for h in qs.hints]) < 0).sum()),
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.write_queries(out / "queries.qrys", qs)
     inputs = [Path(args.sample) / "cloud.plcd", args.tokens]
-    _write_manifest(out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, {"queries": dt})
+    _write_manifest(
+        out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, {"queries": dt}, counters
+    )
     return 0
 
 

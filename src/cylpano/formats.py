@@ -154,14 +154,7 @@ def read_mask(path) -> Mask2D:
     r.done()
     if runs.sum() != h * w:
         raise ShapeMismatchError(f"{path}: runs sum to {runs.sum()}, expected {h * w}")
-    flat = np.zeros(h * w, dtype=bool)
-    pos = 0
-    val = False
-    for run in runs:
-        if val:
-            flat[pos:pos + run] = True
-        pos += run
-        val = not val
+    flat = np.repeat(np.arange(n_runs) % 2 == 1, runs)  # runs alternate clear, set, clear, ...
     return Mask2D(cam_id, flat.reshape(h, w))
 
 

@@ -12,16 +12,17 @@ each surviving hint indexes the fused token of its (nearest occupied) voxel.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyColumnError, IndexOutOfRangeError, MissingLabelsError
 from .grid import CylGrid, PointCloud, centroids_batch, column_rows
 from .geometry import CameraModel, cart_to_polar, valid_projections
-from .tokens import SpeParams, TokenSet, nearest_occupied_row
+from .tokens import SpeParams, TokenSet, containing_rows, nearest_occupied_row
 
 
 @dataclass
@@ -197,9 +198,13 @@ def frustum_points(mask: Mask2D, cloud: PointCloud, cam: CameraModel) -> np.ndar
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density clustering over 3D Euclidean distance.
 
-    Returns one label per point: cluster ids 0..C-1 in discovery order, -1
-    for noise. Seeds expand in index order, so the labeling is deterministic
-    for a given input order. A point's own index counts toward min_pts.
+    Two points are neighbours when their distance is <= eps; a point is core
+    when it has at least min_pts neighbours, counting itself. Clusters are the
+    connected components of the graph of core-core neighbour pairs, numbered
+    0..C-1 by their lowest core index. A non-core point with core neighbours
+    takes the smallest label among them; all other points are noise (-1).
+    This is exactly the labeling of the classic expansion that seeds clusters
+    in index order (Ester et al., KDD 1996).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -208,26 +213,27 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
     if eps <= 0 or min_pts < 1:
         raise ValueError("need eps > 0 and min_pts >= 1")
-    tree = cKDTree(pts)
-    neighbors = tree.query_ball_point(pts, eps)
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-    visited = np.zeros(n, dtype=bool)
-    next_label = 0
-    for seed in range(n):
-        if visited[seed] or not core[seed]:
-            continue
-        labels[seed] = next_label
-        visited[seed] = True
-        queue = deque([seed])
-        while queue:
-            p = queue.popleft()
-            for q in sorted(neighbors[p]):
-                if labels[q] == -1:
-                    labels[q] = next_label
-                if not visited[q] and core[q]:
-                    visited[q] = True
-                    queue.append(q)
-        next_label += 1
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    core = np.bincount(pairs.reshape(-1), minlength=n) + 1 >= min_pts
+    a, b = pairs[:, 0], pairs[:, 1]
+    # CSR graph over the core points alone, one entry per core-core pair
+    local = np.cumsum(core, dtype=np.int32) - 1
+    both = core[a] & core[b]
+    rows, cols = local[a[both]], local[b[both]]
+    by_row = np.argsort(rows)
+    m = int(core.sum())
+    indptr = np.searchsorted(rows[by_row], np.arange(m + 1))
+    graph = csr_matrix((np.ones(len(rows)), cols[by_row], indptr), shape=(m, m))
+    comp = connected_components(graph, directed=False)[1]
+    # number the components by their lowest core point
+    first = np.unique(comp, return_index=True)[1]
+    labels[core] = np.argsort(np.argsort(first))[comp]
+    # a border point takes the smallest label among its core neighbours
+    ends = pairs[core[a] != core[b]]
+    c = np.where(core[ends[:, 0]], ends[:, 0], ends[:, 1])
+    best = np.full(n, n)
+    np.minimum.at(best, ends.sum(axis=1) - c, labels[c])
+    labels = np.where(best < n, best, labels)
     return labels
 
 
@@ -345,8 +351,11 @@ def assemble_queries(
         hints = []
     content = np.zeros((len(hints), 2 * dim), dtype=np.float32)
     spe_out = np.zeros((len(hints), dim), dtype=np.float32)
+    cents = None
+    if (containing_rows(grid, [h.position for h in hints]) < 0).any():
+        cents = centroids_batch(grid.indices3, grid.spec)
     for i, h in enumerate(hints):
-        row = nearest_occupied_row(grid, h.position)
+        row = nearest_occupied_row(grid, h.position, cents)
         content[i] = tokens.content[row].astype(np.float32)
         spe_out[i] = tokens.spe[row].astype(np.float32)
     return QuerySet(

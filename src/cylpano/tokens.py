@@ -324,16 +324,31 @@ def build_tokens(
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, image_valid)
 
 
-def nearest_occupied_row(grid: CylGrid, position: np.ndarray) -> int:
-    """Row of the occupied voxel containing `position`, else nearest by centroid."""
+def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
+    """Row of the occupied voxel containing each position, -1 where there is none."""
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    idx, inside = grid.spec.bin_points(cart_to_polar(pos))
+    flat = grid.spec.flatten(idx)
+    i = np.searchsorted(grid.voxel_ids, flat)
+    hit = inside & (i < grid.num_voxels)
+    hit[hit] = grid.voxel_ids[i[hit]] == flat[hit]
+    return np.where(hit, i, -1)
+
+
+def nearest_occupied_row(
+    grid: CylGrid, position: np.ndarray, centroids: np.ndarray | None = None
+) -> int:
+    """Row of the occupied voxel containing `position`, else nearest by centroid.
+
+    `centroids` (the voxel centroids of `grid`, row-aligned) spares callers
+    with many positions recomputing them; distance ties go to the lowest row.
+    """
     if grid.num_voxels == 0:
         return -1
-    pol = cart_to_polar(np.asarray(position, dtype=np.float64).reshape(1, 3))
-    idx, inside = grid.spec.bin_points(pol)
-    if inside[0]:
-        row = grid.row_of(int(grid.spec.flatten(idx)[0]))
-        if row >= 0:
-            return row
-    cents = centroids_batch(grid.indices3, grid.spec)
-    d = np.linalg.norm(cents - np.asarray(position, dtype=np.float64).reshape(1, 3), axis=1)
+    row = int(containing_rows(grid, position)[0])
+    if row >= 0:
+        return row
+    if centroids is None:
+        centroids = centroids_batch(grid.indices3, grid.spec)
+    d = np.linalg.norm(centroids - np.asarray(position, dtype=np.float64).reshape(1, 3), axis=1)
     return int(np.argmin(d))

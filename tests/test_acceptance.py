@@ -18,7 +18,19 @@ from cylpano.errors import NoValidProjectionError
 from cylpano.geometry import InstanceTransform, rotation_z, transform_instance
 from cylpano.grid import CylGridSpec, PointCloud, extreme_points_batch, voxelize
 from cylpano.metrics import ClassTable, SegLabeling, evaluate
-from cylpano.queries import LocationHint, Mask2D, QuerySet, dbscan, fps, nms_peaks
+from cylpano.config import QueryConfig
+from cylpano.queries import (
+    LocationHint,
+    Mask2D,
+    QuerySet,
+    assemble_queries,
+    build_bev_heatmap,
+    dbscan,
+    fps,
+    geometric_hints,
+    nms_peaks,
+    texture_hints,
+)
 from cylpano.synth import SceneConfig, generate_scene, ring_camera
 from cylpano.tokens import (
     FeatureMap,
@@ -501,3 +513,41 @@ def test_10_throughput_100k_points():
               f"of {sorted(round(t, 2) for t in times)} "
               f"({grid.num_voxels} voxels, {len(tokens)} tokens)")
         assert elapsed < 5.0
+
+
+def test_11_query_stage_on_reference_scene():
+    with criterion(11, "heatmap + geometric + texture hints + assemble on the reference scene under 1.5 s"):
+        spec = CylGridSpec()
+        gen = dict(ground_points=70000, n_objects=(12, 12), points_per_object=(2000, 3000),
+                   extent=45.0, camera_count=2)
+        synth = generate_scene(SceneConfig(rng_seed=0, **gen))
+        cloud, cams = synth.sample.cloud, synth.sample.cams
+        assert len(synth.masks) == 6
+
+        dim = 128
+        params = SpeParams.create(spec, dim, 0)
+        rng = np.random.default_rng(0)
+        fmaps = [
+            FeatureMap(rng.standard_normal((45, 80, dim)).astype(np.float32), c.width, c.height)
+            for c in cams
+        ]
+        grid = voxelize(cloud, spec)
+        tokens = build_tokens(grid, VoxelFeatures.stats_placeholder(grid, dim, 0), fmaps, cams, params)
+        qc = QueryConfig()
+
+        def one_pass():
+            heat = build_bev_heatmap(grid, qc.heatmap_mode, qc.heatmap_sigma)
+            geo = geometric_hints(grid, heat, qc.nms_conf_thresh, qc.radius_in_bins(spec), qc.nms_max_peaks)
+            tex = texture_hints(synth.masks, cloud, cams, qc.dbscan_eps, qc.dbscan_min_pts)
+            return assemble_queries(geo, tex, grid, tokens, params, qc.l_pr, qc.l_lt)
+
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            qs = one_pass()
+            times.append(time.perf_counter() - t0)
+        elapsed = min(times)
+        print(f"\n[acceptance] reference-scene query stage: best {elapsed:.2f}s "
+              f"of {sorted(round(t, 2) for t in times)} ({qs.num_prior} prior queries)")
+        assert qs.num_prior > 0
+        assert elapsed < 1.5

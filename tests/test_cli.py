@@ -75,6 +75,30 @@ class TestChain:
         assert main(["render-overlay", "--sample", str(org), "--out", str(overlay)]) == 0
         assert sorted(overlay.glob("overlay*.ppm"))
 
+    def test_queries_manifest_counts_hints(self, tmp_path):
+        cfg = small_config(tmp_path)
+        org = tmp_path / "org"
+        main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)])
+        fuse = tmp_path / "fuse"
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        qrs = tmp_path / "queries"
+        assert main([
+            "queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
+            "--masks", str(org / "masks"), "--out", str(qrs),
+        ]) == 0
+        manifest = json.loads((qrs / "manifest.json").read_text())
+        counters = manifest["counters"]
+        assert set(manifest["timings"]) == {"queries"}
+        qs = formats.read_queries(qrs / "queries.qrys")
+        kept = [h.origin for h in qs.hints]
+        assert counters["prior_queries"] == qs.num_prior > 0
+        assert counters["hints_geometric"] >= kept.count("geometric") > 0
+        assert counters["hints_texture"] >= kept.count("texture")
+        assert counters["hints_texture"] > 0
+        assert 0 < counters["prior_fallback"] <= qs.num_prior
+        # stages without counters still write the key
+        assert json.loads((fuse / "manifest.json").read_text())["counters"] == {}
+
     def test_eval_pred_equals_gt_scores_one(self, tmp_path):
         cfg = small_config(tmp_path)
         org = tmp_path / "org"

@@ -92,6 +92,24 @@ class TestTensorCodecs:
             assert got.camera_id == mask.camera_id
             assert np.array_equal(got.bitmap, mask.bitmap)
 
+    @pytest.mark.parametrize(
+        "bitmap",
+        [
+            np.array([[1, 1, 0], [0, 1, 0]], dtype=bool),  # starts set
+            np.zeros((3, 4), dtype=bool),
+            np.ones((3, 4), dtype=bool),
+            np.zeros((0, 5), dtype=bool),
+            np.zeros((0, 0), dtype=bool),
+        ],
+        ids=["starts_set", "all_clear", "all_set", "zero_rows", "zero_pixels"],
+    )
+    def test_mask_round_trip_edges(self, tmp_path, bitmap):
+        formats.write_mask(tmp_path / "m.msk2", Mask2D(2, bitmap))
+        got = formats.read_mask(tmp_path / "m.msk2")
+        assert got.camera_id == 2
+        assert got.bitmap.dtype == bool and got.bitmap.shape == bitmap.shape
+        assert np.array_equal(got.bitmap, bitmap)
+
     def test_mask_runs_must_cover_image(self, tmp_path):
         path = tmp_path / "m.msk2"
         header = b"MSK2" + np.asarray([0, 4, 4, 1], dtype="<u4").tobytes()

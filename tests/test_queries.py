@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cylpano.errors import EmptyColumnError
-from cylpano.grid import CylGridSpec, PointCloud, voxel_centroid, voxelize
+from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxel_centroid, voxelize
 from cylpano.queries import (
     LocationHint,
     Mask2D,
@@ -16,7 +16,7 @@ from cylpano.queries import (
     texture_hints,
 )
 from cylpano.synth import ring_camera
-from cylpano.tokens import SpeParams, VoxelFeatures, build_tokens
+from cylpano.tokens import SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_row
 
 from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan
 
@@ -223,6 +223,38 @@ class TestDbscan:
                 reference_dbscan(pts, eps, min_pts)
             )
 
+    @pytest.mark.parametrize("seed, kind", enumerate(["uniform", "lattice", "duplicates", "min_pts_one"]))
+    def test_labels_equal_oracle_exactly(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            eps = float(rng.uniform(0.3, 1.5))
+            min_pts = int(rng.integers(1, 7))
+            if kind == "uniform":
+                pts = rng.uniform(0, 4, (n, 3))
+            elif kind == "lattice":  # many pairs exactly eps apart
+                pts = rng.integers(0, 4, (n, 3)).astype(np.float64)
+                eps = float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
+            elif kind == "duplicates":
+                base = rng.uniform(0, 4, (max(n // 4, 1), 3))
+                pts = base[rng.integers(0, len(base), n)]
+            else:
+                pts = rng.uniform(0, 4, (n, 3))
+                min_pts = 1
+            got = dbscan(pts, eps, min_pts)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_dbscan(pts, eps, min_pts).tolist()
+
+    def test_empty_input(self):
+        got = dbscan(np.zeros((0, 3)), 1.0, 3)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError):
+            dbscan(np.zeros((2, 3)), 0.0, 3)
+        with pytest.raises(ValueError):
+            dbscan(np.zeros((2, 3)), 1.0, 0)
+
     def test_permutation_invariance_on_blobs(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -324,6 +356,44 @@ class TestAssemble:
             [LocationHint(center, 1.0, "geometric")], [], grid, tokens, params, l_pr=4, l_lt=2, num_classes=2
         )
         assert np.allclose(qs.prior_content[0], tokens.content[row].astype(np.float32))
+
+    @staticmethod
+    def _count_centroid_calls(monkeypatch):
+        import cylpano.queries
+        import cylpano.tokens
+
+        calls = []
+        orig = cylpano.tokens.centroids_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(cylpano.queries, "centroids_batch", counting)
+        monkeypatch.setattr(cylpano.tokens, "centroids_batch", counting)
+        return calls
+
+    def test_centroids_computed_at_most_once(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        grid, tokens, params = self._grid_tokens(rng)
+        # centroids of four empty cells, and one hint outside the grid
+        empty = np.setdiff1d(np.arange(SPEC.num_cells), grid.voxel_ids)[::7][:4]
+        misses = [LocationHint(c, 1.0, "texture") for c in centroids_batch(SPEC.unflatten(empty), SPEC)]
+        misses.append(LocationHint([0.0, 0.0, 50.0], 1.0, "geometric"))
+        hits = [LocationHint(grid.cloud.xyz[i], 1.0, "geometric") for i in grid.order[:5]]
+        assert (containing_rows(grid, [h.position for h in misses]) == -1).all()
+        assert (containing_rows(grid, [h.position for h in hits]) >= 0).all()
+        calls = self._count_centroid_calls(monkeypatch)
+        qs = assemble_queries(hits, misses, grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
+        assert len(calls) == 1
+        cents = centroids_batch(grid.indices3, SPEC)
+        for h, content in zip(qs.hints, qs.prior_content):
+            row = nearest_occupied_row(grid, h.position, cents)
+            assert np.array_equal(content, tokens.content[row].astype(np.float32))
+
+        calls.clear()
+        assemble_queries(hits, [], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
+        assert calls == []
 
     def test_placeholders_deterministic(self):
         rng = np.random.default_rng(16)

@@ -3,7 +3,7 @@ import pytest
 
 from cylpano.errors import DimensionMismatchError, NoValidProjectionError
 from cylpano.geometry import rotation_z
-from cylpano.grid import CylGridSpec, PointCloud, extreme_points_batch, voxelize
+from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
 from cylpano.synth import ring_camera
 from cylpano.tokens import (
     FeatureMap,
@@ -12,8 +12,10 @@ from cylpano.tokens import (
     aggregate_image_feature,
     build_tokens,
     centroid_image_feature,
+    containing_rows,
     corner_distances,
     fuse_token,
+    nearest_occupied_row,
     scale_encoding,
     spe,
     spe_batch,
@@ -239,3 +241,35 @@ class TestBuildTokens:
             VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels - 1, 4)))
         with pytest.raises(DimensionMismatchError):
             build_tokens(grid, VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, 5))), [], [], params)
+
+
+class TestNearestOccupiedRow:
+    # one column (r=1, theta=0) of a grid with 1 m z-bins: voxels at z-bins 0 and 2 occupied
+    spec = CylGridSpec(4, 4, 8, (0.0, 8.0), (-4.0, 4.0))
+
+    def _grid(self):
+        c = 3.0 * np.cos(np.pi / 4)
+        pts = np.array([[c, c, -3.5], [c, c, -1.5]])
+        return voxelize(PointCloud(pts, np.zeros(2)), self.spec)
+
+    def test_equal_distance_goes_to_lower_row(self):
+        grid = self._grid()
+        cents = centroids_batch(grid.indices3, self.spec)
+        # the centroid of the empty voxel between them, at z-bin 1
+        pos = centroids_batch(np.array([[1, 0, 1]]), self.spec)[0]
+        d = np.linalg.norm(cents - pos, axis=1)
+        assert grid.indices3.tolist() == [[1, 0, 0], [1, 0, 2]]
+        assert d[0] == d[1]
+        assert containing_rows(grid, pos).tolist() == [-1]
+        assert nearest_occupied_row(grid, pos) == 0
+        assert nearest_occupied_row(grid, pos, cents) == 0
+
+    def test_containing_rows(self):
+        grid = self._grid()
+        c = 3.0 * np.cos(np.pi / 4)
+        pos = np.array([[c, c, -1.5], [c, c, -2.5], [c, c, 9.0], [c, c, -3.5]])
+        assert containing_rows(grid, pos).tolist() == [1, -1, -1, 0]
+        assert containing_rows(grid, np.zeros((0, 3))).tolist() == []
+        empty = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), self.spec)
+        assert containing_rows(empty, pos).tolist() == [-1] * 4
+        assert nearest_occupied_row(empty, pos[0]) == -1
