@@ -309,20 +309,16 @@ def _mix(
 class AugResult:
     """Augmented sample plus the bookkeeping needed by provenance checks.
 
-    `masks` holds the per-strategy selection masks in the bin space that
-    existed when each strategy ran (before the global transform). The final
-    grid is the last mixed grid, whose per-voxel tags come from the rows of
-    the grid each voxel was taken from; only after a non-identity global
-    transform is the cloud re-binned, with tags re-derived from per-point
-    provenance. `global_transform` maps old points to new ones.
+    The final grid is the last mixed grid, whose per-voxel tags come from the
+    rows of the grid each voxel was taken from; only after a non-identity
+    global transform is the cloud re-binned, with tags re-derived from
+    per-point provenance.
     """
 
     sample: MultiModalSample
     grid: CylGrid
     applied: dict[str, bool]
-    masks: dict[str, np.ndarray] = field(default_factory=dict)
     swapped_rects: dict[int, np.ndarray] = field(default_factory=dict)
-    global_transform: np.ndarray = field(default_factory=lambda: np.eye(3))
 
 
 def _merge_rects(acc: dict[int, np.ndarray], extra: dict[int, np.ndarray]):
@@ -416,8 +412,8 @@ def augment(
     for _, mask, donor_grid in mixes:
         work, grid, rects = _mix(work, grid, new_work, donor_grid, mask)
         _merge_rects(rects_acc, rects)
-    masks = {name: mask for name, mask, _ in mixes}
-    applied = {name: name in masks for name in ("instance", "height", "angle")}
+    names = [name for name, _, _ in mixes]
+    applied = {name: name in names for name in ("instance", "height", "angle")}
 
     # Global transforms; draws always consume the stream so seeds stay aligned.
     angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
@@ -434,4 +430,4 @@ def augment(
     # Mixing moves no point, so without a transform the last mixed grid bins work.cloud.
     if grid is None:
         grid = voxelize(work.cloud, spec)
-    return AugResult(work, pair_voxel_image(grid, work.cams), applied, masks, rects_acc, A)
+    return AugResult(work, pair_voxel_image(grid, work.cams), applied, rects_acc)

@@ -60,7 +60,6 @@ class PipelineConfig:
     tokens: TokenConfig = field(default_factory=TokenConfig)
     queries: QueryConfig = field(default_factory=QueryConfig)
     synth: SceneConfig = field(default_factory=SceneConfig)
-    classes_path: str = ""
 
 
 def _fmt(value) -> str:
@@ -73,7 +72,7 @@ def _fmt(value) -> str:
 
 def save_config(path, cfg: PipelineConfig):
     cp = configparser.ConfigParser()
-    cp["pipeline"] = {"version": str(cfg.version), "classes_path": cfg.classes_path}
+    cp["pipeline"] = {"version": str(cfg.version)}
     cp["grid"] = {
         "r_bins": str(cfg.grid.r_bins),
         "theta_bins": str(cfg.grid.theta_bins),
@@ -128,7 +127,6 @@ def load_config(path) -> PipelineConfig:
     version = _parse(pipe, "version", int, CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise BadConfigError(f"unsupported config version {version}")
-    classes_path = _parse(pipe, "classes_path", str, "")
 
     g = cp["grid"] if "grid" in cp else {}
     try:
@@ -152,14 +150,10 @@ def load_config(path) -> PipelineConfig:
         tokens=_load_section(cp, "tokens", TokenConfig),
         queries=_load_section(cp, "queries", QueryConfig),
         synth=_load_section(cp, "synth", SceneConfig, image_size=image_size),
-        classes_path=classes_path,
     )
-    base = os.path.dirname(os.fspath(path))
-    for label, ref in (("classes_path", cfg.classes_path), ("weights_path", cfg.tokens.weights_path)):
-        if ref and not os.path.exists(resolve_path(base, ref)):
-            raise BadConfigError(f"{label} {ref!r} does not exist")
+    if cfg.tokens.weights_path:
+        # relative to the config file, so a stage may run from any directory
+        cfg.tokens.weights_path = os.path.join(os.path.dirname(os.fspath(path)), cfg.tokens.weights_path)
+        if not os.path.exists(cfg.tokens.weights_path):
+            raise BadConfigError(f"weights_path {cfg.tokens.weights_path!r} does not exist")
     return cfg
-
-
-def resolve_path(base: str, ref: str) -> str:
-    return ref if os.path.isabs(ref) else os.path.join(base, ref)

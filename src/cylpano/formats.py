@@ -259,6 +259,7 @@ def write_calibration(path, cams: list[CameraModel]):
                 "T": [float(v) for v in cam.extrinsic.reshape(-1)],
                 "width": cam.width,
                 "height": cam.height,
+                **({} if cam.is_proper else {"mirrored": True}),
             }
             for cam in cams
         ]
@@ -279,8 +280,11 @@ def read_calibration(path) -> list[CameraModel]:
             cam = CameraModel(K, T, int(entry["width"]), int(entry["height"]))
         except (KeyError, ValueError) as exc:
             raise BadConfigError(f"camera {i} in {path}: {exc}") from exc
-        if not cam.is_proper:
-            raise BadConfigError(f"camera {i} in {path}: extrinsic rotation must be proper")
+        # flip augmentation writes mirrored extrinsics (det -1) and flags them
+        if cam.is_proper == (entry.get("mirrored", False) is True):
+            raise BadConfigError(
+                f"camera {i} in {path}: \"mirrored\" flag disagrees with the extrinsic's determinant"
+            )
         cams.append(cam)
     if not cams:
         raise BadConfigError(f"{path}: no cameras")

@@ -64,7 +64,7 @@ class CameraModel:
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-6):
             raise ValueError("extrinsic rotation block must be orthonormal")
         # |det| == 1 admits the mirrored extrinsics produced by flip augmentation;
-        # calibration files are additionally required to be proper (det == +1).
+        # calibration files must flag them as "mirrored".
         if abs(abs(np.linalg.det(R)) - 1.0) > 1e-6:
             raise ValueError("extrinsic rotation block must have |det| == 1")
         if self.width <= 0 or self.height <= 0:

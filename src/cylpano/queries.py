@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from .errors import EmptyColumnError, IndexOutOfRangeError, MissingLabelsError
 from .grid import CylGrid, PointCloud, centroids_batch, column_rows
 from .geometry import CameraModel, cart_to_polar, valid_projections
-from .tokens import SpeParams, TokenSet, containing_rows, nearest_occupied_row
+from .tokens import SpeParams, TokenSet, nearest_occupied_rows
 
 
 @dataclass
@@ -63,10 +63,7 @@ def build_bev_heatmap(grid: CylGrid, mode: str = "gt_gaussian", sigma: float = 2
     spec = grid.spec
     heat = np.zeros((spec.r_bins, spec.theta_bins))
     if mode == "density":
-        pts = grid.cloud.xyz[grid.order]
-        idx, _ = spec.bin_points(cart_to_polar(pts))
-        cols = idx[:, 0].astype(np.int64) * spec.theta_bins + idx[:, 1]
-        counts = np.bincount(cols, minlength=spec.r_bins * spec.theta_bins)
+        counts = np.bincount(grid.voxel_ids // spec.z_bins, grid.counts, spec.r_bins * spec.theta_bins)
         if counts.max() > 0:
             heat = (counts / counts.max()).reshape(spec.r_bins, spec.theta_bins)
         return heat
@@ -159,7 +156,7 @@ def lift_peak_to_3d(peak: tuple[int, int], grid: CylGrid) -> LocationHint:
     rows = column_rows(grid, r, t)
     if len(rows) == 0:
         raise EmptyColumnError(f"no occupied voxel in column {(r, t)}")
-    cents = centroids_batch(grid.indices3[rows], grid.spec)
+    cents = centroids_batch(grid.spec.unflatten(grid.voxel_ids[rows]), grid.spec)
     return LocationHint(cents.mean(axis=0), 1.0, "geometric")
 
 
@@ -349,19 +346,11 @@ def assemble_queries(
     dim = params.dim
     if grid.num_voxels == 0 or len(tokens) == 0:
         hints = []
-    content = np.zeros((len(hints), 2 * dim), dtype=np.float32)
-    spe_out = np.zeros((len(hints), dim), dtype=np.float32)
-    cents = None
-    if (containing_rows(grid, [h.position for h in hints]) < 0).any():
-        cents = centroids_batch(grid.indices3, grid.spec)
-    for i, h in enumerate(hints):
-        row = nearest_occupied_row(grid, h.position, cents)
-        content[i] = tokens.content[row].astype(np.float32)
-        spe_out[i] = tokens.spe[row].astype(np.float32)
+    rows = nearest_occupied_rows(grid, [h.position for h in hints])
     return QuerySet(
         dim=dim,
-        prior_content=content,
-        prior_spe=spe_out,
+        prior_content=tokens.content[rows].astype(np.float32),
+        prior_spe=tokens.spe[rows].astype(np.float32),
         hints=hints,
         no_prior=placeholder_queries(l_lt, dim, params.seed, 1),
         semantic=placeholder_queries(num_classes, dim, params.seed, 2),

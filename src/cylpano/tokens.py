@@ -335,20 +335,22 @@ def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
     return np.where(hit, i, -1)
 
 
-def nearest_occupied_row(
-    grid: CylGrid, position: np.ndarray, centroids: np.ndarray | None = None
-) -> int:
-    """Row of the occupied voxel containing `position`, else nearest by centroid.
+def nearest_occupied_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
+    """Row of the occupied voxel containing each position, else nearest by centroid.
 
-    `centroids` (the voxel centroids of `grid`, row-aligned) spares callers
-    with many positions recomputing them; distance ties go to the lowest row.
+    Centroids are computed once, only when some position misses every occupied
+    voxel; distance ties go to the lowest row. An empty grid gives -1 everywhere.
     """
-    if grid.num_voxels == 0:
-        return -1
-    row = int(containing_rows(grid, position)[0])
-    if row >= 0:
-        return row
-    if centroids is None:
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    rows = containing_rows(grid, pos)
+    missed = np.flatnonzero(rows < 0)
+    if len(missed) and grid.num_voxels:
         centroids = centroids_batch(grid.indices3, grid.spec)
-    d = np.linalg.norm(centroids - np.asarray(position, dtype=np.float64).reshape(1, 3), axis=1)
-    return int(np.argmin(d))
+        for i in missed:
+            rows[i] = np.argmin(np.linalg.norm(centroids - pos[i], axis=1))
+    return rows
+
+
+def nearest_occupied_row(grid: CylGrid, position: np.ndarray) -> int:
+    """`nearest_occupied_rows` for one position."""
+    return int(nearest_occupied_rows(grid, position)[0])

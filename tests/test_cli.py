@@ -5,7 +5,7 @@ import pytest
 
 from cylpano import formats
 from cylpano.cli import main
-from cylpano.config import PipelineConfig, save_config
+from cylpano.config import PipelineConfig, load_config, save_config
 
 
 def small_config(tmp_path, **synth_kw):
@@ -74,6 +74,54 @@ class TestChain:
         overlay = tmp_path / "overlay"
         assert main(["render-overlay", "--sample", str(org), "--out", str(overlay)]) == 0
         assert sorted(overlay.glob("overlay*.ppm"))
+
+    def test_chain_after_flip_rotation_and_scale(self, tmp_path):
+        cfg = small_config(tmp_path)
+        loaded = load_config(cfg)
+        loaded.augment.rotation_range = 0.5
+        loaded.augment.flip_prob = 1.0
+        loaded.augment.scale_range = (0.9, 1.1)
+        save_config(cfg, loaded)
+        org, new, aug = tmp_path / "org", tmp_path / "new", tmp_path / "aug"
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(new)]) == 0
+        assert main([
+            "augment", "--config", cfg, "--seed", "3",
+            "--org", str(org), "--new", str(new), "--out", str(aug),
+        ]) == 0
+        cams = json.loads((aug / "calib.json").read_text())["cameras"]
+        assert [c.get("mirrored") for c in cams] == [True] * len(cams)
+        fuse = tmp_path / "fuse"
+        assert main(["fuse", "--config", cfg, "--sample", str(aug), "--out", str(fuse)]) == 0
+        assert main([
+            "queries", "--config", cfg, "--sample", str(aug),
+            "--tokens", str(fuse / "tokens.toks"), "--masks", str(org / "masks"),
+            "--classes", str(org / "classes.cfg"), "--out", str(tmp_path / "queries"),
+        ]) == 0
+        report_path = tmp_path / "report.json"
+        assert main([
+            "eval", "--pred", str(aug / "cloud.plcd"), "--gt", str(aug / "cloud.plcd"),
+            "--classes", str(org / "classes.cfg"), "--report", str(report_path),
+        ]) == 0
+        assert json.loads(report_path.read_text())["aggregates"]["pq"] == 1.0
+
+    def test_weights_path_is_relative_to_config(self, tmp_path, monkeypatch):
+        from cylpano.tokens import SpeParams
+
+        cfg = small_config(tmp_path)
+        loaded = load_config(cfg)
+        formats.write_spe_params(tmp_path / "w.spew", SpeParams.create(loaded.grid, loaded.tokens.dim, seed=5))
+        loaded.tokens.weights_path = "w.spew"
+        save_config(cfg, loaded)
+        org = tmp_path / "org"
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuse", "--config", "pipeline.cfg", "--sample", "org", "--out", "fuse-here"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", "fuse-there"]) == 0
+        assert sha(elsewhere / "fuse-there" / "tokens.toks") == sha(tmp_path / "fuse-here" / "tokens.toks")
 
     def test_queries_manifest_counts_hints(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -4,6 +4,7 @@ import pytest
 from cylpano import formats
 from cylpano.config import PipelineConfig, load_config, save_config
 from cylpano.errors import BadConfigError, BadMagicError, ShapeMismatchError, TruncatedFileError
+from cylpano.geometry import similarity_matrix, transform_camera
 from cylpano.grid import CylGridSpec, PointCloud
 from cylpano.queries import LocationHint, Mask2D, QuerySet
 from cylpano.synth import ring_camera
@@ -172,6 +173,26 @@ class TestImagesAndCalibration:
             assert np.array_equal(a.extrinsic, b.extrinsic)
             assert (a.width, a.height) == (b.width, b.height)
 
+    def test_mirrored_calibration_round_trip(self, tmp_path):
+        import json
+
+        cam = ring_camera(0.3, 640, 360, 351.75, 1.61)
+        flipped = transform_camera(ring_camera(2.1, 640, 360, 351.75, 1.61), similarity_matrix(0.4, True, 1.05))
+        path = tmp_path / "c.json"
+        formats.write_calibration(path, [cam, flipped])
+        payload = json.loads(path.read_text())
+        assert [c.get("mirrored") for c in payload["cameras"]] == [None, True]
+        got = formats.read_calibration(path)
+        for a, b in zip(got, [cam, flipped]):
+            assert np.array_equal(a.intrinsic, b.intrinsic)
+            assert np.array_equal(a.extrinsic, b.extrinsic)
+        assert [c.is_proper for c in got] == [True, False]
+        # a proper extrinsic flagged as mirrored is rejected too
+        payload["cameras"][0]["mirrored"] = True
+        path.write_text(json.dumps(payload))
+        with pytest.raises(BadConfigError):
+            formats.read_calibration(path)
+
     def test_calibration_rejects_mirrored_extrinsic(self, tmp_path):
         cam = ring_camera(0.0, 64, 64, 32.0, 1.0)
         T = cam.extrinsic.copy()
@@ -210,7 +231,7 @@ class TestConfig:
 
     def test_missing_referenced_file_rejected(self, tmp_path):
         cfg = PipelineConfig()
-        cfg.classes_path = "nope.cfg"
+        cfg.tokens.weights_path = "nope.spew"
         save_config(tmp_path / "p.cfg", cfg)
         with pytest.raises(BadConfigError):
             load_config(tmp_path / "p.cfg")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cylpano.errors import EmptyColumnError
+from cylpano.geometry import cart_to_polar
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxel_centroid, voxelize
 from cylpano.queries import (
     LocationHint,
@@ -68,6 +69,22 @@ class TestHeatmap:
         xyz = np.column_stack([rng.uniform(-20, 20, (500, 2)), rng.uniform(-1, 1, 500)])
         heat = build_bev_heatmap(voxelize(PointCloud(xyz, np.zeros(500)), SPEC), "density")
         assert heat.max() == 1.0 and heat.min() >= 0.0
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_density_equals_rebinned_points(self, seed):
+        rng = np.random.default_rng(seed)
+        # some points fall outside the radial and height ranges
+        xyz = np.column_stack([rng.uniform(-30, 30, (400, 2)), rng.uniform(-3, 3, 400)])
+        grid = voxelize(PointCloud(xyz, np.zeros(400)), SPEC)
+        idx, _ = SPEC.bin_points(cart_to_polar(grid.cloud.xyz[grid.order]))
+        cols = idx[:, 0].astype(np.int64) * SPEC.theta_bins + idx[:, 1]
+        counts = np.bincount(cols, minlength=SPEC.r_bins * SPEC.theta_bins)
+        expected = (counts / counts.max()).reshape(SPEC.r_bins, SPEC.theta_bins)
+        assert np.array_equal(build_bev_heatmap(grid, "density"), expected)
+
+    def test_density_of_empty_cloud_is_zero(self):
+        heat = build_bev_heatmap(voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), SPEC), "density")
+        assert heat.shape == (SPEC.r_bins, SPEC.theta_bins) and not heat.any()
 
     def test_wide_splat_wraps_cleanly_on_small_grid(self):
         spec = CylGridSpec(6, 5, 2, (0.0, 12.0), (-1.0, 1.0))
@@ -386,9 +403,8 @@ class TestAssemble:
         calls = self._count_centroid_calls(monkeypatch)
         qs = assemble_queries(hits, misses, grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
         assert len(calls) == 1
-        cents = centroids_batch(grid.indices3, SPEC)
         for h, content in zip(qs.hints, qs.prior_content):
-            row = nearest_occupied_row(grid, h.position, cents)
+            row = nearest_occupied_row(grid, h.position)
             assert np.array_equal(content, tokens.content[row].astype(np.float32))
 
         calls.clear()

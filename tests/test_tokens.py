@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cylpano.errors import DimensionMismatchError, NoValidProjectionError
-from cylpano.geometry import rotation_z
+from cylpano.geometry import cart_to_polar, rotation_z
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
 from cylpano.synth import ring_camera
 from cylpano.tokens import (
@@ -16,6 +16,7 @@ from cylpano.tokens import (
     corner_distances,
     fuse_token,
     nearest_occupied_row,
+    nearest_occupied_rows,
     scale_encoding,
     spe,
     spe_batch,
@@ -262,7 +263,7 @@ class TestNearestOccupiedRow:
         assert d[0] == d[1]
         assert containing_rows(grid, pos).tolist() == [-1]
         assert nearest_occupied_row(grid, pos) == 0
-        assert nearest_occupied_row(grid, pos, cents) == 0
+        assert nearest_occupied_rows(grid, [pos, pos]).tolist() == [0, 0]
 
     def test_containing_rows(self):
         grid = self._grid()
@@ -273,3 +274,27 @@ class TestNearestOccupiedRow:
         empty = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), self.spec)
         assert containing_rows(empty, pos).tolist() == [-1] * 4
         assert nearest_occupied_row(empty, pos[0]) == -1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = np.column_stack([rng.uniform(-8, 8, (30, 2)), rng.uniform(-4, 4, 30)])
+        grid = voxelize(PointCloud(pts, np.zeros(30)), self.spec)
+        # the cloud's own points, and positions inside and outside the radial and height ranges
+        pos = np.concatenate([pts, np.column_stack([rng.uniform(-12, 12, (40, 2)), rng.uniform(-6, 6, 40)])])
+        cents = centroids_batch(grid.indices3, self.spec)
+        expected = []
+        for p in pos:
+            idx, inside = self.spec.bin_points(cart_to_polar(p[None]))
+            hit = np.flatnonzero(grid.voxel_ids == self.spec.flatten(idx)[0])
+            if inside[0] and len(hit):
+                expected.append(int(hit[0]))
+            else:
+                expected.append(int(np.argmin(np.linalg.norm(cents - p, axis=1))))
+        rows = nearest_occupied_rows(grid, pos)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == expected
+        hits = containing_rows(grid, pos) >= 0
+        assert min(expected) >= 0 and hits.any() and not hits.all()
+        empty = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), self.spec)
+        assert nearest_occupied_rows(empty, pos).tolist() == [-1] * len(pos)
