@@ -48,7 +48,6 @@ from .queries import (
 from .synth import SceneConfig, SynthSample, generate_scene, render_overlay
 from .tokens import (
     FeatureMap,
-    FusedToken,
     SpeParams,
     TokenSet,
     VoxelFeatures,

@@ -137,9 +137,9 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     """Voxel-wise mix: where the mask is set take the new grid's voxel, else the original.
 
     Point lists, labels, and per-voxel source tags travel with their voxel, so
-    each tag comes from the contributing grid's row; image pairings are
-    carried over from the contributing grid. The mixed grid is built from the
-    kept voxels of both inputs, without re-binning, and drops no points.
+    each tag comes from the contributing grid's row. The mixed grid is built
+    from the kept voxels of both inputs, without re-binning, and drops no
+    points; it is unpaired (`pair_voxel_image` attaches image rectangles).
     Incoming nonzero instance ids are remapped above the original scan's
     maximum so panoptic ground truth stays consistent.
     """
@@ -169,24 +169,9 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     counts = counts[perm]
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     order = np.repeat(run_starts[perm] - starts[:-1], counts) + np.arange(starts[-1])
-    mixed = CylGrid(
+    return CylGrid(
         org.spec, merged, voxel_ids[perm], starts, order, np.zeros(0, dtype=np.int64), source[perm]
     )
-
-    cams = set(org.pairings) | set(new.pairings)
-    for cam_id in cams:
-        tables = []
-        for side, keep in ((org, ~flat_mask), (new, flat_mask)):
-            table = side.pairings.get(cam_id)
-            if table is None:
-                continue
-            sel = keep[table.flat_ids]
-            tables.append((table.flat_ids[sel], table.rects[sel]))
-        ids = np.concatenate([t[0] for t in tables]) if tables else np.zeros(0, dtype=np.int64)
-        rects = np.concatenate([t[1] for t in tables]) if tables else np.zeros((0, 4), dtype=np.int32)
-        perm = np.argsort(ids)
-        mixed.pairings[cam_id] = PairingTable(ids[perm], rects[perm])
-    return mixed
 
 
 def sync_image_swap(

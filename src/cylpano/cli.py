@@ -21,13 +21,11 @@ from . import formats
 from .augment import MultiModalSample, augment
 from .config import PipelineConfig, load_config, save_config
 from .errors import PipelineError, ShapeMismatchError
-from .grid import extreme_points_batch, voxelize
+from .grid import voxelize
 from .metrics import ClassTable, SegLabeling, evaluate
 from .queries import assemble_queries, build_bev_heatmap, geometric_hints, texture_hints
 from .synth import generate_scene, render_overlay
-from .tokens import (
-    FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, containing_rows, spe_batch,
-)
+from .tokens import FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, containing_rows
 
 
 def _sha256(path: Path) -> str:
@@ -192,8 +190,9 @@ def cmd_queries(args) -> int:
     if not np.array_equal(flat, grid.voxel_ids):
         raise ShapeMismatchError("token voxels do not match the sample's grid")
     params = _spe_params(cfg)
-    spe = spe_batch(extreme_points_batch(idx3, cfg.grid), params)
-    tokens = TokenSet(cfg.grid, flat, content.astype(np.float64), spe, np.ones(len(flat), dtype=bool))
+    if content.shape[1] != 2 * params.dim:
+        raise ShapeMismatchError(f"token dim {content.shape[1] // 2} != embedding dim {params.dim}")
+    tokens = TokenSet(cfg.grid, flat, content)
 
     qc = cfg.queries
     heat = build_bev_heatmap(grid, qc.heatmap_mode, qc.heatmap_sigma)

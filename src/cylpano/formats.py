@@ -7,7 +7,8 @@ shapes, so round-trips are bit-exact across platforms:
   FMAP  feature maps: u32 K,H',W',D; f32 row-major data
   TOKS  fused tokens: u32 count, D; per token u16 r,theta,z; 2*D f32 content
   MSK2  2D mask, RLE: u32 cam,H,W, run count; u32 runs starting with zeros
-  QRYS  queries: u32 n_prior,n_noprior,n_semantic,D; prior records then vectors
+  QRY2  queries: u32 n_prior,n_noprior,n_semantic,D; per prior query f32 x,y,z,
+        confidence, u8 origin, 2*D f32 content, D f32 spe; then f32 vectors
   PVOX  per-voxel provenance: u32 count; per voxel u16 r,theta,z, u8 tag
   SPEW  embedding weights: u32 dim; shape-prefixed f64 blocks
 
@@ -158,42 +159,45 @@ def read_mask(path) -> Mask2D:
     return Mask2D(cam_id, flat.reshape(h, w))
 
 
+def _prior_dtype(dim: int) -> np.dtype:
+    return np.dtype([
+        ("xyz", "<f4", (3,)), ("confidence", "<f4"), ("origin", "u1"),
+        ("content", "<f4", (2 * dim,)), ("spe", "<f4", (dim,)),
+    ])
+
+
 def write_queries(path, qs: QuerySet):
-    parts = [
-        b"QRYS",
-        _u32(qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim),
-    ]
-    for i, h in enumerate(qs.hints):
-        parts.append(np.asarray(h.position, dtype="<f4").tobytes())
-        parts.append(np.asarray([h.confidence], dtype="<f4").tobytes())
-        parts.append(bytes([ORIGIN_CODES[h.origin]]))
-        parts.append(qs.prior_content[i].astype("<f4").tobytes())
-    parts.append(qs.no_prior.astype("<f4").tobytes())
-    parts.append(qs.semantic.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    rec = np.empty(qs.num_prior, dtype=_prior_dtype(qs.dim))
+    rec["xyz"] = np.reshape([h.position for h in qs.hints], (-1, 3))
+    rec["confidence"] = [h.confidence for h in qs.hints]
+    rec["origin"] = [ORIGIN_CODES[h.origin] for h in qs.hints]
+    rec["content"] = qs.prior_content
+    rec["spe"] = qs.prior_spe
+    Path(path).write_bytes(
+        b"QRY2" + _u32(qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim) + rec.tobytes()
+        + qs.no_prior.astype("<f4").tobytes() + qs.semantic.astype("<f4").tobytes()
+    )
 
 
 def read_queries(path) -> QuerySet:
     r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"QRYS")
+    r.magic(b"QRY2")
     n_prior, n_lt, n_sem, dim = (r.u32() for _ in range(4))
-    hints = []
-    content = np.zeros((n_prior, 2 * dim), dtype=np.float32)
-    for i in range(n_prior):
-        pos = r.array("<f4", 3).astype(np.float64)
-        conf = float(r.array("<f4", 1)[0])
-        code = r.take(1)[0]
-        if code not in ORIGIN_NAMES:
-            raise ShapeMismatchError(f"{path}: unknown hint origin code {code}")
-        hints.append(LocationHint(pos, conf, ORIGIN_NAMES[code]))
-        content[i] = r.array("<f4", 2 * dim)
+    rec = r.array(_prior_dtype(dim), n_prior)
     no_prior = r.array("<f4", n_lt * dim).reshape(n_lt, dim).copy()
     semantic = r.array("<f4", n_sem * dim).reshape(n_sem, dim).copy()
     r.done()
+    unknown = ~np.isin(rec["origin"], list(ORIGIN_NAMES))
+    if unknown.any():
+        raise ShapeMismatchError(f"{path}: unknown hint origin code {rec['origin'][unknown][0]}")
+    hints = [
+        LocationHint(xyz, float(conf), ORIGIN_NAMES[code])
+        for xyz, conf, code in zip(rec["xyz"], rec["confidence"], rec["origin"])
+    ]
     return QuerySet(
         dim=dim,
-        prior_content=content,
-        prior_spe=np.zeros((n_prior, dim), dtype=np.float32),
+        prior_content=rec["content"].reshape(n_prior, 2 * dim).copy(),
+        prior_spe=rec["spe"].reshape(n_prior, dim).copy(),
         hints=hints,
         no_prior=no_prior,
         semantic=semantic,

@@ -133,9 +133,6 @@ class Rect:
     def contains(self, u: int, v: int) -> bool:
         return self.u_min <= u <= self.u_max and self.v_min <= v <= self.v_max
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_min, self.v_min, self.u_max, self.v_max], dtype=np.int32)
-
 
 def bounding_rect(uv: np.ndarray) -> Rect:
     """Minimal integer rectangle covering the floor-rounded pixel cells of `uv` (N, 2)."""

@@ -20,9 +20,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyColumnError, IndexOutOfRangeError, MissingLabelsError
-from .grid import CylGrid, PointCloud, centroids_batch, column_rows
+from .grid import CylGrid, PointCloud, centroids_batch, column_rows, extreme_points_batch
 from .geometry import CameraModel, cart_to_polar, valid_projections
-from .tokens import SpeParams, TokenSet, nearest_occupied_rows
+from .tokens import SpeParams, TokenSet, nearest_occupied_rows, spe_batch
 
 
 @dataclass
@@ -331,8 +331,9 @@ def assemble_queries(
 ) -> QuerySet:
     """Merge hint groups, thin to at most l_pr with FPS, and index token content.
 
-    Each prior query copies the fused token of the voxel containing its hint
-    (nearest occupied voxel by centroid distance when that cell is empty).
+    Each prior query copies the fused token content of the voxel containing
+    its hint (nearest occupied voxel by centroid distance when that cell is
+    empty) and carries that voxel's embedding, computed for these voxels only.
     Hint shortfall below l_pr is kept as-is, never padded. No-prior and
     semantic queries are deterministic placeholders from the embedding seed.
     """
@@ -347,10 +348,11 @@ def assemble_queries(
     if grid.num_voxels == 0 or len(tokens) == 0:
         hints = []
     rows = nearest_occupied_rows(grid, [h.position for h in hints])
+    corners = extreme_points_batch(grid.spec.unflatten(grid.voxel_ids[rows]), grid.spec)
     return QuerySet(
         dim=dim,
         prior_content=tokens.content[rows].astype(np.float32),
-        prior_spe=tokens.spe[rows].astype(np.float32),
+        prior_spe=spe_batch(corners, params).astype(np.float32),
         hints=hints,
         no_prior=placeholder_queries(l_lt, dim, params.seed, 1),
         semantic=placeholder_queries(num_classes, dim, params.seed, 2),

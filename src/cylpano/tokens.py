@@ -142,7 +142,7 @@ def position_encoding(centers: np.ndarray, params: SpeParams) -> np.ndarray:
     coords = np.concatenate([centers, pol[:, :2]], axis=1)  # x, y, z, rho, theta
     bands = 2.0 ** np.arange(N_BANDS)
     args = np.pi * coords[:, :, None] * params.coord_scales[None, :, None] * bands  # (M, 5, B)
-    feats = np.concatenate([np.sin(args), np.cos(args)], axis=2).reshape(len(centers), -1)
+    feats = np.concatenate([np.sin(args), np.cos(args)], axis=2).reshape(len(centers), 2 * 5 * N_BANDS)
     return feats @ params.psi_w.T
 
 
@@ -238,28 +238,22 @@ class VoxelFeatures:
 
 
 @dataclass
-class FusedToken:
-    """One voxel's fused token."""
-
-    index3: tuple[int, int, int]
-    content: np.ndarray  # (2 * dim,)
-    spe: np.ndarray      # (dim,)
-    image_valid: bool
-
-
-@dataclass
 class TokenSet:
-    """Fused tokens for all non-empty voxels, ordered by (r, theta, z)."""
+    """Fused tokens for all non-empty voxels, ordered by (r, theta, z).
+
+    `build_tokens` fills every field; a set read back from TOKS holds only the
+    voxels and content, with `spe` and `image_valid` left None.
+    """
 
     spec: CylGridSpec
     flat_ids: np.ndarray
-    content: np.ndarray      # (M, 2 * dim)
-    spe: np.ndarray          # (M, dim)
-    image_valid: np.ndarray  # (M,) bool
+    content: np.ndarray                    # (M, 2 * dim)
+    spe: np.ndarray | None = None          # (M, dim)
+    image_valid: np.ndarray | None = None  # (M,) bool
 
     @property
     def dim(self) -> int:
-        return self.spe.shape[1]
+        return self.content.shape[1] // 2
 
     @property
     def indices3(self) -> np.ndarray:
@@ -267,10 +261,6 @@ class TokenSet:
 
     def __len__(self) -> int:
         return len(self.flat_ids)
-
-    def __getitem__(self, i: int) -> FusedToken:
-        r, t, z = self.spec.unflatten(np.asarray([self.flat_ids[i]]))[0]
-        return FusedToken((int(r), int(t), int(z)), self.content[i], self.spe[i], bool(self.image_valid[i]))
 
 
 def build_tokens(

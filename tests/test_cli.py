@@ -105,6 +105,52 @@ class TestChain:
         ]) == 0
         assert json.loads(report_path.read_text())["aggregates"]["pq"] == 1.0
 
+    def test_chain_on_empty_scan(self, tmp_path):
+        cfg = small_config(tmp_path, ground_points=0, n_objects=(0, 0))
+        org, new, aug, fuse, qrs = (tmp_path / d for d in ("org", "new", "aug", "fuse", "queries"))
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(new)]) == 0
+        assert len(formats.read_point_cloud(org / "cloud.plcd")) == 0
+        assert main([
+            "augment", "--config", cfg, "--seed", "3",
+            "--org", str(org), "--new", str(new), "--out", str(aug),
+        ]) == 0
+        assert main(["fuse", "--config", cfg, "--sample", str(aug), "--out", str(fuse)]) == 0
+        assert main([
+            "queries", "--config", cfg, "--sample", str(aug),
+            "--tokens", str(fuse / "tokens.toks"), "--masks", str(org / "masks"),
+            "--classes", str(org / "classes.cfg"), "--out", str(qrs),
+        ]) == 0
+        assert formats.read_queries(qrs / "queries.qrys").num_prior == 0
+        assert main([
+            "eval", "--pred", str(aug / "cloud.plcd"), "--gt", str(aug / "cloud.plcd"),
+            "--classes", str(org / "classes.cfg"), "--report", str(tmp_path / "report.json"),
+        ]) == 0
+
+    def test_queries_embed_only_prior_voxels(self, tmp_path, monkeypatch):
+        import cylpano.tokens
+
+        cfg = small_config(tmp_path)
+        org, fuse, qrs = tmp_path / "org", tmp_path / "fuse", tmp_path / "queries"
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        embedded = []
+        orig = cylpano.tokens.position_encoding
+
+        def counting(centers, params):
+            embedded.append(len(centers))
+            return orig(centers, params)
+
+        monkeypatch.setattr(cylpano.tokens, "position_encoding", counting)
+        assert main([
+            "queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
+            "--masks", str(org / "masks"), "--out", str(qrs),
+        ]) == 0
+        qs = formats.read_queries(qrs / "queries.qrys")
+        idx3, _ = formats.read_tokens(fuse / "tokens.toks", load_config(cfg).grid)
+        assert 0 < qs.num_prior < len(idx3)
+        assert sum(embedded) <= qs.num_prior
+
     def test_weights_path_is_relative_to_config(self, tmp_path, monkeypatch):
         from cylpano.tokens import SpeParams
 
@@ -235,6 +281,21 @@ class TestErrors:
         cfg.write_text("[grid]\nr_bins = -4\n")
         assert main(["synth", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "o")]) == 1
         assert "BadConfigError" in capsys.readouterr().err
+
+    def test_queries_token_dim_mismatch_reports_error_name(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        org, fuse = tmp_path / "org", tmp_path / "fuse"
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        loaded = load_config(cfg)
+        loaded.tokens.dim = 8
+        save_config(cfg, loaded)
+        capsys.readouterr()
+        assert main([
+            "queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
+            "--out", str(tmp_path / "queries"),
+        ]) == 1
+        assert "ShapeMismatchError" in capsys.readouterr().err
 
     def test_unknown_command_exits_with_usage(self):
         with pytest.raises(SystemExit) as exc:

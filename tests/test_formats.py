@@ -128,7 +128,7 @@ class TestTensorCodecs:
         qs = QuerySet(
             dim=dim,
             prior_content=rng.standard_normal((2, 2 * dim)).astype(np.float32),
-            prior_spe=np.zeros((2, dim), np.float32),
+            prior_spe=rng.standard_normal((2, dim)).astype(np.float32),
             hints=hints,
             no_prior=rng.standard_normal((3, dim)).astype(np.float32),
             semantic=rng.standard_normal((5, dim)).astype(np.float32),
@@ -136,11 +136,40 @@ class TestTensorCodecs:
         formats.write_queries(tmp_path / "q.qrys", qs)
         got = formats.read_queries(tmp_path / "q.qrys")
         assert np.array_equal(got.prior_content, qs.prior_content)
+        assert np.array_equal(got.prior_spe, qs.prior_spe)
         assert np.array_equal(got.no_prior, qs.no_prior)
         assert np.array_equal(got.semantic, qs.semantic)
         for ha, hb in zip(got.hints, qs.hints):
             assert np.array_equal(ha.position, hb.position)
             assert ha.confidence == hb.confidence and ha.origin == hb.origin
+
+    @staticmethod
+    def _one_query_file(path, dim=2):
+        qs = QuerySet(
+            dim=dim,
+            prior_content=np.ones((1, 2 * dim), np.float32),
+            prior_spe=np.ones((1, dim), np.float32),
+            hints=[LocationHint([1.0, 2.0, 0.5], 0.75, "texture")],
+            no_prior=np.zeros((1, dim), np.float32),
+            semantic=np.zeros((1, dim), np.float32),
+        )
+        formats.write_queries(path, qs)
+        return bytearray(path.read_bytes())
+
+    def test_old_query_magic_rejected(self, tmp_path):
+        path = tmp_path / "q.qrys"
+        data = self._one_query_file(path)
+        path.write_bytes(b"QRYS" + data[4:])
+        with pytest.raises(BadMagicError):
+            formats.read_queries(path)
+
+    def test_unknown_origin_code_rejected(self, tmp_path):
+        path = tmp_path / "q.qrys"
+        data = self._one_query_file(path)
+        data[4 + 16 + 16] = 7  # origin byte of the first prior record, after xyz and confidence
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShapeMismatchError, match="origin code 7"):
+            formats.read_queries(path)
 
     def test_provenance_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -17,7 +17,9 @@ from cylpano.queries import (
     texture_hints,
 )
 from cylpano.synth import ring_camera
-from cylpano.tokens import SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_row
+from cylpano.tokens import (
+    SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_row, nearest_occupied_rows,
+)
 
 from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan
 
@@ -410,6 +412,18 @@ class TestAssemble:
         calls.clear()
         assemble_queries(hits, [], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
         assert calls == []
+
+    def test_prior_spe_is_the_token_embedding(self):
+        rng = np.random.default_rng(18)
+        grid, tokens, params = self._grid_tokens(rng)
+        hits = [LocationHint(grid.cloud.xyz[i], 1.0, "geometric") for i in grid.order[::9]]
+        misses = [LocationHint(np.append(rng.uniform(-30, 30, 2), rng.uniform(-3, 3)), 0.5, "texture")
+                  for _ in range(20)]
+        for l_pr in (64, 16, 1):
+            qs = assemble_queries(hits, misses, grid, tokens, params, l_pr=l_pr, l_lt=2, num_classes=2)
+            rows = nearest_occupied_rows(grid, [h.position for h in qs.hints])
+            assert qs.prior_spe.shape == (qs.num_prior, params.dim) and qs.prior_spe.dtype == np.float32
+            assert np.array_equal(qs.prior_spe, tokens.spe[rows].astype(np.float32))
 
     def test_placeholders_deterministic(self):
         rng = np.random.default_rng(16)

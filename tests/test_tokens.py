@@ -125,6 +125,10 @@ class TestSpe:
         hashes = {np.round(row, 9).tobytes() for row in emb}
         assert len(hashes) == len(idx)
 
+    def test_empty_batch(self):
+        params = SpeParams.create(SPEC, dim=16, seed=0)
+        assert spe_batch(np.zeros((0, 8, 3)), params).shape == (0, 16)
+
     def test_weights_file_round_trip(self, tmp_path):
         from cylpano.formats import read_spe_params, write_spe_params
 
@@ -171,8 +175,17 @@ class TestBuildTokens:
         feats = VoxelFeatures.for_grid(grid, np.ones((1, 4)))
         tokens = build_tokens(grid, feats, [const_fmap(2.0)], [cam], params)
         assert len(tokens) == 1
-        assert tokens[0].content.shape == (8,)
+        assert tokens.content[0].shape == (8,)
         assert tokens.image_valid[0]
+
+    def test_cloud_out_of_range_gives_empty_set(self):
+        cam = ring_camera(0.0, 32, 32, 16.0, 0.0)
+        grid = voxelize(PointCloud(np.array([[100.0, 0.0, 0.0]]), np.zeros(1)), SPEC)
+        params = SpeParams.create(SPEC, dim=4, seed=0)
+        feats = VoxelFeatures.for_grid(grid, np.zeros((0, 4)))
+        tokens = build_tokens(grid, feats, [const_fmap(2.0)], [cam], params)
+        assert len(tokens) == 0
+        assert tokens.content.shape == (0, 8) and tokens.spe.shape == (0, 4)
 
     def test_two_cameras_identical_features_match_single(self):
         rng = np.random.default_rng(5)
