@@ -172,11 +172,18 @@ def cmd_fuse(args) -> int:
     feats = VoxelFeatures.stats_placeholder(grid, cfg.tokens.dim, cfg.tokens.seed)
     tokens = build_tokens(grid, feats, fmaps, sample.cams, params, bilinear=cfg.tokens.bilinear)
     dt = time.perf_counter() - t0
+    counters = {
+        "points_in": len(sample.cloud),
+        "points_dropped": len(grid.dropped),
+        "occupied_voxels": grid.num_voxels,
+        # voxels with a valid projection in some camera, i.e. a non-zero image half
+        "image_valid_voxels": int(tokens.image_valid.sum()),
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.write_tokens(out / "tokens.toks", tokens)
     inputs = [Path(args.sample) / "cloud.plcd"] + ([args.features] if args.features else [])
-    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, {"fuse": dt})
+    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, {"fuse": dt}, counters)
     return 0
 
 

@@ -234,19 +234,20 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
     return CylGrid(spec, cloud, voxel_ids, starts, order, dropped, source)
 
 
+def _checked_indices(idx3, spec: CylGridSpec) -> np.ndarray:
+    """(M, 3) int64 voxel indices; raises if any lies outside the grid."""
+    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
+    if len(idx3) and ((idx3 < 0).any() or (idx3 >= np.array(spec.shape)).any()):
+        raise IndexOutOfRangeError("voxel index outside grid")
+    return idx3
+
+
 def extreme_points_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
     """Cartesian corners of voxels, shape (M, 8, 3).
 
     Corner order: r varies fastest, then theta, then z (low edge before high).
     """
-    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
-    if len(idx3) and (
-        (idx3 < 0).any()
-        or (idx3[:, 0] >= spec.r_bins).any()
-        or (idx3[:, 1] >= spec.theta_bins).any()
-        or (idx3[:, 2] >= spec.z_bins).any()
-    ):
-        raise IndexOutOfRangeError("voxel index outside grid")
+    idx3 = _checked_indices(idx3, spec)
     r_e, t_e, z_e = spec.r_edges, spec.theta_edges, spec.z_edges
     corners = np.empty((len(idx3), 8, 3))
     k = 0
@@ -269,13 +270,30 @@ def voxel_extreme_points(idx3, spec: CylGridSpec) -> np.ndarray:
 
 
 def centroids_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
-    """Mean of the eight corners for each voxel, shape (M, 3)."""
-    return extreme_points_batch(idx3, spec).mean(axis=1)
+    """Mean of the eight corners for each voxel, shape (M, 3).
+
+    The corners are summed in `extreme_points_batch` order from per-edge
+    tables, so the result equals that mean bit for bit without building the
+    (M, 8, 3) corners.
+    """
+    idx3 = _checked_indices(idx3, spec)
+    r, t, z = idx3.T
+    r_e, z_e = spec.r_edges, spec.z_edges
+    cos_t, sin_t = np.cos(spec.theta_edges), np.sin(spec.theta_edges)
+    total = np.zeros((3, len(idx3)))
+    for dz in (0, 1):
+        for dt in (0, 1):
+            for dr in (0, 1):
+                total[0] += r_e[r + dr] * cos_t[t + dt]
+                total[1] += r_e[r + dr] * sin_t[t + dt]
+                total[2] += z_e[z + dz]
+    return np.ascontiguousarray(total.T) / 8  # row-major, like the mean it equals
 
 
 def voxel_centroid(idx3, spec: CylGridSpec) -> np.ndarray:
     """Arithmetic mean of one voxel's eight corners."""
-    return voxel_extreme_points(idx3, spec).mean(axis=0)
+    spec.validate_index(idx3)
+    return centroids_batch(np.asarray(idx3).reshape(1, 3), spec)[0]
 
 
 def voxel_volume(idx3, spec: CylGridSpec) -> float:

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyColumnError, IndexOutOfRangeError, MissingLabelsError
-from .grid import CylGrid, PointCloud, centroids_batch, column_rows, extreme_points_batch
+from .grid import CylGrid, PointCloud, centroids_batch, column_rows
 from .geometry import CameraModel, cart_to_polar, valid_projections
 from .tokens import SpeParams, TokenSet, nearest_occupied_rows, spe_batch
 
@@ -348,11 +348,10 @@ def assemble_queries(
     if grid.num_voxels == 0 or len(tokens) == 0:
         hints = []
     rows = nearest_occupied_rows(grid, [h.position for h in hints])
-    corners = extreme_points_batch(grid.spec.unflatten(grid.voxel_ids[rows]), grid.spec)
     return QuerySet(
         dim=dim,
         prior_content=tokens.content[rows].astype(np.float32),
-        prior_spe=spe_batch(corners, params).astype(np.float32),
+        prior_spe=spe_batch(grid.spec.unflatten(grid.voxel_ids[rows]), grid.spec, params).astype(np.float32),
         hints=hints,
         no_prior=placeholder_queries(l_lt, dim, params.seed, 1),
         semantic=placeholder_queries(num_classes, dim, params.seed, 2),

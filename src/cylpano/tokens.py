@@ -3,11 +3,16 @@
 Image features are attached to a voxel by projecting its physical points into
 each camera and averaging the feature cells they hit; the virtual voxel center
 is never projected, since for large far-range voxels it can miss the image
-entirely while the member points are visible. Each voxel's position embedding
-combines a sinusoidal encoding of its centroid (in Cartesian and polar
-coordinates) with a small MLP applied to the distances from the centroid to
-the voxel's eight corners, so tokens carry both location and physical scale.
-The same embedding is added to the LiDAR half and the image half of a token.
+entirely while the member points are visible. All cameras' valid projections
+form one sparse sampling matrix (one cell per projection, or four weighted
+cells when sampling bilinearly) over the voxels they reach, applied once to
+the stacked feature maps. Each voxel's position embedding combines a
+sinusoidal encoding of its centroid (in Cartesian and polar coordinates) with
+a small MLP applied to the distances from the centroid to the voxel's eight
+corners, so tokens carry both location and physical scale. A voxel's corner
+distances depend only on its radial bin, so the scale term is computed once
+per radial bin and gathered. The same embedding is added to the LiDAR half
+and the image half of a token.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionMismatchError, NoValidProjectionError
 from .geometry import TWO_PI, CameraModel, cart_to_polar, valid_projections
@@ -44,33 +50,38 @@ class FeatureMap:
     def dim(self) -> int:
         return self.data.shape[2]
 
-    def sample(self, uv: np.ndarray, bilinear: bool = False) -> np.ndarray:
-        """Sample features at continuous in-image pixel coordinates, (N, D) float64."""
+    def cells(self, uv: np.ndarray, bilinear: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Cells sampled at continuous pixel coordinates and their weights.
+
+        Returns (N, k) flat indices into `data.reshape(-1, dim)` and (N, k)
+        float64 weights summing to 1 per row: k = 1 for the nearest cell,
+        k = 4 for bilinear interpolation between cell centers.
+        """
         uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
         h, w, _ = self.data.shape
-        fx = w / self.width
-        fy = h / self.height
-        x = uv[:, 0] * fx
-        y = uv[:, 1] * fy
+        x = uv[:, 0] * (w / self.width)
+        y = uv[:, 1] * (h / self.height)
         if not bilinear:
             cols = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
             rows = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
-            return self.data[rows, cols].astype(np.float64)
+            return (rows * w + cols)[:, None], np.ones((len(uv), 1))
         x = np.clip(x - 0.5, 0.0, w - 1.0)
         y = np.clip(y - 0.5, 0.0, h - 1.0)
         x0 = np.floor(x).astype(np.int64)
         y0 = np.floor(y).astype(np.int64)
         x1 = np.minimum(x0 + 1, w - 1)
         y1 = np.minimum(y0 + 1, h - 1)
-        ax = (x - x0)[:, None]
-        ay = (y - y0)[:, None]
-        d = self.data.astype(np.float64)
-        return (
-            d[y0, x0] * (1 - ax) * (1 - ay)
-            + d[y0, x1] * ax * (1 - ay)
-            + d[y1, x0] * (1 - ax) * ay
-            + d[y1, x1] * ax * ay
-        )
+        ax = x - x0
+        ay = y - y0
+        idx = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=1)
+        wts = np.stack([(1 - ax) * (1 - ay), ax * (1 - ay), (1 - ax) * ay, ax * ay], axis=1)
+        return idx, wts
+
+    def sample(self, uv: np.ndarray, bilinear: bool = False) -> np.ndarray:
+        """Sample features at continuous in-image pixel coordinates, (N, D) float64."""
+        idx, wts = self.cells(uv, bilinear)
+        flat = self.data.reshape(-1, self.dim).astype(np.float64)
+        return (flat[idx] * wts[:, :, None]).sum(axis=1)
 
 
 N_BANDS = 6  # frequency doublings per coordinate, 2^0 .. 2^5
@@ -136,14 +147,27 @@ def corner_distances(corners: np.ndarray) -> np.ndarray:
 
 
 def position_encoding(centers: np.ndarray, params: SpeParams) -> np.ndarray:
-    """Sinusoidal embedding of centroid positions in Cartesian and polar form."""
+    """Sinusoidal embedding of centroid positions in Cartesian and polar form.
+
+    Band k of coordinate c is sin and cos of pi * c * scale * 2^k; each band
+    after the first comes from the one before by the double-angle formulas.
+    """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    pol = cart_to_polar(centers)
-    coords = np.concatenate([centers, pol[:, :2]], axis=1)  # x, y, z, rho, theta
-    bands = 2.0 ** np.arange(N_BANDS)
-    args = np.pi * coords[:, :, None] * params.coord_scales[None, :, None] * bands  # (M, 5, B)
-    feats = np.concatenate([np.sin(args), np.cos(args)], axis=2).reshape(len(centers), 2 * 5 * N_BANDS)
-    return feats @ params.psi_w.T
+    m = len(centers)
+    coords = np.empty((5, m))  # x, y, z, rho, theta
+    coords[:3] = centers.T
+    coords[3:] = cart_to_polar(centers)[:, :2].T
+    feats = np.empty((2, N_BANDS, 5, m))  # sine / cosine, band, coordinate
+    sin, cos = feats
+    args = np.pi * coords * params.coord_scales[:, None]
+    np.sin(args, out=sin[0])
+    np.cos(args, out=cos[0])
+    for k in range(1, N_BANDS):
+        np.multiply(2.0 * sin[k - 1], cos[k - 1], out=sin[k])
+        np.multiply(cos[k - 1] - sin[k - 1], cos[k - 1] + sin[k - 1], out=cos[k])
+    # psi_w's columns run over (coordinate, sine / cosine, band); put them in feats' order
+    w = params.psi_w.reshape(params.dim, 5, 2, N_BANDS).transpose(2, 3, 1, 0)
+    return feats.reshape(2 * 5 * N_BANDS, m).T @ w.reshape(2 * 5 * N_BANDS, params.dim)
 
 
 def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
@@ -153,16 +177,26 @@ def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
     return h @ params.phi_w2.T + params.phi_b2
 
 
-def spe_batch(corners: np.ndarray, params: SpeParams) -> np.ndarray:
-    """Scale-aware positional embedding for (M, 8, 3) corner sets; (M, dim)."""
-    corners = np.asarray(corners, dtype=np.float64).reshape(-1, 8, 3)
-    centers = corners.mean(axis=1)
-    return position_encoding(centers, params) + scale_encoding(corner_distances(corners), params)
+def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
+    """Scale-aware positional embedding of voxels given by (M, 3) bin indices; (M, dim).
+
+    Equals `spe` of each voxel's corners up to rounding. Rotation in theta and
+    translation in z keep a voxel's shape, so the scale term is evaluated once
+    per radial bin (on the voxels at theta and z bin 0) and gathered.
+    """
+    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
+    out = position_encoding(centroids_batch(idx3, spec), params)
+    per_r = np.zeros((spec.r_bins, 3), dtype=np.int64)
+    per_r[:, 0] = np.arange(spec.r_bins)
+    out += scale_encoding(corner_distances(extreme_points_batch(per_r, spec)), params)[idx3[:, 0]]
+    return out
 
 
 def spe(corners: np.ndarray, params: SpeParams) -> np.ndarray:
-    """Embedding of one voxel's eight corners; (dim,)."""
-    return spe_batch(np.asarray(corners).reshape(1, 8, 3), params)[0]
+    """Embedding of one voxel from its eight corners; (dim,)."""
+    corners = np.asarray(corners, dtype=np.float64).reshape(8, 3)
+    pos = position_encoding(corners.mean(axis=0), params)[0]
+    return pos + scale_encoding(corner_distances(corners), params)[0]
 
 
 def aggregate_image_feature(
@@ -275,43 +309,62 @@ def build_tokens(
 
     Image content is the mean feature over all (point, camera) pairs with a
     valid projection, weighting each projected point once regardless of
-    camera; voxels invisible in every camera get a zero image half and a
-    cleared `image_valid` flag.
+    camera; voxels invisible in every camera get a zero image feature (their
+    image half is the embedding alone) and a cleared `image_valid` flag.
     """
     if len(fmaps) != len(cams):
         raise DimensionMismatchError("one feature map per camera")
     if not np.array_equal(voxel_feats.flat_ids, grid.voxel_ids):
         raise DimensionMismatchError("voxel features must cover all non-empty voxels")
-    m = grid.num_voxels
     dim = params.dim
     if voxel_feats.feats.shape[1] != dim:
         raise DimensionMismatchError("voxel feature dim must match embedding dim")
+    if any(fmap.dim != dim for fmap in fmaps):
+        raise DimensionMismatchError("feature map dim must match embedding dim")
 
-    sums = np.zeros((m, dim))
-    counts = np.zeros(m, dtype=np.int64)
-    pts = grid.cloud.xyz[grid.order]
-    rows = grid.point_rows
-    for fmap, cam in zip(fmaps, cams):
-        if fmap.dim != dim:
-            raise DimensionMismatchError("feature map dim must match embedding dim")
-        uv, _, valid = valid_projections(pts, cam)
-        if not valid.any():
-            continue
-        feats = fmap.sample(uv[valid], bilinear=bilinear)
-        vrows = rows[valid]  # nondecreasing
-        uniq, seg_starts = np.unique(vrows, return_index=True)
-        sums[uniq] += np.add.reduceat(feats, seg_starts, axis=0)
-        counts[uniq] += np.diff(np.append(seg_starts, len(vrows)))
-
-    image_valid = counts > 0
-    f2d = np.zeros((m, dim))
-    f2d[image_valid] = sums[image_valid] / counts[image_valid, None]
-
-    s = spe_batch(extreme_points_batch(grid.indices3, grid.spec), params)
-    content = np.empty((m, 2 * dim))
-    np.add(voxel_feats.feats, s, out=content[:, :dim])
-    np.add(f2d, s, out=content[:, dim:])
+    s = spe_batch(grid.indices3, grid.spec, params)
+    content = np.empty((grid.num_voxels, 2 * dim))
+    np.add(s, voxel_feats.feats, out=content[:, :dim])
+    content[:, dim:] = s
+    image_valid, means = _image_means(grid, fmaps, cams, dim, bilinear)
+    content[image_valid, dim:] += means
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, image_valid)
+
+
+def _image_means(
+    grid: CylGrid, fmaps: list[FeatureMap], cams: list[CameraModel], dim: int, bilinear: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the voxels some camera sees, and their (n, dim) mean image features.
+
+    Every valid (point, camera) projection adds its sampled cells to one
+    sparse matrix over those rows; the matrix times the stacked feature maps
+    gives per-voxel sums, which are divided by the number of projections.
+    """
+    pts = grid.cloud.xyz[grid.order]
+    point_rows = grid.point_rows
+    counts = np.zeros(grid.num_voxels, dtype=np.int64)
+    rows, cols, wts = [], [], []
+    offset = 0
+    for fmap, cam in zip(fmaps, cams):
+        uv, _, valid = valid_projections(pts, cam)
+        idx, w = fmap.cells(uv[valid], bilinear)
+        vrows = point_rows[valid]
+        counts += np.bincount(vrows, minlength=grid.num_voxels)
+        rows.append(np.repeat(vrows, idx.shape[1]))
+        cols.append((idx + offset).ravel())
+        wts.append(w.ravel())
+        offset += fmap.data.shape[0] * fmap.data.shape[1]
+    seen = counts > 0
+    if not seen.any():
+        return seen, np.zeros((0, dim))
+    compact = np.cumsum(seen) - 1
+    sampling = sparse.csr_matrix(
+        (np.concatenate(wts), (compact[np.concatenate(rows)], np.concatenate(cols))),
+        shape=(compact[-1] + 1, offset),
+    )
+    sums = sampling @ np.concatenate([fmap.data.reshape(-1, dim) for fmap in fmaps])
+    sums /= counts[seen, None]
+    return seen, sums
 
 
 def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:

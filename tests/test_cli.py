@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cylpano import formats
@@ -190,8 +191,37 @@ class TestChain:
         assert counters["hints_texture"] >= kept.count("texture")
         assert counters["hints_texture"] > 0
         assert 0 < counters["prior_fallback"] <= qs.num_prior
-        # stages without counters still write the key
-        assert json.loads((fuse / "manifest.json").read_text())["counters"] == {}
+        assert set(json.loads((fuse / "manifest.json").read_text())["counters"]) == {
+            "points_in", "points_dropped", "occupied_voxels", "image_valid_voxels"}
+
+    def test_fuse_manifest_counts_points_and_voxels(self, tmp_path):
+        from cylpano.grid import voxelize
+        from cylpano.tokens import FeatureMap, SpeParams, VoxelFeatures, build_tokens
+
+        cfg = small_config(tmp_path, extent=40.0)  # past the grid's 30 m, so some points drop
+        org = tmp_path / "org"
+        assert main(["synth", "--config", cfg, "--seed", "4", "--out", str(org)]) == 0
+        fuse = tmp_path / "fuse"
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        counters = json.loads((fuse / "manifest.json").read_text())["counters"]
+
+        loaded = load_config(cfg)
+        cloud = formats.read_point_cloud(org / "cloud.plcd")
+        cams = formats.read_calibration(org / "calib.json")
+        grid = voxelize(cloud, loaded.grid)
+        # what the stage saw: every voxel and point dropped by voxelize, and the seen voxels
+        dim = loaded.tokens.dim
+        fmaps = [FeatureMap(np.ones((4, 4, dim)), c.width, c.height) for c in cams]
+        tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, dim))),
+                              fmaps, cams, SpeParams.create(loaded.grid, dim, loaded.tokens.seed))
+        assert counters == {
+            "points_in": len(cloud),
+            "points_dropped": len(grid.dropped),
+            "occupied_voxels": grid.num_voxels,
+            "image_valid_voxels": int(tokens.image_valid.sum()),
+        }
+        assert 0 < counters["image_valid_voxels"] < counters["occupied_voxels"]
+        assert counters["points_dropped"] > 0
 
     def test_eval_pred_equals_gt_scores_one(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylpano.errors import IndexOutOfRangeError
-from cylpano.geometry import cart_to_polar
+from cylpano.geometry import TWO_PI, cart_to_polar
 from cylpano.grid import (
     CylGridSpec,
     PointCloud,
+    centroids_batch,
+    extreme_points_batch,
     pair_voxel_image,
     voxel_centroid,
     voxel_extreme_points,
@@ -82,6 +86,33 @@ class TestVoxelize:
             assert (pol[:, 2] >= spec.z_edges[z] - 1e-9).all()
             assert (pol[:, 2] <= spec.z_edges[z + 1] + 1e-9).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bins=st.tuples(st.integers(1, 500), st.integers(1, 720), st.integers(1, 64)),
+        r_range=st.tuples(st.floats(0.0, 10.0), st.floats(0.5, 100.0)),
+        z_range=st.tuples(st.floats(-10.0, 0.0), st.floats(0.5, 20.0)),
+        points=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.one_of(st.floats(TWO_PI - 1e-12, TWO_PI, exclude_max=True),
+                          st.floats(5e-324, 1e-12).map(lambda eps: cart_to_polar([1.0, -eps, 0.0])[1]),
+                          st.just(0.0)),
+                st.booleans(),
+            ),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_range_edges_and_theta_near_two_pi_bin_into_their_interval(self, bins, r_range, z_range, points):
+        spec = CylGridSpec(*bins, (r_range[0], r_range[0] + r_range[1]), (z_range[0], z_range[0] + z_range[1]))
+        # rho and z on the lower or upper range edge; theta within 1e-12 of 2 pi, or rounded to it
+        polar = np.array([[spec.r_range[r_hi], theta, spec.z_range[z_hi]] for r_hi, theta, z_hi in points])
+        idx, inside = spec.bin_points(polar)
+        assert inside.all()
+        assert ((idx >= 0) & (idx < np.array(spec.shape))).all()
+        for axis, edges in enumerate((spec.r_edges, spec.theta_edges, spec.z_edges)):
+            i = idx[:, axis]
+            assert ((edges[i] <= polar[:, axis]) & (polar[:, axis] <= edges[i + 1])).all()
+
     def test_upper_range_edge_lands_in_last_bin(self):
         cloud = PointCloud(np.array([[50.0, 0.0, 3.0]]), np.zeros(1))
         grid = voxelize(cloud, NUSC_SPEC)
@@ -137,6 +168,21 @@ class TestExtremePoints:
 
 
 class TestCentroid:
+    @pytest.mark.parametrize("spec", [NUSC_SPEC, CylGridSpec(7, 13, 5, (1.5, 33.3), (-4.1, 2.7)),
+                                      CylGridSpec(1, 1, 1, (0.3, 0.7), (-0.1, 0.2))])
+    def test_batch_equals_corner_mean_bit_for_bit(self, spec):
+        rng = np.random.default_rng(6)
+        for n in (0, 1, 9, 5000):
+            idx = np.column_stack([rng.integers(0, b, n) for b in spec.shape])
+            got = centroids_batch(idx, spec)
+            expected = extreme_points_batch(idx, spec).mean(axis=1)
+            assert got.shape == (n, 3) and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+            # reductions over the rows (a column's mean lifts a BEV peak) sum in the same order
+            assert n == 0 or got.mean(axis=0).tobytes() == expected.mean(axis=0).tobytes()
+        with pytest.raises(IndexOutOfRangeError):
+            centroids_batch(np.array([[0, -1, 0]]), spec)
+
     def test_hand_average(self):
         spec = CylGridSpec(2, 4, 1, (0.0, 2.0), (0.0, 1.0))
         assert np.allclose(voxel_centroid((1, 0, 0), spec), [0.75, 0.75, 0.5])

@@ -384,9 +384,9 @@ class TestAssemble:
         calls = []
         orig = cylpano.tokens.centroids_batch
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
+        def counting(idx3, spec):
+            calls.append(len(idx3))
+            return orig(idx3, spec)
 
         monkeypatch.setattr(cylpano.queries, "centroids_batch", counting)
         monkeypatch.setattr(cylpano.tokens, "centroids_batch", counting)
@@ -404,14 +404,15 @@ class TestAssemble:
         assert (containing_rows(grid, [h.position for h in hits]) >= 0).all()
         calls = self._count_centroid_calls(monkeypatch)
         qs = assemble_queries(hits, misses, grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
-        assert len(calls) == 1
+        # one whole-grid call for the fallback; the embedding centres only the prior voxels
+        assert calls == [grid.num_voxels, qs.num_prior]
         for h, content in zip(qs.hints, qs.prior_content):
             row = nearest_occupied_row(grid, h.position)
             assert np.array_equal(content, tokens.content[row].astype(np.float32))
 
         calls.clear()
-        assemble_queries(hits, [], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
-        assert calls == []
+        qs = assemble_queries(hits, [], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
+        assert calls == [qs.num_prior]
 
     def test_prior_spe_is_the_token_embedding(self):
         rng = np.random.default_rng(18)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cylpano.errors import DimensionMismatchError, NoValidProjectionError
-from cylpano.geometry import cart_to_polar, rotation_z
+from cylpano.errors import DimensionMismatchError, IndexOutOfRangeError, NoValidProjectionError
+from cylpano.geometry import cart_to_polar, rotation_z, valid_projections
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
 from cylpano.synth import ring_camera
 from cylpano.tokens import (
+    N_BANDS,
     FeatureMap,
     SpeParams,
     VoxelFeatures,
@@ -17,6 +18,7 @@ from cylpano.tokens import (
     fuse_token,
     nearest_occupied_row,
     nearest_occupied_rows,
+    position_encoding,
     scale_encoding,
     spe,
     spe_batch,
@@ -82,6 +84,21 @@ class TestAggregation:
         mid = fmap.sample(np.array([[1.0, 1.0]]), bilinear=True)
         assert mid[0, 0] == pytest.approx(np.mean([0, 1, 2, 3]))
 
+    def test_bilinear_equals_four_cell_formula(self):
+        rng = np.random.default_rng(3)
+        fmap = FeatureMap(rng.standard_normal((6, 10, 3)).astype(np.float32), 40, 30)
+        # inside, and on or past every image border
+        uv = np.concatenate([rng.uniform(0, [40, 30], (200, 2)), [[0, 0], [40, 30], [39.99, 0.01], [0, 29.9]]])
+        d = fmap.data.astype(np.float64)
+        x = np.clip(uv[:, 0] * 10 / 40 - 0.5, 0, 9)
+        y = np.clip(uv[:, 1] * 6 / 30 - 0.5, 0, 5)
+        x0, y0 = np.floor(x).astype(int), np.floor(y).astype(int)
+        x1, y1 = np.minimum(x0 + 1, 9), np.minimum(y0 + 1, 5)
+        ax, ay = (x - x0)[:, None], (y - y0)[:, None]
+        expected = (d[y0, x0] * (1 - ax) * (1 - ay) + d[y0, x1] * ax * (1 - ay)
+                    + d[y1, x0] * (1 - ax) * ay + d[y1, x1] * ax * ay)
+        assert np.abs(fmap.sample(uv, bilinear=True) - expected).max() < 1e-12
+
 
 class TestSpe:
     def test_deterministic_for_identical_voxels(self):
@@ -121,13 +138,44 @@ class TestSpe:
         idx = np.stack(np.meshgrid(
             np.arange(24), np.arange(18), np.arange(8), indexing="ij"
         ), axis=-1).reshape(-1, 3)
-        emb = spe_batch(extreme_points_batch(idx, spec), params)
+        emb = spe_batch(idx, spec, params)
         hashes = {np.round(row, 9).tobytes() for row in emb}
         assert len(hashes) == len(idx)
 
+    @pytest.mark.parametrize("spec", [CylGridSpec(), SPEC, CylGridSpec(7, 13, 5, (1.5, 33.3), (-4.1, 2.7))])
+    def test_index_form_equals_corner_definition(self, spec):
+        rng = np.random.default_rng(12)
+        params = SpeParams.create(spec, dim=32, seed=6)
+        r, t, z = (b - 1 for b in spec.shape)
+        edges = np.array([[0, 0, 0], [0, t, z], [r, t, z], [r, 0, 0], [0, t, 0], [r, 0, z]])
+        idx = np.concatenate([edges, np.column_stack([rng.integers(0, b, 500) for b in spec.shape])])
+        corners = extreme_points_batch(idx, spec)
+        expected = position_encoding(corners.mean(axis=1), params) + scale_encoding(corner_distances(corners), params)
+        got = spe_batch(idx, spec, params)
+        assert got.shape == (len(idx), 32)
+        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(got[:6] - np.stack([spe(c, params) for c in corners[:6]])).max() < 1e-12
+        assert spe_batch(idx[:0], spec, params).shape == (0, 32)
+
+    def test_position_encoding_equals_direct_sinusoids(self):
+        rng = np.random.default_rng(13)
+        params = SpeParams.create(CylGridSpec(), dim=24, seed=4)
+        centers = np.column_stack([rng.uniform(-50, 50, (300, 2)), rng.uniform(-5, 3, 300)])
+        coords = np.column_stack([centers, cart_to_polar(centers)[:, :2]])
+        args = np.pi * coords[:, :, None] * params.coord_scales[None, :, None] * 2.0 ** np.arange(N_BANDS)
+        feats = np.concatenate([np.sin(args), np.cos(args)], axis=2).reshape(len(centers), -1)
+        assert np.abs(position_encoding(centers, params) - feats @ params.psi_w.T).max() < 1e-12
+        assert position_encoding(np.zeros((0, 3)), params).shape == (0, 24)
+
+    def test_index_outside_grid_rejected(self):
+        params = SpeParams.create(SPEC, dim=8, seed=0)
+        for bad in ([[-1, 0, 0]], [[0, SPEC.theta_bins, 0]], [[SPEC.r_bins, 0, 0]], [[0, 0, SPEC.z_bins]]):
+            with pytest.raises(IndexOutOfRangeError):
+                spe_batch(np.array(bad), SPEC, params)
+
     def test_empty_batch(self):
         params = SpeParams.create(SPEC, dim=16, seed=0)
-        assert spe_batch(np.zeros((0, 8, 3)), params).shape == (0, 16)
+        assert spe_batch(np.zeros((0, 3), dtype=np.int64), SPEC, params).shape == (0, 16)
 
     def test_weights_file_round_trip(self, tmp_path):
         from cylpano.formats import read_spe_params, write_spe_params
@@ -135,8 +183,8 @@ class TestSpe:
         params = SpeParams.create(SPEC, dim=24, seed=11)
         write_spe_params(tmp_path / "w.spew", params)
         loaded = read_spe_params(tmp_path / "w.spew")
-        corners = extreme_points_batch(np.array([[3, 3, 2]]), SPEC)
-        assert np.array_equal(spe_batch(corners, params), spe_batch(corners, loaded))
+        idx = np.array([[3, 3, 2]])
+        assert np.array_equal(spe_batch(idx, SPEC, params), spe_batch(idx, SPEC, loaded))
 
 
 class TestFuseToken:
@@ -222,6 +270,55 @@ class TestBuildTokens:
         # both halves must be shifted by the identical embedding vector
         assert np.allclose(tokens.content[:, :8] - f3d, tokens.content[:, 8:] - f2d, atol=1e-12)
         assert np.allclose(tokens.content[:, :8] - f3d, tokens.spe, atol=1e-12)
+
+    @staticmethod
+    def _brute_force_image_half(grid, fmaps, cams, bilinear):
+        """Mean of `FeatureMap.sample` over each voxel's valid (point, camera) projections."""
+        dim = fmaps[0].dim
+        means, seen = np.zeros((grid.num_voxels, dim)), np.zeros(grid.num_voxels, dtype=bool)
+        for row in range(grid.num_voxels):
+            samples = []
+            for p in grid.cloud.xyz[grid.points_of_row(row)]:
+                for fmap, cam in zip(fmaps, cams):
+                    uv, _, valid = valid_projections(p[None], cam)
+                    if valid[0]:
+                        samples.append(fmap.sample(uv, bilinear=bilinear)[0])
+            if samples:
+                means[row], seen[row] = np.mean(samples, axis=0), True
+        return means, seen
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_image_half_equals_brute_force(self, bilinear):
+        rng = np.random.default_rng(9)
+        # points in front of x = 0 only, so the camera looking along -x sees none of them
+        n = 400
+        xyz = np.column_stack([rng.uniform(1, 20, n), rng.uniform(-15, 15, n), rng.uniform(-2, 2, n)])
+        grid = voxelize(PointCloud(xyz, rng.random(n)), SPEC)
+        dim = 6
+        cams = [ring_camera(0.0, 32, 32, 16.0, 0.0), ring_camera(0.7, 40, 24, 12.0, 0.3),
+                ring_camera(np.pi, 32, 32, 16.0, 0.0)]
+        fmaps = [FeatureMap(rng.standard_normal(hw + (dim,)).astype(np.float32), c.width, c.height)
+                 for hw, c in zip([(8, 8), (6, 10), (4, 4)], cams)]
+        params = SpeParams.create(SPEC, dim=dim, seed=8)
+        f3d = rng.normal(size=(grid.num_voxels, dim))
+        tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, f3d), fmaps, cams, params, bilinear=bilinear)
+
+        means, seen = self._brute_force_image_half(grid, fmaps, cams, bilinear)
+        per_cam = [self._brute_force_image_half(grid, [f], [c], bilinear)[1] for f, c in zip(fmaps, cams)]
+        assert not per_cam[2].any()
+        assert (per_cam[0] != per_cam[1]).any() and (per_cam[0] & per_cam[1]).any()  # some voxel one camera sees
+        assert 0 < seen.sum() < grid.num_voxels
+        assert np.array_equal(tokens.image_valid, seen)
+        assert np.abs(tokens.content[:, dim:] - (tokens.spe + means)).max() < 1e-12
+        assert np.array_equal(tokens.content[~seen, dim:], tokens.spe[~seen])
+        assert np.abs(tokens.content[:, :dim] - (tokens.spe + f3d)).max() < 1e-12
+        assert np.array_equal(tokens.spe, spe_batch(grid.indices3, SPEC, params))
+
+        # the camera behind every point alone: the image half is the embedding, and no voxel is seen
+        behind = build_tokens(grid, VoxelFeatures.for_grid(grid, f3d), fmaps[2:], cams[2:], params,
+                              bilinear=bilinear)
+        assert not behind.image_valid.any()
+        assert np.array_equal(behind.content[:, dim:], behind.spe)
 
     def test_tokens_ordered_by_voxel_index(self):
         rng = np.random.default_rng(7)
