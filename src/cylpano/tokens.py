@@ -59,8 +59,10 @@ class FeatureMap:
         """
         uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
         h, w, _ = self.data.shape
-        x = uv[:, 0] * (w / self.width)
-        y = uv[:, 1] * (h / self.height)
+        fx = w / self.width
+        fy = h / self.height
+        x = uv[:, 0] * fx
+        y = uv[:, 1] * fy
         if not bilinear:
             cols = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
             rows = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
