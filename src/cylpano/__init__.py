@@ -39,10 +39,12 @@ from .queries import (
     QuerySet,
     assemble_queries,
     build_bev_heatmap,
+    camera_pixels,
     dbscan,
     fps,
     frustum_points,
     lift_peak_to_3d,
+    lift_peaks_to_3d,
     nms_peaks,
 )
 from .synth import SceneConfig, SynthSample, generate_scene, render_overlay

@@ -333,10 +333,3 @@ def pair_voxel_image(grid: CylGrid, cams: list[CameraModel]) -> CylGrid:
         grid.pairings[cam_id] = PairingTable(grid.voxel_ids[uniq], rects)
     return grid
 
-
-def column_rows(grid: CylGrid, r_bin: int, theta_bin: int) -> np.ndarray:
-    """Rows of occupied voxels in one BEV column, across all height bins."""
-    base = (r_bin * grid.spec.theta_bins + theta_bin) * grid.spec.z_bins
-    lo = np.searchsorted(grid.voxel_ids, base)
-    hi = np.searchsorted(grid.voxel_ids, base + grid.spec.z_bins)
-    return np.arange(lo, hi)

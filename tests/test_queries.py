@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from cylpano.errors import EmptyColumnError
 from cylpano.geometry import cart_to_polar
@@ -9,14 +12,16 @@ from cylpano.queries import (
     Mask2D,
     assemble_queries,
     build_bev_heatmap,
+    camera_pixels,
     dbscan,
     fps,
     frustum_points,
+    geometric_hints,
     lift_peak_to_3d,
     nms_peaks,
     texture_hints,
 )
-from cylpano.synth import ring_camera
+from cylpano.synth import SceneConfig, generate_scene, ring_camera
 from cylpano.tokens import (
     SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_row, nearest_occupied_rows,
 )
@@ -24,6 +29,46 @@ from cylpano.tokens import (
 from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
+
+
+@st.composite
+def cell_grid_clouds(draw):
+    """(points, eps, min_pts) laid out against dbscan's cells of side about eps / (2 * sqrt(3))."""
+    kind = draw(st.sampled_from(
+        ["cell_multiples", "lattice", "eps_pairs", "far_blobs", "duplicates", "offset", "tiny_eps"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    min_pts = draw(st.integers(1, 6))
+    if kind == "cell_multiples":  # every coordinate on a cell boundary
+        eps = draw(st.sampled_from([0.5, 0.8, 1.0, 1.5]))
+        pts = rng.integers(0, 10, (n, 3)) * (eps / (2.0 * np.sqrt(3.0)))
+    elif kind == "lattice":  # many pairs exactly eps apart
+        eps = draw(st.sampled_from([1.0, np.sqrt(2.0), 2.0]))
+        pts = rng.integers(0, 5, (n, 3)).astype(np.float64)
+    elif kind == "eps_pairs":  # each point has a partner exactly eps away, two or more cells off
+        eps = 1.25
+        steps = np.array([[1.25, 0, 0], [0, 1.25, 0], [0, 0, 1.25], [0.75, 1.0, 0], [0, 0.75, 1.0], [1.0, 0, 0.75]])
+        base = rng.integers(0, 8, (n, 3)) * 0.5
+        pts = np.concatenate([base, base + steps[rng.integers(0, len(steps), n)]])
+    elif kind == "far_blobs":  # two core blobs 2 to 4 cells apart: only the far-stencil pass can join them
+        eps = 1.0
+        k = max(min_pts, 2)
+        gap = draw(st.floats(0.7, 1.15))
+        blobs = rng.uniform(-0.01, 0.01, (2 * k, 3)) + np.repeat([[0.0, 0.0, 0.0], [gap, 0.0, 0.0]], k, axis=0)
+        pts = np.concatenate([blobs, rng.uniform(-2.0, 3.0, (n % 4, 3))])
+    elif kind == "duplicates":
+        eps = 0.8
+        min_pts = 1
+        base = rng.uniform(0, 3, (max(n // 4, 1), 3))
+        pts = base[rng.integers(0, len(base), n)]
+    elif kind == "offset":  # a cloud 10 km from the origin
+        eps = 0.8
+        pts = rng.uniform(0, 4, (n, 3)) + 1e4
+    else:  # tiny eps over 2 km: ~7e9 cells per axis
+        eps = 1e-6
+        base = rng.uniform(-1e3, 1e3, (n, 3))
+        pts = np.concatenate([base, base + rng.uniform(-1e-6, 1e-6, (n, 3)), base[: n // 2]])
+    return pts[rng.permutation(len(pts))], eps, min_pts
 
 
 def labeled_cloud(xyz, instance):
@@ -167,6 +212,40 @@ class TestLift:
         with pytest.raises(EmptyColumnError):
             lift_peak_to_3d((0, 0), grid)
 
+    def test_geometric_hints_equal_per_peak_lifts_with_one_centroid_call(self, monkeypatch):
+        import cylpano.queries
+
+        calls = []
+        orig = cylpano.queries.centroids_batch
+        monkeypatch.setattr(cylpano.queries, "centroids_batch", lambda idx3, spec: calls.append(1) or orig(idx3, spec))
+        rng = np.random.default_rng(19)
+        xyz = np.column_stack([rng.uniform(-20, 20, (150, 2)), rng.uniform(-2, 2, 150)])
+        grid = voxelize(PointCloud(xyz, np.zeros(150)), SPEC)
+        heat = rng.random((SPEC.r_bins, SPEC.theta_bins))
+        peaks = nms_peaks(heat, 0.2, 1.0, 64)
+        expected = []
+        for (r, t), conf in peaks:
+            # the column's rows found by brute force, averaged as one array
+            rows = np.flatnonzero(grid.voxel_ids // SPEC.z_bins == r * SPEC.theta_bins + t)
+            if len(rows) == 0:
+                with pytest.raises(EmptyColumnError):
+                    lift_peak_to_3d((r, t), grid)
+                continue
+            pos = orig(SPEC.unflatten(grid.voxel_ids[rows]), SPEC).mean(axis=0)
+            assert (lift_peak_to_3d((r, t), grid).position == pos).all()
+            expected.append(pos.tolist() + [conf])
+        assert 0 < len(expected) < len(peaks)
+        calls.clear()
+        hints = geometric_hints(grid, heat, 0.2, 1.0, 64)
+        assert calls == [1]
+        assert [h.position.tolist() + [h.confidence] for h in hints] == expected
+        assert all(h.origin == "geometric" for h in hints)
+
+        calls.clear()
+        empty = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), SPEC)
+        assert geometric_hints(empty, heat, 0.2, 1.0, 64) == []
+        assert calls == []
+
     def test_peak_outside_grid(self):
         from cylpano.errors import IndexOutOfRangeError
 
@@ -179,7 +258,7 @@ class TestFrustum:
     def test_empty_bitmap(self):
         cam = ring_camera(0.0, 16, 16, 8.0, 0.0)
         cloud = PointCloud(np.array([[5.0, 0.0, 0.0]]), np.zeros(1))
-        assert len(frustum_points(Mask2D(0, np.zeros((16, 16), bool)), cloud, cam)) == 0
+        assert len(frustum_points(Mask2D(0, np.zeros((16, 16), bool)), cam, camera_pixels(cloud, cam))) == 0
 
     def test_full_bitmap_keeps_all_visible(self):
         from cylpano.geometry import valid_projections
@@ -188,7 +267,7 @@ class TestFrustum:
         cam = ring_camera(0.0, 16, 16, 8.0, 0.0)
         xyz = np.column_stack([rng.uniform(-10, 10, (200, 2)), rng.uniform(-2, 2, 200)])
         cloud = PointCloud(xyz, np.zeros(200))
-        got = frustum_points(Mask2D(0, np.ones((16, 16), bool)), cloud, cam)
+        got = frustum_points(Mask2D(0, np.ones((16, 16), bool)), cam, camera_pixels(cloud, cam))
         _, _, valid = valid_projections(cloud.xyz, cam)
         assert np.array_equal(got, np.flatnonzero(valid))
 
@@ -202,7 +281,7 @@ class TestFrustum:
             xyz = np.column_stack([rng.uniform(-10, 10, (150, 2)), rng.uniform(-2, 2, 150)])
             cloud = PointCloud(xyz, np.zeros(150))
             bitmap = rng.random((18, 24)) < 0.3
-            got = set(frustum_points(Mask2D(0, bitmap), cloud, cam).tolist())
+            got = set(frustum_points(Mask2D(0, bitmap), cam, camera_pixels(cloud, cam)).tolist())
             want = set()
             for i in range(150):
                 try:
@@ -263,6 +342,17 @@ class TestDbscan:
             got = dbscan(pts, eps, min_pts)
             assert got.dtype == np.int64
             assert got.tolist() == reference_dbscan(pts, eps, min_pts).tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(cloud=cell_grid_clouds())
+    def test_labels_equal_oracle_on_cell_grid_layouts(self, cloud):
+        pts, eps, min_pts = cloud
+        # the oracle's np.linalg.norm and the k-d tree's distance can round to
+        # opposite sides of eps for a pair within an ulp of it; such inputs have
+        # no single right answer, so only inputs where both agree are compared
+        near = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= eps
+        assume(set(zip(*np.nonzero(np.triu(near, 1)))) == cKDTree(pts).query_pairs(eps))
+        assert dbscan(pts, eps, min_pts).tolist() == reference_dbscan(pts, eps, min_pts).tolist()
 
     def test_empty_input(self):
         got = dbscan(np.zeros((0, 3)), 1.0, 3)
@@ -458,7 +548,7 @@ class TestFrustumRecall:
             cells = np.floor(uv[valid]).astype(int)
             if len(visible) == 0 or not mask.bitmap[cells[:, 1], cells[:, 0]].all():
                 continue  # occluded somewhere; "fully inside" premise fails
-            got = set(frustum_points(mask, cloud, cam).tolist())
+            got = set(frustum_points(mask, cam, camera_pixels(cloud, cam)).tolist())
             assert set(visible.tolist()) <= got
             checked += 1
         assert checked > 0
@@ -478,3 +568,39 @@ class TestTextureHints:
         assert got[1] == pytest.approx(9.0, abs=0.1)
         assert all(h.origin == "texture" for h in hints)
         assert sum(h.confidence for h in hints) == pytest.approx(1.0)
+
+    def test_several_masks_per_camera_equal_per_mask_frustums(self, monkeypatch):
+        import cylpano.queries
+
+        synth = generate_scene(SceneConfig(rng_seed=3, n_objects=(6, 6), image_size=(96, 72), focal=60.0))
+        cloud, cams = synth.sample.cloud, synth.sample.cams
+        rng = np.random.default_rng(23)
+        masks = list(synth.masks) + [Mask2D(c, rng.random((72, 96)) < 0.3) for c in (1, 0, 1)]
+        per_cam = np.bincount([m.camera_id for m in masks], minlength=2)
+        assert len(cams) == 2 and (per_cam >= 2).all()
+        expected = []
+        for mask in masks:
+            cam = cams[mask.camera_id]
+            idx = frustum_points(mask, cam, camera_pixels(cloud, cam))
+            if len(idx) == 0:
+                continue
+            pts = cloud.xyz[idx].astype(np.float64)
+            labels = dbscan(pts, 0.8, 5)
+            for lab in range(labels.max() + 1):
+                members = pts[labels == lab]
+                expected.append(members.mean(axis=0).tolist() + [len(members) / len(pts)])
+        assert len(expected) > len(masks)
+
+        projected = []
+        orig = cylpano.queries.valid_projections
+        monkeypatch.setattr(cylpano.queries, "valid_projections",
+                            lambda xyz, cam: projected.append(1) or orig(xyz, cam))
+        hints = texture_hints(masks, cloud, cams, eps=0.8, min_pts=5)
+        assert [h.position.tolist() + [h.confidence] for h in hints] == expected
+        assert len(projected) == 2  # once per camera, not once per mask
+        projected.clear()
+        texture_hints([m for m in masks if m.camera_id == 1], cloud, cams, eps=0.8, min_pts=5)
+        assert len(projected) == 1
+
+        with pytest.raises(ValueError):
+            texture_hints(masks + [Mask2D(0, np.ones((72, 95), bool))], cloud, cams)

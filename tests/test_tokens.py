@@ -385,6 +385,29 @@ class TestNearestOccupiedRow:
         assert containing_rows(empty, pos).tolist() == [-1] * 4
         assert nearest_occupied_row(empty, pos[0]) == -1
 
+    def test_fallback_equals_brute_force_far_out_and_on_ties(self):
+        rng = np.random.default_rng(11)
+        pts = np.column_stack([rng.uniform(-8, 8, (400, 2)), rng.uniform(-4, 4, 400)])
+        idx, _ = self.spec.bin_points(cart_to_polar(pts))
+        # column (r=1, theta=0) keeps only z-bins 0 and 2, so the centroid of its
+        # empty z-bin 1 lies exactly 1 m from two occupied centroids
+        c = 3.0 * np.cos(np.pi / 4)
+        pts = np.concatenate([pts[(idx[:, 0] != 1) | (idx[:, 1] != 0)], [[c, c, -3.5], [c, c, -1.5]]])
+        grid = voxelize(PointCloud(pts, np.zeros(len(pts))), self.spec)
+        tie = centroids_batch(np.array([[1, 0, 1]]), self.spec)[0]
+        far = np.array([[1e6, 0.0, 0.0], [0.0, -1e6, 1e4], [-3e5, 2e5, -1e5], [0.0, 0.0, 50.0], [1e-9, 0.0, -1e3]])
+        pos = np.concatenate([[tie], far, np.column_stack([rng.uniform(-30, 30, (300, 2)), rng.uniform(-9, 9, 300)])])
+        missed = containing_rows(grid, pos) < 0
+        assert missed.sum() > 200
+        cents = centroids_batch(grid.indices3, self.spec)
+        rows = nearest_occupied_rows(grid, pos)
+        for p, row in zip(pos[missed], rows[missed]):
+            assert row == np.argmin(np.linalg.norm(cents - p, axis=1))
+        d = np.linalg.norm(cents - tie, axis=1)
+        lower, upper = np.flatnonzero(d == d.min())
+        assert grid.indices3[[lower, upper]].tolist() == [[1, 0, 0], [1, 0, 2]]
+        assert rows[0] == lower
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_equal_brute_force(self, seed):
         rng = np.random.default_rng(seed)
