@@ -174,6 +174,34 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     )
 
 
+def rect_union(shape: tuple[int, int], rects: np.ndarray) -> np.ndarray:
+    """(H, W) bool mask of the pixels covered by inclusive (u_min, v_min, u_max, v_max) rectangles.
+
+    Each rectangle puts +1 at its top-left and past-bottom-right corners and -1
+    at the other two of a difference array over the rectangles' bounding box,
+    so two cumulative sums count the rectangles covering each pixel (exactly,
+    in float64). Rectangles reaching past the right or bottom border are cut
+    there, as a slice would cut them.
+    """
+    h, w = shape
+    u0, v0, u1, v1 = np.asarray(rects, dtype=np.int64).reshape(-1, 4).T
+    union = np.zeros((h, w), dtype=bool)
+    if len(u0) == 0:
+        return union
+    left, top = u0.min(), v0.min()
+    u0, v0 = u0 - left, v0 - top
+    u1, v1 = np.minimum(u1 + 1, w) - left, np.minimum(v1 + 1, h) - top  # exclusive ends
+    box_w, box_h = u1.max(), v1.max()
+    stride = box_w + 1
+    corners = np.concatenate([v0 * stride + u0, v1 * stride + u1, v0 * stride + u1, v1 * stride + u0])
+    signs = np.repeat([1.0, -1.0], 2 * len(u0))
+    cover = np.bincount(corners, signs, minlength=(box_h + 1) * stride).reshape(box_h + 1, stride)
+    np.cumsum(cover, axis=0, out=cover)
+    np.cumsum(cover, axis=1, out=cover)
+    union[top:top + box_h, left:left + box_w] = cover[:box_h, :box_w] > 0
+    return union
+
+
 def sync_image_swap(
     org_imgs: list[np.ndarray],
     new_imgs: list[np.ndarray],
@@ -182,10 +210,10 @@ def sync_image_swap(
 ) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
     """Copy the image rectangles paired with every masked voxel from the new scan.
 
-    Voxels are processed in ascending (r, theta, z) order; since all copies in
-    one call read from the same source images, overlapping rectangles resolve
-    to identical pixels either way. Returns the output images and, per camera,
-    the (k, 4) array of rectangles that were swapped.
+    All copies in one call read from the same source images, so each camera's
+    rectangles are painted as one union (`rect_union`) and copied in one pass.
+    Returns the output images and, per camera, the (k, 4) array of rectangles
+    that were swapped, in ascending (r, theta, z) voxel order.
     """
     if len(org_imgs) != len(new_imgs):
         raise SpecMismatchError("image sets must have equal camera counts")
@@ -203,9 +231,7 @@ def sync_image_swap(
             continue
         sel = flat_mask[table.flat_ids]
         rects = table.rects[sel]  # flat_ids sorted == lexicographic voxel order
-        paint = np.zeros(org_im.shape[:2], dtype=bool)
-        for u0, v0, u1, v1 in rects:
-            paint[v0:v1 + 1, u0:u1 + 1] = True
+        paint = rect_union(org_im.shape[:2], rects)
         out[paint] = new_im[paint]
         out_imgs.append(out)
         swapped[cam_id] = rects

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .augment import MultiModalSample, augment
+from .augment import MultiModalSample, augment, rect_union
 from .config import PipelineConfig, load_config, save_config
 from .errors import PipelineError, ShapeMismatchError
 from .grid import voxelize
@@ -130,11 +130,19 @@ def cmd_augment(args) -> int:
     t0 = time.perf_counter()
     result = augment(org, new, cfg.grid, aug_cfg)
     dt = time.perf_counter() - t0
+    counters = {
+        "strategies": [name for name, ran in result.applied.items() if ran],
+        # per camera, the pixels copied from the new scan's image
+        "pixels_swapped": [
+            int(rect_union(img.shape[:2], result.swapped_rects.get(cam_id, [])).sum())
+            for cam_id, img in enumerate(result.sample.images)
+        ],
+    }
     out = Path(args.out)
     _write_sample(out, result.sample)
     formats.write_provenance(out / "provenance.pvox", result.grid.indices3, result.grid.source)
     inputs = [Path(args.org) / "cloud.plcd", Path(args.new) / "cloud.plcd"]
-    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, {"augment": dt})
+    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, {"augment": dt}, counters)
     return 0
 
 

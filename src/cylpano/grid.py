@@ -131,25 +131,42 @@ class CylGridSpec:
         """Assign polar triples to bins: returns ((N, 3) int32 indices, (N,) inside mask).
 
         Indices follow floor((val - lo) / (hi - lo) * bins), clipped so that
-        values exactly on the upper range edge fall in the last bin.
+        values exactly on the upper range edge fall in the last bin. Within a
+        few ulps of an interior edge that formula and the `linspace` edges can
+        round to opposite sides, so such values are checked against the edges
+        and moved to the neighbouring bin: every in-range value then satisfies
+        edges[i] <= v < edges[i + 1], or v <= edges[-1] in the last bin.
         """
         polar = np.asarray(polar, dtype=np.float64).reshape(-1, 3)
         rho, theta, z = polar[:, 0], polar[:, 1], polar[:, 2]
         r_lo, r_hi = self.r_range
         z_lo, z_hi = self.z_range
         inside = (rho >= r_lo) & (rho <= r_hi) & (z >= z_lo) & (z <= z_hi)
-        ri = np.floor((rho - r_lo) / (r_hi - r_lo) * self.r_bins)
-        ti = np.floor(theta / TWO_PI * self.theta_bins)
-        zi = np.floor((z - z_lo) / (z_hi - z_lo) * self.z_bins)
-        idx = np.stack(
-            [
-                np.clip(ri, 0, self.r_bins - 1),
-                np.clip(ti, 0, self.theta_bins - 1),
-                np.clip(zi, 0, self.z_bins - 1),
-            ],
-            axis=-1,
-        )
-        return idx.astype(np.int32), inside
+        idx = np.empty((len(polar), 3), dtype=np.int32)
+        idx[:, 0] = _edge_bins(rho, r_lo, r_hi, self.r_bins, self.r_edges)
+        idx[:, 1] = _edge_bins(theta, 0.0, TWO_PI, self.theta_bins, self.theta_edges)
+        idx[:, 2] = _edge_bins(z, z_lo, z_hi, self.z_bins, self.z_edges)
+        return idx, inside
+
+
+def _edge_bins(vals: np.ndarray, lo: float, hi: float, bins: int, edges: np.ndarray) -> np.ndarray:
+    """Clipped bin of each value along one axis, consistent with that axis's edges."""
+    scaled = vals - lo
+    scaled *= bins / (hi - lo)
+    idx = np.floor(scaled)
+    nearest = np.rint(scaled)
+    scaled -= nearest
+    # Rounding in `scaled` and in the edges is a few ulps of the range's magnitude,
+    # so only values that close to an edge can sit on its wrong side; they take
+    # the bin above the edge if they reach it, else the bin below.
+    tol = 64 * np.finfo(np.float64).eps * bins * (1.0 + max(abs(lo), abs(hi)) / (hi - lo))
+    near = np.flatnonzero(np.abs(scaled, out=scaled) <= tol)
+    np.clip(idx, 0, bins - 1, out=idx)
+    idx = idx.astype(np.int32)
+    if len(near):
+        k = np.clip(nearest[near], 0, bins).astype(np.int64)
+        idx[near] = np.clip(k - (vals[near] < edges[k]), 0, bins - 1)
+    return idx
 
 
 @dataclass
@@ -221,11 +238,20 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
     idx, inside = spec.bin_points(polar)
     kept = np.flatnonzero(inside)
     flat = spec.flatten(idx[kept])
-    perm = np.argsort(flat, kind="stable")
+    n = len(kept)
+    if spec.num_cells * n < 2**63:
+        # flat * n + position is unique, so one unstable sort of these keys gives
+        # the stable order: the sorted flat ids are key // n, the permutation key % n
+        key = flat * n + np.arange(n)
+        key.sort()
+        flat_sorted, perm = np.divmod(key, n)
+    else:  # the keys would overflow int64
+        perm = np.argsort(flat, kind="stable")
+        flat_sorted = flat[perm]
     order = kept[perm]
-    flat_sorted = flat[perm]
-    voxel_ids, counts = np.unique(flat_sorted, return_counts=True)
-    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    first = np.flatnonzero(np.diff(flat_sorted, prepend=-1))  # each voxel's first entry
+    voxel_ids = flat_sorted[first]
+    starts = np.append(first, n).astype(np.int64)
     if len(voxel_ids):
         source = np.maximum.reduceat(cloud.source[order], starts[:-1]).astype(np.uint8)
     else:

@@ -240,10 +240,10 @@ def _components(pairs: np.ndarray, n: int) -> np.ndarray:
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density clustering over 3D Euclidean distance.
 
-    Two points are neighbours when their distance is <= eps; a point is core
-    when it has at least min_pts neighbours, counting itself. Clusters are the
-    connected components of the graph of core-core neighbour pairs, numbered
-    0..C-1 by their lowest core index. A non-core point with core neighbours
+    Two points are neighbours when their distance, as `cKDTree` computes it,
+    is <= eps; a point is core when it has at least min_pts neighbours,
+    counting itself. Clusters are the connected components of the graph of
+    core-core neighbour pairs, numbered 0..C-1 by their lowest core index. A non-core point with core neighbours
     takes the smallest label among them; all other points are noise (-1).
     This is exactly the labeling of the classic expansion that seeds clusters
     in index order (Ester et al., KDD 1996).
@@ -258,7 +258,10 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     still hold neighbouring core points, so when they belong to different
     components their core points go through `query_pairs`, and each pair
     found joins two components. Every distance decision that the cells do
-    not settle is made by `cKDTree`, so the labels are exact.
+    not settle is made by `cKDTree`, so the labels are exact under its
+    distance rule. That distance can round to the other side of eps than
+    `np.linalg.norm(p - q)` for a pair within an ulp of eps, so labels equal
+    a norm-based expansion only when no pair lies on such a tie.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)

@@ -149,28 +149,37 @@ def corner_distances(corners: np.ndarray) -> np.ndarray:
     return d[0] if squeeze else d
 
 
-def position_encoding(centers: np.ndarray, params: SpeParams) -> np.ndarray:
-    """Sinusoidal embedding of centroid positions in Cartesian and polar form.
+def _sinusoids(coords: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Sine and cosine bands of (c, m) coordinates, shape (2 * N_BANDS * c, m).
 
     Band k of coordinate c is sin and cos of pi * c * scale * 2^k; each band
     after the first comes from the one before by the double-angle formulas.
     """
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    m = len(centers)
-    coords = np.empty((5, m))  # x, y, z, rho, theta
-    coords[:3] = centers.T
-    coords[3:] = cart_to_polar(centers)[:, :2].T
-    feats = np.empty((2, N_BANDS, 5, m))  # sine / cosine, band, coordinate
+    feats = np.empty((2, N_BANDS) + coords.shape)  # sine / cosine, band, coordinate
     sin, cos = feats
-    args = np.pi * coords * params.coord_scales[:, None]
+    args = np.pi * coords * scales[:, None]
     np.sin(args, out=sin[0])
     np.cos(args, out=cos[0])
     for k in range(1, N_BANDS):
         np.multiply(2.0 * sin[k - 1], cos[k - 1], out=sin[k])
         np.multiply(cos[k - 1] - sin[k - 1], cos[k - 1] + sin[k - 1], out=cos[k])
-    # psi_w's columns run over (coordinate, sine / cosine, band); put them in feats' order
+    return feats.reshape(2 * N_BANDS * coords.shape[0], coords.shape[1])
+
+
+def _psi(params: SpeParams, coords: slice) -> np.ndarray:
+    """Rows of psi_w's transpose for some coordinates, in `_sinusoids` order; (2 * N_BANDS * c, dim)."""
+    # psi_w's columns run over (coordinate, sine / cosine, band)
     w = params.psi_w.reshape(params.dim, 5, 2, N_BANDS).transpose(2, 3, 1, 0)
-    return feats.reshape(2 * 5 * N_BANDS, m).T @ w.reshape(2 * 5 * N_BANDS, params.dim)
+    return w[:, :, coords].reshape(-1, params.dim)
+
+
+def position_encoding(centers: np.ndarray, params: SpeParams) -> np.ndarray:
+    """Sinusoidal embedding of centroid positions in Cartesian and polar form."""
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    coords = np.empty((5, len(centers)))  # x, y, z, rho, theta
+    coords[:3] = centers.T
+    coords[3:] = cart_to_polar(centers)[:, :2].T
+    return _sinusoids(coords, params.coord_scales).T @ _psi(params, slice(0, 5))
 
 
 def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
@@ -180,18 +189,57 @@ def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
     return h @ params.phi_w2.T + params.phi_b2
 
 
+SPE_BLOCK = 1024  # rows per block: a block and its gathered table rows fit in a 2 MB L2 cache
+
+
+def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embedding terms that depend on one bin index: (R, dim), (Theta, dim), (Z, dim).
+
+    A voxel's centroid has the same rho, and the voxel the same corner
+    distances, in every theta and z bin; the centroid's theta depends only on
+    the theta bin and its z only on the z bin. So the rho sinusoids and the
+    scale term are evaluated on the voxels at theta and z bin 0, theta on the
+    outermost radial bin and z on r and theta bin 0.
+    """
+    r_bins, t_bins, z_bins = spec.shape
+    idx3 = np.zeros((r_bins + t_bins + z_bins, 3), dtype=np.int64)
+    idx3[:r_bins, 0] = np.arange(r_bins)
+    idx3[r_bins:r_bins + t_bins, 0] = r_bins - 1
+    idx3[r_bins:r_bins + t_bins, 1] = np.arange(t_bins)
+    idx3[r_bins + t_bins:, 2] = np.arange(z_bins)
+    corners = extreme_points_batch(idx3, spec)
+    rho, theta, z = cart_to_polar(corners.mean(axis=1)).T
+
+    def table(vals, coord):
+        return _sinusoids(vals[None], params.coord_scales[coord:coord + 1]).T @ _psi(params, slice(coord, coord + 1))
+
+    r_tab = table(rho[:r_bins], 3)
+    r_tab += scale_encoding(corner_distances(corners[:r_bins]), params)
+    return r_tab, table(theta[r_bins:r_bins + t_bins], 4), table(z[r_bins + t_bins:], 2)
+
+
 def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
     """Scale-aware positional embedding of voxels given by (M, 3) bin indices; (M, dim).
 
-    Equals `spe` of each voxel's corners up to rounding. Rotation in theta and
-    translation in z keep a voxel's shape, so the scale term is evaluated once
-    per radial bin (on the voxels at theta and z bin 0) and gathered.
+    Equals `spe` of each voxel's corners up to rounding. Only the x and y
+    sinusoids need the voxel's own centroid; the rho, theta, z and scale
+    terms come from per-bin tables (`_bin_tables`). Rows are embedded in
+    blocks of SPE_BLOCK, each block's three table gathers added while it is
+    still in cache.
     """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
-    out = position_encoding(centroids_batch(idx3, spec), params)
-    per_r = np.zeros((spec.r_bins, 3), dtype=np.int64)
-    per_r[:, 0] = np.arange(spec.r_bins)
-    out += scale_encoding(corner_distances(extreme_points_batch(per_r, spec)), params)[idx3[:, 0]]
+    xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
+    tables = _bin_tables(spec, params)
+    w_xy = _psi(params, slice(0, 2))
+    out = np.empty((len(idx3), params.dim))
+    gathered = np.empty((min(len(idx3), SPE_BLOCK), params.dim))
+    for a in range(0, len(idx3), SPE_BLOCK):
+        rows = slice(a, a + SPE_BLOCK)
+        block = out[rows]
+        np.matmul(_sinusoids(xy[:, rows], params.coord_scales[:2]).T, w_xy, out=block)
+        for axis, table in enumerate(tables):
+            # mode="raise" would buffer `out`; the indices are known to be in range
+            block += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(block)], mode="clip")
     return out
 
 
@@ -327,10 +375,16 @@ def build_tokens(
 
     s = spe_batch(grid.indices3, grid.spec, params)
     content = np.empty((grid.num_voxels, 2 * dim))
-    np.add(s, voxel_feats.feats, out=content[:, :dim])
-    content[:, dim:] = s
     image_valid, means = _image_means(grid, fmaps, cams, dim, bilinear)
-    content[image_valid, dim:] += means
+    first_mean = 0  # `means` holds the image-valid rows in order
+    for a in range(0, grid.num_voxels, SPE_BLOCK):
+        rows = slice(a, a + SPE_BLOCK)
+        np.add(s[rows], voxel_feats.feats[rows], out=content[rows, :dim])
+        image = content[rows, dim:]
+        image[...] = s[rows]
+        valid = np.flatnonzero(image_valid[rows])
+        image[valid] += means[first_mean:first_mean + len(valid)]
+        first_mean += len(valid)
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, image_valid)
 
 

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylpano.augment import (
     AugConfig,
@@ -12,6 +14,7 @@ from cylpano.augment import (
     augment,
     instance_paste_mask,
     paste_instances,
+    rect_union,
     scene_swap_mask,
     sync_image_swap,
 )
@@ -243,6 +246,81 @@ class TestSyncImageSwap:
                 inside[v0:v1 + 1, u0:u1 + 1] = True
             assert (img[inside, 1] == 2).all()  # new scan id
             assert (img[~inside, 1] == 1).all()  # untouched original pixels
+
+
+def loop_sync_image_swap(org_imgs, new_imgs, mask, new_pairings):
+    """The swap as one slice assignment per rectangle."""
+    flat_mask = np.asarray(mask).reshape(-1)
+    out_imgs, swapped = [], {}
+    for cam_id, (org_im, new_im) in enumerate(zip(org_imgs, new_imgs)):
+        table = new_pairings[cam_id]
+        rects = table.rects[flat_mask[table.flat_ids]]
+        out = org_im.copy()
+        for u0, v0, u1, v1 in rects:
+            out[v0:v1 + 1, u0:u1 + 1] = new_im[v0:v1 + 1, u0:u1 + 1]
+        out_imgs.append(out)
+        swapped[cam_id] = rects
+    return out_imgs, swapped
+
+
+@st.composite
+def image_rects(draw):
+    """An odd (H, W) and inclusive rectangles in it: single pixels, border-touching, nested, repeated."""
+    h, w = draw(st.integers(0, 10)) * 2 + 1, draw(st.integers(0, 12)) * 2 + 1
+    span = lambda n: st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+    rects = []
+    for kind in draw(st.lists(st.sampled_from(["any", "pixel", "border", "nested", "repeat"]), max_size=12)):
+        (u0, u1), (v0, v1) = draw(span(w)), draw(span(h))
+        if kind == "pixel":
+            u1, v1 = u0, v0
+        elif kind == "border":
+            u1, v1 = w - 1, h - 1
+        elif kind in ("nested", "repeat") and rects:
+            u0, v0, u1, v1 = rects[draw(st.integers(0, len(rects) - 1))]
+            if kind == "nested":
+                u0, v0 = u0 + (u1 - u0) // 2, v0 + (v1 - v0) // 2
+        rects.append((u0, v0, u1, v1))
+    return h, w, np.array(rects, dtype=np.int32).reshape(-1, 4)
+
+
+class TestRectUnion:
+    @settings(max_examples=150, deadline=None)
+    @given(case=image_rects(), data=st.data())
+    def test_swap_equals_rectangle_loop(self, case, data):
+        h, w, rects = case
+        spec = CylGridSpec(4, 4, 2)
+        # one voxel per rectangle; the mask selects some of them
+        flat_ids = np.sort(np.random.default_rng(len(rects)).choice(spec.num_cells, len(rects), replace=False))
+        selected = data.draw(st.lists(st.booleans(), min_size=len(rects), max_size=len(rects)))
+        mask = np.zeros(spec.num_cells, dtype=bool)
+        mask[flat_ids[np.array(selected, dtype=bool)]] = True
+        mask = mask.reshape(spec.shape)
+        rng = np.random.default_rng(h * 100 + w)
+        org = [rng.integers(0, 256, (h, w, 3), dtype=np.uint8) for _ in range(2)]
+        new = [rng.integers(0, 256, (h, w, 3), dtype=np.uint8) for _ in range(2)]
+        tables = {0: PairingTable(flat_ids, rects), 1: PairingTable(flat_ids, rects[::-1].copy())}
+        got_imgs, got_rects = sync_image_swap(org, new, mask, tables)
+        want_imgs, want_rects = loop_sync_image_swap(org, new, mask, tables)
+        for cam_id in (0, 1):
+            assert got_imgs[cam_id].tobytes() == want_imgs[cam_id].tobytes()
+            assert got_rects[cam_id].dtype == want_rects[cam_id].dtype
+            assert np.array_equal(got_rects[cam_id], want_rects[cam_id])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=image_rects())
+    def test_union_equals_painted_slices(self, case):
+        h, w, rects = case
+        painted = np.zeros((h, w), dtype=bool)
+        for u0, v0, u1, v1 in rects:
+            painted[v0:v1 + 1, u0:u1 + 1] = True
+        assert np.array_equal(rect_union((h, w), rects), painted)
+
+    def test_edge_cases(self):
+        assert not rect_union((3, 5), np.zeros((0, 4), dtype=np.int32)).any()
+        whole = rect_union((3, 5), [[0, 0, 4, 2]])
+        assert whole.all() and whole.shape == (3, 5)
+        pixel = rect_union((3, 5), [[4, 2, 4, 2], [4, 2, 4, 2]])
+        assert pixel.sum() == 1 and pixel[2, 4]
 
 
 class TestPasteInstances:

@@ -261,6 +261,36 @@ class TestChain:
         for img in sorted((org / "images").glob("*.ppm")):
             assert sha(aug / "images" / img.name) == sha(img)
 
+    @pytest.mark.parametrize("probs", [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_augment_manifest_counts_strategies_and_swapped_pixels(self, tmp_path, probs):
+        from cylpano.augment import augment
+        from cylpano.cli import _load_sample
+
+        cfg_obj = load_config(small_config(tmp_path))
+        cfg_obj.augment.p_instance, cfg_obj.augment.p_height_swap, cfg_obj.augment.p_angle_swap = probs
+        cfg_path = tmp_path / "aug.cfg"
+        save_config(cfg_path, cfg_obj)
+        org, new, aug = tmp_path / "org", tmp_path / "new", tmp_path / "aug"
+        main(["synth", "--config", str(cfg_path), "--seed", "2", "--out", str(org)])
+        main(["synth", "--config", str(cfg_path), "--seed", "3", "--out", str(new)])
+        assert main(["augment", "--config", str(cfg_path), "--seed", "8",
+                     "--org", str(org), "--new", str(new), "--out", str(aug)]) == 0
+        counters = json.loads((aug / "manifest.json").read_text())["counters"]
+
+        cfg_obj.augment.rng_seed = 8
+        result = augment(_load_sample(org), _load_sample(new), cfg_obj.grid, cfg_obj.augment)
+        names = ("instance", "height", "angle")
+        assert counters["strategies"] == [n for n, p in zip(names, probs) if p == 1.0]
+        assert counters["strategies"] == [n for n in names if result.applied[n]]
+        swapped = []
+        for cam_id, img in enumerate(result.sample.images):
+            painted = np.zeros(img.shape[:2], dtype=bool)
+            for u0, v0, u1, v1 in result.swapped_rects.get(cam_id, []):
+                painted[v0:v1 + 1, u0:u1 + 1] = True
+            swapped.append(int(painted.sum()))
+        assert counters["pixels_swapped"] == swapped
+        assert (sum(swapped) > 0) == any(probs)
+
     def test_fuse_accepts_injected_feature_maps(self, tmp_path):
         import numpy as np
 

@@ -113,6 +113,36 @@ class TestVoxelize:
             i = idx[:, axis]
             assert ((edges[i] <= polar[:, axis]) & (polar[:, axis] <= edges[i + 1])).all()
 
+    @pytest.mark.parametrize("spec", [
+        NUSC_SPEC, CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0)),
+        CylGridSpec(7, 13, 5, (1.5, 33.3), (-4.1, 2.7)), CylGridSpec(24, 18, 8, (0.0, 50.0), (-5.0, 3.0)),
+    ])
+    def test_values_within_ulps_of_an_edge_bin_between_the_edges(self, spec):
+        # z = -1e-322 on the second spec used to land in z-bin 2 = [0, 1]
+        ranges = (spec.r_range, (0.0, TWO_PI), spec.z_range)
+        for axis, (edges, (lo, hi)) in enumerate(zip((spec.r_edges, spec.theta_edges, spec.z_edges), ranges)):
+            probes = [edges]
+            for direction in (np.inf, -np.inf):
+                v = edges
+                for _ in range(20):
+                    v = np.nextafter(v, direction)
+                    probes.append(v)
+            vals = np.concatenate(probes)
+            vals = vals[(vals >= lo) & (vals <= hi)]
+            polar = np.tile([np.mean(spec.r_range), 1.0, np.mean(spec.z_range)], (len(vals), 1))
+            polar[:, axis] = vals
+            idx, inside = spec.bin_points(polar)
+            assert inside.all()
+            i = idx[:, axis]
+            last = i == len(edges) - 2
+            assert (edges[i] <= vals).all()
+            assert ((vals < edges[i + 1]) | (last & (vals <= edges[-1]))).all()
+
+    def test_negative_subnormal_z_lands_below_the_zero_edge(self):
+        spec = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
+        idx, _ = spec.bin_points(np.array([[1.0, 0.1, -1e-322], [1.0, 0.1, 1e-322], [1.0, 0.1, 0.0]]))
+        assert list(idx[:, 2]) == [1, 2, 2]
+
     def test_upper_range_edge_lands_in_last_bin(self):
         cloud = PointCloud(np.array([[50.0, 0.0, 3.0]]), np.zeros(1))
         grid = voxelize(cloud, NUSC_SPEC)
@@ -123,6 +153,65 @@ class TestVoxelize:
         xyz = np.array([[10.0, 0.0, 0.0], [10.01, 0.0, 0.0], [10.02, 0.0, 0.0]])
         grid = voxelize(PointCloud(xyz[::-1].copy(), np.zeros(3)), CylGridSpec(5, 4, 2))
         assert np.array_equal(grid.points_of_row(0), [0, 1, 2])
+
+
+def stable_sort_voxelize(cloud: PointCloud, spec: CylGridSpec):
+    """order, voxel_ids, starts and source as a stable argsort of the flat ids gives them."""
+    idx, inside = spec.bin_points(cart_to_polar(cloud.xyz))
+    kept = np.flatnonzero(inside)
+    flat = spec.flatten(idx[kept])
+    perm = np.argsort(flat, kind="stable")
+    order = kept[perm]
+    voxel_ids, counts = np.unique(flat[perm], return_counts=True)
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    source = (np.maximum.reduceat(cloud.source[order], starts[:-1]) if len(voxel_ids)
+              else np.zeros(0, dtype=np.uint8))
+    return order, voxel_ids, starts, source
+
+
+def assert_grid_equals_stable_sort(grid, cloud, spec):
+    for got, want in zip((grid.order, grid.voxel_ids, grid.starts, grid.source),
+                         stable_sort_voxelize(cloud, spec)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert np.array_equal(grid.dropped, np.setdiff1d(np.arange(len(cloud)), grid.order))
+
+
+class TestKeySort:
+    SPEC = CylGridSpec(6, 5, 3, (0.0, 10.0), (-1.0, 1.0))
+    coord = st.floats(-12.0, 12.0, allow_nan=False, width=32)
+    point = st.tuples(coord, coord, st.floats(-1.5, 1.5, allow_nan=False, width=32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # a few distinct positions, each repeated, give duplicates and shared voxels;
+        # coordinates past 10 m and 1 m are out of range
+        pool=st.lists(point, min_size=1, max_size=6),
+        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), max_size=60),
+    )
+    def test_equals_stable_argsort(self, pool, picks):
+        xyz = np.array([pool[i % len(pool)] for i, _ in picks], dtype=np.float32).reshape(-1, 3)
+        tags = np.array([tag for _, tag in picks], dtype=np.uint8)
+        cloud = PointCloud(xyz, np.zeros(len(xyz)), source=tags)
+        assert_grid_equals_stable_sort(voxelize(cloud, self.SPEC), cloud, self.SPEC)
+
+    def test_empty_and_single_voxel_clouds(self):
+        for xyz in (np.zeros((0, 3)), np.tile([3.0, 0.5, 0.2], (50, 1)), [[3.0, 0.5, 0.2], [99.0, 0.0, 0.0]]):
+            cloud = PointCloud(xyz, np.zeros(len(xyz)), source=np.arange(len(xyz)) % 2)
+            grid = voxelize(cloud, self.SPEC)
+            assert grid.num_voxels == min(len(cloud), 1)
+            assert_grid_equals_stable_sort(grid, cloud, self.SPEC)
+
+    def test_keys_that_would_overflow_take_the_stable_argsort(self):
+        spec = CylGridSpec(2**20, 2**20, 2**20, (0.0, 50.0), (-5.0, 3.0))
+        rng = np.random.default_rng(21)
+        xyz = np.column_stack([rng.uniform(-30, 30, (12, 2)), rng.uniform(-4, 2, 12)])
+        xyz = np.concatenate([xyz, xyz[:4], [[80.0, 0.0, 0.0]]])  # duplicates, one point out of range
+        cloud = PointCloud(xyz, np.zeros(len(xyz)), source=rng.integers(0, 2, len(xyz)))
+        assert spec.num_cells * (len(cloud) - 1) >= 2**63
+        grid = voxelize(cloud, spec)
+        assert grid.num_voxels == 12
+        assert_grid_equals_stable_sort(grid, cloud, spec)
 
 
 class TestExtremePoints:

@@ -7,6 +7,7 @@ from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_point
 from cylpano.synth import ring_camera
 from cylpano.tokens import (
     N_BANDS,
+    SPE_BLOCK,
     FeatureMap,
     SpeParams,
     VoxelFeatures,
@@ -319,6 +320,52 @@ class TestBuildTokens:
                               bilinear=bilinear)
         assert not behind.image_valid.any()
         assert np.array_equal(behind.content[:, dim:], behind.spe)
+
+    @staticmethod
+    def _blocked_grid(spec, m):
+        """Grid of m voxels, one point each: those in even SPE_BLOCK-row blocks lie within 30 degrees
+        of +x, those in odd blocks more than 60 degrees away."""
+        idx3 = spec.unflatten(np.arange(spec.num_cells))
+        theta = spec.theta_edges[idx3[:, 1]] + np.pi / spec.theta_bins
+        off_axis = np.abs(np.angle(np.exp(1j * theta)))
+        rows = []
+        for flat in range(spec.num_cells):
+            if len(rows) == m:
+                break
+            if off_axis[flat] > np.pi / 3 if (len(rows) // SPE_BLOCK) % 2 else off_axis[flat] < np.pi / 6:
+                rows.append(flat)
+        r, t, z = idx3[rows].T
+        rho = (spec.r_edges[r] + spec.r_edges[r + 1]) / 2
+        mid_t = (spec.theta_edges[t] + spec.theta_edges[t + 1]) / 2
+        zc = (spec.z_edges[z] + spec.z_edges[z + 1]) / 2
+        xyz = np.column_stack([rho * np.cos(mid_t), rho * np.sin(mid_t), zc])
+        grid = voxelize(PointCloud(xyz, np.zeros(len(xyz))), spec)
+        assert np.array_equal(grid.voxel_ids, rows)
+        return grid
+
+    @pytest.mark.parametrize("m", [0, 1, SPE_BLOCK - 1, SPE_BLOCK, SPE_BLOCK + 1, 2 * SPE_BLOCK + 3])
+    def test_block_boundaries_equal_unblocked_reference(self, m):
+        spec = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
+        grid = self._blocked_grid(spec, m)
+        dim = 6
+        rng = np.random.default_rng(m)
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0)]
+        fmaps = [FeatureMap(rng.standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
+        params = SpeParams.create(spec, dim=dim, seed=2)
+        f3d = rng.normal(size=(m, dim))
+        tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, f3d), fmaps, cams, params)
+
+        corners = extreme_points_batch(grid.indices3, spec)
+        spe_ref = position_encoding(corners.mean(axis=1), params) + scale_encoding(corner_distances(corners), params)
+        means, seen = self._brute_force_image_half(grid, fmaps, cams, False)
+        # the camera along +x sees exactly the voxels of the even blocks
+        assert np.array_equal(seen, np.arange(m) // SPE_BLOCK % 2 == 0)
+        assert np.array_equal(tokens.image_valid, seen)
+        assert tokens.content.shape == (m, 2 * dim)
+        if m:
+            assert np.abs(tokens.content[:, :dim] - (spe_ref + f3d)).max() < 1e-12
+            assert np.abs(tokens.content[:, dim:] - (spe_ref + means)).max() < 1e-12
+        assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
 
     def test_tokens_ordered_by_voxel_index(self):
         rng = np.random.default_rng(7)
