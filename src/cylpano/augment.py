@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, InsufficientInstancesError, SpecMismatchError
 from .geometry import CameraModel, InstanceTransform, similarity_matrix, transform_camera, transform_instance
-from .grid import CylGrid, CylGridSpec, PairingTable, PointCloud, pair_voxel_image, voxelize
+from .grid import CylGrid, CylGridSpec, PairingTable, PointCloud, _checked_indices, pair_voxel_image, voxelize
 
-AXES = ("radius", "angle", "height")
+AXES = ("radius", "angle", "height")  # in the order of CylGridSpec.shape
 
 
 @dataclass
@@ -76,12 +76,8 @@ def instance_paste_mask(instances: list[np.ndarray], spec: CylGridSpec) -> np.nd
     """Union of the voxel-index sets covered by pasted instances, as a dense bool mask."""
     mask = np.zeros(spec.shape, dtype=bool)
     for idx3 in instances:
-        idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
-        if len(idx3) == 0:
-            continue
-        if (idx3 < 0).any() or (idx3 >= np.array(spec.shape)).any():
-            raise IndexOutOfRangeError("instance voxel index outside grid")
-        mask[idx3[:, 0], idx3[:, 1], idx3[:, 2]] = True
+        r, t, z = _checked_indices(idx3, spec).T
+        mask[r, t, z] = True
     return mask
 
 
@@ -89,17 +85,13 @@ def scene_swap_mask(axis: str, selected, spec: CylGridSpec) -> np.ndarray:
     """Mask selecting whole slices of one axis; the other two axes are fully covered."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
-    n = {"radius": spec.r_bins, "angle": spec.theta_bins, "height": spec.z_bins}[axis]
+    k = AXES.index(axis)
+    n = spec.shape[k]
     sel = np.unique(np.asarray(list(selected), dtype=np.int64))
     if len(sel) and (sel[0] < 0 or sel[-1] >= n):
         raise IndexOutOfRangeError(f"selected {axis} bins outside [0, {n})")
     mask = np.zeros(spec.shape, dtype=bool)
-    if axis == "radius":
-        mask[sel, :, :] = True
-    elif axis == "angle":
-        mask[:, sel, :] = True
-    else:
-        mask[:, :, sel] = True
+    np.moveaxis(mask, k, 0)[sel] = True
     return mask
 
 
@@ -332,14 +324,6 @@ class AugResult:
     swapped_rects: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _merge_rects(acc: dict[int, np.ndarray], extra: dict[int, np.ndarray]):
-    for cam_id, rects in extra.items():
-        if cam_id in acc and len(acc[cam_id]):
-            acc[cam_id] = np.concatenate([acc[cam_id], rects])
-        else:
-            acc[cam_id] = rects
-
-
 def augment(
     org: MultiModalSample,
     new: MultiModalSample,
@@ -358,20 +342,13 @@ def augment(
         raise SpecMismatchError("samples must share the camera rig structure")
     rng = np.random.default_rng(cfg.rng_seed)
 
+    p = np.array([cfg.p_instance, cfg.p_height_swap, cfg.p_angle_swap])
     if cfg.strategy_mode == "independent":
-        u = rng.random(3)
-        do_paste = u[0] < cfg.p_instance
-        do_height = u[1] < cfg.p_height_swap
-        do_angle = u[2] < cfg.p_angle_swap
-    else:
+        do_paste, do_height, do_angle = rng.random(3) < p
+    else:  # the one draw picks the interval of cumsum([0, *p]) it falls in
         u = rng.random()
-        do_paste = u < cfg.p_instance
-        do_height = cfg.p_instance <= u < cfg.p_instance + cfg.p_height_swap
-        do_angle = (
-            cfg.p_instance + cfg.p_height_swap
-            <= u
-            < cfg.p_instance + cfg.p_height_swap + cfg.p_angle_swap
-        )
+        edges = np.cumsum([0.0, *p])
+        do_paste, do_height, do_angle = (edges[:-1] <= u) & (u < edges[1:])
 
     work = MultiModalSample(
         PointCloud(org.cloud.xyz, org.cloud.intensity, org.cloud.semantic, org.cloud.instance),
@@ -413,16 +390,18 @@ def augment(
 
     if do_height or do_angle:
         new_grid = pair_voxel_image(voxelize(new_work.cloud, spec), new_work.cams)
-    for axis, on, n_bins in (("height", do_height, spec.z_bins), ("angle", do_angle, spec.theta_bins)):
+    for axis, on in (("height", do_height), ("angle", do_angle)):
         if on:
             splits = int(rng.choice(np.asarray(cfg.split_choices)))
-            mixes.append((axis, scene_swap_mask(axis, alternating_slices(n_bins, splits), spec), new_grid))
+            selected = alternating_slices(spec.shape[AXES.index(axis)], splits)
+            mixes.append((axis, scene_swap_mask(axis, selected, spec), new_grid))
 
     grid = voxelize(work.cloud, spec) if mixes else None
-    rects_acc: dict[int, np.ndarray] = {}
+    swaps = []  # per mix, the rectangles swapped in each camera
     for _, mask, donor_grid in mixes:
         work, grid, rects = _mix(work, grid, new_work, donor_grid, mask)
-        _merge_rects(rects_acc, rects)
+        swaps.append(rects)
+    swapped = {cam: np.concatenate([rects[cam] for rects in swaps]) for cam in (swaps[0] if swaps else ())}
     names = [name for name, _, _ in mixes]
     applied = {name: name in names for name in ("instance", "height", "angle")}
 
@@ -441,4 +420,4 @@ def augment(
     # Mixing moves no point, so without a transform the last mixed grid bins work.cloud.
     if grid is None:
         grid = voxelize(work.cloud, spec)
-    return AugResult(work, pair_voxel_image(grid, work.cams), applied, rects_acc)
+    return AugResult(work, pair_voxel_image(grid, work.cams), applied, swapped)

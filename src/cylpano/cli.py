@@ -9,6 +9,7 @@ the error name on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import formats
 from .augment import MultiModalSample, augment, rect_union
 from .config import PipelineConfig, load_config, save_config
-from .errors import PipelineError, ShapeMismatchError
+from .errors import BadConfigError, PipelineError, ShapeMismatchError
 from .grid import voxelize
 from .metrics import ClassTable, SegLabeling, evaluate
 from .queries import assemble_queries, build_bev_heatmap, geometric_hints, texture_hints
@@ -166,7 +167,8 @@ def _feature_maps(args, cfg, cams) -> list[FeatureMap]:
 
 def _spe_params(cfg) -> SpeParams:
     if cfg.tokens.weights_path:
-        return formats.read_spe_params(cfg.tokens.weights_path)
+        # SPEW holds no seed; the placeholder queries draw from the configured one
+        return dataclasses.replace(formats.read_spe_params(cfg.tokens.weights_path), seed=cfg.tokens.seed)
     return SpeParams.create(cfg.grid, cfg.tokens.dim, cfg.tokens.seed)
 
 
@@ -212,9 +214,11 @@ def cmd_queries(args) -> int:
     qc = cfg.queries
     heat = build_bev_heatmap(grid, qc.heatmap_mode, qc.heatmap_sigma)
     geo = geometric_hints(grid, heat, qc.nms_conf_thresh, qc.radius_in_bins(cfg.grid), qc.nms_max_peaks)
-    masks = []
-    if args.masks:
-        masks = [formats.read_mask(p) for p in sorted(Path(args.masks).glob("*.msk2"))]
+    masks = [formats.read_mask(p) for p in sorted(Path(args.masks).glob("*.msk2"))] if args.masks else []
+    for mask in masks:
+        cam = sample.cams[mask.camera_id] if mask.camera_id < len(sample.cams) else None
+        if cam is None or mask.bitmap.shape != (cam.height, cam.width):
+            raise ShapeMismatchError(f"{mask.bitmap.shape} mask of camera {mask.camera_id} does not fit the rig")
     tex = texture_hints(masks, sample.cloud, sample.cams, qc.dbscan_eps, qc.dbscan_min_pts)
     table = ClassTable.load(args.classes) if args.classes else ClassTable.synthetic()
     qs = assemble_queries(
@@ -272,8 +276,10 @@ def cmd_render_overlay(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    argv = list(manifest["argv"])
+    try:
+        argv = list(json.loads(Path(args.manifest).read_text())["argv"])
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise BadConfigError(f"cannot parse manifest {args.manifest}: {exc}") from exc
     if "--out" in argv:
         argv[argv.index("--out") + 1] = args.out
     else:

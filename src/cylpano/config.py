@@ -121,8 +121,11 @@ def _load_section(cp, name, cls, **overrides):
 
 def load_config(path) -> PipelineConfig:
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise BadConfigError(f"cannot read config {path}")
+    try:
+        if not cp.read(path):
+            raise BadConfigError(f"cannot read config {path}")
+    except configparser.Error as exc:  # no section header, a duplicate key, ...
+        raise BadConfigError(f"malformed config {path}: {exc}") from exc
     pipe = cp["pipeline"] if "pipeline" in cp else {}
     version = _parse(pipe, "version", int, CONFIG_VERSION)
     if version != CONFIG_VERSION:

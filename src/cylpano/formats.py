@@ -29,10 +29,8 @@ from .grid import PointCloud
 from .queries import LocationHint, Mask2D, QuerySet
 from .tokens import N_BANDS, PHI_HIDDEN, SpeParams, TokenSet
 
-PLCD_DTYPE = np.dtype(
-    [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("intensity", "<f4"), ("semantic", "<u2"), ("instance", "<u2")]
-)
-PVOX_DTYPE = np.dtype([("r", "<u2"), ("theta", "<u2"), ("z", "<u2"), ("tag", "u1")])
+PLCD_DTYPE = np.dtype([("xyz", "<f4", (3,)), ("intensity", "<f4"), ("semantic", "<u2"), ("instance", "<u2")])
+PVOX_DTYPE = np.dtype([("idx", "<u2", (3,)), ("tag", "u1")])
 ORIGIN_CODES = {"geometric": 0, "texture": 1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
 
@@ -74,9 +72,17 @@ def _u32(*vals) -> bytes:
     return np.asarray(vals, dtype="<u4").tobytes()
 
 
+def _u16_indices(idx3) -> np.ndarray:
+    """(M, 3) voxel indices for a u16 record field; raises on any that would wrap."""
+    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
+    if ((idx3 < 0) | (idx3 > 0xFFFF)).any():
+        raise ShapeMismatchError("voxel index does not fit a u16 field (at most 65535 bins per axis)")
+    return idx3
+
+
 def write_point_cloud(path, cloud: PointCloud):
     rec = np.empty(len(cloud), dtype=PLCD_DTYPE)
-    rec["x"], rec["y"], rec["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
+    rec["xyz"] = cloud.xyz
     rec["intensity"] = cloud.intensity
     rec["semantic"] = cloud.semantic if cloud.semantic is not None else 0
     rec["instance"] = cloud.instance if cloud.instance is not None else 0
@@ -89,8 +95,7 @@ def read_point_cloud(path) -> PointCloud:
     n = r.u32()
     rec = r.array(PLCD_DTYPE, n)
     r.done()
-    xyz = np.column_stack([rec["x"], rec["y"], rec["z"]])
-    return PointCloud(xyz, rec["intensity"].copy(), rec["semantic"].copy(), rec["instance"].copy())
+    return PointCloud(rec["xyz"].copy(), rec["intensity"].copy(), rec["semantic"].copy(), rec["instance"].copy())
 
 
 def write_feature_maps(path, maps: np.ndarray):
@@ -111,11 +116,8 @@ def read_feature_maps(path) -> np.ndarray:
 
 
 def write_tokens(path, tokens: TokenSet):
-    idx3 = tokens.indices3
-    dim2 = 2 * tokens.dim
-    rec_dtype = np.dtype([("idx", "<u2", 3), ("content", "<f4", dim2)])
-    rec = np.empty(len(tokens), dtype=rec_dtype)
-    rec["idx"] = idx3.astype(np.uint16)
+    rec = np.empty(len(tokens), dtype=np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * tokens.dim)]))
+    rec["idx"] = _u16_indices(tokens.indices3)
     rec["content"] = tokens.content.astype(np.float32)
     Path(path).write_bytes(b"TOKS" + _u32(len(tokens), tokens.dim) + rec.tobytes())
 
@@ -205,9 +207,9 @@ def read_queries(path) -> QuerySet:
 
 
 def write_provenance(path, idx3: np.ndarray, tags: np.ndarray):
-    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
+    idx3 = _u16_indices(idx3)
     rec = np.empty(len(idx3), dtype=PVOX_DTYPE)
-    rec["r"], rec["theta"], rec["z"] = (idx3[:, i].astype(np.uint16) for i in range(3))
+    rec["idx"] = idx3
     rec["tag"] = np.asarray(tags, dtype=np.uint8)
     Path(path).write_bytes(b"PVOX" + _u32(len(idx3)) + rec.tobytes())
 
@@ -218,8 +220,7 @@ def read_provenance(path) -> tuple[np.ndarray, np.ndarray]:
     n = r.u32()
     rec = r.array(PVOX_DTYPE, n)
     r.done()
-    idx3 = np.column_stack([rec["r"], rec["theta"], rec["z"]]).astype(np.int64)
-    return idx3, rec["tag"].copy()
+    return rec["idx"].astype(np.int64), rec["tag"].copy()
 
 
 def write_ppm(path, image: np.ndarray):
@@ -274,15 +275,20 @@ def write_calibration(path, cams: list[CameraModel]):
 def read_calibration(path) -> list[CameraModel]:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise BadConfigError(f"cannot parse calibration {path}: {exc}") from exc
+    cameras = payload.get("cameras", []) if isinstance(payload, dict) else None
+    if not isinstance(cameras, list):
+        raise BadConfigError(f"{path}: expected an object with a \"cameras\" list")
     cams = []
-    for i, entry in enumerate(payload.get("cameras", [])):
+    for i, entry in enumerate(cameras):
+        if not isinstance(entry, dict):
+            raise BadConfigError(f"camera {i} in {path}: not an object")
         try:
             K = np.asarray(entry["K"], dtype=np.float64).reshape(3, 3)
             T = np.asarray(entry["T"], dtype=np.float64).reshape(4, 4)
             cam = CameraModel(K, T, int(entry["width"]), int(entry["height"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise BadConfigError(f"camera {i} in {path}: {exc}") from exc
         # flip augmentation writes mirrored extrinsics (det -1) and flags them
         if cam.is_proper == (entry.get("mirrored", False) is True):

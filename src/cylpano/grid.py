@@ -122,10 +122,7 @@ class CylGridSpec:
         return np.stack([r, t, z], axis=-1)
 
     def validate_index(self, idx3) -> tuple[int, int, int]:
-        r, t, z = (int(v) for v in np.asarray(idx3).reshape(3))
-        if not (0 <= r < self.r_bins and 0 <= t < self.theta_bins and 0 <= z < self.z_bins):
-            raise IndexOutOfRangeError(f"voxel index {(r, t, z)} outside {self.shape}")
-        return r, t, z
+        return tuple(_checked_indices(np.asarray(idx3).reshape(3), self)[0].tolist())
 
     def bin_points(self, polar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Assign polar triples to bins: returns ((N, 3) int32 indices, (N,) inside mask).
@@ -263,62 +260,55 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
 def _checked_indices(idx3, spec: CylGridSpec) -> np.ndarray:
     """(M, 3) int64 voxel indices; raises if any lies outside the grid."""
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
-    if len(idx3) and ((idx3 < 0).any() or (idx3 >= np.array(spec.shape)).any()):
-        raise IndexOutOfRangeError("voxel index outside grid")
+    bad = (idx3 < 0) | (idx3 >= spec.shape)
+    if bad.any():
+        first = tuple(idx3[bad.any(axis=1)][0].tolist())
+        raise IndexOutOfRangeError(f"voxel index {first} outside {spec.shape}")
     return idx3
 
 
-def extreme_points_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
-    """Cartesian corners of voxels, shape (M, 8, 3).
+def _corners(idx3: np.ndarray, spec: CylGridSpec):
+    """Yield the (x, y, z) arrays of checked voxels' eight corners, one corner at a time.
 
     Corner order: r varies fastest, then theta, then z (low edge before high).
+    Each coordinate comes from a per-edge table: the r edges times the cosine
+    or sine of the theta edges, and the z edges.
     """
-    idx3 = _checked_indices(idx3, spec)
-    r_e, t_e, z_e = spec.r_edges, spec.theta_edges, spec.z_edges
-    corners = np.empty((len(idx3), 8, 3))
-    k = 0
+    r, t, z = idx3.T
+    r_e, z_e = spec.r_edges, spec.z_edges
+    cos_t, sin_t = np.cos(spec.theta_edges), np.sin(spec.theta_edges)
     for dz in (0, 1):
         for dt in (0, 1):
             for dr in (0, 1):
-                rho = r_e[idx3[:, 0] + dr]
-                theta = t_e[idx3[:, 1] + dt]
-                corners[:, k, 0] = rho * np.cos(theta)
-                corners[:, k, 1] = rho * np.sin(theta)
-                corners[:, k, 2] = z_e[idx3[:, 2] + dz]
-                k += 1
-    return corners
+                yield r_e[r + dr] * cos_t[t + dt], r_e[r + dr] * sin_t[t + dt], z_e[z + dz]
+
+
+def extreme_points_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
+    """Cartesian corners of voxels, shape (M, 8, 3), in `_corners` order."""
+    return np.array(list(_corners(_checked_indices(idx3, spec), spec))).transpose(2, 0, 1).copy()
 
 
 def voxel_extreme_points(idx3, spec: CylGridSpec) -> np.ndarray:
     """Eight Cartesian corners (8, 3) of one voxel."""
-    spec.validate_index(idx3)
     return extreme_points_batch(np.asarray(idx3).reshape(1, 3), spec)[0]
 
 
 def centroids_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
     """Mean of the eight corners for each voxel, shape (M, 3).
 
-    The corners are summed in `extreme_points_batch` order from per-edge
-    tables, so the result equals that mean bit for bit without building the
-    (M, 8, 3) corners.
+    The corners are summed in `_corners` order, so the result equals the mean
+    of `extreme_points_batch` bit for bit without building the (M, 8, 3) corners.
     """
     idx3 = _checked_indices(idx3, spec)
-    r, t, z = idx3.T
-    r_e, z_e = spec.r_edges, spec.z_edges
-    cos_t, sin_t = np.cos(spec.theta_edges), np.sin(spec.theta_edges)
     total = np.zeros((3, len(idx3)))
-    for dz in (0, 1):
-        for dt in (0, 1):
-            for dr in (0, 1):
-                total[0] += r_e[r + dr] * cos_t[t + dt]
-                total[1] += r_e[r + dr] * sin_t[t + dt]
-                total[2] += z_e[z + dz]
+    for corner in _corners(idx3, spec):
+        for axis_total, values in zip(total, corner):
+            axis_total += values
     return np.ascontiguousarray(total.T) / 8  # row-major, like the mean it equals
 
 
 def voxel_centroid(idx3, spec: CylGridSpec) -> np.ndarray:
     """Arithmetic mean of one voxel's eight corners."""
-    spec.validate_index(idx3)
     return centroids_batch(np.asarray(idx3).reshape(1, 3), spec)[0]
 
 

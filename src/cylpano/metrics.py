@@ -124,8 +124,11 @@ class ClassTable:
     @classmethod
     def load(cls, path) -> "ClassTable":
         cp = configparser.ConfigParser()
-        if not cp.read(path):
-            raise BadConfigError(f"cannot read class table {path}")
+        try:
+            if not cp.read(path):
+                raise BadConfigError(f"cannot read class table {path}")
+        except configparser.Error as exc:  # no section header, a duplicate key, ...
+            raise BadConfigError(f"malformed class table {path}: {exc}") from exc
         if "classes" not in cp:
             raise BadConfigError("class table needs a [classes] section")
         entries = {}

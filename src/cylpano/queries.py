@@ -76,42 +76,32 @@ def build_bev_heatmap(grid: CylGrid, mode: str = "gt_gaussian", sigma: float = 2
     if grid.cloud.instance is None:
         raise MissingLabelsError("gt_gaussian heatmap needs instance labels")
 
+    # one Gaussian window over row offsets x theta offsets, each theta offset
+    # taken the shorter way round, so columns a wide window visits twice agree
+    w = 0 if sigma <= 0.0 else int(np.ceil(4.0 * sigma))
+    off = np.arange(-w, w + 1)
+    dist_sq = off[:, None] ** 2 + _theta_offset(off % spec.theta_bins, spec.theta_bins) ** 2
+    window = np.ones((1, 1)) if sigma <= 0.0 else np.exp(-dist_sq / (2.0 * sigma**2))
     inst = grid.cloud.instance
     for inst_id in np.unique(inst[inst > 0]):
         center = grid.cloud.xyz[inst == inst_id].astype(np.float64).mean(axis=0)
         idx, inside = spec.bin_points(cart_to_polar(center[None]))
-        if not inside[0]:
-            continue
-        r0, t0 = int(idx[0, 0]), int(idx[0, 1])
-        if sigma <= 0.0:
-            heat[r0, t0] = 1.0
-            continue
-        w = int(np.ceil(4.0 * sigma))
-        dr = np.arange(-w, w + 1)
-        rr = r0 + dr
-        keep_r = (rr >= 0) & (rr < spec.r_bins)
-        if 2 * w + 1 >= spec.theta_bins:
-            # window wraps all the way around: visit each column once at its
-            # minimal circular offset
-            off = np.arange(spec.theta_bins)
-            tt = (t0 + off) % spec.theta_bins
-            dt_sq = np.minimum(off, spec.theta_bins - off) ** 2
-        else:
-            dt = np.arange(-w, w + 1)
-            tt = (t0 + dt) % spec.theta_bins
-            dt_sq = dt**2
-        g = np.exp(-(dr[keep_r, None] ** 2 + dt_sq[None, :]) / (2.0 * sigma**2))
-        sub = heat[np.ix_(rr[keep_r], tt)]
-        heat[np.ix_(rr[keep_r], tt)] = np.maximum(sub, g)
+        if inside[0]:
+            rows = idx[0, 0] + off
+            keep = (rows >= 0) & (rows < spec.r_bins)
+            np.maximum.at(heat, (rows[keep, None], (idx[0, 1] + off) % spec.theta_bins), window[keep])
     return heat
+
+
+def _theta_offset(dt, theta_bins: int):
+    """Bins between two theta bins `dt` apart (|dt| < theta_bins), the shorter way round."""
+    dt = np.abs(dt)
+    return np.minimum(dt, theta_bins - dt)
 
 
 def bev_bin_distance(a: tuple[int, int], b: tuple[int, int], theta_bins: int) -> float:
     """Euclidean distance in bin units with angular wraparound."""
-    dr = a[0] - b[0]
-    dt = abs(a[1] - b[1])
-    dt = min(dt, theta_bins - dt)
-    return float(np.hypot(dr, dt))
+    return float(np.hypot(a[0] - b[0], _theta_offset(a[1] - b[1], theta_bins)))
 
 
 def nms_peaks(
@@ -140,8 +130,7 @@ def nms_peaks(
         r, t = divmod(int(c), theta_bins)
         if kept:
             k = len(kept)
-            dt = np.abs(kept_t[:k] - t)
-            dt = np.minimum(dt, theta_bins - dt)
+            dt = _theta_offset(kept_t[:k] - t, theta_bins)
             if not (np.hypot(kept_r[:k] - r, dt) > radius).all():
                 continue
         kept_r[len(kept)] = r

@@ -83,6 +83,27 @@ def greedy_nms(heat, conf_thresh, radius, max_peaks):
     return kept
 
 
+def reference_heatmap(centers, shape, sigma):
+    """Reference gt_gaussian heatmap, cell by cell, from the (r, theta) bins of the in-range centres.
+
+    A centre reaches a cell when the row offset and the theta offset, taken the
+    shorter way round, are both at most ceil(4 * sigma) bins; it then adds
+    exp(-(dr^2 + dtheta^2) / (2 * sigma^2)), or 1 at its own cell when
+    sigma <= 0. A cell holds the largest of these, or 0.
+    """
+    r_bins, theta_bins = shape
+    w = int(np.ceil(4.0 * sigma)) if sigma > 0.0 else 0
+    args = np.full((len(centers), r_bins, theta_bins), -np.inf)
+    for k, (r0, t0) in enumerate(centers):
+        for r in range(r_bins):
+            for t in range(theta_bins):
+                dr = abs(r - r0)
+                dt = min(abs(t - t0), theta_bins - abs(t - t0))
+                if dr <= w and dt <= w:
+                    args[k, r, t] = 0.0 if sigma <= 0.0 else -(dr * dr + dt * dt) / (2.0 * sigma**2)
+    return np.exp(args).max(axis=0, initial=0.0)
+
+
 def reference_dbscan(points, eps, min_pts):
     """Textbook DBSCAN over a full distance matrix, seeds expanding in index order."""
     pts = np.asarray(points, dtype=np.float64)

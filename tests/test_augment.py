@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylpano.augment import (
+    AXES,
     AugConfig,
     MultiModalSample,
     _remap_instances,
@@ -86,6 +87,22 @@ class TestMasks:
         mask = scene_swap_mask("radius", {3}, SPEC)
         assert mask.sum() == SPEC.theta_bins * SPEC.z_bins
         assert mask[3].all()
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_swap_mask_equals_explicit_slicing(self, axis):
+        spec = CylGridSpec(5, 7, 3, (0.0, 10.0), (0.0, 1.0))
+        n = {"radius": 5, "angle": 7, "height": 3}[axis]
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            sel = np.flatnonzero(rng.random(n) < 0.5)
+            expect = np.zeros(spec.shape, dtype=bool)
+            if axis == "radius":
+                expect[sel, :, :] = True
+            elif axis == "angle":
+                expect[:, sel, :] = True
+            else:
+                expect[:, :, sel] = True
+            assert np.array_equal(scene_swap_mask(axis, sel.tolist(), spec), expect)
 
     def test_bad_axis_and_bins(self):
         with pytest.raises(ValueError):
@@ -497,6 +514,21 @@ class TestAugment:
                         strategy_mode="categorical", rng_seed=3)
         result = augment(org, new, SPEC, cfg)
         assert sum(result.applied.values()) <= 1
+
+    @pytest.mark.parametrize("probs", [(0.4, 0.3, 0.3), (0.25, 0.0, 0.5), (0.0, 0.6, 0.1)])
+    def test_categorical_draw_is_the_interval_of_one_uniform(self, probs):
+        org, new = scene_pair(35)
+        p_i, p_h, p_a = probs
+        for seed in range(100):
+            u = np.random.default_rng(seed).random()
+            expect = {
+                "instance": u < p_i,
+                "height": p_i <= u < p_i + p_h,
+                "angle": p_i + p_h <= u < p_i + p_h + p_a,
+            }
+            cfg = self._cfg(p_instance=p_i, p_height_swap=p_h, p_angle_swap=p_a,
+                            strategy_mode="categorical", rng_seed=seed)
+            assert augment(org, new, SPEC, cfg).applied == expect
 
     def test_global_rotation_keeps_projection_consistent(self):
         from cylpano.geometry import valid_projections

@@ -368,3 +368,110 @@ class TestErrors:
         out = tmp_path / "default.cfg"
         assert main(["init-config", "--out", str(out)]) == 0
         assert load_config(out) == PipelineConfig()
+
+
+def test_loaded_weights_take_the_configured_seed(tmp_path):
+    from cylpano.tokens import SpeParams
+
+    cfg_plain = small_config(tmp_path)
+    loaded = load_config(cfg_plain)
+    loaded.tokens.seed = 7
+    save_config(cfg_plain, loaded)
+    formats.write_spe_params(tmp_path / "w7.spew", SpeParams.create(loaded.grid, loaded.tokens.dim, seed=7))
+    loaded.tokens.weights_path = "w7.spew"
+    cfg_weights = str(tmp_path / "weights.cfg")
+    save_config(cfg_weights, loaded)
+    org = tmp_path / "org"
+    assert main(["synth", "--config", cfg_plain, "--seed", "1", "--out", str(org)]) == 0
+    for tag, cfg in (("plain", cfg_plain), ("weights", cfg_weights)):
+        fuse = tmp_path / f"fuse-{tag}"
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        assert main([
+            "queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
+            "--masks", str(org / "masks"), "--out", str(tmp_path / f"queries-{tag}"),
+        ]) == 0
+    assert sha(tmp_path / "fuse-plain" / "tokens.toks") == sha(tmp_path / "fuse-weights" / "tokens.toks")
+    assert sha(tmp_path / "queries-plain" / "queries.qrys") == sha(tmp_path / "queries-weights" / "queries.qrys")
+
+
+@pytest.fixture(scope="module")
+def fused_scene(tmp_path_factory):
+    """A synthesized sample and its tokens, shared by the malformed-input cases."""
+    base = tmp_path_factory.mktemp("fused")
+    cfg = small_config(base)
+    assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(base / "org")]) == 0
+    assert main(["fuse", "--config", cfg, "--sample", str(base / "org"), "--out", str(base / "fuse")]) == 0
+    return base, cfg
+
+
+def _config_case(text):
+    def case(base, cfg, tmp):
+        (tmp / "bad.cfg").write_text(text)
+        return ["synth", "--config", str(tmp / "bad.cfg"), "--seed", "0", "--out", str(tmp / "o")]
+    return case
+
+
+def _classes_case(text):
+    def case(base, cfg, tmp):
+        (tmp / "classes.cfg").write_text(text)
+        cloud = str(base / "org" / "cloud.plcd")
+        return ["eval", "--pred", cloud, "--gt", cloud, "--classes", str(tmp / "classes.cfg"),
+                "--report", str(tmp / "r.json")]
+    return case
+
+
+def _calibration_case(edit):
+    def case(base, cfg, tmp):
+        import shutil
+
+        shutil.copytree(base / "org", tmp / "sample")
+        calib = tmp / "sample" / "calib.json"
+        calib.write_text(json.dumps(edit(json.loads(calib.read_text()))))
+        return ["fuse", "--config", cfg, "--sample", str(tmp / "sample"), "--out", str(tmp / "o")]
+    return case
+
+
+def _mask_case(camera_id, shape):
+    def case(base, cfg, tmp):
+        from cylpano.queries import Mask2D
+
+        (tmp / "masks").mkdir()
+        formats.write_mask(tmp / "masks" / "m.msk2", Mask2D(camera_id, np.ones(shape, bool)))
+        return ["queries", "--config", cfg, "--sample", str(base / "org"), "--tokens",
+                str(base / "fuse" / "tokens.toks"), "--masks", str(tmp / "masks"), "--out", str(tmp / "o")]
+    return case
+
+
+def _replay_case(base, cfg, tmp):
+    (tmp / "manifest.json").write_text("{not json")
+    return ["replay", "--manifest", str(tmp / "manifest.json"), "--out", str(tmp / "o")]
+
+
+def _null_width(calib):
+    calib["cameras"][0]["width"] = None
+    return calib
+
+
+MALFORMED = {
+    "config-no-section-header": (_config_case("r_bins = 4\n"), "BadConfigError"),
+    "config-duplicate-key": (_config_case("[grid]\nr_bins = 4\nr_bins = 5\n"), "BadConfigError"),
+    "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),
+    "classes-duplicate-key": (_classes_case("[classes]\n1 = car,thing\n1 = bus,thing\n"), "BadConfigError"),
+    "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),
+    "calibration-camera-not-object": (_calibration_case(lambda c: {"cameras": [1]}), "BadConfigError"),
+    "calibration-null-width": (_calibration_case(_null_width), "BadConfigError"),
+    "mask-camera-outside-rig": (_mask_case(5, (72, 96)), "ShapeMismatchError"),
+    "mask-size-not-camera-size": (_mask_case(0, (7, 9)), "ShapeMismatchError"),
+    "replay-manifest-not-json": (_replay_case, "BadConfigError"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_1_with_error_name(fused_scene, tmp_path, capsys, name):
+    case, error = MALFORMED[name]
+    argv = case(*fused_scene, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ")
+    assert "Traceback" not in err

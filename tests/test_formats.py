@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylpano import formats
 from cylpano.config import PipelineConfig, load_config, save_config
@@ -319,3 +323,132 @@ class TestConfig:
         (tmp_path / "short.spew").write_bytes(path.read_bytes()[:40])
         with pytest.raises(TruncatedFileError):
             read_spe_params(tmp_path / "short.spew")
+
+
+def random_bits(rng, shape, dtype):
+    """Arrays of arbitrary bit patterns, NaNs and infinities included for floats."""
+    dtype = np.dtype(dtype)
+    return rng.integers(0, 256, int(np.prod(shape)) * dtype.itemsize, dtype=np.uint8).view(dtype).reshape(shape)
+
+
+class TestCodecProperties:
+    """Round-trips of every binary codec on random shapes, empty ones included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), labeled=st.booleans())
+    def test_point_cloud(self, tmp_path_factory, n, seed, labeled):
+        rng = np.random.default_rng(seed)
+        sem, inst = (random_bits(rng, n, "<u2"), random_bits(rng, n, "<u2")) if labeled else (None, None)
+        cloud = PointCloud(rng.normal(0, 1e3, (n, 3)), random_bits(rng, n, "<f4"), sem, inst)
+        path = tmp_path_factory.mktemp("plcd") / "c.plcd"
+        formats.write_point_cloud(path, cloud)
+        got = formats.read_point_cloud(path)
+        assert got.xyz.tobytes() == cloud.xyz.tobytes()
+        assert got.intensity.tobytes() == cloud.intensity.tobytes()
+        zeros = np.zeros(n, np.uint16)
+        assert np.array_equal(got.semantic, cloud.semantic if labeled else zeros)
+        assert np.array_equal(got.instance, cloud.instance if labeled else zeros)
+        assert got.xyz.flags.writeable and got.xyz.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(0, 20), w=st.integers(0, 20), cam=st.integers(0, 2**32 - 1),
+           density=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_mask(self, tmp_path_factory, h, w, cam, density, seed):
+        mask = Mask2D(cam, np.random.default_rng(seed).random((h, w)) < density)
+        path = tmp_path_factory.mktemp("msk2") / "m.msk2"
+        formats.write_mask(path, mask)
+        got = formats.read_mask(path)
+        assert got.camera_id == cam and got.bitmap.shape == (h, w)
+        assert np.array_equal(got.bitmap, mask.bitmap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_provenance(self, tmp_path_factory, n, seed):
+        rng = np.random.default_rng(seed)
+        idx3 = rng.integers(0, 2**16, (n, 3))
+        tags = random_bits(rng, n, "u1")
+        path = tmp_path_factory.mktemp("pvox") / "p.pvox"
+        formats.write_provenance(path, idx3, tags)
+        got_idx, got_tags = formats.read_provenance(path)
+        assert got_idx.dtype == np.int64 and np.array_equal(got_idx, idx3.reshape(n, 3))
+        assert np.array_equal(got_tags, tags)
+
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_spe_weights(self, tmp_path_factory, dim, seed):
+        from cylpano.tokens import SpeParams
+
+        params = SpeParams.create(CylGridSpec(), dim, seed)
+        path = tmp_path_factory.mktemp("spew") / "w.spew"
+        formats.write_spe_params(path, params)
+        got = formats.read_spe_params(path)
+        assert got.dim == dim
+        for name in ("coord_scales", "psi_w", "phi_w1", "phi_b1", "phi_w2", "phi_b2"):
+            assert np.array_equal(getattr(got, name), getattr(params, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+           dim=st.integers(1, 8), share=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_tokens(self, tmp_path_factory, shape, dim, share, seed):
+        rng = np.random.default_rng(seed)
+        spec = CylGridSpec(*shape, (0.0, 10.0), (-1.0, 1.0))
+        flat = np.flatnonzero(rng.random(spec.num_cells) < share)
+        content = random_bits(rng, (len(flat), 2 * dim), "<f4")
+        path = tmp_path_factory.mktemp("toks") / "t.toks"
+        formats.write_tokens(path, TokenSet(spec, flat, content))
+        idx3, got = formats.read_tokens(path, spec)
+        assert np.array_equal(spec.flatten(idx3), flat)
+        assert got.shape == (len(flat), 2 * dim) and got.tobytes() == content.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 8), n_prior=st.integers(0, 6), n_lt=st.integers(0, 6), n_sem=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_queries(self, tmp_path_factory, dim, n_prior, n_lt, n_sem, seed):
+        rng = np.random.default_rng(seed)
+        hints = [
+            LocationHint(rng.normal(0, 50, 3).astype(np.float32), float(np.float32(rng.random())),
+                         ("geometric", "texture")[int(rng.integers(2))])
+            for _ in range(n_prior)
+        ]
+        qs = QuerySet(dim, random_bits(rng, (n_prior, 2 * dim), "<f4"), random_bits(rng, (n_prior, dim), "<f4"),
+                      hints, random_bits(rng, (n_lt, dim), "<f4"), random_bits(rng, (n_sem, dim), "<f4"))
+        path = tmp_path_factory.mktemp("qry2") / "q.qrys"
+        formats.write_queries(path, qs)
+        got = formats.read_queries(path)
+        for name in ("prior_content", "prior_spe", "no_prior", "semantic"):
+            assert getattr(got, name).tobytes() == getattr(qs, name).tobytes()
+            assert getattr(got, name).shape == getattr(qs, name).shape
+        assert [(h.position.tolist(), h.confidence, h.origin) for h in got.hints] == [
+            (h.position.tolist(), h.confidence, h.origin) for h in hints
+        ]
+
+    def test_point_cloud_byte_layout(self, tmp_path):
+        xyz = np.array([[1.5, -2.0, 3.25], [0.0, 7.0, -0.5]], np.float32)
+        cloud = PointCloud(xyz, [0.25, 1.0], [3, 65535], [0, 7])
+        formats.write_point_cloud(tmp_path / "c.plcd", cloud)
+        expect = b"PLCD" + struct.pack("<I", 2) + b"".join(
+            struct.pack("<ffffHH", *xyz[k], i, s, n) for k, (i, s, n) in enumerate([(0.25, 3, 0), (1.0, 65535, 7)])
+        )
+        assert (tmp_path / "c.plcd").read_bytes() == expect
+
+    def test_provenance_byte_layout(self, tmp_path):
+        formats.write_provenance(tmp_path / "p.pvox", [[1, 2, 3], [65535, 0, 40]], [1, 0])
+        expect = b"PVOX" + struct.pack("<I", 2) + struct.pack("<HHHB", 1, 2, 3, 1)
+        expect += struct.pack("<HHHB", 65535, 0, 40, 0)
+        assert (tmp_path / "p.pvox").read_bytes() == expect
+
+    @pytest.mark.parametrize("r", [65535, 65536])
+    def test_voxel_indices_past_u16_rejected(self, tmp_path, r):
+        spec = CylGridSpec(70000, 4, 2, (0.0, 70.0), (-1.0, 1.0))
+        idx3 = np.array([[r, 3, 1]])
+        tokens = TokenSet(spec, spec.flatten(idx3), np.ones((1, 4)))
+        if r > 65535:  # would wrap to r - 65536
+            with pytest.raises(ShapeMismatchError):
+                formats.write_tokens(tmp_path / "t.toks", tokens)
+            with pytest.raises(ShapeMismatchError):
+                formats.write_provenance(tmp_path / "p.pvox", idx3, [1])
+            return
+        formats.write_tokens(tmp_path / "t.toks", tokens)
+        assert np.array_equal(formats.read_tokens(tmp_path / "t.toks", spec)[0], idx3)
+        formats.write_provenance(tmp_path / "p.pvox", idx3, [1])
+        assert np.array_equal(formats.read_provenance(tmp_path / "p.pvox")[0], idx3)

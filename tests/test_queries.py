@@ -26,7 +26,7 @@ from cylpano.tokens import (
     SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_row, nearest_occupied_rows,
 )
 
-from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan
+from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan, reference_heatmap
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 
@@ -142,6 +142,28 @@ class TestHeatmap:
         assert heat[idx[0, 0], idx[0, 1]] == 1.0
         # symmetric columns around the center share one wrapped distance
         assert heat[idx[0, 0], 1] == pytest.approx(heat[idx[0, 0], 4])
+
+    @pytest.mark.parametrize("theta_bins", [3, 5, 36])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0, 7.0])
+    def test_equals_per_cell_oracle(self, sigma, theta_bins):
+        spec = CylGridSpec(10, theta_bins, 2, (0.0, 20.0), (-2.0, 2.0))
+        rng = np.random.default_rng(theta_bins)
+        # instance centres near both radial ends, at theta near 0 and 2*pi, anywhere,
+        # and one beyond r_max whose splat must not appear
+        rho = np.array([0.5, 19.5, 7.0, 12.0, 3.3, 25.0])
+        theta = np.array([0.01, 6.27, 6.27, 0.01, rng.uniform(0, 2 * np.pi), 1.0])
+        centers = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), np.zeros(6)])
+        xyz = np.repeat(centers, 3, axis=0) + rng.uniform(-0.01, 0.01, (18, 3))
+        cloud = labeled_cloud(xyz, np.repeat(np.arange(1, 7), 3))
+        in_range = []
+        for k in range(1, 7):
+            center = cloud.xyz[cloud.instance == k].astype(np.float64).mean(axis=0)
+            idx, inside = spec.bin_points(cart_to_polar(center[None]))
+            if inside[0]:
+                in_range.append((int(idx[0, 0]), int(idx[0, 1])))
+        assert len(in_range) == 5
+        heat = build_bev_heatmap(voxelize(cloud, spec), "gt_gaussian", sigma)
+        assert np.array_equal(heat, reference_heatmap(in_range, (spec.r_bins, theta_bins), sigma))
 
     def test_values_bounded(self):
         rng = np.random.default_rng(1)
