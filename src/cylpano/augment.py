@@ -216,11 +216,7 @@ def sync_image_swap(
         if org_im.shape != new_im.shape:
             raise SpecMismatchError("paired images must share a shape")
         out = org_im.copy()
-        table = new_pairings.get(cam_id)
-        if table is None or len(table.flat_ids) == 0:
-            out_imgs.append(out)
-            swapped[cam_id] = np.zeros((0, 4), dtype=np.int32)
-            continue
+        table = new_pairings.get(cam_id, PairingTable(np.zeros(0, np.int64), np.zeros((0, 4), np.int32)))
         sel = flat_mask[table.flat_ids]
         rects = table.rects[sel]  # flat_ids sorted == lexicographic voxel order
         paint = rect_union(org_im.shape[:2], rects)

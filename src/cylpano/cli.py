@@ -85,7 +85,6 @@ def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     scene_cfg = cfg.synth
     scene_cfg.rng_seed = args.seed
-    scene_cfg.image_size = cfg.image_size
     t0 = time.perf_counter()
     synth = generate_scene(scene_cfg)
     out = Path(args.out)
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("render-overlay", help="paint projected labels onto the images")
-    common(sp)
+    sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--sample", required=True)
     sp.set_defaults(func=cmd_render_overlay)
 

@@ -70,35 +70,41 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def save_config(path, cfg: PipelineConfig):
-    cp = configparser.ConfigParser()
-    cp["pipeline"] = {"version": str(cfg.version)}
-    cp["grid"] = {
-        "r_bins": str(cfg.grid.r_bins),
-        "theta_bins": str(cfg.grid.theta_bins),
-        "z_bins": str(cfg.grid.z_bins),
-        "r_min": _fmt(cfg.grid.r_range[0]),
-        "r_max": _fmt(cfg.grid.r_range[1]),
-        "z_min": _fmt(cfg.grid.z_range[0]),
-        "z_max": _fmt(cfg.grid.z_range[1]),
+def _layout(cfg: PipelineConfig) -> dict[str, dict]:
+    """Section -> key -> value of the INI file that holds `cfg`."""
+    g = cfg.grid
+    layout = {
+        "pipeline": {"version": cfg.version},
+        "grid": {"r_bins": g.r_bins, "theta_bins": g.theta_bins, "z_bins": g.z_bins, "r_min": g.r_range[0],
+                 "r_max": g.r_range[1], "z_min": g.z_range[0], "z_max": g.z_range[1]},
+        "image": {"width": cfg.image_size[0], "height": cfg.image_size[1]},
     }
-    cp["image"] = {"width": str(cfg.image_size[0]), "height": str(cfg.image_size[1])}
-    for section, obj in (("augment", cfg.augment), ("tokens", cfg.tokens), ("queries", cfg.queries), ("synth", cfg.synth)):
-        cp[section] = {f.name: _fmt(getattr(obj, f.name)) for f in fields(obj)}
+    for section in ("augment", "tokens", "queries", "synth"):
+        obj = getattr(cfg, section)
+        # [image] sets the synthetic cameras' size
+        layout[section] = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "image_size"}
+    return layout
+
+
+def save_config(path, cfg: PipelineConfig):
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, values in _layout(cfg).items():
+        cp[section] = {key: _fmt(value) for key, value in values.items()}
     with open(path, "w") as f:
         cp.write(f)
 
 
-def _parse(section, name, kind, default):
-    raw = section.get(name)
+def _parse(cp, section, name, default):
+    raw = cp.get(section, name, fallback=None)
     if raw is None:
         return default
+    kind = type(default)
     try:
         if kind is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         if kind in (int, float, str):
             return kind(raw)
-        if isinstance(default, tuple):
+        if kind is tuple:
             elem = type(default[0]) if default else float
             return tuple(elem(v) for v in raw.split(",") if v != "")
     except (TypeError, ValueError) as exc:
@@ -106,53 +112,39 @@ def _parse(section, name, kind, default):
     raise BadConfigError(f"cannot parse option {name}")
 
 
-def _load_section(cp, name, cls, **overrides):
-    section = cp[name] if name in cp else {}
-    kwargs = {}
-    for f in fields(cls):
-        default = overrides.get(f.name, getattr(cls(), f.name))
-        kind = type(default)
-        kwargs[f.name] = _parse(section, f.name, kind if kind is not tuple else tuple, default)
+def _build(section, cls, *args, **kwargs):
     try:
-        return cls(**kwargs)
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise BadConfigError(f"[{name}] {exc}") from exc
+        raise BadConfigError(f"[{section}] {exc}") from exc
 
 
 def load_config(path) -> PipelineConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         if not cp.read(path):
             raise BadConfigError(f"cannot read config {path}")
     except configparser.Error as exc:  # no section header, a duplicate key, ...
         raise BadConfigError(f"malformed config {path}: {exc}") from exc
-    pipe = cp["pipeline"] if "pipeline" in cp else {}
-    version = _parse(pipe, "version", int, CONFIG_VERSION)
+    version = _parse(cp, "pipeline", "version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise BadConfigError(f"unsupported config version {version}")
 
-    g = cp["grid"] if "grid" in cp else {}
-    try:
-        grid = CylGridSpec(
-            _parse(g, "r_bins", int, 480),
-            _parse(g, "theta_bins", int, 360),
-            _parse(g, "z_bins", int, 32),
-            (_parse(g, "r_min", float, 0.0), _parse(g, "r_max", float, 50.0)),
-            (_parse(g, "z_min", float, -5.0), _parse(g, "z_max", float, 3.0)),
-        )
-    except ValueError as exc:
-        raise BadConfigError(f"[grid] {exc}") from exc
-    im = cp["image"] if "image" in cp else {}
-    image_size = (_parse(im, "width", int, 640), _parse(im, "height", int, 360))
-
+    parsed = {
+        section: {key: _parse(cp, section, key, default) for key, default in values.items()}
+        for section, values in _layout(PipelineConfig()).items()
+    }
+    g = parsed["grid"]
+    image_size = (parsed["image"]["width"], parsed["image"]["height"])
     cfg = PipelineConfig(
         version=version,
-        grid=grid,
+        grid=_build("grid", CylGridSpec, g["r_bins"], g["theta_bins"], g["z_bins"],
+                    (g["r_min"], g["r_max"]), (g["z_min"], g["z_max"])),
         image_size=image_size,
-        augment=_load_section(cp, "augment", AugConfig),
-        tokens=_load_section(cp, "tokens", TokenConfig),
-        queries=_load_section(cp, "queries", QueryConfig),
-        synth=_load_section(cp, "synth", SceneConfig, image_size=image_size),
+        augment=_build("augment", AugConfig, **parsed["augment"]),
+        tokens=_build("tokens", TokenConfig, **parsed["tokens"]),
+        queries=_build("queries", QueryConfig, **parsed["queries"]),
+        synth=_build("synth", SceneConfig, **parsed["synth"], image_size=image_size),
     )
     if cfg.tokens.weights_path:
         # relative to the config file, so a stage may run from any directory

@@ -95,7 +95,10 @@ def read_point_cloud(path) -> PointCloud:
     n = r.u32()
     rec = r.array(PLCD_DTYPE, n)
     r.done()
-    return PointCloud(rec["xyz"].copy(), rec["intensity"].copy(), rec["semantic"].copy(), rec["instance"].copy())
+    try:
+        return PointCloud(rec["xyz"].copy(), rec["intensity"].copy(), rec["semantic"].copy(), rec["instance"].copy())
+    except ValueError as exc:  # a non-finite coordinate
+        raise ShapeMismatchError(f"{path}: {exc}") from exc
 
 
 def write_feature_maps(path, maps: np.ndarray):
@@ -131,7 +134,7 @@ def read_tokens(path, spec) -> tuple[np.ndarray, np.ndarray]:
     rec = r.array(np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)]), n)
     r.done()
     idx3 = rec["idx"].astype(np.int64).reshape(n, 3)
-    if n and (idx3 >= np.array(spec.shape)).any():
+    if (idx3 >= np.array(spec.shape)).any():
         raise ShapeMismatchError("token voxel index outside the grid spec")
     return idx3, rec["content"].reshape(n, 2 * dim).copy()
 

@@ -249,10 +249,7 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
     first = np.flatnonzero(np.diff(flat_sorted, prepend=-1))  # each voxel's first entry
     voxel_ids = flat_sorted[first]
     starts = np.append(first, n).astype(np.int64)
-    if len(voxel_ids):
-        source = np.maximum.reduceat(cloud.source[order], starts[:-1]).astype(np.uint8)
-    else:
-        source = np.zeros(0, dtype=np.uint8)
+    source = np.maximum.reduceat(cloud.source[order], starts[:-1]).astype(np.uint8)
     dropped = np.flatnonzero(~inside)
     return CylGrid(spec, cloud, voxel_ids, starts, order, dropped, source)
 
@@ -333,11 +330,6 @@ def pair_voxel_image(grid: CylGrid, cams: list[CameraModel]) -> CylGrid:
     rows = grid.point_rows
     for cam_id, cam in enumerate(cams):
         uv, _, valid = valid_projections(pts, cam)
-        if not valid.any():
-            grid.pairings[cam_id] = PairingTable(
-                np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int32)
-            )
-            continue
         cells = np.floor(uv[valid]).astype(np.int32)
         vrows = rows[valid]  # nondecreasing: order is grouped by voxel
         uniq, seg_starts = np.unique(vrows, return_index=True)

@@ -12,7 +12,7 @@ stuff class's PQ for its semantic IoU.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class ClassTable:
         return cls(dict(SYNTH_CLASSES))
 
     def save(self, path):
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         cp["classes"] = {
             str(cid): f"{name},{kind}" for cid, (name, kind) in sorted(self.entries.items())
         }
@@ -123,7 +123,7 @@ class ClassTable:
 
     @classmethod
     def load(cls, path) -> "ClassTable":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         try:
             if not cp.read(path):
                 raise BadConfigError(f"cannot read class table {path}")
@@ -201,11 +201,10 @@ def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int = 0) -> M
     p_key = _segment_key(p_sem, p_inst)
     g_ids, g_sizes = np.unique(g_key, return_counts=True)
     p_ids, p_sizes = np.unique(p_key[p_ok], return_counts=True)
-    if min_points > 0:
-        keep = g_sizes >= min_points
-        g_ids, g_sizes = g_ids[keep], g_sizes[keep]
-        keep = p_sizes >= min_points
-        p_ids, p_sizes = p_ids[keep], p_sizes[keep]
+    keep = g_sizes >= min_points
+    g_ids, g_sizes = g_ids[keep], g_sizes[keep]
+    keep = p_sizes >= min_points
+    p_ids, p_sizes = p_ids[keep], p_sizes[keep]
     g_size = dict(zip(g_ids.tolist(), g_sizes.tolist()))
     p_size = dict(zip(p_ids.tolist(), p_sizes.tolist()))
 
@@ -214,8 +213,7 @@ def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int = 0) -> M
 
     tp: dict[int, list[tuple[int, int, float]]] = {}
     matched_g, matched_p = set(), set()
-    order = np.argsort(pair_ids >> np.uint64(32), kind="stable")  # iterate by gt key
-    for pid, inter in zip(pair_ids[order], inters[order]):
+    for pid, inter in zip(pair_ids, inters):  # np.unique sorts them, so by gt key (the high word)
         gk = int(pid >> np.uint64(32))
         pk = int(pid & np.uint64(0xFFFFFFFF))
         if gk not in g_size or pk not in p_size:
@@ -241,6 +239,9 @@ def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int = 0) -> M
             fn.setdefault(gk >> 16, []).append(gk)
     classes = sorted(set(tp) | set(fp) | set(fn))
     return MatchResult(tp, fp, fn, classes)
+
+
+_CLASS_KEYS = ("pq", "sq", "rq", "iou", "tp", "fp", "fn")  # per-class report keys, in JSON order
 
 
 @dataclass
@@ -277,30 +278,11 @@ class PanopticReport:
     def to_dict(self) -> dict:
         return {
             "classes": {
-                self.table.name(c): {
-                    "pq": s.pq,
-                    "sq": s.sq,
-                    "rq": s.rq,
-                    "iou": s.iou,
-                    "tp": s.tp,
-                    "fp": s.fp,
-                    "fn": s.fn,
-                }
+                self.table.name(c): {key: getattr(s, key) for key in _CLASS_KEYS}
                 for c, s in sorted(self.per_class.items())
             },
-            "aggregates": {
-                "pq": self.pq,
-                "pq_dagger": self.pq_dagger,
-                "rq": self.rq,
-                "sq": self.sq,
-                "pq_things": self.pq_things,
-                "rq_things": self.rq_things,
-                "sq_things": self.sq_things,
-                "pq_stuff": self.pq_stuff,
-                "rq_stuff": self.rq_stuff,
-                "sq_stuff": self.sq_stuff,
-                "miou": self.miou,
-            },
+            # every field after `participating` is an aggregate
+            "aggregates": {f.name: getattr(self, f.name) for f in fields(self)[3:]},
             "participating": [self.table.name(c) for c in self.participating],
         }
 
@@ -336,19 +318,13 @@ def panoptic_quality(
         st.pq = st.sq * st.rq
         per_class[cls] = st
 
-    participating = [c for c, s in sorted(per_class.items()) if s.tp + s.fp + s.fn > 0]
+    participating = sorted(per_class)  # each has a TP, FP or FN
+    report = PanopticReport(per_class, table, participating)
     things = [c for c in participating if table.kind(c) == THING]
     stuff = [c for c in participating if table.kind(c) == STUFF]
-    report = PanopticReport(per_class, table, participating)
-    report.pq = _mean([per_class[c].pq for c in participating])
-    report.sq = _mean([per_class[c].sq for c in participating])
-    report.rq = _mean([per_class[c].rq for c in participating])
-    report.pq_things = _mean([per_class[c].pq for c in things])
-    report.sq_things = _mean([per_class[c].sq for c in things])
-    report.rq_things = _mean([per_class[c].rq for c in things])
-    report.pq_stuff = _mean([per_class[c].pq for c in stuff])
-    report.sq_stuff = _mean([per_class[c].sq for c in stuff])
-    report.rq_stuff = _mean([per_class[c].rq for c in stuff])
+    for suffix, members in (("", participating), ("_things", things), ("_stuff", stuff)):
+        for name in ("pq", "sq", "rq"):
+            setattr(report, name + suffix, _mean([getattr(per_class[c], name) for c in members]))
     report.pq_dagger = _mean(
         [per_class[c].pq if table.kind(c) == THING else per_class[c].iou for c in participating]
     )

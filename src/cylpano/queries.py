@@ -120,7 +120,7 @@ def nms_peaks(
     theta_bins = heat.shape[1]
     flat = heat.reshape(-1)
     cand = np.flatnonzero(flat >= conf_thresh)
-    if len(cand) == 0 or max_peaks <= 0:
+    if max_peaks <= 0:
         return []
     order = cand[np.lexsort((cand, -flat[cand]))]
     kept_r = np.empty(max_peaks, dtype=np.int64)
@@ -296,9 +296,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         shared[far.reshape(-1)] = True
         sel = np.flatnonzero(core & shared[cell])
         links = comp[cell[sel[cKDTree(pts[sel]).query_pairs(eps, output_type="ndarray")]]]
-        links = links[links[:, 0] != links[:, 1]]
-        if len(links):
-            comp = _components(links, m)[comp]
+        comp = _components(links, m)[comp]
 
     # number the clusters by their lowest core point
     core_comp = comp[cell[core]]
@@ -366,11 +364,9 @@ def texture_hints(
         if mask.camera_id not in pixels:
             pixels[mask.camera_id] = camera_pixels(cloud, cam)
         idx = frustum_points(mask, cam, pixels[mask.camera_id])
-        if len(idx) == 0:
-            continue
         pts = cloud.xyz[idx].astype(np.float64)
         labels = dbscan(pts, eps, min_pts)
-        for lab in range(labels.max() + 1):
+        for lab in range(labels.max(initial=-1) + 1):
             members = pts[labels == lab]
             hints.append(
                 LocationHint(members.mean(axis=0), len(members) / len(pts), "texture")

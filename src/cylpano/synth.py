@@ -194,9 +194,6 @@ def rasterize(
     """
     uv, depth, valid = valid_projections(xyz, cam)
     idx = np.flatnonzero(valid)
-    if len(idx) == 0:
-        e = np.zeros(0, dtype=np.int64)
-        return e, e, np.zeros(0)
     px = np.floor(uv[idx]).astype(np.int64)
     cand_pix, cand_depth, cand_pid = [], [], []
     r = splat_radius

@@ -313,10 +313,10 @@ class VoxelFeatures:
         """Deterministic stand-in for a learned encoder: per-voxel stats, seed-projected."""
         counts = grid.counts.astype(np.float64)
         xyz = grid.cloud.xyz.astype(np.float64)[grid.order]
-        sums = np.add.reduceat(xyz, grid.starts[:-1], axis=0) if grid.num_voxels else np.zeros((0, 3))
+        sums = np.add.reduceat(xyz, grid.starts[:-1], axis=0)
         means = sums / np.maximum(counts[:, None], 1.0)
         inten = grid.cloud.intensity.astype(np.float64)[grid.order]
-        isum = np.add.reduceat(inten, grid.starts[:-1]) if grid.num_voxels else np.zeros(0)
+        isum = np.add.reduceat(inten, grid.starts[:-1])
         raw = np.column_stack([np.log1p(counts), means, isum / np.maximum(counts, 1.0)])
         proj = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(raw.shape[1]), (dim, raw.shape[1]))
         return cls(grid.voxel_ids.copy(), raw @ proj.T)

@@ -198,6 +198,32 @@ class TestApplyMix:
             got, want = getattr(mixed, name), getattr(rebinned, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.tuples(*[st.sampled_from(["random", "out_of_range", "empty"])] * 2),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_complementary_masks_partition_the_points(self, kinds, seed, share):
+        def records(cloud):
+            rec = np.empty(len(cloud), dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("intensity", "<f4"),
+                                              ("semantic", "<u2"), ("source", "u1")])
+            rec["x"], rec["y"], rec["z"] = cloud.xyz.T
+            rec["intensity"], rec["semantic"], rec["source"] = cloud.intensity, cloud.semantic, cloud.source
+            return rec
+
+        rng = np.random.default_rng(seed)
+        grids = []
+        for tag, kind in enumerate(kinds):
+            cloud = random_sample(rng, 0 if kind == "empty" else int(rng.integers(1, 200)), scan_tag=tag)
+            if kind == "out_of_range":
+                cloud.xyz[:, 2] += 10.0  # every point above z_max
+            grids.append(voxelize(cloud, SPEC))
+        mask = rng.random(SPEC.shape) < share
+        got = np.concatenate([records(apply_mix(*grids, m).cloud) for m in (mask, ~mask)])
+        want = np.concatenate([records(g.cloud.select(g.order)) for g in grids])
+        assert np.array_equal(np.sort(got), np.sort(want))
+
     def test_spec_mismatch(self):
         rng = np.random.default_rng(6)
         org = voxelize(random_sample(rng), SPEC)
@@ -237,6 +263,18 @@ class TestSyncImageSwap:
         for a, b in zip(out, org.images):
             assert np.array_equal(a, b)
         assert all(len(r) == 0 for r in rects.values())
+
+    def test_missing_or_empty_table_swaps_nothing(self):
+        org, new, new_grid = self._setup()
+        ones = np.ones(SPEC.shape, dtype=bool)
+        full_out, full_rects = sync_image_swap(org.images, new.images, ones, new_grid.pairings)
+        assert not np.array_equal(full_out[0], org.images[0])
+        empty = PairingTable(np.zeros(0, np.int64), np.zeros((0, 4), np.int32))
+        for pairings in ({1: new_grid.pairings[1]}, {0: empty, 1: new_grid.pairings[1]}):
+            out, rects = sync_image_swap(org.images, new.images, ones, pairings)
+            assert np.array_equal(out[0], org.images[0])
+            assert rects[0].dtype == np.int32 and rects[0].shape == (0, 4)
+            assert np.array_equal(out[1], full_out[1]) and np.array_equal(rects[1], full_rects[1])
 
     def test_full_image_pairing_with_ones_mask(self):
         org, new, _ = self._setup()

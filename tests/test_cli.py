@@ -442,6 +442,13 @@ def _mask_case(camera_id, shape):
     return case
 
 
+def _non_finite_cloud_case(base, cfg, tmp):
+    data = bytearray((base / "org" / "cloud.plcd").read_bytes())
+    data[8:12] = np.float32(np.nan).tobytes()  # the first x, after the magic and the count
+    (tmp / "nan.plcd").write_bytes(bytes(data))
+    return ["voxelize", "--config", cfg, "--cloud", str(tmp / "nan.plcd"), "--out", str(tmp / "o")]
+
+
 def _replay_case(base, cfg, tmp):
     (tmp / "manifest.json").write_text("{not json")
     return ["replay", "--manifest", str(tmp / "manifest.json"), "--out", str(tmp / "o")]
@@ -455,6 +462,7 @@ def _null_width(calib):
 MALFORMED = {
     "config-no-section-header": (_config_case("r_bins = 4\n"), "BadConfigError"),
     "config-duplicate-key": (_config_case("[grid]\nr_bins = 4\nr_bins = 5\n"), "BadConfigError"),
+    "config-percent-in-missing-weights-path": (_config_case("[tokens]\nweights_path = a%b\n"), "BadConfigError"),
     "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),
     "classes-duplicate-key": (_classes_case("[classes]\n1 = car,thing\n1 = bus,thing\n"), "BadConfigError"),
     "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),
@@ -462,6 +470,7 @@ MALFORMED = {
     "calibration-null-width": (_calibration_case(_null_width), "BadConfigError"),
     "mask-camera-outside-rig": (_mask_case(5, (72, 96)), "ShapeMismatchError"),
     "mask-size-not-camera-size": (_mask_case(0, (7, 9)), "ShapeMismatchError"),
+    "cloud-non-finite-coordinate": (_non_finite_cloud_case, "ShapeMismatchError"),
     "replay-manifest-not-json": (_replay_case, "BadConfigError"),
 }
 

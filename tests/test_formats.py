@@ -262,6 +262,48 @@ class TestConfig:
         save_config(tmp_path / "p.cfg", cfg)
         assert load_config(tmp_path / "p.cfg") == cfg
 
+    def test_every_field_round_trips(self, tmp_path):
+        from dataclasses import fields
+
+        from cylpano.augment import AugConfig
+        from cylpano.config import QueryConfig, TokenConfig
+        from cylpano.synth import SceneConfig
+
+        weights = tmp_path / "w%1.spew"  # values are literal, % included
+        weights.write_bytes(b"")
+        cfg = PipelineConfig(
+            grid=CylGridSpec(40, 30, 8, (1.5, 30.0), (-2.5, 4.0)),
+            image_size=(96, 72),
+            augment=AugConfig(
+                p_instance=0.3, p_height_swap=0.2, p_angle_swap=0.1, split_choices=(2, 6),
+                instance_count_range=(2, 4), strategy_mode="categorical", paste_translation=1.5,
+                paste_rotation=1.0, paste_scale_range=(0.9, 1.1), rotation_range=0.5, flip_prob=0.25,
+                scale_range=(0.95, 1.05), rng_seed=17,
+            ),
+            tokens=TokenConfig(dim=32, seed=3, feat_downsample=4, bilinear=True, weights_path=str(weights)),
+            queries=QueryConfig(
+                l_pr=16, l_lt=8, nms_conf_thresh=0.2, nms_radius=1.5, nms_radius_unit="meters",
+                nms_max_peaks=64, dbscan_eps=0.5, dbscan_min_pts=3, heatmap_mode="density", heatmap_sigma=1.5,
+            ),
+            synth=SceneConfig(
+                rng_seed=5, n_objects=(2, 4), extent=12.0, ground_points=900, points_per_object=(50, 90),
+                box_size=(0.5, 2.0), pillar_radius=(0.1, 0.4), pillar_height=(0.5, 2.5),
+                wall_length=(2.0, 5.0), min_center_dist=2.5, camera_count=3, image_size=(96, 72),
+                focal=70.0, cam_height=1.2, splat_radius=2, scan_id=4,
+            ),
+        )
+        default = PipelineConfig()
+        assert cfg.image_size != default.image_size
+        for section in ("grid", "augment", "tokens", "queries", "synth"):
+            for f in fields(getattr(cfg, section)):
+                assert getattr(getattr(cfg, section), f.name) != getattr(getattr(default, section), f.name), f.name
+        save_config(tmp_path / "p.cfg", cfg)
+        assert load_config(tmp_path / "p.cfg") == cfg
+        # an older file's [synth] image_size is ignored: [image] sets the cameras' size
+        text = (tmp_path / "p.cfg").read_text().replace("[synth]\n", "[synth]\nimage_size = 5,5\n")
+        (tmp_path / "p.cfg").write_text(text)
+        assert load_config(tmp_path / "p.cfg") == cfg
+
     def test_missing_referenced_file_rejected(self, tmp_path):
         cfg = PipelineConfig()
         cfg.tokens.weights_path = "nope.spew"
@@ -283,7 +325,8 @@ class TestConfig:
     def test_class_table_round_trip(self, tmp_path):
         from cylpano.metrics import ClassTable
 
-        for table in (ClassTable.nuscenes(), ClassTable.semantic_kitti(), ClassTable.synthetic()):
+        literal = ClassTable({1: ("gro%und", "stuff"), 2: ("100%(car)s", "thing")})  # % is literal
+        for table in (ClassTable.nuscenes(), ClassTable.semantic_kitti(), ClassTable.synthetic(), literal):
             table.save(tmp_path / "c.cfg")
             assert ClassTable.load(tmp_path / "c.cfg") == table
 

@@ -57,6 +57,7 @@ class TestVoxelize:
         grid = voxelize(cloud, NUSC_SPEC)
         assert grid.num_voxels == 0
         assert len(grid.dropped) == 2
+        assert grid.source.dtype == np.uint8 and len(grid.source) == 0
 
     def test_empty_cloud(self):
         grid = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), NUSC_SPEC)
@@ -318,7 +319,9 @@ class TestPairing:
         cam = ring_camera(0.0, 64, 64, 50.0, 0.0)
         cloud = PointCloud(np.array([[-5.0, 0.0, 0.0]]), np.zeros(1))
         grid = pair_voxel_image(voxelize(cloud, CylGridSpec(4, 4, 2, (0.0, 10.0), (-1.0, 1.0))), [cam])
-        assert len(grid.pairings[0].flat_ids) == 0
+        table = grid.pairings[0]
+        assert table.flat_ids.dtype == np.int64 and table.flat_ids.shape == (0,)
+        assert table.rects.dtype == np.int32 and table.rects.shape == (0, 4)
 
     def test_rect_contains_every_kept_projection(self):
         from cylpano.geometry import valid_projections

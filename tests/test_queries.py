@@ -583,7 +583,8 @@ class TestTextureHints:
         blob_a = rng.normal(0, 0.05, (30, 3)) + [5.0, 0.3, 0.0]
         blob_b = rng.normal(0, 0.05, (30, 3)) + [9.0, -0.3, 0.0]
         cloud = PointCloud(np.vstack([blob_a, blob_b]), np.zeros(60))
-        hints = texture_hints([Mask2D(0, np.ones((32, 32), bool))], cloud, [cam], eps=0.5, min_pts=3)
+        masks = [Mask2D(0, np.zeros((32, 32), bool)), Mask2D(0, np.ones((32, 32), bool))]  # the first sees no point
+        hints = texture_hints(masks, cloud, [cam], eps=0.5, min_pts=3)
         assert len(hints) == 2
         got = sorted(float(h.position[0]) for h in hints)
         assert got[0] == pytest.approx(5.0, abs=0.1)

@@ -6,6 +6,7 @@ from cylpano.synth import (
     SceneConfig,
     backproject,
     generate_scene,
+    rasterize,
     render_overlay,
     ring_camera,
 )
@@ -99,8 +100,13 @@ class TestOverlay:
 
         cam = ring_camera(0.0, 32, 32, 16.0, 0.0)
         base = np.full((32, 32, 3), 7, dtype=np.uint8)
-        out = render_overlay(PointCloud(np.zeros((0, 3)), np.zeros(0)), [base], [cam])
-        assert np.array_equal(out[0], base)
+        for xyz in (np.zeros((0, 3)), [[-5.0, 0.0, 0.0], [-2.0, 1.0, 0.5]]):  # no point, all behind the camera
+            cloud = PointCloud(xyz, np.zeros(len(xyz)))
+            out = render_overlay(cloud, [base], [cam])
+            assert np.array_equal(out[0], base)
+            pix, pid, depth = rasterize(cloud.xyz, cam, 1)
+            assert (pix.dtype, pid.dtype, depth.dtype) == (np.int64, np.int64, np.float64)
+            assert len(pix) == len(pid) == len(depth) == 0
 
     def test_point_on_optical_axis_paints_principal_point(self):
         from cylpano.grid import PointCloud

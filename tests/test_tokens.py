@@ -231,6 +231,8 @@ class TestBuildTokens:
         cam = ring_camera(0.0, 32, 32, 16.0, 0.0)
         grid = voxelize(PointCloud(np.array([[100.0, 0.0, 0.0]]), np.zeros(1)), SPEC)
         params = SpeParams.create(SPEC, dim=4, seed=0)
+        placeholder = VoxelFeatures.stats_placeholder(grid, 4)
+        assert placeholder.feats.dtype == np.float64 and placeholder.feats.shape == (0, 4)
         feats = VoxelFeatures.for_grid(grid, np.zeros((0, 4)))
         tokens = build_tokens(grid, feats, [const_fmap(2.0)], [cam], params)
         assert len(tokens) == 0
