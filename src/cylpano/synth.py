@@ -50,6 +50,10 @@ class SceneConfig:
             raise ValueError("counts must be >= 0")
         if self.camera_count < 1:
             raise ValueError("camera rig must be non-empty")
+        if self.splat_radius < 0:
+            raise ValueError("splat_radius must be >= 0")
+        if not (np.isfinite(self.focal) and self.focal > 0):
+            raise ValueError("focal must be finite and > 0")
 
 
 @dataclass

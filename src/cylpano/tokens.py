@@ -3,16 +3,16 @@
 Image features are attached to a voxel by projecting its physical points into
 each camera and averaging the feature cells they hit; the virtual voxel center
 is never projected, since for large far-range voxels it can miss the image
-entirely while the member points are visible. All cameras' valid projections
-form one sparse sampling matrix (one cell per projection, or four weighted
-cells when sampling bilinearly) over the voxels they reach, applied once to
-the stacked feature maps. Each voxel's position embedding combines a
-sinusoidal encoding of its centroid (in Cartesian and polar coordinates) with
-a small MLP applied to the distances from the centroid to the voxel's eight
-corners, so tokens carry both location and physical scale. A voxel's corner
-distances depend only on its radial bin, so the scale term is computed once
-per radial bin and gathered. The same embedding is added to the LiDAR half
-and the image half of a token.
+entirely while the member points are visible. Each voxel's position embedding
+combines a sinusoidal encoding of its centroid (in Cartesian and polar
+coordinates) with a small MLP over the distances from the centroid to the
+voxel's eight corners, so tokens carry both location and physical scale; the
+terms that depend on one bin index come from per-bin tables. `build_tokens`
+makes one pass over blocks of SPE_BLOCK rows and adds each block of embedding,
+while it is in cache, to the LiDAR half (the statistics placeholder is kept
+factored and multiplied out per block) and to the image half (the block's rows
+of one sparse sampling matrix over all voxels and cameras, times the stacked
+feature maps), so no (M, dim) feature or image-mean array is ever made.
 """
 
 from __future__ import annotations
@@ -60,22 +60,16 @@ class FeatureMap:
         """
         uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
         h, w, _ = self.data.shape
-        fx = w / self.width
-        fy = h / self.height
-        x = uv[:, 0] * fx
-        y = uv[:, 1] * fy
+        x = uv[:, 0] * (w / self.width)
+        y = uv[:, 1] * (h / self.height)
         if not bilinear:
             cols = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
             rows = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
             return (rows * w + cols)[:, None], np.ones((len(uv), 1))
-        x = np.clip(x - 0.5, 0.0, w - 1.0)
-        y = np.clip(y - 0.5, 0.0, h - 1.0)
-        x0 = np.floor(x).astype(np.int64)
-        y0 = np.floor(y).astype(np.int64)
-        x1 = np.minimum(x0 + 1, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        ax = x - x0
-        ay = y - y0
+        x, y = np.clip(x - 0.5, 0.0, w - 1.0), np.clip(y - 0.5, 0.0, h - 1.0)
+        x0, y0 = np.floor(x).astype(np.int64), np.floor(y).astype(np.int64)
+        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+        ax, ay = x - x0, y - y0
         idx = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=1)
         wts = np.stack([(1 - ax) * (1 - ay), ax * (1 - ay), (1 - ax) * ay, ax * ay], axis=1)
         return idx, wts
@@ -213,33 +207,36 @@ def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.nd
     def table(vals, coord):
         return _sinusoids(vals[None], params.coord_scales[coord:coord + 1]).T @ _psi(params, slice(coord, coord + 1))
 
-    r_tab = table(rho[:r_bins], 3)
-    r_tab += scale_encoding(corner_distances(corners[:r_bins]), params)
+    r_tab = table(rho[:r_bins], 3) + scale_encoding(corner_distances(corners[:r_bins]), params)
     return r_tab, table(theta[r_bins:r_bins + t_bins], 4), table(z[r_bins + t_bins:], 2)
 
 
-def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
-    """Scale-aware positional embedding of voxels given by (M, 3) bin indices; (M, dim).
+def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams, out: np.ndarray):
+    """Fill `out` with the embedding of (M, 3) bin indices; yield each SPE_BLOCK-row slice and its filled view.
 
-    Equals `spe` of each voxel's corners up to rounding. Only the x and y
-    sinusoids need the voxel's own centroid; the rho, theta, z and scale
-    terms come from per-bin tables (`_bin_tables`). Rows are embedded in
-    blocks of SPE_BLOCK, each block's three table gathers added while it is
-    still in cache.
+    Only the x and y sinusoids need the voxel's own centroid; the rho, theta,
+    z and scale terms are gathered from per-bin tables (`_bin_tables`).
     """
-    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
     tables = _bin_tables(spec, params)
     w_xy = _psi(params, slice(0, 2))
-    out = np.empty((len(idx3), params.dim))
     gathered = np.empty((min(len(idx3), SPE_BLOCK), params.dim))
     for a in range(0, len(idx3), SPE_BLOCK):
-        rows = slice(a, a + SPE_BLOCK)
+        rows = slice(a, min(a + SPE_BLOCK, len(idx3)))
         block = out[rows]
         np.matmul(_sinusoids(xy[:, rows], params.coord_scales[:2]).T, w_xy, out=block)
         for axis, table in enumerate(tables):
             # mode="raise" would buffer `out`; the indices are known to be in range
             block += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(block)], mode="clip")
+        yield rows, block
+
+
+def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
+    """Scale-aware positional embedding of voxels at (M, 3) bin indices, `spe` up to rounding; (M, dim)."""
+    idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
+    out = np.empty((len(idx3), params.dim))
+    for _ in _spe_blocks(idx3, spec, params, out):
+        pass
     return out
 
 
@@ -296,10 +293,26 @@ def fuse_token(f3d: np.ndarray, f2d: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VoxelFeatures:
-    """Per-voxel feature vectors aligned with a grid's voxel rows."""
+    """Per-voxel features `raw @ proj.T` (`raw` itself if `proj` is None), aligned with a grid's voxel rows."""
 
     flat_ids: np.ndarray
-    feats: np.ndarray  # (M, D)
+    raw: np.ndarray                 # (M, k)
+    proj: np.ndarray | None = None  # (D, k)
+
+    @property
+    def dim(self) -> int:
+        return self.raw.shape[1] if self.proj is None else self.proj.shape[0]
+
+    @property
+    def feats(self) -> np.ndarray:  # (M, D)
+        return self.raw if self.proj is None else self.raw @ self.proj.T
+
+    def rows(self, rows: slice) -> np.ndarray:  # feats[rows], multiplying out at most one other row
+        if self.proj is None:
+            return self.raw[rows]
+        # numpy multiplies a lone row by gemv, which rounds unlike the gemm of all rows
+        lone = int(rows.stop - rows.start == 1 and rows.start > 0)
+        return (self.raw[rows.start - lone:rows.stop] @ self.proj.T)[lone:]
 
     @classmethod
     def for_grid(cls, grid: CylGrid, feats: np.ndarray) -> "VoxelFeatures":
@@ -319,7 +332,7 @@ class VoxelFeatures:
         isum = np.add.reduceat(inten, grid.starts[:-1])
         raw = np.column_stack([np.log1p(counts), means, isum / np.maximum(counts, 1.0)])
         proj = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(raw.shape[1]), (dim, raw.shape[1]))
-        return cls(grid.voxel_ids.copy(), raw @ proj.T)
+        return cls(grid.voxel_ids.copy(), raw, proj)
 
 
 @dataclass
@@ -368,38 +381,31 @@ def build_tokens(
     if not np.array_equal(voxel_feats.flat_ids, grid.voxel_ids):
         raise DimensionMismatchError("voxel features must cover all non-empty voxels")
     dim = params.dim
-    if voxel_feats.feats.shape[1] != dim:
+    if voxel_feats.dim != dim:
         raise DimensionMismatchError("voxel feature dim must match embedding dim")
     if any(fmap.dim != dim for fmap in fmaps):
         raise DimensionMismatchError("feature map dim must match embedding dim")
 
-    s = spe_batch(grid.indices3, grid.spec, params)
+    s = np.empty((grid.num_voxels, dim))
     content = np.empty((grid.num_voxels, 2 * dim))
-    image_valid, means = _image_means(grid, fmaps, cams, dim, bilinear)
-    first_mean = 0  # `means` holds the image-valid rows in order
-    for a in range(0, grid.num_voxels, SPE_BLOCK):
-        rows = slice(a, a + SPE_BLOCK)
-        np.add(s[rows], voxel_feats.feats[rows], out=content[rows, :dim])
-        image = content[rows, dim:]
-        image[...] = s[rows]
-        valid = np.flatnonzero(image_valid[rows])
-        image[valid] += means[first_mean:first_mean + len(valid)]
-        first_mean += len(valid)
-    return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, image_valid)
+    sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
+    for rows, block in _spe_blocks(grid.indices3, grid.spec, params, s):
+        np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
+        means = sampling[rows] @ stacked
+        means /= np.maximum(counts[rows], 1)[:, None]
+        np.add(block, means, out=content[rows, dim:])
+    return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, counts > 0)
 
 
-def _image_means(
+def _image_sampling(
     grid: CylGrid, fmaps: list[FeatureMap], cams: list[CameraModel], dim: int, bilinear: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the voxels some camera sees, and their (n, dim) mean image features.
-
-    Every valid (point, camera) projection adds its sampled cells to one
-    sparse matrix over those rows; the matrix times the stacked feature maps
-    gives per-voxel sums, which are divided by the number of projections.
-    """
+) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Sampling matrix of each voxel row's valid projections, their number, and the float64 feature maps."""
     pts = grid.cloud.xyz[grid.order]
     point_rows = grid.point_rows
     counts = np.zeros(grid.num_voxels, dtype=np.int64)
+    if not fmaps:
+        return sparse.csr_matrix((grid.num_voxels, 0)), counts, np.zeros((0, dim))
     rows, cols, wts = [], [], []
     offset = 0
     for fmap, cam in zip(fmaps, cams):
@@ -411,17 +417,9 @@ def _image_means(
         cols.append((idx + offset).ravel())
         wts.append(w.ravel())
         offset += fmap.data.shape[0] * fmap.data.shape[1]
-    seen = counts > 0
-    if not seen.any():
-        return seen, np.zeros((0, dim))
-    compact = np.cumsum(seen) - 1
-    sampling = sparse.csr_matrix(
-        (np.concatenate(wts), (compact[np.concatenate(rows)], np.concatenate(cols))),
-        shape=(compact[-1] + 1, offset),
-    )
-    sums = sampling @ np.concatenate([fmap.data.reshape(-1, dim) for fmap in fmaps])
-    sums /= counts[seen, None]
-    return seen, sums
+    sampling = sparse.csr_matrix((np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
+                                 shape=(grid.num_voxels, offset))
+    return sampling, counts, np.concatenate([fmap.data.reshape(-1, dim) for fmap in fmaps], dtype=np.float64)
 
 
 def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:

@@ -463,6 +463,9 @@ MALFORMED = {
     "config-no-section-header": (_config_case("r_bins = 4\n"), "BadConfigError"),
     "config-duplicate-key": (_config_case("[grid]\nr_bins = 4\nr_bins = 5\n"), "BadConfigError"),
     "config-percent-in-missing-weights-path": (_config_case("[tokens]\nweights_path = a%b\n"), "BadConfigError"),
+    "config-negative-splat-radius": (_config_case("[synth]\nsplat_radius = -1\n"), "BadConfigError"),
+    "config-negative-focal": (_config_case("[synth]\nfocal = -5\n"), "BadConfigError"),
+    "config-infinite-focal": (_config_case("[synth]\nfocal = inf\n"), "BadConfigError"),
     "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),
     "classes-duplicate-key": (_classes_case("[classes]\n1 = car,thing\n1 = bus,thing\n"), "BadConfigError"),
     "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,46 @@ class TestBuildTokens:
             assert np.abs(tokens.content[:, :dim] - (spe_ref + f3d)).max() < 1e-12
             assert np.abs(tokens.content[:, dim:] - (spe_ref + means)).max() < 1e-12
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, SPE_BLOCK - 1, SPE_BLOCK, SPE_BLOCK + 1, 2 * SPE_BLOCK + 3])
+    def test_factored_placeholder_equals_its_dense_features(self, m, bilinear):
+        spec = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
+        grid = self._blocked_grid(spec, m)
+        dim = 6
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0)]
+        fmaps = [FeatureMap(np.random.default_rng(m).standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
+        params = SpeParams.create(spec, dim=dim, seed=2)
+        placeholder = VoxelFeatures.stats_placeholder(grid, dim, seed=3)
+        assert placeholder.feats.shape == (m, dim)
+        dense = VoxelFeatures.for_grid(grid, placeholder.feats)
+        factored = build_tokens(grid, placeholder, fmaps, cams, params, bilinear=bilinear)
+        assert np.array_equal(factored.content,
+                              build_tokens(grid, dense, fmaps, cams, params, bilinear=bilinear).content)
+
+    def test_peak_memory_stays_below_one_feature_array(self):
+        # one point at the center of every cell: 9 blocks of voxels
+        spec = CylGridSpec(96, 96, 1, (1.0, 49.0), (-0.5, 0.5))
+        r, t, _ = spec.unflatten(np.arange(spec.num_cells)).T
+        rho = (spec.r_edges[r] + spec.r_edges[r + 1]) / 2
+        theta = (spec.theta_edges[t] + spec.theta_edges[t + 1]) / 2
+        xyz = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), np.zeros(len(r))])
+        grid = voxelize(PointCloud(xyz, np.linspace(0.0, 1.0, len(r))), spec)
+        assert grid.num_voxels >= 8 * SPE_BLOCK
+        dim = 128
+        rng = np.random.default_rng(0)
+        cams = [ring_camera(0.0, 64, 48, 32.0, 0.0), ring_camera(np.pi, 64, 48, 32.0, 0.0)]
+        fmaps = [FeatureMap(rng.standard_normal((6, 8, dim)).astype(np.float32), 64, 48) for _ in cams]
+        params = SpeParams.create(spec, dim=dim, seed=0)
+        tracemalloc.start()
+        try:
+            tokens = build_tokens(grid, VoxelFeatures.stats_placeholder(grid, dim), fmaps, cams, params, bilinear=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < tokens.image_valid.sum() < grid.num_voxels
+        # neither the (M, dim) features nor the image means are ever held whole
+        assert peak - tokens.content.nbytes - tokens.spe.nbytes < grid.num_voxels * dim * 8
 
     def test_tokens_ordered_by_voxel_index(self):
         rng = np.random.default_rng(7)
