@@ -15,11 +15,7 @@ from .config import PipelineConfig, QueryConfig, TokenConfig, load_config, save_
 from .geometry import (
     CameraModel,
     InstanceTransform,
-    Rect,
-    bounding_rect,
     cart_to_polar,
-    polar_to_cart,
-    project_point,
     project_points,
     transform_instance,
 )
@@ -28,8 +24,6 @@ from .grid import (
     CylGridSpec,
     PointCloud,
     pair_voxel_image,
-    voxel_centroid,
-    voxel_extreme_points,
     voxelize,
 )
 from .metrics import ClassTable, PanopticReport, SegLabeling, evaluate, match_segments, miou, panoptic_quality
@@ -43,7 +37,6 @@ from .queries import (
     dbscan,
     fps,
     frustum_points,
-    lift_peak_to_3d,
     lift_peaks_to_3d,
     nms_peaks,
 )
@@ -55,8 +48,6 @@ from .tokens import (
     VoxelFeatures,
     aggregate_image_feature,
     build_tokens,
-    fuse_token,
-    spe,
 )
 
 __version__ = "0.1.0"

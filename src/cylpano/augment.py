@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, InsufficientInstancesError, SpecMismatchError
+from .errors import IndexOutOfRangeError, InsufficientInstancesError, ShapeMismatchError, SpecMismatchError
 from .geometry import CameraModel, InstanceTransform, similarity_matrix, transform_camera, transform_instance
 from .grid import CylGrid, CylGridSpec, PairingTable, PointCloud, _checked_indices, pair_voxel_image, voxelize
 
@@ -120,7 +120,7 @@ def _remap_instances(org_inst: np.ndarray | None, new_inst: np.ndarray | None) -
     base = int(org_inst.max()) if org_inst is not None and len(org_inst) else 0
     ids = np.unique(new_inst[new_inst > 0])
     if base + len(ids) > np.iinfo(np.uint16).max:
-        raise ValueError("instance id space exhausted while remapping")
+        raise ShapeMismatchError("instance id space exhausted while remapping: ids do not fit a u16 field")
     fresh = base + 1 + np.searchsorted(ids, new_inst)
     return np.where(new_inst > 0, fresh, 0).astype(np.uint16)
 

@@ -9,6 +9,7 @@ Numeric defaults follow the reference setup: a 480 x 360 x 32 grid over
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -28,6 +29,10 @@ class TokenConfig:
     bilinear: bool = False
     weights_path: str = ""
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+
 
 @dataclass
 class QueryConfig:
@@ -42,13 +47,23 @@ class QueryConfig:
     heatmap_mode: str = "gt_gaussian"
     heatmap_sigma: float = 2.0
 
+    def __post_init__(self):
+        if self.heatmap_mode not in ("gt_gaussian", "density"):
+            raise ValueError("heatmap_mode must be 'gt_gaussian' or 'density'")
+        if self.nms_radius_unit not in ("bins", "meters"):
+            raise ValueError("nms_radius_unit must be 'bins' or 'meters'")
+        if not math.isfinite(self.heatmap_sigma):
+            raise ValueError("heatmap_sigma must be finite")
+        if not (math.isfinite(self.dbscan_eps) and self.dbscan_eps > 0):
+            raise ValueError("dbscan_eps must be finite and > 0")
+        if self.dbscan_min_pts < 1 or self.l_pr < 1 or self.l_lt < 0:
+            raise ValueError("need dbscan_min_pts >= 1, l_pr >= 1 and l_lt >= 0")
+
     def radius_in_bins(self, spec: CylGridSpec) -> float:
-        if self.nms_radius_unit == "bins":
-            return self.nms_radius
         if self.nms_radius_unit == "meters":
             r_width = (spec.r_range[1] - spec.r_range[0]) / spec.r_bins
             return self.nms_radius / r_width
-        raise BadConfigError(f"unknown nms_radius_unit {self.nms_radius_unit!r}")
+        return self.nms_radius
 
 
 @dataclass

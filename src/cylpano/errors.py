@@ -5,14 +5,6 @@ class PipelineError(Exception):
     """Base class for all cylpano errors."""
 
 
-class BehindCameraError(PipelineError):
-    """Point has non-positive depth in the camera frame."""
-
-
-class EmptySetError(PipelineError):
-    """An operation that needs at least one element got none."""
-
-
 class IndexOutOfRangeError(PipelineError):
     """Voxel or bin index outside the grid spec."""
 
@@ -31,10 +23,6 @@ class NoValidProjectionError(PipelineError):
 
 class MissingLabelsError(PipelineError):
     """Operation needs semantic/instance labels that the cloud lacks."""
-
-
-class EmptyColumnError(PipelineError):
-    """No occupied voxel in the requested BEV column."""
 
 
 class LengthMismatchError(PipelineError):

@@ -121,7 +121,7 @@ def read_feature_maps(path) -> np.ndarray:
 def write_tokens(path, tokens: TokenSet):
     rec = np.empty(len(tokens), dtype=np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * tokens.dim)]))
     rec["idx"] = _u16_indices(tokens.indices3)
-    rec["content"] = tokens.content.astype(np.float32)
+    rec["content"] = tokens.content  # cast to <f4 in place, with no float32 copy
     Path(path).write_bytes(b"TOKS" + _u32(len(tokens), tokens.dim) + rec.tobytes())
 
 

@@ -1,4 +1,4 @@
-"""Coordinate conversions, pinhole projection, bounding rectangles, and rigid transforms.
+"""Coordinate conversions, pinhole projection, and rigid transforms.
 
 Conventions:
   * Cartesian points are arrays of shape (..., 3) holding (x, y, z) in meters.
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, EmptySetError
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -27,13 +25,6 @@ def cart_to_polar(xyz: np.ndarray) -> np.ndarray:
     # A remainder of a tiny negative angle can round up to exactly 2*pi.
     theta = np.where(theta >= TWO_PI, 0.0, theta)
     return np.stack([rho, theta, xyz[..., 2]], axis=-1)
-
-
-def polar_to_cart(pol: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`cart_to_polar` (exact up to floating round-off)."""
-    pol = np.asarray(pol, dtype=np.float64)
-    rho, theta = pol[..., 0], pol[..., 1]
-    return np.stack([rho * np.cos(theta), rho * np.sin(theta), pol[..., 2]], axis=-1)
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -92,15 +83,6 @@ def project_points(xyz: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.nd
     return uv, depth
 
 
-def project_point(p, cam: CameraModel) -> tuple[float, float, float]:
-    """Project one point, returning (u, v, depth). Raises BehindCameraError if depth <= 0."""
-    uv, depth = project_points(np.asarray(p, dtype=np.float64).reshape(1, 3), cam)
-    d = float(depth[0])
-    if d <= 0.0:
-        raise BehindCameraError(f"camera-frame depth {d} <= 0")
-    return float(uv[0, 0]), float(uv[0, 1]), d
-
-
 def valid_projections(xyz: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project points and keep those in front of the camera and inside the image.
 
@@ -115,37 +97,6 @@ def valid_projections(xyz: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np
         & (uv[:, 1] < cam.height)
     )
     return uv, depth, valid
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Inclusive integer pixel rectangle."""
-
-    u_min: int
-    v_min: int
-    u_max: int
-    v_max: int
-
-    def __post_init__(self):
-        if self.u_min > self.u_max or self.v_min > self.v_max:
-            raise ValueError("rectangle sides must be ordered")
-
-    def contains(self, u: int, v: int) -> bool:
-        return self.u_min <= u <= self.u_max and self.v_min <= v <= self.v_max
-
-
-def bounding_rect(uv: np.ndarray) -> Rect:
-    """Minimal integer rectangle covering the floor-rounded pixel cells of `uv` (N, 2)."""
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    if uv.shape[0] == 0:
-        raise EmptySetError("bounding_rect of an empty pixel set")
-    cells = np.floor(uv).astype(np.int64)
-    return Rect(
-        int(cells[:, 0].min()),
-        int(cells[:, 1].min()),
-        int(cells[:, 0].max()),
-        int(cells[:, 1].max()),
-    )
 
 
 @dataclass(frozen=True)

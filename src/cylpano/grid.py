@@ -121,9 +121,6 @@ class CylGridSpec:
         t, z = np.divmod(rem, self.z_bins)
         return np.stack([r, t, z], axis=-1)
 
-    def validate_index(self, idx3) -> tuple[int, int, int]:
-        return tuple(_checked_indices(np.asarray(idx3).reshape(3), self)[0].tolist())
-
     def bin_points(self, polar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Assign polar triples to bins: returns ((N, 3) int32 indices, (N,) inside mask).
 
@@ -285,11 +282,6 @@ def extreme_points_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
     return np.array(list(_corners(_checked_indices(idx3, spec), spec))).transpose(2, 0, 1).copy()
 
 
-def voxel_extreme_points(idx3, spec: CylGridSpec) -> np.ndarray:
-    """Eight Cartesian corners (8, 3) of one voxel."""
-    return extreme_points_batch(np.asarray(idx3).reshape(1, 3), spec)[0]
-
-
 def centroids_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
     """Mean of the eight corners for each voxel, shape (M, 3).
 
@@ -302,20 +294,6 @@ def centroids_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
         for axis_total, values in zip(total, corner):
             axis_total += values
     return np.ascontiguousarray(total.T) / 8  # row-major, like the mean it equals
-
-
-def voxel_centroid(idx3, spec: CylGridSpec) -> np.ndarray:
-    """Arithmetic mean of one voxel's eight corners."""
-    return centroids_batch(np.asarray(idx3).reshape(1, 3), spec)[0]
-
-
-def voxel_volume(idx3, spec: CylGridSpec) -> float:
-    """Analytic volume of a voxel; grows linearly with the radial bin."""
-    r, _, _ = spec.validate_index(idx3)
-    r_e = spec.r_edges
-    d_theta = TWO_PI / spec.theta_bins
-    d_z = (spec.z_range[1] - spec.z_range[0]) / spec.z_bins
-    return 0.5 * d_theta * (r_e[r + 1] ** 2 - r_e[r] ** 2) * d_z
 
 
 def pair_voxel_image(grid: CylGrid, cams: list[CameraModel]) -> CylGrid:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyColumnError, IndexOutOfRangeError, MissingLabelsError
+from .errors import IndexOutOfRangeError, MissingLabelsError
 from .grid import CylGrid, PointCloud, centroids_batch
 from .geometry import CameraModel, cart_to_polar, valid_projections
 from .tokens import SpeParams, TokenSet, nearest_occupied_rows, spe_batch
@@ -99,11 +99,6 @@ def _theta_offset(dt, theta_bins: int):
     return np.minimum(dt, theta_bins - dt)
 
 
-def bev_bin_distance(a: tuple[int, int], b: tuple[int, int], theta_bins: int) -> float:
-    """Euclidean distance in bin units with angular wraparound."""
-    return float(np.hypot(a[0] - b[0], _theta_offset(a[1] - b[1], theta_bins)))
-
-
 def nms_peaks(
     heat: np.ndarray,
     conf_thresh: float = 0.1,
@@ -168,14 +163,6 @@ def lift_peaks_to_3d(peaks, grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
         for k in np.flatnonzero(sizes):
             pos[k] = cents[starts[k]:ends[k]].mean(axis=0)
     return pos, sizes > 0
-
-
-def lift_peak_to_3d(peak: tuple[int, int], grid: CylGrid) -> LocationHint:
-    """`lift_peaks_to_3d` for one peak; an empty column raises `EmptyColumnError`."""
-    pos, lifted = lift_peaks_to_3d([peak], grid)
-    if not lifted[0]:
-        raise EmptyColumnError(f"no occupied voxel in column {(int(peak[0]), int(peak[1]))}")
-    return LocationHint(pos[0], 1.0, "geometric")
 
 
 def geometric_hints(

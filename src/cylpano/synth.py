@@ -275,12 +275,3 @@ def render_overlay(
             canvas[rows, cols] = 255
         out.append(canvas)
     return out
-
-
-def backproject(u: float, v: float, depth: float, cam: CameraModel) -> np.ndarray:
-    """Lift a pixel with known camera-frame depth back into the LiDAR frame."""
-    ray = np.linalg.solve(cam.intrinsic, np.array([u, v, 1.0]))
-    cam_pt = ray / ray[2] * depth
-    R = cam.extrinsic[:3, :3]
-    t = cam.extrinsic[:3, 3]
-    return R.T @ (cam_pt - t)

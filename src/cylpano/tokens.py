@@ -232,19 +232,16 @@ def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams, out: np.
 
 
 def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
-    """Scale-aware positional embedding of voxels at (M, 3) bin indices, `spe` up to rounding; (M, dim)."""
+    """Scale-aware positional embedding of voxels at (M, 3) bin indices; (M, dim).
+
+    Equals, up to rounding, `position_encoding` of the voxels' corner means
+    plus `scale_encoding` of their `corner_distances`.
+    """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(idx3), params.dim))
     for _ in _spe_blocks(idx3, spec, params, out):
         pass
     return out
-
-
-def spe(corners: np.ndarray, params: SpeParams) -> np.ndarray:
-    """Embedding of one voxel from its eight corners; (dim,)."""
-    corners = np.asarray(corners, dtype=np.float64).reshape(8, 3)
-    pos = position_encoding(corners.mean(axis=0), params)[0]
-    return pos + scale_encoding(corner_distances(corners), params)[0]
 
 
 def aggregate_image_feature(
@@ -277,18 +274,6 @@ def centroid_image_feature(
     if not valid[0]:
         raise NoValidProjectionError("voxel center does not project into the image")
     return fmap.sample(uv, bilinear=bilinear)[0]
-
-
-def fuse_token(f3d: np.ndarray, f2d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Concatenate the embedding-shifted halves: [f3d + s, f2d + s]."""
-    f3d = np.asarray(f3d, dtype=np.float64).reshape(-1)
-    f2d = np.asarray(f2d, dtype=np.float64).reshape(-1)
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    if not (len(f3d) == len(f2d) == len(s)):
-        raise DimensionMismatchError(
-            f"feature dims differ: {len(f3d)}, {len(f2d)}, {len(s)}"
-        )
-    return np.concatenate([f3d + s, f2d + s])
 
 
 @dataclass

@@ -280,3 +280,17 @@ def reference_miou(pred_sem, gt_sem, table):
         ious[c] = inter / union if union else 0.0
     mean = sum(ious.values()) / len(ious) if ious else 0.0
     return ious, mean
+
+
+def polar_to_cart(pol):
+    """Inverse of `cart_to_polar`: (..., 3) (rho, theta, z) triples to (x, y, z)."""
+    pol = np.asarray(pol, dtype=np.float64)
+    rho, theta = pol[..., 0], pol[..., 1]
+    return np.stack([rho * np.cos(theta), rho * np.sin(theta), pol[..., 2]], axis=-1)
+
+
+def backproject(u, v, depth, cam):
+    """Lift a pixel with known camera-frame depth back into the LiDAR frame."""
+    ray = np.linalg.solve(cam.intrinsic, np.array([u, v, 1.0]))
+    R, t = cam.extrinsic[:3, :3], cam.extrinsic[:3, 3]
+    return R.T @ (ray / ray[2] * depth - t)

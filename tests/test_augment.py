@@ -19,7 +19,9 @@ from cylpano.augment import (
     scene_swap_mask,
     sync_image_swap,
 )
-from cylpano.errors import IndexOutOfRangeError, InsufficientInstancesError, SpecMismatchError
+from cylpano.errors import (
+    IndexOutOfRangeError, InsufficientInstancesError, ShapeMismatchError, SpecMismatchError,
+)
 
 from cylpano.grid import CylGridSpec, PairingTable, PointCloud, pair_voxel_image, voxelize
 from cylpano.synth import SceneConfig, generate_scene
@@ -242,7 +244,7 @@ class TestRemapInstances:
         assert out.tolist() == [0, 65535, 65534, 65535]
 
     def test_one_id_past_uint16_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             _remap_instances(np.array([65534], np.uint16), np.array([4, 9], np.uint16))
 
     def test_unlabeled_cloud_returns_none(self):

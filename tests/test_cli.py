@@ -128,6 +128,42 @@ class TestChain:
             "--classes", str(org / "classes.cfg"), "--report", str(tmp_path / "report.json"),
         ]) == 0
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("tokens", "bilinear", True),
+        ("queries", "heatmap_mode", "density"),
+        ("augment", "strategy_mode", "categorical"),
+        ("queries", "nms_radius_unit", "meters"),
+        ("augment", "flip_prob", 1.0),
+    ])
+    def test_chain_under_non_default_option(self, tmp_path, section, key, value):
+        """Each stage loads the artifacts of the one before, and fuse and queries replay byte for byte."""
+        cfg = small_config(tmp_path)
+        loaded = load_config(cfg)
+        setattr(getattr(loaded, section), key, value)
+        save_config(cfg, loaded)
+        org, new, aug, fuse, qrs = (tmp_path / d for d in ("org", "new", "aug", "fuse", "queries"))
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(new)]) == 0
+        assert main([
+            "augment", "--config", cfg, "--seed", "3",
+            "--org", str(org), "--new", str(new), "--out", str(aug),
+        ]) == 0
+        assert main(["fuse", "--config", cfg, "--sample", str(aug), "--out", str(fuse)]) == 0
+        assert main([
+            "queries", "--config", cfg, "--sample", str(aug),
+            "--tokens", str(fuse / "tokens.toks"), "--masks", str(org / "masks"),
+            "--classes", str(org / "classes.cfg"), "--out", str(qrs),
+        ]) == 0
+        assert main([
+            "eval", "--pred", str(aug / "cloud.plcd"), "--gt", str(aug / "cloud.plcd"),
+            "--classes", str(org / "classes.cfg"), "--report", str(tmp_path / "report.json"),
+        ]) == 0
+        for stage in (fuse, qrs):
+            replayed = tmp_path / f"replayed-{stage.name}"
+            assert main(["replay", "--manifest", str(stage / "manifest.json"), "--out", str(replayed)]) == 0
+            outputs = [json.loads((d / "manifest.json").read_text())["outputs"] for d in (stage, replayed)]
+            assert outputs[0] and outputs[0] == outputs[1]
+
     def test_queries_embed_only_prior_voxels(self, tmp_path, monkeypatch):
         import cylpano.tokens
 
@@ -454,6 +490,20 @@ def _replay_case(base, cfg, tmp):
     return ["replay", "--manifest", str(tmp / "manifest.json"), "--out", str(tmp / "o")]
 
 
+def _instance_overflow_case(base, cfg, tmp):
+    import shutil
+
+    shutil.copytree(base / "org", tmp / "org")
+    cloud = formats.read_point_cloud(tmp / "org" / "cloud.plcd")
+    cloud.instance[:] = 65535  # the original scan already holds the largest u16 id
+    formats.write_point_cloud(tmp / "org" / "cloud.plcd", cloud)
+    swap = load_config(cfg)
+    swap.augment.p_height_swap = 1.0  # always mix in the new scan's labeled points
+    save_config(tmp / "swap.cfg", swap)
+    return ["augment", "--config", str(tmp / "swap.cfg"), "--org", str(tmp / "org"), "--new", str(base / "org"),
+            "--seed", "0", "--out", str(tmp / "o")]
+
+
 def _null_width(calib):
     calib["cameras"][0]["width"] = None
     return calib
@@ -466,6 +516,16 @@ MALFORMED = {
     "config-negative-splat-radius": (_config_case("[synth]\nsplat_radius = -1\n"), "BadConfigError"),
     "config-negative-focal": (_config_case("[synth]\nfocal = -5\n"), "BadConfigError"),
     "config-infinite-focal": (_config_case("[synth]\nfocal = inf\n"), "BadConfigError"),
+    "config-unknown-heatmap-mode": (_config_case("[queries]\nheatmap_mode = foo\n"), "BadConfigError"),
+    "config-unknown-nms-radius-unit": (_config_case("[queries]\nnms_radius_unit = furlongs\n"), "BadConfigError"),
+    "config-zero-dbscan-eps": (_config_case("[queries]\ndbscan_eps = 0\n"), "BadConfigError"),
+    "config-zero-dbscan-min-pts": (_config_case("[queries]\ndbscan_min_pts = 0\n"), "BadConfigError"),
+    "config-zero-l-pr": (_config_case("[queries]\nl_pr = 0\n"), "BadConfigError"),
+    "config-negative-l-lt": (_config_case("[queries]\nl_lt = -1\n"), "BadConfigError"),
+    "config-nan-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = nan\n"), "BadConfigError"),
+    "config-infinite-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = inf\n"), "BadConfigError"),
+    "config-zero-token-dim": (_config_case("[tokens]\ndim = 0\n"), "BadConfigError"),
+    "config-negative-token-dim": (_config_case("[tokens]\ndim = -4\n"), "BadConfigError"),
     "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),
     "classes-duplicate-key": (_classes_case("[classes]\n1 = car,thing\n1 = bus,thing\n"), "BadConfigError"),
     "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),
@@ -474,6 +534,7 @@ MALFORMED = {
     "mask-camera-outside-rig": (_mask_case(5, (72, 96)), "ShapeMismatchError"),
     "mask-size-not-camera-size": (_mask_case(0, (7, 9)), "ShapeMismatchError"),
     "cloud-non-finite-coordinate": (_non_finite_cloud_case, "ShapeMismatchError"),
+    "augment-instance-ids-past-u16": (_instance_overflow_case, "ShapeMismatchError"),
     "replay-manifest-not-json": (_replay_case, "BadConfigError"),
 }
 

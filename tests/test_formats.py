@@ -338,7 +338,7 @@ class TestConfig:
         kitti = ClassTable.semantic_kitti()
         assert len(kitti.things) == 8 and len(kitti.stuff) == 11
 
-    def test_nms_radius_meters_converts_through_radial_bin_width(self):
+    def test_nms_radius_meters_converts_through_radial_bin_width(self, tmp_path):
         from cylpano.config import QueryConfig
         from cylpano.grid import CylGridSpec
 
@@ -347,8 +347,12 @@ class TestConfig:
         assert qc.radius_in_bins(spec) == pytest.approx(4.0)
         qc_bins = QueryConfig(nms_radius=2.0, nms_radius_unit="bins")
         assert qc_bins.radius_in_bins(spec) == 2.0
+        # an unknown unit is rejected when the config is built, not when the radius is read
+        with pytest.raises(ValueError):
+            QueryConfig(nms_radius_unit="furlongs")
+        (tmp_path / "p.cfg").write_text("[queries]\nnms_radius_unit = furlongs\n")
         with pytest.raises(BadConfigError):
-            QueryConfig(nms_radius_unit="furlongs").radius_in_bins(spec)
+            load_config(tmp_path / "p.cfg")
 
     def test_spe_weights_bad_shapes_rejected(self, tmp_path):
         from cylpano.formats import read_spe_params, write_spe_params

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from cylpano.errors import BehindCameraError, EmptySetError
 from cylpano.geometry import (
     CameraModel,
     InstanceTransform,
-    Rect,
-    bounding_rect,
     cart_to_polar,
-    polar_to_cart,
-    project_point,
     project_points,
     similarity_matrix,
     transform_camera,
     transform_instance,
+    valid_projections,
 )
+from cylpano.grid import CylGridSpec, PointCloud, pair_voxel_image, voxelize
+
+from oracles import polar_to_cart
 
 
 def make_camera(fx=100.0, fy=100.0, cx=320.0, cy=180.0, width=640, height=360, T=None):
@@ -64,22 +63,23 @@ class TestPolar:
 class TestProjection:
     def test_principal_point_on_axis(self):
         cam = CameraModel(np.eye(3), np.eye(4), 10, 10)
-        assert project_point([0, 0, 2], cam) == (0.0, 0.0, 2.0)
+        uv, depth = project_points([0, 0, 2], cam)
+        assert uv.tolist() == [[0.0, 0.0]] and depth.tolist() == [2.0]
 
     def test_hand_projection(self):
         cam = make_camera()
-        u, v, depth = project_point([1, 0, 2], cam)
-        assert (u, v, depth) == (370.0, 180.0, 2.0)
+        uv, depth = project_points([1, 0, 2], cam)
+        assert uv.tolist() == [[370.0, 180.0]] and depth.tolist() == [2.0]
 
     def test_behind_camera(self):
         cam = make_camera()
-        with pytest.raises(BehindCameraError):
-            project_point([0, 0, -1], cam)
+        _, depth, valid = valid_projections([[0, 0, -1], [0, 0, 1]], cam)
+        assert depth.tolist() == [-1.0, 1.0] and valid.tolist() == [False, True]
 
     def test_out_of_image_is_not_an_error(self):
         cam = make_camera()
-        u, v, depth = project_point([100, 0, 1], cam)
-        assert u > cam.width and depth == 1.0
+        uv, depth, valid = valid_projections([100, 0, 1], cam)
+        assert uv[0, 0] > cam.width and depth.tolist() == [1.0] and valid.tolist() == [False]
 
     def test_homogeneous_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -98,8 +98,8 @@ class TestProjection:
         pts = np.column_stack([rng.uniform(-3, 3, (20, 2)), rng.uniform(1, 10, 20)])
         uv, depth = project_points(pts, cam)
         for i in range(20):
-            u, v, d = project_point(pts[i], cam)
-            assert np.allclose([u, v, d], [uv[i, 0], uv[i, 1], depth[i]])
+            uv_i, depth_i = project_points(pts[i], cam)
+            assert np.allclose(np.append(uv_i, depth_i), [uv[i, 0], uv[i, 1], depth[i]])
 
     def test_camera_validation(self):
         with pytest.raises(ValueError):
@@ -113,32 +113,37 @@ class TestProjection:
 
 
 class TestRect:
+    """Rectangles `pair_voxel_image` writes for one voxel whose points project to chosen pixels."""
+
+    SPEC = CylGridSpec(1, 1, 1, (0.0, 100.0), (0.0, 2.0))
+
+    def _rects(self, uv, width=40, height=40):
+        cam = CameraModel(np.eye(3), np.eye(4), width, height)  # (x, y, z) projects to (x / z, y / z)
+        uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+        cloud = PointCloud(np.column_stack([uv, np.ones(len(uv))]), np.zeros(len(uv)))
+        return pair_voxel_image(voxelize(cloud, self.SPEC), [cam]).pairings[0].rects, cloud
+
     def test_single_pixel(self):
-        assert bounding_rect([(5.2, 7.9)]) == Rect(5, 7, 5, 7)
+        assert self._rects([(5.2, 7.9)])[0].tolist() == [[5, 7, 5, 7]]
 
     def test_two_pixels(self):
-        assert bounding_rect([(0, 0), (3, 4)]) == Rect(0, 0, 3, 4)
+        assert self._rects([(0, 0), (3, 4)])[0].tolist() == [[0, 0, 3, 4]]
 
     def test_empty(self):
-        with pytest.raises(EmptySetError):
-            bounding_rect(np.zeros((0, 2)))
+        # every point left of or below the image: the voxel gets no rectangle
+        assert self._rects([(-0.5, 3.0), (3.0, 40.0)])[0].shape == (0, 4)
 
     def test_minimality_property(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            uv = rng.uniform(-10, 50, (rng.integers(1, 30), 2))
-            r = bounding_rect(uv)
-            cells = np.floor(uv).astype(int)
-            assert all(r.contains(u, v) for u, v in cells)
-            # shrinking any side by one excludes at least one input cell
-            for shrunk in (
-                (r.u_min + 1, r.v_min, r.u_max, r.v_max),
-                (r.u_min, r.v_min + 1, r.u_max, r.v_max),
-                (r.u_min, r.v_min, r.u_max - 1, r.v_max),
-                (r.u_min, r.v_min, r.u_max, r.v_max - 1),
-            ):
-                u0, v0, u1, v1 = shrunk
-                assert not all(u0 <= u <= u1 and v0 <= v <= v1 for u, v in cells)
+            rects, cloud = self._rects(rng.uniform(-10, 50, (rng.integers(1, 30), 2)))
+            cells = np.floor(cloud.xyz[:, :2].astype(np.float64)).astype(int)
+            cells = cells[((cells >= 0) & (cells < 40)).all(axis=1)]
+            if len(cells) == 0:
+                assert len(rects) == 0
+                continue
+            # the floor-rounded in-image cells' bounds: shrinking any side excludes one of them
+            assert rects.tolist() == [cells.min(axis=0).tolist() + cells.max(axis=0).tolist()]
 
 
 class TestInstanceTransform:

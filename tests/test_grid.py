@@ -11,9 +11,6 @@ from cylpano.grid import (
     centroids_batch,
     extreme_points_batch,
     pair_voxel_image,
-    voxel_centroid,
-    voxel_extreme_points,
-    voxel_volume,
     voxelize,
 )
 from cylpano.synth import ring_camera
@@ -220,7 +217,7 @@ class TestExtremePoints:
 
     def test_hand_corner_case(self):
         spec = CylGridSpec(2, 4, 1, (0.0, 2.0), (0.0, 1.0))
-        corners = voxel_extreme_points((1, 0, 0), spec)  # rho [1,2], theta [0, pi/2], z [0,1]
+        corners = extreme_points_batch(np.array([[1, 0, 0]]), spec)[0]  # rho [1,2], theta [0, pi/2], z [0,1]
         expected = {
             (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0),
             (1, 0, 1), (2, 0, 1), (0, 1, 1), (0, 2, 1),
@@ -230,25 +227,21 @@ class TestExtremePoints:
 
     def test_always_eight_corners(self):
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            idx = (
-                int(rng.integers(0, NUSC_SPEC.r_bins)),
-                int(rng.integers(0, NUSC_SPEC.theta_bins)),
-                int(rng.integers(0, NUSC_SPEC.z_bins)),
-            )
-            assert voxel_extreme_points(idx, NUSC_SPEC).shape == (8, 3)
+        idx = np.column_stack([rng.integers(0, b, 1000) for b in NUSC_SPEC.shape])
+        assert extreme_points_batch(idx, NUSC_SPEC).shape == (1000, 8, 3)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
-            voxel_extreme_points((2, 0, 0), self.SPEC)
+            extreme_points_batch(np.array([[2, 0, 0]]), self.SPEC)
 
     def test_contained_points_bounded_by_edges(self):
         rng = np.random.default_rng(4)
         spec = CylGridSpec(6, 6, 4, (0.0, 30.0), (-2.0, 2.0))
         cloud = random_cloud(rng, 800, radius=28.0)
         grid = voxelize(cloud, spec)
+        all_corners = extreme_points_batch(grid.indices3, spec)
         for row in range(min(grid.num_voxels, 50)):
-            corners = voxel_extreme_points(grid.indices3[row], spec)
+            corners = all_corners[row]
             pol_pts = cart_to_polar(cloud.xyz[grid.points_of_row(row)])
             pol_corners = cart_to_polar(corners)
             assert pol_pts[:, 0].min() >= pol_corners[:, 0].min() - 1e-6
@@ -275,34 +268,23 @@ class TestCentroid:
 
     def test_hand_average(self):
         spec = CylGridSpec(2, 4, 1, (0.0, 2.0), (0.0, 1.0))
-        assert np.allclose(voxel_centroid((1, 0, 0), spec), [0.75, 0.75, 0.5])
+        assert np.allclose(centroids_batch(np.array([[1, 0, 0]]), spec), [[0.75, 0.75, 0.5]])
 
     def test_centroid_inside_corner_bbox(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            idx = (
-                int(rng.integers(0, NUSC_SPEC.r_bins)),
-                int(rng.integers(0, NUSC_SPEC.theta_bins)),
-                int(rng.integers(0, NUSC_SPEC.z_bins)),
-            )
-            corners = voxel_extreme_points(idx, NUSC_SPEC)
-            c = voxel_centroid(idx, NUSC_SPEC)
-            assert (c >= corners.min(axis=0) - 1e-12).all()
-            assert (c <= corners.max(axis=0) + 1e-12).all()
+        idx = np.column_stack([rng.integers(0, b, 200) for b in NUSC_SPEC.shape])
+        corners = extreme_points_batch(idx, NUSC_SPEC)
+        c = centroids_batch(idx, NUSC_SPEC)
+        assert (c >= corners.min(axis=1) - 1e-12).all()
+        assert (c <= corners.max(axis=1) + 1e-12).all()
 
     def test_voxel_straddling_theta_zero_is_symmetric(self):
         spec = CylGridSpec(4, 4, 2, (0.0, 8.0), (0.0, 2.0))
         # theta bin 0 spans [0, pi/2); rotate the spec instead: use a voxel symmetric
         # about theta=0 by combining bins is not possible, so check bin centered there
         # via explicit mirrored corners of bins 0 and 3 averaging to y = 0.
-        c0 = voxel_centroid((1, 0, 0), spec)
-        c3 = voxel_centroid((1, 3, 0), spec)
+        c0, c3 = centroids_batch(np.array([[1, 0, 0], [1, 3, 0]]), spec)
         assert c0[1] == pytest.approx(-c3[1])
-
-    def test_volume_grows_linearly_with_radial_bin(self):
-        vols = np.array([voxel_volume((r, 0, 0), NUSC_SPEC) for r in range(NUSC_SPEC.r_bins)])
-        expected = vols[0] * (2 * np.arange(NUSC_SPEC.r_bins) + 1)
-        assert np.allclose(vols, expected, rtol=1e-9)
 
 
 class TestPairing:
@@ -344,9 +326,8 @@ class TestPairing:
                         continue
                     cells = np.floor(uv[pts][keep]).astype(int)
                     assert rect is not None
-                    u0, v0, u1, v1 = rect
-                    assert (cells[:, 0] >= u0).all() and (cells[:, 0] <= u1).all()
-                    assert (cells[:, 1] >= v0).all() and (cells[:, 1] <= v1).all()
+                    # the rectangle contains every kept cell and is the smallest that does
+                    assert rect.tolist() == cells.min(axis=0).tolist() + cells.max(axis=0).tolist()
 
     def test_pairing_ignores_virtual_center(self):
         # Far, angularly wide voxel: centroid projects outside a narrow-FOV

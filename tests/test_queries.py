@@ -4,9 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from cylpano.errors import EmptyColumnError
 from cylpano.geometry import cart_to_polar
-from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxel_centroid, voxelize
+from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxelize
 from cylpano.queries import (
     LocationHint,
     Mask2D,
@@ -17,7 +16,7 @@ from cylpano.queries import (
     fps,
     frustum_points,
     geometric_hints,
-    lift_peak_to_3d,
+    lift_peaks_to_3d,
     nms_peaks,
     texture_hints,
 )
@@ -190,15 +189,15 @@ class TestNms:
         assert nms_peaks(np.full((4, 4), 0.05), 0.1, 1.0, 10) == []
 
     def test_pairwise_separation_with_wraparound(self):
-        from cylpano.queries import bev_bin_distance
-
         rng = np.random.default_rng(2)
         for _ in range(20):
             heat = rng.random((10, 12))
             kept = nms_peaks(heat, 0.2, 2.5, 20)
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
-                    assert bev_bin_distance(kept[i][0], kept[j][0], 12) > 2.5
+                    (ri, ti), (rj, tj) = kept[i][0], kept[j][0]
+                    dt = abs(ti - tj)
+                    assert np.hypot(ri - rj, min(dt, 12 - dt)) > 2.5
 
     def test_oracle_equality_50_random_heatmaps(self):
         rng = np.random.default_rng(3)
@@ -216,23 +215,25 @@ class TestLift:
     def test_single_occupied_voxel(self):
         cloud = PointCloud(np.array([[5.0, 0.0, 0.0]]), np.zeros(1))
         grid = voxelize(cloud, SPEC)
-        r, t, z = grid.indices3[0]
-        hint = lift_peak_to_3d((r, t), grid)
-        assert np.allclose(hint.position, voxel_centroid((r, t, z), SPEC))
+        r, t, _ = grid.indices3[0]
+        pos, lifted = lift_peaks_to_3d([(r, t)], grid)
+        assert lifted.tolist() == [True]
+        assert np.allclose(pos, centroids_batch(grid.indices3, SPEC))
 
     def test_mean_over_height_column(self):
         cloud = PointCloud(np.array([[5.0, 0.0, -1.5], [5.0, 0.0, 1.5]]), np.zeros(2))
         grid = voxelize(cloud, SPEC)
         r, t, _ = grid.indices3[0]
-        hint = lift_peak_to_3d((r, t), grid)
-        c0 = voxel_centroid(grid.indices3[0], SPEC)
-        c1 = voxel_centroid(grid.indices3[1], SPEC)
-        assert np.allclose(hint.position, (c0 + c1) / 2)
+        pos, lifted = lift_peaks_to_3d([(r, t)], grid)
+        c0, c1 = centroids_batch(grid.indices3, SPEC)
+        assert lifted.tolist() == [True]
+        assert np.allclose(pos[0], (c0 + c1) / 2)
 
     def test_empty_column(self):
         grid = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), SPEC)
-        with pytest.raises(EmptyColumnError):
-            lift_peak_to_3d((0, 0), grid)
+        pos, lifted = lift_peaks_to_3d([(0, 0)], grid)
+        assert lifted.tolist() == [False]
+        assert np.isnan(pos).all()
 
     def test_geometric_hints_equal_per_peak_lifts_with_one_centroid_call(self, monkeypatch):
         import cylpano.queries
@@ -245,16 +246,17 @@ class TestLift:
         grid = voxelize(PointCloud(xyz, np.zeros(150)), SPEC)
         heat = rng.random((SPEC.r_bins, SPEC.theta_bins))
         peaks = nms_peaks(heat, 0.2, 1.0, 64)
+        lifted_pos, lifted = lift_peaks_to_3d([rt for rt, _ in peaks], grid)
         expected = []
-        for (r, t), conf in peaks:
+        for k, ((r, t), conf) in enumerate(peaks):
             # the column's rows found by brute force, averaged as one array
             rows = np.flatnonzero(grid.voxel_ids // SPEC.z_bins == r * SPEC.theta_bins + t)
+            assert lifted[k] == (len(rows) > 0)
             if len(rows) == 0:
-                with pytest.raises(EmptyColumnError):
-                    lift_peak_to_3d((r, t), grid)
+                assert np.isnan(lifted_pos[k]).all()
                 continue
             pos = orig(SPEC.unflatten(grid.voxel_ids[rows]), SPEC).mean(axis=0)
-            assert (lift_peak_to_3d((r, t), grid).position == pos).all()
+            assert (lifted_pos[k] == pos).all()
             expected.append(pos.tolist() + [conf])
         assert 0 < len(expected) < len(peaks)
         calls.clear()
@@ -273,7 +275,7 @@ class TestLift:
 
         grid = voxelize(PointCloud(np.array([[5.0, 0.0, 0.0]]), np.zeros(1)), SPEC)
         with pytest.raises(IndexOutOfRangeError):
-            lift_peak_to_3d((SPEC.r_bins, 0), grid)
+            lift_peaks_to_3d([(SPEC.r_bins, 0)], grid)
 
 
 class TestFrustum:
@@ -294,8 +296,7 @@ class TestFrustum:
         assert np.array_equal(got, np.flatnonzero(valid))
 
     def test_oracle_equality_random_scenes(self):
-        from cylpano.geometry import project_point
-        from cylpano.errors import BehindCameraError
+        from cylpano.geometry import project_points
 
         rng = np.random.default_rng(5)
         cam = ring_camera(0.3, 24, 18, 10.0, 0.2)
@@ -304,13 +305,11 @@ class TestFrustum:
             cloud = PointCloud(xyz, np.zeros(150))
             bitmap = rng.random((18, 24)) < 0.3
             got = set(frustum_points(Mask2D(0, bitmap), cam, camera_pixels(cloud, cam)).tolist())
+            uv, depth = project_points(cloud.xyz, cam)
             want = set()
             for i in range(150):
-                try:
-                    u, v, _ = project_point(cloud.xyz[i], cam)
-                except BehindCameraError:
-                    continue
-                if 0 <= u < 24 and 0 <= v < 18 and bitmap[int(np.floor(v)), int(np.floor(u))]:
+                u, v = uv[i]
+                if depth[i] > 0 and 0 <= u < 24 and 0 <= v < 18 and bitmap[int(np.floor(v)), int(np.floor(u))]:
                     want.add(i)
             assert got == want
 
@@ -482,7 +481,7 @@ class TestAssemble:
         rng = np.random.default_rng(15)
         grid, tokens, params = self._grid_tokens(rng)
         row = 3
-        center = voxel_centroid(grid.indices3[row], SPEC)
+        center = centroids_batch(grid.indices3[row:row + 1], SPEC)[0]
         qs = assemble_queries(
             [LocationHint(center, 1.0, "geometric")], [], grid, tokens, params, l_pr=4, l_lt=2, num_classes=2
         )

@@ -4,12 +4,13 @@ from cylpano.grid import CylGridSpec, voxelize
 from cylpano.metrics import SegLabeling, evaluate
 from cylpano.synth import (
     SceneConfig,
-    backproject,
     generate_scene,
     rasterize,
     render_overlay,
     ring_camera,
 )
+
+from oracles import backproject
 
 FAST = dict(ground_points=600, points_per_object=(60, 150), image_size=(96, 72), focal=60.0)
 
@@ -118,8 +119,7 @@ class TestOverlay:
         assert painted.tolist() == [[16, 16]]
 
     def test_painted_set_equals_projection_oracle(self):
-        from cylpano.errors import BehindCameraError
-        from cylpano.geometry import project_point
+        from cylpano.geometry import project_points
         from cylpano.grid import PointCloud
 
         rng = np.random.default_rng(6)
@@ -128,12 +128,10 @@ class TestOverlay:
         cloud = PointCloud(xyz, np.zeros(300), np.full(300, 2), np.ones(300))
         out = render_overlay(cloud, [np.zeros((36, 48, 3), np.uint8)], [cam])
         got = {tuple(p) for p in np.argwhere(out[0].any(axis=2))}
+        uv, depth = project_points(cloud.xyz, cam)
         want = set()
         for i in range(300):
-            try:
-                u, v, _ = project_point(cloud.xyz[i], cam)
-            except BehindCameraError:
-                continue
-            if 0 <= u < 48 and 0 <= v < 36:
+            u, v = uv[i]
+            if depth[i] > 0 and 0 <= u < 48 and 0 <= v < 36:
                 want.add((int(np.floor(v)), int(np.floor(u))))
         assert got == want

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,12 +19,10 @@ from cylpano.tokens import (
     centroid_image_feature,
     containing_rows,
     corner_distances,
-    fuse_token,
     nearest_occupied_row,
     nearest_occupied_rows,
     position_encoding,
     scale_encoding,
-    spe,
     spe_batch,
 )
 
@@ -106,8 +105,10 @@ class TestAggregation:
 class TestSpe:
     def test_deterministic_for_identical_voxels(self):
         params = SpeParams.create(SPEC, dim=16, seed=3)
-        corners = extreme_points_batch(np.array([[4, 2, 1]]), SPEC)[0]
-        assert np.array_equal(spe(corners, params), spe(corners.copy(), params))
+        idx = np.array([[4, 2, 1], [4, 2, 1]])
+        emb = spe_batch(idx, SPEC, params)
+        assert np.array_equal(emb[0], emb[1])
+        assert np.array_equal(emb, spe_batch(idx.copy(), SPEC, params))
 
     def test_distance_vector_invariant_under_z_rotation(self):
         rng = np.random.default_rng(1)
@@ -128,12 +129,10 @@ class TestSpe:
 
     def test_degenerate_corners_reduce_to_zero_distance_term(self):
         params = SpeParams.create(SPEC, dim=16, seed=7)
-        point = np.array([3.0, 1.0, 0.5])
-        corners = np.tile(point, (8, 1))
-        from cylpano.tokens import position_encoding
-
-        expected = position_encoding(point[None], params)[0] + scale_encoding(np.zeros(8), params)[0]
-        assert np.allclose(spe(corners, params), expected, atol=1e-12)
+        corners = np.tile([3.0, 1.0, 0.5], (8, 1))
+        assert corner_distances(corners).tolist() == [0.0] * 8
+        expected = np.tanh(params.phi_b1) @ params.phi_w2.T + params.phi_b2
+        assert np.allclose(scale_encoding(corner_distances(corners), params)[0], expected, atol=1e-12)
 
     def test_injective_on_small_grid(self):
         spec = CylGridSpec(24, 18, 8, (0.0, 50.0), (-5.0, 3.0))
@@ -157,7 +156,6 @@ class TestSpe:
         got = spe_batch(idx, spec, params)
         assert got.shape == (len(idx), 32)
         assert np.abs(got - expected).max() < 1e-12
-        assert np.abs(got[:6] - np.stack([spe(c, params) for c in corners[:6]])).max() < 1e-12
         assert spe_batch(idx[:0], spec, params).shape == (0, 32)
 
     def test_position_encoding_equals_direct_sinusoids(self):
@@ -191,26 +189,49 @@ class TestSpe:
 
 
 class TestFuseToken:
+    """`build_tokens` content rows are the fused token [f3d + s, f2d + s]."""
+
+    def _grid(self, n=60):
+        rng = np.random.default_rng(4)
+        xyz = np.column_stack([rng.uniform(-20, 20, (n, 2)), rng.uniform(-2, 2, n)])
+        return voxelize(PointCloud(xyz, rng.random(n)), SPEC)
+
     def test_zero_embedding(self):
-        f3d = np.arange(4.0)
-        f2d = np.arange(4.0) * 2
-        out = fuse_token(f3d, f2d, np.zeros(4))
-        assert np.array_equal(out, np.concatenate([f3d, f2d]))
+        grid = self._grid()
+        params = SpeParams.create(SPEC, dim=4, seed=0)
+        zero = dataclasses.replace(params, psi_w=0 * params.psi_w, phi_w2=0 * params.phi_w2, phi_b2=0 * params.phi_b2)
+        f3d = np.arange(grid.num_voxels * 4.0).reshape(-1, 4)
+        cam = ring_camera(0.0, 32, 32, 16.0, 0.0)
+        tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, f3d), [const_fmap(2.0)], [cam], zero)
+        assert not tokens.spe.any()
+        assert np.array_equal(tokens.content[:, :4], f3d)
+        assert 0 < tokens.image_valid.sum() < len(tokens)
+        assert (tokens.content[:, 4:] == np.where(tokens.image_valid, 2.0, 0.0)[:, None]).all()
 
     def test_zero_content_gives_embedding_twice(self):
-        s = np.arange(4.0)
-        assert np.array_equal(fuse_token(np.zeros(4), np.zeros(4), s), np.concatenate([s, s]))
+        grid = self._grid()
+        params = SpeParams.create(SPEC, dim=4, seed=1)
+        tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, 4))), [], [], params)
+        assert np.array_equal(tokens.content, np.concatenate([tokens.spe, tokens.spe], axis=1))
 
     def test_structural_length(self):
+        grid = self._grid()
         rng = np.random.default_rng(4)
         for _ in range(20):
             d = int(rng.integers(1, 40))
-            out = fuse_token(rng.normal(size=d), rng.normal(size=d), rng.normal(size=d))
-            assert out.shape == (2 * d,)
+            params = SpeParams.create(SPEC, dim=d, seed=0)
+            feats = VoxelFeatures.for_grid(grid, rng.normal(size=(grid.num_voxels, d)))
+            tokens = build_tokens(grid, feats, [], [], params)
+            assert tokens.content.shape == (grid.num_voxels, 2 * d) and tokens.spe.shape == (grid.num_voxels, d)
 
     def test_dimension_mismatch(self):
+        grid = self._grid()
+        params = SpeParams.create(SPEC, dim=4, seed=0)
+        feats = VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, 4)))
         with pytest.raises(DimensionMismatchError):
-            fuse_token(np.zeros(3), np.zeros(4), np.zeros(4))
+            build_tokens(grid, VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, 3))), [], [], params)
+        with pytest.raises(DimensionMismatchError):
+            build_tokens(grid, feats, [const_fmap(1.0, dim=3)], [ring_camera(0.0, 32, 32, 16.0, 0.0)], params)
 
 
 class TestBuildTokens:
