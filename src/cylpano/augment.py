@@ -39,6 +39,12 @@ class MultiModalSample:
         return [im.copy() for im in self.images]
 
 
+def check_range(name: str, bounds, positive: bool = False):
+    """Raise ValueError unless `bounds` is a finite pair 0 <= lo <= hi (0 < lo if `positive`)."""
+    if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1] < np.inf or (positive and bounds[0] == 0):
+        raise ValueError(f"{name} must be a finite pair {'0 <' if positive else '0 <='} lo <= hi, got {bounds}")
+
+
 @dataclass
 class AugConfig:
     """Probabilities and ranges for the augmentation pipeline."""
@@ -60,11 +66,17 @@ class AugConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for p in (self.p_instance, self.p_height_swap, self.p_angle_swap):
+        for p in (self.p_instance, self.p_height_swap, self.p_angle_swap, self.flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if not self.split_choices:
-            raise ValueError("split_choices must be non-empty")
+        if not self.split_choices or min(self.split_choices) < 1:
+            raise ValueError("split_choices must be non-empty, each entry >= 1")
+        for name in ("paste_translation", "paste_rotation", "rotation_range"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        check_range("instance_count_range", self.instance_count_range)
+        check_range("paste_scale_range", self.paste_scale_range, positive=True)
+        check_range("scale_range", self.scale_range, positive=True)
         if self.strategy_mode not in ("independent", "categorical"):
             raise ValueError("strategy_mode must be 'independent' or 'categorical'")
         if self.strategy_mode == "categorical":

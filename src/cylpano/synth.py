@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import MultiModalSample
+from .augment import MultiModalSample, check_range
 from .geometry import CameraModel, valid_projections
 from .grid import PointCloud
 from .metrics import ClassTable
 from .queries import Mask2D
 
 GROUND, BOX, PILLAR, WALL = 1, 2, 3, 4
-INTENSITY = {GROUND: 0.2, BOX: 0.5, PILLAR: 0.7, WALL: 0.9}
+INTENSITY = np.array([0.0, 0.2, 0.5, 0.7, 0.9], dtype=np.float32)  # indexed by class id
 
 
 @dataclass
@@ -46,8 +46,22 @@ class SceneConfig:
     scan_id: int = 1
 
     def __post_init__(self):
-        if self.n_objects[0] < 0 or self.ground_points < 0:
+        if self.ground_points < 0:
             raise ValueError("counts must be >= 0")
+        check_range("n_objects", self.n_objects)
+        check_range("points_per_object", self.points_per_object)
+        for name in ("box_size", "pillar_radius", "pillar_height", "wall_length"):
+            check_range(name, getattr(self, name), positive=True)
+        if not 0 < self.extent < np.inf:
+            raise ValueError("extent must be finite and > 0")
+        if not self.min_center_dist <= 0.85 * self.extent:  # objects are placed out to 0.85 * extent
+            raise ValueError("min_center_dist must be <= 0.85 * extent")
+        if not np.isfinite(self.cam_height):
+            raise ValueError("cam_height must be finite")
+        if len(self.image_size) != 2 or min(self.image_size) < 1:
+            raise ValueError("image width and height must be >= 1")
+        if not 0 <= self.scan_id <= 255:  # written to a uint8 image channel
+            raise ValueError("scan_id must lie in [0, 255]")
         if self.camera_count < 1:
             raise ValueError("camera rig must be non-empty")
         if self.splat_radius < 0:
@@ -141,6 +155,7 @@ def generate_scene(cfg: SceneConfig, table: ClassTable | None = None) -> SynthSa
     inst = [np.zeros(cfg.ground_points, dtype=np.uint16)]
 
     n_obj = int(rng.integers(cfg.n_objects[0], cfg.n_objects[1] + 1))
+    classes = [0]  # by instance id
     for obj_id in range(1, n_obj + 1):
         kind = int(rng.integers(0, 3))  # 0 box, 1 pillar, 2 wall
         dist = rng.uniform(cfg.min_center_dist, cfg.extent * 0.85)
@@ -165,25 +180,18 @@ def generate_scene(cfg: SceneConfig, table: ClassTable | None = None) -> SynthSa
         c, s = np.cos(yaw), np.sin(yaw)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         xyz.append(pts @ rot.T + center)
+        classes.append(cls)
         sem.append(np.full(n, cls, dtype=np.uint16))
         inst.append(np.full(n, obj_id, dtype=np.uint16))
 
     sem_all = np.concatenate(sem)
-    cloud = PointCloud(
-        np.concatenate(xyz),
-        np.array([INTENSITY[int(s)] for s in sem_all], dtype=np.float32),
-        sem_all,
-        np.concatenate(inst),
-    )
+    cloud = PointCloud(np.concatenate(xyz), INTENSITY[sem_all], sem_all, np.concatenate(inst))
 
     images, depths, inst_maps = render_provenance(cloud, cams, cfg.scan_id, cfg.splat_radius)
     masks = []
     for cam_id, imap in enumerate(inst_maps):
-        for obj_id in range(1, n_obj + 1):
-            bitmap = imap == obj_id
-            if bitmap.any():
-                cls = int(cloud.semantic[cloud.instance == obj_id][0])
-                masks.append(Mask2D(cam_id, bitmap, class_tag=cls))
+        for obj_id in np.flatnonzero(np.bincount(imap.ravel())[1:]) + 1:
+            masks.append(Mask2D(cam_id, imap == obj_id, class_tag=classes[obj_id]))
     return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, table, cfg)
 
 
@@ -195,11 +203,20 @@ def rasterize(
     Each point paints the pixels of a disk of `splat_radius` around its
     projection cell; the nearest point wins a pixel, ties break to the lowest
     point index, so the result is independent of any processing order.
+
+    The visible points are ranked once by (depth, index), and each splat
+    candidate gets the key `pixel * m + rank` for m visible points. One sort of
+    these keys orders the candidates by pixel, then depth, then index, so the
+    first key of each pixel is its winner. The keys fit in int64 while
+    width * height * m < 2**63, which holds for any image under 2.1
+    gigapixels with a u32-counted cloud.
     """
     uv, depth, valid = valid_projections(xyz, cam)
     idx = np.flatnonzero(valid)
-    px = np.floor(uv[idx]).astype(np.int64)
-    cand_pix, cand_depth, cand_pid = [], [], []
+    ranked = idx[np.argsort(depth[idx], kind="stable")]  # stable: idx is ascending
+    m = len(ranked)
+    px = np.floor(uv[ranked]).astype(np.int64)
+    keys = []
     r = splat_radius
     for dx in range(-r, r + 1):
         for dy in range(-r, r + 1):
@@ -207,17 +224,12 @@ def rasterize(
                 continue
             u = px[:, 0] + dx
             v = px[:, 1] + dy
-            ok = (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-            cand_pix.append(v[ok] * cam.width + u[ok])
-            cand_depth.append(depth[idx][ok])
-            cand_pid.append(idx[ok])
-    pix = np.concatenate(cand_pix)
-    dep = np.concatenate(cand_depth)
-    pid = np.concatenate(cand_pid)
-    order = np.lexsort((pid, dep, pix))
-    pix_s = pix[order]
-    first = np.unique(pix_s, return_index=True)[1]
-    return pix_s[first], pid[order][first], dep[order][first]
+            ok = np.flatnonzero((u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height))
+            keys.append((v[ok] * cam.width + u[ok]) * m + ok)
+    pix, rank = np.divmod(np.sort(np.concatenate(keys)), m)
+    first = np.flatnonzero(np.diff(pix, prepend=-1))  # each pixel's nearest candidate
+    pid = ranked[rank[first]]
+    return pix[first], pid, depth[pid]
 
 
 def render_provenance(

@@ -294,3 +294,27 @@ def backproject(u, v, depth, cam):
     ray = np.linalg.solve(cam.intrinsic, np.array([u, v, 1.0]))
     R, t = cam.extrinsic[:3, :3], cam.extrinsic[:3, 3]
     return R.T @ (ray / ray[2] * depth - t)
+
+
+def reference_rasterize(uv, depth, width, height, splat_radius):
+    """Per-candidate z-buffer over projected points: (pixel, point index, depth) per painted pixel.
+
+    A point in front of the camera and inside the image paints every pixel of
+    the disk of `splat_radius` around its cell; each pixel keeps the candidate
+    with the smallest (depth, point index). Rows come out in pixel order.
+    """
+    best = {}
+    r = splat_radius
+    for i, ((u, v), d) in enumerate(zip(np.asarray(uv).tolist(), np.asarray(depth).tolist())):
+        if not (d > 0.0 and 0.0 <= u < width and 0.0 <= v < height):
+            continue
+        for dx in range(-r, r + 1):
+            for dy in range(-r, r + 1):
+                pu, pv = int(np.floor(u)) + dx, int(np.floor(v)) + dy
+                if dx * dx + dy * dy <= r * r and 0 <= pu < width and 0 <= pv < height:
+                    pix = pv * width + pu
+                    if pix not in best or (d, i) < best[pix]:
+                        best[pix] = (d, i)
+    pixels = sorted(best)
+    return (np.array(pixels, dtype=np.int64), np.array([best[p][1] for p in pixels], dtype=np.int64),
+            np.array([best[p][0] for p in pixels], dtype=np.float64))

@@ -360,6 +360,16 @@ class TestChain:
         manifest_b = json.loads((replayed / "manifest.json").read_text())
         assert manifest_a["outputs"] == manifest_b["outputs"]
 
+    def test_synth_replay_reproduces_every_artifact_kind(self, tmp_path):
+        cfg = small_config(tmp_path, splat_radius=2, camera_count=3, n_objects=(6, 8))
+        org, replayed = tmp_path / "org", tmp_path / "replayed"
+        assert main(["synth", "--config", cfg, "--seed", "4", "--out", str(org)]) == 0
+        assert main(["replay", "--manifest", str(org / "manifest.json"), "--out", str(replayed)]) == 0
+        outputs = [json.loads((d / "manifest.json").read_text())["outputs"] for d in (org, replayed)]
+        assert outputs[0] == outputs[1]
+        assert {"cloud.plcd", "calib.json", "classes.cfg", "images/cam02.ppm"} <= outputs[0].keys()
+        assert any(name.startswith("masks/") and name.endswith(".msk2") for name in outputs[0])
+
 
 class TestErrors:
     def test_missing_cloud_reports_io_error(self, tmp_path, capsys):
@@ -504,6 +514,18 @@ def _instance_overflow_case(base, cfg, tmp):
             "--seed", "0", "--out", str(tmp / "o")]
 
 
+def _augment_config_case(key, value):
+    """`cylpano augment` with every strategy on and one [augment] value malformed."""
+    def case(base, cfg, tmp):
+        bad = load_config(cfg)
+        bad.augment.p_instance = bad.augment.p_height_swap = bad.augment.p_angle_swap = 1.0
+        setattr(bad.augment, key, value)  # set after construction, so save_config writes it unchecked
+        save_config(tmp / "bad.cfg", bad)
+        return ["augment", "--config", str(tmp / "bad.cfg"), "--org", str(base / "org"), "--new", str(base / "org"),
+                "--seed", "1", "--out", str(tmp / "o")]
+    return case
+
+
 def _null_width(calib):
     calib["cameras"][0]["width"] = None
     return calib
@@ -524,6 +546,23 @@ MALFORMED = {
     "config-negative-l-lt": (_config_case("[queries]\nl_lt = -1\n"), "BadConfigError"),
     "config-nan-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = nan\n"), "BadConfigError"),
     "config-infinite-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = inf\n"), "BadConfigError"),
+    "config-reversed-object-count": (_config_case("[synth]\nn_objects = 5,1\n"), "BadConfigError"),
+    "config-reversed-points-per-object": (_config_case("[synth]\npoints_per_object = 600,150\n"), "BadConfigError"),
+    "config-reversed-box-size": (_config_case("[synth]\nbox_size = 3,0.8\n"), "BadConfigError"),
+    "config-zero-pillar-radius": (_config_case("[synth]\npillar_radius = 0,0\n"), "BadConfigError"),
+    "config-zero-extent": (_config_case("[synth]\nextent = 0\n"), "BadConfigError"),
+    "config-nan-extent": (_config_case("[synth]\nextent = nan\n"), "BadConfigError"),
+    "config-center-dist-past-extent": (_config_case("[synth]\nmin_center_dist = 100\n"), "BadConfigError"),
+    "config-nan-cam-height": (_config_case("[synth]\ncam_height = nan\n"), "BadConfigError"),
+    "config-scan-id-past-u8": (_config_case("[synth]\nscan_id = 300\n"), "BadConfigError"),
+    "config-zero-image-width": (_config_case("[image]\nwidth = 0\n"), "BadConfigError"),
+    "augment-zero-split-choice": (_augment_config_case("split_choices", (0,)), "BadConfigError"),
+    "augment-negative-split-choice": (_augment_config_case("split_choices", (-2,)), "BadConfigError"),
+    "augment-nan-rotation-range": (_augment_config_case("rotation_range", float("nan")), "BadConfigError"),
+    "augment-nan-flip-prob": (_augment_config_case("flip_prob", float("nan")), "BadConfigError"),
+    "augment-zero-scale-range": (_augment_config_case("scale_range", (0.0, 0.0)), "BadConfigError"),
+    "augment-reversed-instance-count-range": (_augment_config_case("instance_count_range", (5, 1)), "BadConfigError"),
+    "augment-negative-paste-scale": (_augment_config_case("paste_scale_range", (-1.0, 1.0)), "BadConfigError"),
     "config-zero-token-dim": (_config_case("[tokens]\ndim = 0\n"), "BadConfigError"),
     "config-negative-token-dim": (_config_case("[tokens]\ndim = -4\n"), "BadConfigError"),
     "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),

@@ -1,5 +1,8 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cylpano.geometry import project_points
 from cylpano.grid import CylGridSpec, voxelize
 from cylpano.metrics import SegLabeling, evaluate
 from cylpano.synth import (
@@ -10,7 +13,7 @@ from cylpano.synth import (
     ring_camera,
 )
 
-from oracles import backproject
+from oracles import backproject, reference_rasterize
 
 FAST = dict(ground_points=600, points_per_object=(60, 150), image_size=(96, 72), focal=60.0)
 
@@ -41,6 +44,21 @@ class TestGenerate:
             inst_ids = np.unique(imap[mask.bitmap])
             assert len(inst_ids) == 1
             assert np.array_equal(mask.bitmap, imap == inst_ids[0])
+
+    def test_mask_class_tag_is_its_instance_label(self):
+        for seed in range(3):
+            synth = generate_scene(SceneConfig(rng_seed=seed, n_objects=(6, 10), camera_count=3, **FAST))
+            cloud = synth.sample.cloud
+            for mask in synth.masks:
+                (inst_id,) = np.unique(synth.instance_maps[mask.camera_id][mask.bitmap])
+                assert set(cloud.semantic[cloud.instance == inst_id].tolist()) == {mask.class_tag}
+
+    def test_one_mask_per_visible_instance_in_each_camera(self):
+        for seed in range(3):
+            synth = generate_scene(SceneConfig(rng_seed=seed, n_objects=(6, 10), camera_count=3, **FAST))
+            for cam_id, imap in enumerate(synth.instance_maps):
+                ids = [int(np.unique(imap[m.bitmap])[0]) for m in synth.masks if m.camera_id == cam_id]
+                assert ids == np.unique(imap[imap > 0]).tolist()
 
     def test_pixel_tags_consistent_with_labels(self):
         cfg = SceneConfig(rng_seed=4, scan_id=9, **FAST)
@@ -135,3 +153,52 @@ class TestOverlay:
             if depth[i] > 0 and 0 <= u < 48 and 0 <= v < 36:
                 want.add((int(np.floor(v)), int(np.floor(u))))
         assert got == want
+
+
+def _oracle_render(cloud, cam, scan_id, splat_radius):
+    """Provenance image, depth map and instance map painted from the brute-force z-buffer."""
+    uv, depth = project_points(cloud.xyz, cam)
+    pix, pid, dep = reference_rasterize(uv, depth, cam.width, cam.height, splat_radius)
+    rows, cols = np.divmod(pix, cam.width)
+    img = np.zeros((cam.height, cam.width, 3), dtype=np.uint8)
+    img[:, :, 1] = scan_id
+    img[rows, cols, 0] = cloud.semantic[pid] & 0xFF
+    img[rows, cols, 2] = cloud.instance[pid] & 0xFF
+    dmap = np.full((cam.height, cam.width), np.inf)
+    dmap[rows, cols] = dep
+    imap = np.zeros((cam.height, cam.width), dtype=np.int32)
+    imap[rows, cols] = cloud.instance[pid]
+    return img, dmap, imap
+
+
+lattice_points = st.lists(st.tuples(st.integers(-3, 8), st.integers(-7, 7), st.integers(-5, 5)), max_size=30)
+
+
+class TestRasterize:
+    @settings(max_examples=200, deadline=None)
+    @given(points=lattice_points, dup=st.lists(st.integers(0, 29), max_size=12),
+           step=st.sampled_from([1.0, 0.25, 0.1]), radius=st.integers(0, 3),
+           yaw=st.sampled_from([0.0, 0.3, np.pi / 2]))
+    @example(points=[], dup=[], step=1.0, radius=1, yaw=0.0)
+    @example(points=[(4, 0, 0)], dup=[0, 0], step=1.0, radius=3, yaw=0.0)
+    def test_equals_brute_force_z_buffer(self, points, dup, step, radius, yaw):
+        # Integer lattices give many exact depth ties; duplicates tie on every key but the index.
+        # x <= 0 puts points behind the camera, large |y| or |z| puts them off the image.
+        pts = points + [points[j % len(points)] for j in dup if points]
+        xyz = np.array(pts, dtype=np.float64).reshape(-1, 3) * step
+        cam = ring_camera(yaw, 16, 12, 6.0, 0.0)
+        uv, depth = project_points(xyz, cam)
+        got = rasterize(xyz, cam, radius)
+        want = reference_rasterize(uv, depth, cam.width, cam.height, radius)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_generated_buffers_equal_oracle_render(self):
+        cfg = SceneConfig(rng_seed=2, splat_radius=2, scan_id=5, camera_count=3, **FAST)
+        synth = generate_scene(cfg)
+        for k, cam in enumerate(synth.sample.cams):
+            img, dmap, imap = _oracle_render(synth.sample.cloud, cam, cfg.scan_id, cfg.splat_radius)
+            assert np.array_equal(synth.sample.images[k], img)
+            assert np.array_equal(synth.depth_maps[k], dmap)
+            assert np.array_equal(synth.instance_maps[k], imap)
