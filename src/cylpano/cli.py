@@ -360,6 +360,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._argv = list(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy generators take non-negative seeds
+            raise BadConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except PipelineError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

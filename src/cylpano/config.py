@@ -30,8 +30,8 @@ class TokenConfig:
     weights_path: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if self.dim < 1 or self.seed < 0:  # numpy generators take non-negative seeds
+            raise ValueError("need dim >= 1 and seed >= 0")
 
 
 @dataclass

@@ -19,6 +19,8 @@ binary PPM (P6).
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +29,13 @@ from .errors import BadConfigError, BadMagicError, ShapeMismatchError, Truncated
 from .geometry import CameraModel
 from .grid import PointCloud
 from .queries import LocationHint, Mask2D, QuerySet
-from .tokens import N_BANDS, PHI_HIDDEN, SpeParams, TokenSet
+from .tokens import SpeParams, TokenSet
 
 PLCD_DTYPE = np.dtype([("xyz", "<f4", (3,)), ("intensity", "<f4"), ("semantic", "<u2"), ("instance", "<u2")])
 PVOX_DTYPE = np.dtype([("idx", "<u2", (3,)), ("tag", "u1")])
 ORIGIN_CODES = {"geometric": 0, "texture": 1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
+PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")  # width, height, maxval, one whitespace
 
 
 class _Reader:
@@ -55,9 +58,8 @@ class _Reader:
         self.off += n
         return out
 
-    def u32(self, count: int = 1):
-        vals = np.frombuffer(self.take(4 * count), dtype="<u4")
-        return int(vals[0]) if count == 1 else vals.astype(np.int64)
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "little")
 
     def array(self, dtype, count: int) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -238,22 +240,13 @@ def read_ppm(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if not data.startswith(b"P6"):
         raise BadMagicError(f"{path}: not a binary PPM")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise TruncatedFileError(f"{path}: incomplete PPM header")
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = PPM_HEADER.match(data)
+    if header is None:
+        raise TruncatedFileError(f"{path}: incomplete or malformed PPM header")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ShapeMismatchError(f"{path}: only maxval 255 supported")
-    payload = data[pos:pos + w * h * 3]
+    payload = data[header.end():header.end() + w * h * 3]
     if len(payload) < w * h * 3:
         raise TruncatedFileError(f"{path}: PPM payload short")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
@@ -322,12 +315,12 @@ def read_spe_params(path) -> SpeParams:
     arrays = []
     for _ in range(n_arrays):
         ndim = r.u32()
-        shape = tuple(int(r.u32()) for _ in range(ndim))
-        arrays.append(r.array("<f8", int(np.prod(shape))).reshape(shape).copy())
+        shape = tuple(r.u32() for _ in range(ndim))
+        arrays.append(r.array("<f8", math.prod(shape)).reshape(shape).copy())  # exact, where np.prod wraps
     r.done()
     if n_arrays != 6:
         raise ShapeMismatchError(f"{path}: expected 6 weight blocks, found {n_arrays}")
-    scales, psi_w, w1, b1, w2, b2 = arrays
-    if psi_w.shape != (dim, 5 * N_BANDS * 2) or w1.shape != (PHI_HIDDEN, 8):
-        raise ShapeMismatchError(f"{path}: weight shapes inconsistent with dim {dim}")
-    return SpeParams(dim, scales, psi_w, w1, b1, w2, b2)
+    try:
+        return SpeParams(dim, *arrays)
+    except ValueError as exc:  # a block of the wrong shape, or a non-finite weight
+        raise ShapeMismatchError(f"{path}: {exc}") from exc

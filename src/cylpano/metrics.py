@@ -138,7 +138,10 @@ class ClassTable:
                 entries[int(key)] = (name.strip(), kind.strip())
             except ValueError as exc:
                 raise BadConfigError(f"bad class entry {key} = {value}") from exc
-        return cls(entries)
+        try:
+            return cls(entries)
+        except ValueError as exc:  # an unknown kind
+            raise BadConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import MultiModalSample, check_range
-from .geometry import CameraModel, valid_projections
+from .geometry import CameraModel, rotation_z, valid_projections
 from .grid import PointCloud
 from .metrics import ClassTable
 from .queries import Mask2D
@@ -105,29 +105,16 @@ def default_rig(cfg: SceneConfig) -> list[CameraModel]:
 
 
 def _sample_box(rng, n, w, d, h):
-    # Faces weighted by area; the bottom face is never visible and is skipped.
+    # Faces weighted by area: x = +-w/2, y = +-d/2, then the top z = h; the
+    # bottom face is never visible and is skipped.
     areas = np.array([d * h, d * h, w * h, w * h, w * d])
     face = rng.choice(5, size=n, p=areas / areas.sum())
     a = rng.uniform(-0.5, 0.5, n)
     b = rng.uniform(0.0, 1.0, n)
-    pts = np.empty((n, 3))
-    for f in range(5):
-        m = face == f
-        if not m.any():
-            continue
-        if f in (0, 1):
-            pts[m, 0] = (w / 2.0) if f == 0 else (-w / 2.0)
-            pts[m, 1] = a[m] * d
-            pts[m, 2] = b[m] * h
-        elif f in (2, 3):
-            pts[m, 0] = a[m] * w
-            pts[m, 1] = (d / 2.0) if f == 2 else (-d / 2.0)
-            pts[m, 2] = b[m] * h
-        else:
-            pts[m, 0] = a[m] * w
-            pts[m, 1] = (b[m] - 0.5) * d
-            pts[m, 2] = h
-    return pts
+    x = np.select([face == 0, face == 1], [w / 2.0, -w / 2.0], a * w)
+    y = np.select([face == 2, face == 3, face == 4], [d / 2.0, -d / 2.0, (b - 0.5) * d], a * d)
+    z = np.where(face == 4, h, b * h)
+    return np.column_stack([x, y, z])
 
 
 def _sample_pillar(rng, n, radius, height):
@@ -177,9 +164,7 @@ def generate_scene(cfg: SceneConfig, table: ClassTable | None = None) -> SynthSa
             height = rng.uniform(1.0, 3.0)
             pts = _sample_box(rng, n, length, 0.15, height)
             cls = WALL
-        c, s = np.cos(yaw), np.sin(yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        xyz.append(pts @ rot.T + center)
+        xyz.append(pts @ rotation_z(yaw).T + center)
         classes.append(cls)
         sem.append(np.full(n, cls, dtype=np.uint16))
         inst.append(np.full(n, obj_id, dtype=np.uint16))

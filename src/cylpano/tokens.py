@@ -103,14 +103,14 @@ class SpeParams:
     seed: int = 0
 
     def __post_init__(self):
-        n_feat = 5 * N_BANDS * 2
-        if self.psi_w.shape != (self.dim, n_feat):
-            raise ValueError("psi projection has the wrong shape")
-        if self.phi_w1.shape != (PHI_HIDDEN, 8) or self.phi_w2.shape != (self.dim, PHI_HIDDEN):
-            raise ValueError("phi MLP has the wrong shape")
-        for a in (self.coord_scales, self.psi_w, self.phi_w1, self.phi_b1, self.phi_w2, self.phi_b2):
+        shapes = {"coord_scales": (5,), "psi_w": (self.dim, 5 * N_BANDS * 2), "phi_w1": (PHI_HIDDEN, 8),
+                  "phi_b1": (PHI_HIDDEN,), "phi_w2": (self.dim, PHI_HIDDEN), "phi_b2": (self.dim,)}
+        for name, shape in shapes.items():
+            a = getattr(self, name)
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape} for dim {self.dim}")
             if not np.isfinite(a).all():
-                raise ValueError("embedding weights must be finite")
+                raise ValueError(f"{name} holds a non-finite weight")
 
     @classmethod
     def create(cls, spec: CylGridSpec, dim: int = 128, seed: int = 0) -> "SpeParams":
@@ -312,10 +312,10 @@ class VoxelFeatures:
         counts = grid.counts.astype(np.float64)
         xyz = grid.cloud.xyz.astype(np.float64)[grid.order]
         sums = np.add.reduceat(xyz, grid.starts[:-1], axis=0)
-        means = sums / np.maximum(counts[:, None], 1.0)
+        means = sums / counts[:, None]  # every occupied voxel holds at least one point
         inten = grid.cloud.intensity.astype(np.float64)[grid.order]
         isum = np.add.reduceat(inten, grid.starts[:-1])
-        raw = np.column_stack([np.log1p(counts), means, isum / np.maximum(counts, 1.0)])
+        raw = np.column_stack([np.log1p(counts), means, isum / counts])
         proj = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(raw.shape[1]), (dim, raw.shape[1]))
         return cls(grid.voxel_ids.copy(), raw, proj)
 

@@ -318,3 +318,33 @@ def reference_rasterize(uv, depth, width, height, splat_radius):
     pixels = sorted(best)
     return (np.array(pixels, dtype=np.int64), np.array([best[p][1] for p in pixels], dtype=np.int64),
             np.array([best[p][0] for p in pixels], dtype=np.float64))
+
+
+def reference_sample_box(rng, n, w, d, h):
+    """Box surface points sampled face by face, drawing face, a, b from `rng` in that order.
+
+    Faces 0/1 are x = +-w/2, faces 2/3 are y = +-d/2 and face 4 is the top,
+    z = h; each face is chosen with probability proportional to its area.
+    """
+    areas = np.array([d * h, d * h, w * h, w * h, w * d])
+    face = rng.choice(5, size=n, p=areas / areas.sum())
+    a = rng.uniform(-0.5, 0.5, n)
+    b = rng.uniform(0.0, 1.0, n)
+    pts = np.empty((n, 3))
+    for f in range(5):
+        m = face == f
+        if not m.any():
+            continue
+        if f in (0, 1):
+            pts[m, 0] = (w / 2.0) if f == 0 else (-w / 2.0)
+            pts[m, 1] = a[m] * d
+            pts[m, 2] = b[m] * h
+        elif f in (2, 3):
+            pts[m, 0] = a[m] * w
+            pts[m, 1] = (d / 2.0) if f == 2 else (-d / 2.0)
+            pts[m, 2] = b[m] * h
+        else:
+            pts[m, 0] = a[m] * w
+            pts[m, 1] = (b[m] - 0.5) * d
+            pts[m, 2] = h
+    return pts

@@ -526,6 +526,54 @@ def _augment_config_case(key, value):
     return case
 
 
+def _seed_case(command, seed):
+    """`cylpano synth` or `augment` with a negative --seed."""
+    def case(base, cfg, tmp):
+        pair = ["--org", str(base / "org"), "--new", str(base / "org")] if command == "augment" else []
+        return [command, "--config", cfg, *pair, "--seed", seed, "--out", str(tmp / "o")]
+    return case
+
+
+def _negative_token_seed_case(base, cfg, tmp):
+    bad = load_config(cfg)
+    bad.tokens.seed = -1  # set after construction, so save_config writes it unchecked
+    save_config(tmp / "bad.cfg", bad)
+    return ["fuse", "--config", str(tmp / "bad.cfg"), "--sample", str(base / "org"), "--out", str(tmp / "o")]
+
+
+def _spew_case(block, value):
+    """`cylpano fuse` with SPEW weights whose one block is malformed."""
+    def case(base, cfg, tmp):
+        from cylpano.tokens import SpeParams
+
+        weighted = load_config(cfg)
+        params = SpeParams.create(weighted.grid, weighted.tokens.dim)
+        setattr(params, block, value(getattr(params, block)))  # set after construction, so it is written unchecked
+        formats.write_spe_params(tmp / "w.spew", params)
+        weighted.tokens.weights_path = "w.spew"
+        save_config(tmp / "weights.cfg", weighted)
+        return ["fuse", "--config", str(tmp / "weights.cfg"), "--sample", str(base / "org"), "--out", str(tmp / "o")]
+    return case
+
+
+def _with_nan(a):
+    a = a.copy()
+    a.flat[3] = np.nan
+    return a
+
+
+def _ppm_header_case(header):
+    """`cylpano fuse` on a sample whose first image has its PPM header replaced."""
+    def case(base, cfg, tmp):
+        import shutil
+
+        shutil.copytree(base / "org", tmp / "sample")
+        image = tmp / "sample" / "images" / "cam00.ppm"
+        image.write_bytes(header + image.read_bytes()[len(b"P6\n96 72\n255\n"):])
+        return ["fuse", "--config", cfg, "--sample", str(tmp / "sample"), "--out", str(tmp / "o")]
+    return case
+
+
 def _null_width(calib):
     calib["cameras"][0]["width"] = None
     return calib
@@ -575,6 +623,17 @@ MALFORMED = {
     "cloud-non-finite-coordinate": (_non_finite_cloud_case, "ShapeMismatchError"),
     "augment-instance-ids-past-u16": (_instance_overflow_case, "ShapeMismatchError"),
     "replay-manifest-not-json": (_replay_case, "BadConfigError"),
+    "synth-negative-seed": (_seed_case("synth", "-1"), "BadConfigError"),
+    "augment-negative-seed": (_seed_case("augment", "-3"), "BadConfigError"),
+    "fuse-negative-token-seed": (_negative_token_seed_case, "BadConfigError"),
+    "classes-unknown-kind": (_classes_case("[classes]\n1 = car,foo\n"), "BadConfigError"),
+    "spew-phi-w2-wrong-shape": (_spew_case("phi_w2", lambda a: a[:, :-1]), "ShapeMismatchError"),
+    "spew-phi-b1-wrong-shape": (_spew_case("phi_b1", lambda a: a[:-1]), "ShapeMismatchError"),
+    "spew-phi-b2-wrong-shape": (_spew_case("phi_b2", lambda a: np.append(a, 0.0)), "ShapeMismatchError"),
+    "spew-coord-scales-wrong-shape": (_spew_case("coord_scales", lambda a: a[:4]), "ShapeMismatchError"),
+    "spew-nan-psi-w": (_spew_case("psi_w", _with_nan), "ShapeMismatchError"),
+    "ppm-width-not-a-number": (_ppm_header_case(b"P6\nabc 72\n255\n"), "TruncatedFileError"),
+    "ppm-negative-width": (_ppm_header_case(b"P6\n-96 72\n255\n"), "TruncatedFileError"),
 }
 
 

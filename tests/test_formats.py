@@ -185,6 +185,26 @@ class TestTensorCodecs:
         assert np.array_equal(got_tags, tags)
 
 
+PPM_IMAGE = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)  # 3 wide, 2 high
+PPM_GOOD_HEADERS = {
+    "as-written": b"P6\n3 2\n255\n",
+    "tabs": b"P6\t3\t2\t255\t",
+    "crlf-between-fields": b"P6\r\n3 2\r\n255\n",
+    "several-spaces": b"P6   3    2  255 ",
+}
+PPM_BAD_FILES = {
+    "header-cut-short": (b"P6\n3 2", TruncatedFileError),
+    "no-whitespace-after-maxval": (b"P6\n3 2\n255", TruncatedFileError),
+    "maxval-65535": (b"P6\n3 2\n65535\n" + PPM_IMAGE.tobytes(), ShapeMismatchError),
+    "payload-short": (b"P6\n3 2\n255\n" + PPM_IMAGE.tobytes()[:-1], TruncatedFileError),
+    "width-not-a-number": (b"P6\nabc 2\n255\n" + PPM_IMAGE.tobytes(), TruncatedFileError),
+    "negative-width": (b"P6\n-96 72\n255\n" + PPM_IMAGE.tobytes(), TruncatedFileError),
+    "plus-signed-width": (b"P6\n+3 2\n255\n" + PPM_IMAGE.tobytes(), TruncatedFileError),
+    "no-whitespace-after-magic": (b"P63 2\n255\n" + PPM_IMAGE.tobytes(), TruncatedFileError),
+    "grayscale-magic": (b"P5\n3 2\n255\n" + PPM_IMAGE.tobytes(), BadMagicError),
+}
+
+
 class TestImagesAndCalibration:
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -196,6 +216,18 @@ class TestImagesAndCalibration:
         (tmp_path / "x.ppm").write_bytes(b"P5\n2 2\n255\n\0\0\0\0")
         with pytest.raises(BadMagicError):
             formats.read_ppm(tmp_path / "x.ppm")
+
+    @pytest.mark.parametrize("header", sorted(PPM_GOOD_HEADERS))
+    def test_ppm_header_whitespace_read_back_exactly(self, tmp_path, header):
+        (tmp_path / "i.ppm").write_bytes(PPM_GOOD_HEADERS[header] + PPM_IMAGE.tobytes())
+        assert np.array_equal(formats.read_ppm(tmp_path / "i.ppm"), PPM_IMAGE)
+
+    @pytest.mark.parametrize("case", sorted(PPM_BAD_FILES))
+    def test_ppm_malformed_raises_named_error(self, tmp_path, case):
+        data, error = PPM_BAD_FILES[case]
+        (tmp_path / "i.ppm").write_bytes(data)
+        with pytest.raises(error):
+            formats.read_ppm(tmp_path / "i.ppm")
 
     def test_calibration_round_trip_bit_exact(self, tmp_path):
         cams = [ring_camera(0.3, 640, 360, 351.75, 1.61), ring_camera(2.1, 640, 360, 351.75, 1.61)]
@@ -371,6 +403,15 @@ class TestConfig:
         with pytest.raises(TruncatedFileError):
             read_spe_params(tmp_path / "short.spew")
 
+
+    def test_spe_weights_block_count_past_int64_is_truncated(self, tmp_path):
+        from cylpano.formats import read_spe_params
+
+        # one 2-d block of (2**32 - 1)**2 values: its count does not fit an int64
+        data = b"SPEW" + struct.pack("<5I", 8, 6, 2, 2**32 - 1, 2**32 - 1) + bytes(64)
+        (tmp_path / "big.spew").write_bytes(data)
+        with pytest.raises(TruncatedFileError):
+            read_spe_params(tmp_path / "big.spew")
 
 def random_bits(rng, shape, dtype):
     """Arrays of arbitrary bit patterns, NaNs and infinities included for floats."""

@@ -44,3 +44,18 @@ def test_every_public_definition_has_a_caller_outside_tests():
         and node.name not in used | ALLOWED
     ]
     assert unused == []
+
+
+def test_package_namespace_binds_only_the_version():
+    """`cylpano/__init__.py` re-exports nothing: names are imported from their modules."""
+    tree = ast.parse((ROOT / "src" / "cylpano" / "__init__.py").read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert sorted(name for name in bound if not name.startswith("_")) == []
+    assert "__version__" in bound

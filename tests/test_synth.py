@@ -7,13 +7,14 @@ from cylpano.grid import CylGridSpec, voxelize
 from cylpano.metrics import SegLabeling, evaluate
 from cylpano.synth import (
     SceneConfig,
+    _sample_box,
     generate_scene,
     rasterize,
     render_overlay,
     ring_camera,
 )
 
-from oracles import backproject, reference_rasterize
+from oracles import backproject, reference_rasterize, reference_sample_box
 
 FAST = dict(ground_points=600, points_per_object=(60, 150), image_size=(96, 72), focal=60.0)
 
@@ -202,3 +203,17 @@ class TestRasterize:
             assert np.array_equal(synth.sample.images[k], img)
             assert np.array_equal(synth.depth_maps[k], dmap)
             assert np.array_equal(synth.instance_maps[k], imap)
+
+
+class TestSampleBox:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 500),
+           size=st.tuples(*[st.floats(0.01, 10.0)] * 3))
+    @example(seed=0, n=0, size=(1.0, 1.0, 1.0))
+    @example(seed=3, n=500, size=(6.0, 0.15, 2.0))  # a wall
+    def test_equals_per_face_loop(self, seed, n, size):
+        # Twin generators: both draw the same numbers, so the points must match bit for bit.
+        got = _sample_box(np.random.default_rng(seed), n, *size)
+        want = reference_sample_box(np.random.default_rng(seed), n, *size)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
