@@ -31,7 +31,9 @@ from .tokens import FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with path.open("rb") as f:  # in 1 MiB chunks, not the whole file at once
+        while chunk := f.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -66,9 +68,13 @@ def _load_sample(sample_dir) -> MultiModalSample:
     sample_dir = Path(sample_dir)
     cloud = formats.read_point_cloud(sample_dir / "cloud.plcd")
     cams = formats.read_calibration(sample_dir / "calib.json")
-    images = [formats.read_ppm(p) for p in sorted((sample_dir / "images").glob("cam*.ppm"))]
+    paths = sorted((sample_dir / "images").glob("cam*.ppm"))
+    images = [formats.read_ppm(p) for p in paths]
     if len(images) != len(cams):
         raise ShapeMismatchError(f"{sample_dir}: {len(images)} images vs {len(cams)} cameras")
+    for path, img, cam in zip(paths, images, cams):
+        if img.shape[:2] != (cam.height, cam.width):
+            raise ShapeMismatchError(f"{path}: {img.shape[1]}x{img.shape[0]} image vs {cam.width}x{cam.height} camera")
     return MultiModalSample(cloud, images, cams)
 
 

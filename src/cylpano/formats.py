@@ -124,7 +124,9 @@ def write_tokens(path, tokens: TokenSet):
     rec = np.empty(len(tokens), dtype=np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * tokens.dim)]))
     rec["idx"] = _u16_indices(tokens.indices3)
     rec["content"] = tokens.content  # cast to <f4 in place, with no float32 copy
-    Path(path).write_bytes(b"TOKS" + _u32(len(tokens), tokens.dim) + rec.tobytes())
+    with open(path, "wb") as f:  # the header, then the records' own buffer: no full-size copy
+        f.write(b"TOKS" + _u32(len(tokens), tokens.dim))
+        f.write(rec.data)
 
 
 def read_tokens(path, spec) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,10 @@ def cart_to_polar(xyz: np.ndarray) -> np.ndarray:
     """Convert (..., 3) Cartesian points to (rho, theta, z) with theta in [0, 2*pi)."""
     xyz = np.asarray(xyz, dtype=np.float64)
     rho = np.hypot(xyz[..., 0], xyz[..., 1])
-    theta = np.arctan2(xyz[..., 1], xyz[..., 0]) % TWO_PI
-    # A remainder of a tiny negative angle can round up to exactly 2*pi.
+    theta = np.arctan2(xyz[..., 1], xyz[..., 0])
+    # arctan2 lies in [-pi, pi], where this equals `theta % TWO_PI` bit for bit (-0.0 gives 0.0)
+    theta = theta + np.where(theta < 0.0, TWO_PI, 0.0)
+    # A tiny negative angle plus 2*pi can round up to exactly 2*pi.
     theta = np.where(theta >= TWO_PI, 0.0, theta)
     return np.stack([rho, theta, xyz[..., 2]], axis=-1)
 

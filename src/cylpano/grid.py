@@ -49,8 +49,9 @@ class PointCloud:
         return self.semantic is not None and self.instance is not None
 
     def select(self, idx) -> "PointCloud":
+        """The points at integer indices `idx`, in that order."""
         return PointCloud(
-            self.xyz[idx],
+            np.take(self.xyz, idx, axis=0),
             self.intensity[idx],
             None if self.semantic is None else self.semantic[idx],
             None if self.instance is None else self.instance[idx],
@@ -304,7 +305,7 @@ def pair_voxel_image(grid: CylGrid, cams: list[CameraModel]) -> CylGrid:
     voxel center plays no part. Voxels with no surviving projection in a
     camera get no pairing for that camera.
     """
-    pts = grid.cloud.xyz[grid.order]
+    pts = np.take(grid.cloud.xyz, grid.order, axis=0)
     rows = grid.point_rows
     for cam_id, cam in enumerate(cams):
         uv, _, valid = valid_projections(pts, cam)

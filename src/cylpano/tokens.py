@@ -8,11 +8,14 @@ combines a sinusoidal encoding of its centroid (in Cartesian and polar
 coordinates) with a small MLP over the distances from the centroid to the
 voxel's eight corners, so tokens carry both location and physical scale; the
 terms that depend on one bin index come from per-bin tables. `build_tokens`
-makes one pass over blocks of SPE_BLOCK rows and adds each block of embedding,
-while it is in cache, to the LiDAR half (the statistics placeholder is kept
-factored and multiplied out per block) and to the image half (the block's rows
-of one sparse sampling matrix over all voxels and cameras, times the stacked
-feature maps), so no (M, dim) feature or image-mean array is ever made.
+works on two block levels (Lam, Rothberg & Wolf, ASPLOS 1991). Per
+super-block of at most 2 * SPE_BLOCK rows it computes the x/y sinusoid
+product straight into the embedding and the image means as one slice of a
+sparse sampling matrix over all voxels and cameras times the stacked
+feature maps. Per sub-block of SPE_BLOCK // 4 rows, which stays in cache, it
+adds the per-bin terms and writes both halves: the LiDAR half (the
+statistics placeholder is kept factored and multiplied out per sub-block)
+and the image half. So no (M, dim) feature or image-mean array is ever made.
 """
 
 from __future__ import annotations
@@ -183,7 +186,11 @@ def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
     return h @ params.phi_w2.T + params.phi_b2
 
 
-SPE_BLOCK = 1024  # rows per block: a block and its gathered table rows fit in a 2 MB L2 cache
+SPE_BLOCK = 1024  # sizes both block levels of the embedding and fusion pass
+# a sub-block and its five (rows, dim) temporaries fit in a 2 MB L2 cache
+_SUB_BLOCK = SPE_BLOCK // 4
+# a super-block pays one sparse slice and product dispatch, and its image means stay near 2 MB
+_SUPER_BLOCK = 2 * SPE_BLOCK
 
 
 def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,23 +219,37 @@ def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.nd
 
 
 def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams, out: np.ndarray):
-    """Fill `out` with the embedding of (M, 3) bin indices; yield each SPE_BLOCK-row slice and its filled view.
+    """Fill `out` with the embedding of (M, 3) bin indices, on two block levels.
 
-    Only the x and y sinusoids need the voxel's own centroid; the rho, theta,
-    z and scale terms are gathered from per-bin tables (`_bin_tables`).
+    Yields each super-block's row slice, once its x and y sinusoid term (the
+    only one that needs the voxel's own centroid) is in `out`, with an
+    iterator over its sub-blocks. Each step of that iterator adds the rho,
+    theta, z and scale terms from per-bin tables (`_bin_tables`) to one
+    sub-block and yields its row slice and filled view; every sub-block
+    iterator must be run to its end.
     """
+    m = len(idx3)
     xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
     tables = _bin_tables(spec, params)
     w_xy = _psi(params, slice(0, 2))
-    gathered = np.empty((min(len(idx3), SPE_BLOCK), params.dim))
-    for a in range(0, len(idx3), SPE_BLOCK):
-        rows = slice(a, min(a + SPE_BLOCK, len(idx3)))
-        block = out[rows]
-        np.matmul(_sinusoids(xy[:, rows], params.coord_scales[:2]).T, w_xy, out=block)
-        for axis, table in enumerate(tables):
-            # mode="raise" would buffer `out`; the indices are known to be in range
-            block += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(block)], mode="clip")
-        yield rows, block
+    gathered = np.empty((min(m, _SUB_BLOCK), params.dim))
+
+    def sub_blocks(sup: slice):
+        for a in range(sup.start, sup.stop, _SUB_BLOCK):
+            rows = slice(a, min(a + _SUB_BLOCK, sup.stop))
+            block = out[rows]
+            for axis, table in enumerate(tables):
+                # mode="raise" would buffer `out`; the indices are known to be in range
+                block += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(block)], mode="clip")
+            yield rows, block
+
+    bounds = [*range(0, m, _SUPER_BLOCK), m]
+    if m % _SUPER_BLOCK == 1 and m > 1:
+        # numpy multiplies a lone row by gemv, which rounds unlike gemm: it joins the super-block before
+        del bounds[-2]
+    for sup in map(slice, bounds[:-1], bounds[1:]):
+        np.matmul(_sinusoids(xy[:, sup], params.coord_scales[:2]).T, w_xy, out=out[sup])
+        yield sup, sub_blocks(sup)
 
 
 def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
@@ -239,8 +260,9 @@ def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndar
     """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(idx3), params.dim))
-    for _ in _spe_blocks(idx3, spec, params, out):
-        pass
+    for _, sub_blocks in _spe_blocks(idx3, spec, params, out):
+        for _ in sub_blocks:
+            pass
     return out
 
 
@@ -310,7 +332,7 @@ class VoxelFeatures:
     def stats_placeholder(cls, grid: CylGrid, dim: int, seed: int = 0) -> "VoxelFeatures":
         """Deterministic stand-in for a learned encoder: per-voxel stats, seed-projected."""
         counts = grid.counts.astype(np.float64)
-        xyz = grid.cloud.xyz.astype(np.float64)[grid.order]
+        xyz = np.take(grid.cloud.xyz, grid.order, axis=0).astype(np.float64)
         sums = np.add.reduceat(xyz, grid.starts[:-1], axis=0)
         means = sums / counts[:, None]  # every occupied voxel holds at least one point
         inten = grid.cloud.intensity.astype(np.float64)[grid.order]
@@ -374,11 +396,13 @@ def build_tokens(
     s = np.empty((grid.num_voxels, dim))
     content = np.empty((grid.num_voxels, 2 * dim))
     sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
-    for rows, block in _spe_blocks(grid.indices3, grid.spec, params, s):
-        np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
-        means = sampling[rows] @ stacked
-        means /= np.maximum(counts[rows], 1)[:, None]
-        np.add(block, means, out=content[rows, dim:])
+    denom = np.maximum(counts, 1.0)[:, None]  # float64, so no block casts the counts again
+    for sup, sub_blocks in _spe_blocks(grid.indices3, grid.spec, params, s):
+        means = sampling[sup] @ stacked
+        means /= denom[sup]
+        for rows, block in sub_blocks:
+            np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
+            np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=content[rows, dim:])
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, counts > 0)
 
 
@@ -386,7 +410,7 @@ def _image_sampling(
     grid: CylGrid, fmaps: list[FeatureMap], cams: list[CameraModel], dim: int, bilinear: bool
 ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Sampling matrix of each voxel row's valid projections, their number, and the float64 feature maps."""
-    pts = grid.cloud.xyz[grid.order]
+    pts = np.take(grid.cloud.xyz, grid.order, axis=0)
     point_rows = grid.point_rows
     counts = np.zeros(grid.num_voxels, dtype=np.int64)
     if not fmaps:

@@ -574,6 +574,23 @@ def _ppm_header_case(header):
     return case
 
 
+def _image_size_case(command):
+    """`render-overlay`, or all-strategy `augment`, on a sample whose cam00.ppm is 12x10 on a 96x72 camera."""
+    def case(base, cfg, tmp):
+        import shutil
+
+        shutil.copytree(base / "org", tmp / "sample")
+        formats.write_ppm(tmp / "sample" / "images" / "cam00.ppm", np.zeros((10, 12, 3), np.uint8))
+        if command == "render-overlay":
+            return ["render-overlay", "--sample", str(tmp / "sample"), "--out", str(tmp / "o")]
+        swap = load_config(cfg)
+        swap.augment.p_instance = swap.augment.p_height_swap = swap.augment.p_angle_swap = 1.0
+        save_config(tmp / "swap.cfg", swap)
+        return ["augment", "--config", str(tmp / "swap.cfg"), "--org", str(tmp / "sample"), "--new",
+                str(tmp / "sample"), "--seed", "2", "--out", str(tmp / "o")]
+    return case
+
+
 def _null_width(calib):
     calib["cameras"][0]["width"] = None
     return calib
@@ -634,6 +651,8 @@ MALFORMED = {
     "spew-nan-psi-w": (_spew_case("psi_w", _with_nan), "ShapeMismatchError"),
     "ppm-width-not-a-number": (_ppm_header_case(b"P6\nabc 72\n255\n"), "TruncatedFileError"),
     "ppm-negative-width": (_ppm_header_case(b"P6\n-96 72\n255\n"), "TruncatedFileError"),
+    "image-size-not-camera-size-render-overlay": (_image_size_case("render-overlay"), "ShapeMismatchError"),
+    "image-size-not-camera-size-augment": (_image_size_case("augment"), "ShapeMismatchError"),
 }
 
 
@@ -646,3 +665,18 @@ def test_malformed_input_exits_1_with_error_name(fused_scene, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ")
     assert "Traceback" not in err
+
+
+def test_wrong_size_image_error_names_the_file(fused_scene, tmp_path, capsys):
+    argv = _image_size_case("render-overlay")(*fused_scene, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "cam00.ppm: 12x10 image vs 96x72 camera" in capsys.readouterr().err
+
+
+def test_sha256_in_chunks_equals_whole_file_hash(tmp_path):
+    from cylpano.cli import _sha256
+
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(0).integers(0, 256, 7 << 19, dtype=np.uint8).tobytes())  # 3.5 MiB
+    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()

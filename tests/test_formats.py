@@ -525,6 +525,17 @@ class TestCodecProperties:
         expect += struct.pack("<HHHB", 65535, 0, 40, 0)
         assert (tmp_path / "p.pvox").read_bytes() == expect
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_tokens_byte_layout(self, tmp_path, m):
+        spec = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
+        flat = np.array([5, 77, 383])[:m]
+        content = np.arange(m * 4, dtype=np.float64).reshape(m, 4) / 3.0 - 1.0
+        formats.write_tokens(tmp_path / "t.toks", TokenSet(spec, flat, content))
+        expect = b"TOKS" + struct.pack("<II", m, 2) + b"".join(
+            struct.pack("<HHH4f", *spec.unflatten(flat)[k], *content[k]) for k in range(m)
+        )
+        assert (tmp_path / "t.toks").read_bytes() == expect
+
     @pytest.mark.parametrize("r", [65535, 65536])
     def test_voxel_indices_past_u16_rejected(self, tmp_path, r):
         spec = CylGridSpec(70000, 4, 2, (0.0, 70.0), (-1.0, 1.0))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylpano.geometry import (
+    TWO_PI,
     CameraModel,
     InstanceTransform,
     cart_to_polar,
@@ -34,6 +37,33 @@ class TestPolar:
 
     def test_origin_convention(self):
         assert np.allclose(cart_to_polar([0, 0, 0]), [0, 0, 0])
+
+    # signed zeros, subnormals, the least normal, and y tiny enough that 2*pi - |y| rounds to 2*pi
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             1e-17, -1e-17, -4.4e-16, -4.5e-16, 1.0, -1.0, 3.5, -3.5]
+
+    @staticmethod
+    def _theta_by_remainder(x, y):
+        theta = np.arctan2(y, x) % TWO_PI
+        return np.where(theta >= TWO_PI, 0.0, theta)
+
+    def test_theta_equals_remainder_form_on_edges(self):
+        x, y = np.array(np.meshgrid(self.EDGES, self.EDGES)).reshape(2, -1)
+        theta = cart_to_polar(np.column_stack([x, y, np.zeros_like(x)]))[:, 1]
+        assert theta.tobytes() == self._theta_by_remainder(x, y).tobytes()
+        assert (theta[(x < 0) & (y == 0)] == np.pi).all()
+        assert not np.signbit(theta).any()
+        assert (theta[(x >= 1.0) & (y < 0) & (y > -1e-16)] == 0.0).all()  # 2*pi - |y| rounds up to 2*pi
+        assert np.nextafter(TWO_PI, 0.0) in theta  # y = -4.5e-16 at x = 1 does not
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGES), st.floats(-1e6, 1e6)),
+                              st.one_of(st.sampled_from(EDGES), st.floats(-1e6, 1e6))),
+                    min_size=1, max_size=20))
+    def test_theta_equals_remainder_form(self, pairs):
+        x, y = np.array(pairs).T
+        theta = cart_to_polar(np.column_stack([x, y, np.zeros_like(x)]))[:, 1]
+        assert theta.tobytes() == self._theta_by_remainder(x, y).tobytes()
 
     def test_polar_to_cart_axis_cases(self):
         assert np.allclose(polar_to_cart([1, 0, 0]), [1, 0, 0])

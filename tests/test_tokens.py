@@ -408,6 +408,37 @@ class TestBuildTokens:
         assert np.array_equal(factored.content,
                               build_tokens(grid, dense, fmaps, cams, params, bilinear=bilinear).content)
 
+    @pytest.mark.parametrize("bilinear", [False, True])
+    @pytest.mark.parametrize("m", [255, 256, 257, 2047, 2048, 2049, 4097])
+    def test_two_block_levels_equal_unblocked_reference(self, m, bilinear):
+        """Edges of the SPE_BLOCK // 4-row sub-blocks and the 2 * SPE_BLOCK-row super-blocks, and lone last rows."""
+        spec = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
+        r, t, z = spec.unflatten(np.arange(m)).T  # the first m cells, one point at the center of each
+        rho = (spec.r_edges[r] + spec.r_edges[r + 1]) / 2
+        theta = (spec.theta_edges[t] + spec.theta_edges[t + 1]) / 2
+        zc = (spec.z_edges[z] + spec.z_edges[z + 1]) / 2
+        rng = np.random.default_rng(m)
+        xyz = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), zc])
+        grid = voxelize(PointCloud(xyz, rng.random(m)), spec)
+        assert grid.num_voxels == m
+        dim = 6
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0)]
+        fmaps = [FeatureMap(rng.standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
+        params = SpeParams.create(spec, dim=dim, seed=2)
+        placeholder = VoxelFeatures.stats_placeholder(grid, dim, seed=3)
+        tokens = build_tokens(grid, placeholder, fmaps, cams, params, bilinear=bilinear)
+
+        corners = extreme_points_batch(grid.indices3, spec)
+        spe_ref = position_encoding(corners.mean(axis=1), params) + scale_encoding(corner_distances(corners), params)
+        means, seen = self._brute_force_image_half(grid, fmaps, cams, bilinear)
+        assert 0 < seen.sum() < m
+        assert np.array_equal(tokens.image_valid, seen)
+        assert np.abs(tokens.content[:, :dim] - (spe_ref + placeholder.feats)).max() < 1e-12
+        assert np.abs(tokens.content[:, dim:] - (spe_ref + means)).max() < 1e-12
+        assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
+        # every row goes through gemm, also a lone last row of a super-block
+        assert np.array_equal(tokens.spe[-1], spe_batch(grid.indices3[-2:], spec, params)[-1])
+
     def test_peak_memory_stays_below_one_feature_array(self):
         # one point at the center of every cell: 9 blocks of voxels
         spec = CylGridSpec(96, 96, 1, (1.0, 49.0), (-0.5, 0.5))
