@@ -252,7 +252,6 @@ def paste_instances(
     s: int,
     transforms: list[InstanceTransform] | None = None,
     instance_ids: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[MultiModalSample, np.ndarray, dict[int, np.ndarray]]:
     """Paste `s` donor instances into the original sample.
 
@@ -268,10 +267,7 @@ def paste_instances(
     if s > len(avail):
         raise InsufficientInstancesError(f"requested {s} instances, donor has {len(avail)}")
     if instance_ids is None:
-        if rng is not None:
-            instance_ids = rng.choice(avail, size=s, replace=False)
-        else:
-            instance_ids = avail[:s]
+        instance_ids = avail[:s]
     if transforms is None:
         transforms = [InstanceTransform.identity()] * len(instance_ids)
     if len(transforms) != len(instance_ids):

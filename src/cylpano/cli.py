@@ -161,7 +161,7 @@ def _feature_maps(args, cfg, cams) -> list[FeatureMap]:
         if data.shape[3] != dim:
             raise ShapeMismatchError(f"feature dim {data.shape[3]} != configured {dim}")
         return [FeatureMap(data[k], cams[k].width, cams[k].height) for k in range(len(cams))]
-    ds = max(1, cfg.tokens.feat_downsample)
+    ds = cfg.tokens.feat_downsample
     maps = []
     for k, cam in enumerate(cams):
         h, w = max(1, cam.height // ds), max(1, cam.width // ds)

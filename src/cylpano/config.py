@@ -30,8 +30,8 @@ class TokenConfig:
     weights_path: str = ""
 
     def __post_init__(self):
-        if self.dim < 1 or self.seed < 0:  # numpy generators take non-negative seeds
-            raise ValueError("need dim >= 1 and seed >= 0")
+        if self.dim < 1 or self.feat_downsample < 1 or self.seed < 0:  # numpy generators take non-negative seeds
+            raise ValueError("need dim >= 1, feat_downsample >= 1 and seed >= 0")
 
 
 @dataclass
@@ -52,12 +52,16 @@ class QueryConfig:
             raise ValueError("heatmap_mode must be 'gt_gaussian' or 'density'")
         if self.nms_radius_unit not in ("bins", "meters"):
             raise ValueError("nms_radius_unit must be 'bins' or 'meters'")
-        if not math.isfinite(self.heatmap_sigma):
-            raise ValueError("heatmap_sigma must be finite")
+        if not (math.isfinite(self.heatmap_sigma) and self.heatmap_sigma >= 0):
+            raise ValueError("heatmap_sigma must be finite and >= 0")
+        if not (math.isfinite(self.nms_radius) and self.nms_radius >= 0):
+            raise ValueError("nms_radius must be finite and >= 0")
+        if not math.isfinite(self.nms_conf_thresh):
+            raise ValueError("nms_conf_thresh must be finite")
         if not (math.isfinite(self.dbscan_eps) and self.dbscan_eps > 0):
             raise ValueError("dbscan_eps must be finite and > 0")
-        if self.dbscan_min_pts < 1 or self.l_pr < 1 or self.l_lt < 0:
-            raise ValueError("need dbscan_min_pts >= 1, l_pr >= 1 and l_lt >= 0")
+        if self.dbscan_min_pts < 1 or self.l_pr < 1 or self.l_lt < 0 or self.nms_max_peaks < 0:
+            raise ValueError("need dbscan_min_pts >= 1, l_pr >= 1, l_lt >= 0 and nms_max_peaks >= 0")
 
     def radius_in_bins(self, spec: CylGridSpec) -> float:
         if self.nms_radius_unit == "meters":

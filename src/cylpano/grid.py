@@ -219,9 +219,6 @@ class CylGrid:
             return i
         return -1
 
-    def points_of_row(self, row: int) -> np.ndarray:
-        return self.order[self.starts[row]:self.starts[row + 1]]
-
 
 def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
     """Partition a cloud into cylindrical voxels.

@@ -20,49 +20,6 @@ from .errors import BadConfigError, LengthMismatchError
 
 THING, STUFF, IGNORE = "thing", "stuff", "ignore"
 
-NUSCENES_CLASSES = {
-    0: ("noise", IGNORE),
-    1: ("barrier", THING),
-    2: ("bicycle", THING),
-    3: ("bus", THING),
-    4: ("car", THING),
-    5: ("construction_vehicle", THING),
-    6: ("motorcycle", THING),
-    7: ("pedestrian", THING),
-    8: ("traffic_cone", THING),
-    9: ("trailer", THING),
-    10: ("truck", THING),
-    11: ("driveable_surface", STUFF),
-    12: ("other_flat", STUFF),
-    13: ("sidewalk", STUFF),
-    14: ("terrain", STUFF),
-    15: ("manmade", STUFF),
-    16: ("vegetation", STUFF),
-}
-
-SEMANTIC_KITTI_CLASSES = {
-    0: ("unlabeled", IGNORE),
-    1: ("car", THING),
-    2: ("bicycle", THING),
-    3: ("motorcycle", THING),
-    4: ("truck", THING),
-    5: ("other_vehicle", THING),
-    6: ("person", THING),
-    7: ("bicyclist", THING),
-    8: ("motorcyclist", THING),
-    9: ("road", STUFF),
-    10: ("parking", STUFF),
-    11: ("sidewalk", STUFF),
-    12: ("other_ground", STUFF),
-    13: ("building", STUFF),
-    14: ("fence", STUFF),
-    15: ("vegetation", STUFF),
-    16: ("trunk", STUFF),
-    17: ("terrain", STUFF),
-    18: ("pole", STUFF),
-    19: ("traffic_sign", STUFF),
-}
-
 SYNTH_CLASSES = {
     0: ("unlabeled", IGNORE),
     1: ("ground", STUFF),
@@ -88,10 +45,6 @@ class ClassTable:
         return tuple(sorted(c for c, (_, k) in self.entries.items() if k == THING))
 
     @property
-    def stuff(self) -> tuple[int, ...]:
-        return tuple(sorted(c for c, (_, k) in self.entries.items() if k == STUFF))
-
-    @property
     def ignored(self) -> tuple[int, ...]:
         return tuple(sorted(c for c, (_, k) in self.entries.items() if k == IGNORE))
 
@@ -100,14 +53,6 @@ class ClassTable:
 
     def kind(self, cid: int) -> str:
         return self.entries[cid][1]
-
-    @classmethod
-    def nuscenes(cls) -> "ClassTable":
-        return cls(dict(NUSCENES_CLASSES))
-
-    @classmethod
-    def semantic_kitti(cls) -> "ClassTable":
-        return cls(dict(SEMANTIC_KITTI_CLASSES))
 
     @classmethod
     def synthetic(cls) -> "ClassTable":

@@ -303,14 +303,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 def fps(
     points: np.ndarray,
     k: int,
-    start: int | None = None,
     confidences: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy farthest point sampling in 3D Euclidean space.
 
-    Starts at `start` if given, else at the highest-confidence point (ties to
-    the lowest index; no confidences means index 0). Each later pick maximizes
-    the minimum distance to the selected set, ties again to the lowest index.
+    Starts at the highest-confidence point (ties to the lowest index; no
+    confidences means index 0). Each later pick maximizes the minimum distance
+    to the selected set, ties again to the lowest index.
     Returns all indices when k >= n.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -319,8 +318,7 @@ def fps(
         raise ValueError("k must be >= 1")
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    if start is None:
-        start = 0 if confidences is None else int(np.argmax(np.asarray(confidences)))
+    start = 0 if confidences is None else int(np.argmax(np.asarray(confidences)))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
     min_d = np.linalg.norm(pts - pts[start], axis=1)

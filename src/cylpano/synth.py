@@ -130,9 +130,8 @@ def _sample_pillar(rng, n, radius, height):
     return pts
 
 
-def generate_scene(cfg: SceneConfig, table: ClassTable | None = None) -> SynthSample:
+def generate_scene(cfg: SceneConfig) -> SynthSample:
     """Sample a scene, render provenance images, and derive per-instance masks."""
-    table = table or ClassTable.synthetic()
     rng = np.random.default_rng(cfg.rng_seed)
     cams = default_rig(cfg)
 
@@ -177,7 +176,7 @@ def generate_scene(cfg: SceneConfig, table: ClassTable | None = None) -> SynthSa
     for cam_id, imap in enumerate(inst_maps):
         for obj_id in np.flatnonzero(np.bincount(imap.ravel())[1:]) + 1:
             masks.append(Mask2D(cam_id, imap == obj_id, class_tag=classes[obj_id]))
-    return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, table, cfg)
+    return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, ClassTable.synthetic(), cfg)
 
 
 def rasterize(
@@ -241,7 +240,7 @@ def render_provenance(
     return images, depths, inst_maps
 
 
-DEFAULT_COLORMAP = np.array(
+COLORMAP = np.array(
     [
         [40, 40, 40],     # unlabeled
         [110, 110, 110],  # ground
@@ -257,17 +256,15 @@ def render_overlay(
     cloud: PointCloud,
     images: list[np.ndarray],
     cams: list[CameraModel],
-    colormap: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Paint projected points over copies of the images, colored by semantic label."""
-    cmap = DEFAULT_COLORMAP if colormap is None else np.asarray(colormap, dtype=np.uint8)
     out = []
     for cam, img in zip(cams, images):
         canvas = img.copy()
         pix, pid, _ = rasterize(cloud.xyz, cam, 0)
         rows, cols = np.divmod(pix, cam.width)
         if cloud.semantic is not None:
-            canvas[rows, cols] = cmap[np.minimum(cloud.semantic[pid], len(cmap) - 1)]
+            canvas[rows, cols] = COLORMAP[np.minimum(cloud.semantic[pid], len(COLORMAP) - 1)]
         else:
             canvas[rows, cols] = 255
         out.append(canvas)

@@ -270,20 +270,18 @@ def aggregate_image_feature(
     points_xyz: np.ndarray,
     fmap: FeatureMap,
     cam: CameraModel,
-    bilinear: bool = False,
 ) -> np.ndarray:
     """Mean image feature over the valid projections of a voxel's physical points."""
     uv, _, valid = valid_projections(points_xyz, cam)
     if not valid.any():
         raise NoValidProjectionError("no point of this voxel projects into the image")
-    return fmap.sample(uv[valid], bilinear=bilinear).mean(axis=0)
+    return fmap.sample(uv[valid]).mean(axis=0)
 
 
 def centroid_image_feature(
     corners: np.ndarray,
     fmap: FeatureMap,
     cam: CameraModel,
-    bilinear: bool = False,
 ) -> np.ndarray:
     """Diagnostic variant that projects only the virtual voxel center.
 
@@ -295,7 +293,7 @@ def centroid_image_feature(
     uv, _, valid = valid_projections(center[None], cam)
     if not valid[0]:
         raise NoValidProjectionError("voxel center does not project into the image")
-    return fmap.sample(uv, bilinear=bilinear)[0]
+    return fmap.sample(uv)[0]
 
 
 @dataclass
@@ -310,11 +308,7 @@ class VoxelFeatures:
     def dim(self) -> int:
         return self.raw.shape[1] if self.proj is None else self.proj.shape[0]
 
-    @property
-    def feats(self) -> np.ndarray:  # (M, D)
-        return self.raw if self.proj is None else self.raw @ self.proj.T
-
-    def rows(self, rows: slice) -> np.ndarray:  # feats[rows], multiplying out at most one other row
+    def rows(self, rows: slice) -> np.ndarray:  # (raw @ proj.T)[rows], multiplying out at most one other row
         if self.proj is None:
             return self.raw[rows]
         # numpy multiplies a lone row by gemv, which rounds unlike the gemm of all rows

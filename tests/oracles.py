@@ -52,7 +52,7 @@ def mask_selected_points(grid, mask):
     out = set()
     for row in range(grid.num_voxels):
         if flat[grid.voxel_ids[row]]:
-            out.update(int(i) for i in grid.points_of_row(row))
+            out.update(int(i) for i in grid.order[grid.starts[row]:grid.starts[row + 1]])
     return out
 
 

@@ -611,6 +611,12 @@ MALFORMED = {
     "config-negative-l-lt": (_config_case("[queries]\nl_lt = -1\n"), "BadConfigError"),
     "config-nan-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = nan\n"), "BadConfigError"),
     "config-infinite-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = inf\n"), "BadConfigError"),
+    "config-negative-heatmap-sigma": (_config_case("[queries]\nheatmap_sigma = -1\n"), "BadConfigError"),
+    "config-nan-nms-radius": (_config_case("[queries]\nnms_radius = nan\n"), "BadConfigError"),
+    "config-infinite-nms-radius": (_config_case("[queries]\nnms_radius = inf\n"), "BadConfigError"),
+    "config-negative-nms-radius": (_config_case("[queries]\nnms_radius = -2\n"), "BadConfigError"),
+    "config-nan-nms-conf-thresh": (_config_case("[queries]\nnms_conf_thresh = nan\n"), "BadConfigError"),
+    "config-negative-nms-max-peaks": (_config_case("[queries]\nnms_max_peaks = -1\n"), "BadConfigError"),
     "config-reversed-object-count": (_config_case("[synth]\nn_objects = 5,1\n"), "BadConfigError"),
     "config-reversed-points-per-object": (_config_case("[synth]\npoints_per_object = 600,150\n"), "BadConfigError"),
     "config-reversed-box-size": (_config_case("[synth]\nbox_size = 3,0.8\n"), "BadConfigError"),
@@ -630,6 +636,7 @@ MALFORMED = {
     "augment-negative-paste-scale": (_augment_config_case("paste_scale_range", (-1.0, 1.0)), "BadConfigError"),
     "config-zero-token-dim": (_config_case("[tokens]\ndim = 0\n"), "BadConfigError"),
     "config-negative-token-dim": (_config_case("[tokens]\ndim = -4\n"), "BadConfigError"),
+    "config-zero-feat-downsample": (_config_case("[tokens]\nfeat_downsample = 0\n"), "BadConfigError"),
     "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),
     "classes-duplicate-key": (_classes_case("[classes]\n1 = car,thing\n1 = bus,thing\n"), "BadConfigError"),
     "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),

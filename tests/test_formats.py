@@ -358,17 +358,9 @@ class TestConfig:
         from cylpano.metrics import ClassTable
 
         literal = ClassTable({1: ("gro%und", "stuff"), 2: ("100%(car)s", "thing")})  # % is literal
-        for table in (ClassTable.nuscenes(), ClassTable.semantic_kitti(), ClassTable.synthetic(), literal):
+        for table in (ClassTable.synthetic(), literal):
             table.save(tmp_path / "c.cfg")
             assert ClassTable.load(tmp_path / "c.cfg") == table
-
-    def test_shipped_tables_have_documented_splits(self):
-        from cylpano.metrics import ClassTable
-
-        nusc = ClassTable.nuscenes()
-        assert len(nusc.things) == 10 and len(nusc.stuff) == 6
-        kitti = ClassTable.semantic_kitti()
-        assert len(kitti.things) == 8 and len(kitti.stuff) == 11
 
     def test_nms_radius_meters_converts_through_radial_bin_width(self, tmp_path):
         from cylpano.config import QueryConfig

@@ -76,7 +76,7 @@ class TestVoxelize:
         polar = cart_to_polar(cloud.xyz)
         for row in range(grid.num_voxels):
             r, t, z = grid.indices3[row]
-            pol = polar[grid.points_of_row(row)]
+            pol = polar[grid.order[grid.starts[row]:grid.starts[row + 1]]]
             assert (pol[:, 0] >= spec.r_edges[r] - 1e-9).all()
             assert (pol[:, 0] <= spec.r_edges[r + 1] + 1e-9).all()
             assert (pol[:, 1] >= spec.theta_edges[t] - 1e-9).all()
@@ -150,7 +150,7 @@ class TestVoxelize:
     def test_per_voxel_order_follows_input_index(self):
         xyz = np.array([[10.0, 0.0, 0.0], [10.01, 0.0, 0.0], [10.02, 0.0, 0.0]])
         grid = voxelize(PointCloud(xyz[::-1].copy(), np.zeros(3)), CylGridSpec(5, 4, 2))
-        assert np.array_equal(grid.points_of_row(0), [0, 1, 2])
+        assert np.array_equal(grid.order[grid.starts[0]:grid.starts[1]], [0, 1, 2])
 
 
 def stable_sort_voxelize(cloud: PointCloud, spec: CylGridSpec):
@@ -242,7 +242,7 @@ class TestExtremePoints:
         all_corners = extreme_points_batch(grid.indices3, spec)
         for row in range(min(grid.num_voxels, 50)):
             corners = all_corners[row]
-            pol_pts = cart_to_polar(cloud.xyz[grid.points_of_row(row)])
+            pol_pts = cart_to_polar(cloud.xyz[grid.order[grid.starts[row]:grid.starts[row + 1]]])
             pol_corners = cart_to_polar(corners)
             assert pol_pts[:, 0].min() >= pol_corners[:, 0].min() - 1e-6
             assert pol_pts[:, 0].max() <= pol_corners[:, 0].max() + 1e-6
@@ -318,7 +318,7 @@ class TestPairing:
                 uv, _, valid = valid_projections(cloud.xyz, cam)
                 table = grid.pairings[cam_id]
                 for row in range(grid.num_voxels):
-                    pts = grid.points_of_row(row)
+                    pts = grid.order[grid.starts[row]:grid.starts[row + 1]]
                     keep = valid[pts]
                     rect = table.rect_of(int(grid.voxel_ids[row]))
                     if not keep.any():

@@ -1,10 +1,18 @@
-"""Each operation has one form in `src/`: no public function or class that only tests call.
+"""Each operation has one form in `src/`: nothing public that only tests reach.
 
-A public module-level function or class must be referenced (loaded, called or
-imported) somewhere in `src/cylpano` other than `__init__.py`, imported by the
-acceptance tests, or wrapped by the benchmark's span recorder. A one-item
-wrapper of a batched path, or a second copy of a rule, fails this check; its
-tests belong on the batched form.
+The callers are the modules of `src/cylpano`, the acceptance tests and the
+benchmark's scripts in `bench/`. Three scans hold `src/` to them:
+
+- a public module-level function or class must be referenced (loaded, called
+  or imported) by a caller, or wrapped by the benchmark's span recorder;
+- a public method, classmethod or property of a public class must be loaded
+  as an attribute by a caller;
+- an optional parameter of a public function or method must be passed, by
+  position or by keyword, by some call of that name in a caller.
+
+A one-item wrapper of a batched path, a second copy of a rule, or an option
+that selects a branch no caller takes fails these checks; its tests belong on
+the form that stays. Each allow-list entry says why it stays.
 """
 
 import ast
@@ -13,8 +21,21 @@ from pathlib import Path
 from test_bench_hooks import spans  # the benchmark's span table, loaded from bench/spans.py
 
 ROOT = Path(__file__).resolve().parents[1]
-# reference formulas and codec halves that only tests and tools call
-ALLOWED = {"position_encoding", "write_spe_params"}
+MODULES = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "cylpano").glob("*.py"))
+           if p.stem != "__init__"}
+CALLERS = [*MODULES.values(), ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
+           *(ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py")))]
+
+ALLOWED = {
+    "position_encoding": "the closed-form reference that tests check the blocked SPE against",
+    "write_spe_params": "the writing half of the SPEW codec, for tools that ship trained weights",
+}
+ALLOWED_METHODS = {
+    "VoxelFeatures.for_grid": "where learned per-voxel features enter the fuse stage",
+}
+ALLOWED_PARAMS = {
+    "FeatureMap.sample(bilinear)": "the bilinear reference the tests check `build_tokens` against",
+}
 
 
 def _loaded_names(tree) -> set[str]:
@@ -29,21 +50,71 @@ def _loaded_names(tree) -> set[str]:
     return names
 
 
+def _loaded_attributes(tree) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _public_defs():
+    """(class name or None, def node) for every public function and every public method of a public class."""
+    for tree in MODULES.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield None, node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield node.name, item
+
+
+def _passed(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call passes the parameter `name` at positional index `position` (None: keyword-only)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return (position is not None and len(call.args) > position) or any(k.arg == name for k in call.keywords)
+
+
 def test_every_public_definition_has_a_caller_outside_tests():
-    modules = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "cylpano").glob("*.py"))
-               if p.stem != "__init__"}
-    used = set().union(*map(_loaded_names, modules.values()))
-    used |= _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    used = set().union(*map(_loaded_names, CALLERS))
     used |= {fn for fns in spans.LAYERS.values() for fn in fns}
     unused = [
         f"{name}.{node.name}"
-        for name, tree in modules.items()
+        for name, tree in MODULES.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in used | ALLOWED
+        and node.name not in used.union(ALLOWED)
     ]
     assert unused == []
+
+
+def test_every_public_method_is_loaded_outside_tests():
+    used = set().union(*map(_loaded_attributes, CALLERS))
+    unused = [f"{owner}.{node.name}" for owner, node in _public_defs()
+              if owner and node.name not in used and f"{owner}.{node.name}" not in ALLOWED_METHODS]
+    assert unused == []
+
+
+def test_every_optional_parameter_is_passed_outside_tests():
+    calls = {}
+    for tree in CALLERS:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                calls.setdefault(callee, []).append(node)
+    never = []
+    for owner, node in _public_defs():
+        args = node.args
+        # a call through an instance or a class binds self or cls; a staticmethod binds nothing
+        bound = owner is not None and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        positional = [*args.posonlyargs, *args.args][int(bound):]
+        optional = [(a.arg, i) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+        optional += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for param, position in optional:
+            qual = f"{owner}.{node.name}({param})" if owner else f"{node.name}({param})"
+            if qual not in ALLOWED_PARAMS and not any(_passed(c, param, position) for c in calls.get(node.name, [])):
+                never.append(qual)
+    assert never == []
 
 
 def test_package_namespace_binds_only_the_version():

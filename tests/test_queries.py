@@ -22,7 +22,7 @@ from cylpano.queries import (
 )
 from cylpano.synth import SceneConfig, generate_scene, ring_camera
 from cylpano.tokens import (
-    SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_row, nearest_occupied_rows,
+    SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_rows,
 )
 
 from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan, reference_heatmap
@@ -409,7 +409,7 @@ class TestFps:
 
     def test_collinear_hand_case(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
-        assert fps(pts, 2, start=0).tolist() == [0, 2]
+        assert fps(pts, 2).tolist() == [0, 2]
 
     def test_greedy_argmax_property(self):
         rng = np.random.default_rng(11)
@@ -517,9 +517,8 @@ class TestAssemble:
         qs = assemble_queries(hits, misses, grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
         # one whole-grid call for the fallback; the embedding centres only the prior voxels
         assert calls == [grid.num_voxels, qs.num_prior]
-        for h, content in zip(qs.hints, qs.prior_content):
-            row = nearest_occupied_row(grid, h.position)
-            assert np.array_equal(content, tokens.content[row].astype(np.float32))
+        rows = nearest_occupied_rows(grid, [h.position for h in qs.hints])
+        assert np.array_equal(qs.prior_content, tokens.content[rows].astype(np.float32))
 
         calls.clear()
         qs = assemble_queries(hits, [], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)

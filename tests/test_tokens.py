@@ -19,7 +19,6 @@ from cylpano.tokens import (
     centroid_image_feature,
     containing_rows,
     corner_distances,
-    nearest_occupied_row,
     nearest_occupied_rows,
     position_encoding,
     scale_encoding,
@@ -255,7 +254,8 @@ class TestBuildTokens:
         grid = voxelize(PointCloud(np.array([[100.0, 0.0, 0.0]]), np.zeros(1)), SPEC)
         params = SpeParams.create(SPEC, dim=4, seed=0)
         placeholder = VoxelFeatures.stats_placeholder(grid, 4)
-        assert placeholder.feats.dtype == np.float64 and placeholder.feats.shape == (0, 4)
+        dense = placeholder.rows(slice(0, grid.num_voxels))
+        assert dense.dtype == np.float64 and dense.shape == (0, 4)
         feats = VoxelFeatures.for_grid(grid, np.zeros((0, 4)))
         tokens = build_tokens(grid, feats, [const_fmap(2.0)], [cam], params)
         assert len(tokens) == 0
@@ -304,7 +304,7 @@ class TestBuildTokens:
         means, seen = np.zeros((grid.num_voxels, dim)), np.zeros(grid.num_voxels, dtype=bool)
         for row in range(grid.num_voxels):
             samples = []
-            for p in grid.cloud.xyz[grid.points_of_row(row)]:
+            for p in grid.cloud.xyz[grid.order[grid.starts[row]:grid.starts[row + 1]]]:
                 for fmap, cam in zip(fmaps, cams):
                     uv, _, valid = valid_projections(p[None], cam)
                     if valid[0]:
@@ -402,8 +402,9 @@ class TestBuildTokens:
         fmaps = [FeatureMap(np.random.default_rng(m).standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
         params = SpeParams.create(spec, dim=dim, seed=2)
         placeholder = VoxelFeatures.stats_placeholder(grid, dim, seed=3)
-        assert placeholder.feats.shape == (m, dim)
-        dense = VoxelFeatures.for_grid(grid, placeholder.feats)
+        multiplied_out = placeholder.rows(slice(0, m))
+        assert multiplied_out.shape == (m, dim)
+        dense = VoxelFeatures.for_grid(grid, multiplied_out)
         factored = build_tokens(grid, placeholder, fmaps, cams, params, bilinear=bilinear)
         assert np.array_equal(factored.content,
                               build_tokens(grid, dense, fmaps, cams, params, bilinear=bilinear).content)
@@ -433,7 +434,7 @@ class TestBuildTokens:
         means, seen = self._brute_force_image_half(grid, fmaps, cams, bilinear)
         assert 0 < seen.sum() < m
         assert np.array_equal(tokens.image_valid, seen)
-        assert np.abs(tokens.content[:, :dim] - (spe_ref + placeholder.feats)).max() < 1e-12
+        assert np.abs(tokens.content[:, :dim] - (spe_ref + placeholder.rows(slice(0, m)))).max() < 1e-12
         assert np.abs(tokens.content[:, dim:] - (spe_ref + means)).max() < 1e-12
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
         # every row goes through gemm, also a lone last row of a super-block
@@ -515,7 +516,7 @@ class TestNearestOccupiedRow:
         assert grid.indices3.tolist() == [[1, 0, 0], [1, 0, 2]]
         assert d[0] == d[1]
         assert containing_rows(grid, pos).tolist() == [-1]
-        assert nearest_occupied_row(grid, pos) == 0
+        assert nearest_occupied_rows(grid, pos).tolist() == [0]
         assert nearest_occupied_rows(grid, [pos, pos]).tolist() == [0, 0]
 
     def test_containing_rows(self):
@@ -526,7 +527,7 @@ class TestNearestOccupiedRow:
         assert containing_rows(grid, np.zeros((0, 3))).tolist() == []
         empty = voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), self.spec)
         assert containing_rows(empty, pos).tolist() == [-1] * 4
-        assert nearest_occupied_row(empty, pos[0]) == -1
+        assert nearest_occupied_rows(empty, pos).tolist() == [-1] * 4
 
     def test_fallback_equals_brute_force_far_out_and_on_ties(self):
         rng = np.random.default_rng(11)
