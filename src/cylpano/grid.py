@@ -213,6 +213,13 @@ class CylGrid:
         """Voxel row of each entry of `order`."""
         return np.repeat(np.arange(self.num_voxels), self.counts)
 
+    def column_rows(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the occupied voxels of flat (r, theta) columns, column after column, and each column's count."""
+        lo = np.searchsorted(self.voxel_ids, cols * self.spec.z_bins)
+        sizes = np.searchsorted(self.voxel_ids, (cols + 1) * self.spec.z_bins) - lo
+        ends = np.cumsum(sizes)
+        return np.arange(sizes.sum()) + np.repeat(lo - (ends - sizes), sizes), sizes
+
     def row_of(self, flat_id: int) -> int:
         i = int(np.searchsorted(self.voxel_ids, flat_id))
         if i < self.num_voxels and self.voxel_ids[i] == flat_id:

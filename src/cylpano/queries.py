@@ -1,18 +1,22 @@
 """Prior-based query seeding: BEV peaks, frustum lifting, clustering, sampling.
 
-Geometric hints come from a polar bird's-eye-view heatmap: greedy non-maximum
-suppression picks well-separated peaks, and each peak is lifted to 3D by
-averaging the centroids of the occupied voxels in its (r, theta) column; the
-centroids of all peak columns come from one batched call. Texture hints come
-from 2D masks: the cloud is projected once per camera, every point whose
-pixel cell is set in a mask is collected into the mask's frustum, clustered
-with DBSCAN to split depth-overlapping objects, and each cluster centroid
-becomes a hint. DBSCAN bins the points into cubic cells of side
-eps / (2 * sqrt(3)), so points in the same or adjacent cells are neighbours
-without a distance test, and only the points the cells leave undecided go
-through a k-d tree (Gan & Tao, "DBSCAN Revisited", SIGMOD 2015). Both hint
-groups are merged and thinned with farthest point sampling to a fixed budget;
-each surviving hint indexes the fused token of its (nearest occupied) voxel.
+Geometric hints come from a polar bird's-eye-view heatmap, which splats every
+instance centre (all taken from one stable sort of the points by instance id):
+greedy non-maximum suppression picks well-separated peaks, each kept peak
+marking its disc on a suppression mask from one offset stencil, and each peak
+is lifted to 3D by averaging the centroids of the occupied voxels in its
+(r, theta) column; the centroids of all peak columns come from one batched
+call. Texture hints come from 2D masks: the cloud is projected once per
+camera, every point whose pixel cell is set in a mask is collected into the
+mask's frustum, clustered with DBSCAN to split depth-overlapping objects, and
+each cluster centroid becomes a hint. DBSCAN bins the points into cubic cells
+of side eps / (2 * sqrt(3)), so points in the same or adjacent cells are
+neighbours without a distance test, and only the points the cells leave
+undecided go through a k-d tree (Gan & Tao, "DBSCAN Revisited", SIGMOD 2015).
+Both hint groups are merged and thinned with farthest point sampling to a
+fixed budget; each surviving hint indexes the fused token of its voxel, or of
+the nearest occupied voxel, found in a growing window of (r, theta) columns
+around it.
 """
 
 from __future__ import annotations
@@ -82,14 +86,19 @@ def build_bev_heatmap(grid: CylGrid, mode: str = "gt_gaussian", sigma: float = 2
     off = np.arange(-w, w + 1)
     dist_sq = off[:, None] ** 2 + _theta_offset(off % spec.theta_bins, spec.theta_bins) ** 2
     window = np.ones((1, 1)) if sigma <= 0.0 else np.exp(-dist_sq / (2.0 * sigma**2))
+    # every instance's points from one stable sort by id, so each centre is the
+    # mean of the same rows, in the same order, as a per-id selection gives
     inst = grid.cloud.instance
-    for inst_id in np.unique(inst[inst > 0]):
-        center = grid.cloud.xyz[inst == inst_id].astype(np.float64).mean(axis=0)
-        idx, inside = spec.bin_points(cart_to_polar(center[None]))
-        if inside[0]:
-            rows = idx[0, 0] + off
-            keep = (rows >= 0) & (rows < spec.r_bins)
-            np.maximum.at(heat, (rows[keep, None], (idx[0, 1] + off) % spec.theta_bins), window[keep])
+    labeled = np.flatnonzero(inst)
+    by_id = labeled[np.argsort(inst[labeled], kind="stable")]
+    bounds = np.append(np.flatnonzero(np.diff(inst[by_id], prepend=0)), len(by_id))
+    centers = np.array([grid.cloud.xyz[by_id[a:b]].astype(np.float64).mean(axis=0)
+                        for a, b in zip(bounds[:-1], bounds[1:])]).reshape(-1, 3)
+    idx, inside = spec.bin_points(cart_to_polar(centers))
+    for r, t in idx[inside, :2]:
+        rows = r + off
+        keep = (rows >= 0) & (rows < spec.r_bins)
+        np.maximum.at(heat, (rows[keep, None], (t + off) % spec.theta_bins), window[keep])
     return heat
 
 
@@ -109,27 +118,34 @@ def nms_peaks(
 
     A cell is kept iff its confidence is >= conf_thresh and its BEV bin
     distance (theta wrapping) to every already-kept cell exceeds `radius`.
-    Ties in confidence break toward the lower flat index.
+    Ties in confidence break toward the lower flat index. Each kept cell marks
+    its disc of radius `radius` on a suppression mask from one offset
+    stencil, so a candidate costs one lookup. A NaN radius is rejected.
     """
-    heat = np.asarray(heat, dtype=np.float64)
-    theta_bins = heat.shape[1]
-    flat = heat.reshape(-1)
-    cand = np.flatnonzero(flat >= conf_thresh)
+    if np.isnan(radius):
+        raise ValueError("NMS radius must not be NaN")
     if max_peaks <= 0:
         return []
+    heat = np.asarray(heat, dtype=np.float64)
+    r_bins, theta_bins = heat.shape
+    flat = heat.reshape(-1)
+    cand = np.flatnonzero(flat >= conf_thresh)
     order = cand[np.lexsort((cand, -flat[cand]))]
-    kept_r = np.empty(max_peaks, dtype=np.int64)
-    kept_t = np.empty(max_peaks, dtype=np.int64)
+    # offsets (row, theta mod theta_bins) of the cells a kept cell suppresses;
+    # w = -1 leaves none for a negative radius
+    w = int(min(max(np.floor(radius), -1.0), r_bins - 1))
+    near = np.hypot(np.arange(-w, w + 1)[:, None], _theta_offset(np.arange(theta_bins), theta_bins)) <= radius
+    dr, dt = np.nonzero(near)
+    dr -= w
+    suppressed = np.zeros(len(flat), dtype=bool)
     kept: list[tuple[tuple[int, int], float]] = []
-    for c in order:
-        r, t = divmod(int(c), theta_bins)
-        if kept:
-            k = len(kept)
-            dt = _theta_offset(kept_t[:k] - t, theta_bins)
-            if not (np.hypot(kept_r[:k] - r, dt) > radius).all():
-                continue
-        kept_r[len(kept)] = r
-        kept_t[len(kept)] = t
+    for c in order.tolist():
+        if suppressed[c]:
+            continue
+        r, t = divmod(c, theta_bins)
+        rows = r + dr
+        on = (rows >= 0) & (rows < r_bins)
+        suppressed[rows[on] * theta_bins + (t + dt[on]) % theta_bins] = True
         kept.append(((r, t), float(flat[c])))
         if len(kept) >= max_peaks:
             break
@@ -149,16 +165,11 @@ def lift_peaks_to_3d(peaks, grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
     outside = ~((rt >= 0) & (rt < (spec.r_bins, spec.theta_bins))).all(axis=1)
     if outside.any():
         raise IndexOutOfRangeError(f"peak {tuple(rt[outside][0].tolist())} outside the BEV grid")
-    base = (rt[:, 0] * spec.theta_bins + rt[:, 1]) * spec.z_bins
-    lo = np.searchsorted(grid.voxel_ids, base)
-    hi = np.searchsorted(grid.voxel_ids, base + spec.z_bins)
-    sizes = hi - lo
+    rows, sizes = grid.column_rows(rt[:, 0] * spec.theta_bins + rt[:, 1])
     ends = np.cumsum(sizes)
     starts = ends - sizes
     pos = np.full((len(rt), 3), np.nan)
-    if len(rt) and ends[-1]:
-        # the occupied rows of all columns, one column after another
-        rows = np.arange(ends[-1]) + np.repeat(lo - starts, sizes)
+    if len(rows):
         cents = centroids_batch(spec.unflatten(grid.voxel_ids[rows]), spec)
         for k in np.flatnonzero(sizes):
             pos[k] = cents[starts[k]:ends[k]].mean(axis=0)

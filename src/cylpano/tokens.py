@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatchError, NoValidProjectionError
 from .geometry import TWO_PI, CameraModel, cart_to_polar, valid_projections
@@ -439,24 +438,92 @@ def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
 def nearest_occupied_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
     """Row of the occupied voxel containing each position, else nearest by centroid.
 
-    Centroids and their k-d tree are built once, only when some position
-    misses every occupied voxel. The tree gives each miss its nearest
-    distance d and every centroid within d * (1 + 1e-9); the exact
-    `np.linalg.norm` argmin over those rows, in ascending order, keeps the
-    lowest row on distance ties. An empty grid gives -1 everywhere.
+    A position that misses every occupied voxel searches the occupied voxels
+    of a window of (r, theta) columns around it, over all z, and takes the
+    `np.linalg.norm` argmin over their centroids, the lowest row on distance
+    ties. The answer stands when a lower bound on the distance to every
+    centroid outside the window, less a rounding allowance and a relative
+    margin of WINDOW_MARGIN, exceeds it; otherwise the window grows, at most to
+    the whole grid ("bounds-overlap-ball", Friedman, Bentley & Finkel, ACM TOMS
+    1977). So the rows equal the argmin over all centroids. An empty grid gives
+    -1 everywhere; a non-finite position raises ValueError.
     """
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(pos).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"position {pos[~finite][0].tolist()} is not finite")
     rows = containing_rows(grid, pos)
     missed = np.flatnonzero(rows < 0)
     if len(missed) and grid.num_voxels:
-        centroids = centroids_batch(grid.indices3, grid.spec)
-        # a few queries do not repay a balanced tree, which takes ~2.5x longer to build
-        tree = cKDTree(centroids, balanced_tree=False, compact_nodes=False)
-        dist = tree.query(pos[missed])[0]
-        for i, near in zip(missed, tree.query_ball_point(pos[missed], dist * (1 + 1e-9))):
-            near = np.sort(near)
-            rows[i] = near[np.argmin(np.linalg.norm(centroids[near] - pos[i], axis=1))]
+        rows[missed] = _window_search(grid, pos[missed])
     return rows
+
+
+WINDOW_MARGIN = 1e-6  # relative slack on the window bound, far above the rounding of a distance
+
+
+def _window_search(grid: CylGrid, pos: np.ndarray) -> np.ndarray:
+    """Row of the nearest occupied centroid to each position, by growing column windows.
+
+    A window holds rows ir - h .. ir + h and theta bins it - k .. it + k around
+    the position's bin (ir, it). A voxel's exact centroid lies at horizontal
+    radius r_mid * |cos(pi / theta_bins)| on the ray at its column's centre
+    angle (at the origin for two theta bins; one theta bin is always covered
+    whole). So a centroid in a row below or above the window is at least the
+    gap between rho and those radii away, and one outside its theta bins at
+    least rho * sin(min((k + 1/2) bins, pi / 2)), its distance to the ray.
+    Both halfwidths grow as 2h + 1 each round, so every search ends by the
+    time its window covers the grid, whatever the bound computes.
+    """
+    spec = grid.spec
+    r_bins, theta_bins, _ = spec.shape
+    r_lo, r_hi = spec.r_range
+    r_step, t_step = (r_hi - r_lo) / r_bins, TWO_PI / theta_bins
+    polar = cart_to_polar(pos)
+    rho = polar[:, 0]
+    idx, _ = spec.bin_points(polar)
+    ir, it = idx[:, 0].astype(np.int64), idx[:, 1].astype(np.int64)
+    c0 = abs(np.cos(np.pi / theta_bins))
+    # the centroids, rho and the position's bins are each off by a few ulps of these magnitudes
+    slack = 1e-9 * (r_hi + rho)
+    # one row either side to start, and theta bins about as wide in metres
+    h = np.ones(len(pos), dtype=np.int64)
+    arc = rho * t_step
+    k = np.ceil(np.minimum(np.divide(r_step, arc, out=np.full(len(pos), np.inf), where=arc > 0),
+                           theta_bins)).astype(np.int64)
+    out = np.full(len(pos), -1, dtype=np.int64)
+    todo = np.arange(len(pos))
+    while len(todo):
+        a = np.maximum(ir[todo] - h, 0)
+        b = np.minimum(ir[todo] + h, r_bins - 1)
+        n_t = np.minimum(2 * k + 1, theta_bins)
+        # the window's columns, row by row, then their occupied voxels
+        n_cols = (b - a + 1) * n_t
+        win = np.repeat(np.arange(len(todo)), n_cols)
+        j = np.arange(n_cols.sum()) - np.repeat(np.cumsum(n_cols) - n_cols, n_cols)
+        first = np.where(n_t == theta_bins, 0, it[todo] - k)
+        col = (a[win] + j // n_t[win]) * theta_bins + (first[win] + j % n_t[win]) % theta_bins
+        rows, sizes = grid.column_rows(col)
+        owner = np.repeat(win, sizes)
+        dist = np.linalg.norm(centroids_batch(spec.unflatten(grid.voxel_ids[rows]), spec) - pos[todo][owner], axis=1)
+        # each window's least distance and the lowest row at it
+        per_win = np.bincount(owner, minlength=len(todo))
+        found = per_win > 0
+        starts = (np.cumsum(per_win) - per_win)[found]
+        best = np.full(len(todo), np.inf)
+        best[found] = np.minimum.reduceat(dist, starts)
+        row = np.full(len(todo), -1, dtype=np.int64)
+        row[found] = np.minimum.reduceat(np.where(dist == best[owner], rows, grid.num_voxels), starts)
+
+        below = np.where(a > 0, rho[todo] - c0 * (r_lo + (a - 0.5) * r_step), np.inf)
+        above = np.where(b < r_bins - 1, c0 * (r_lo + (b + 1.5) * r_step) - rho[todo], np.inf)
+        aside = np.where(n_t == theta_bins, np.inf, rho[todo] * np.sin(np.minimum((k + 0.5) * t_step, np.pi / 2)))
+        bound = np.minimum(np.minimum(below, above), aside)
+        whole = (n_t == theta_bins) & (a == 0) & (b == r_bins - 1)
+        done = whole | (bound > best / (1.0 - WINDOW_MARGIN) + slack[todo])
+        out[todo[done]] = row[done]
+        todo, h, k = todo[~done], np.minimum(2 * h[~done] + 1, r_bins), np.minimum(2 * k[~done] + 1, theta_bins)
+    return out
 
 
 def nearest_occupied_row(grid: CylGrid, position: np.ndarray) -> int:

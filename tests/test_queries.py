@@ -164,6 +164,35 @@ class TestHeatmap:
         heat = build_bev_heatmap(voxelize(cloud, spec), "gt_gaussian", sigma)
         assert np.array_equal(heat, reference_heatmap(in_range, (spec.r_bins, theta_bins), sigma))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        theta_bins=st.sampled_from([1, 2, 3, 7, 36]),
+        r_bins=st.integers(1, 8),
+        sigma=st.sampled_from([0.0, 0.5, 1.3, 4.0]),
+        ids=st.lists(st.integers(1, 2**16 - 1), max_size=6, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_cell_oracle_for_sparse_ids_and_outside_centres(self, theta_bins, r_bins, sigma, ids, seed):
+        spec = CylGridSpec(r_bins, theta_bins, 2, (1.0, 9.0), (-1.0, 1.0))
+        rng = np.random.default_rng(seed)
+        # instances with ids far apart and out of order, some centred beyond the
+        # radial or height range, interleaved with each other and with background points
+        rho, phi = rng.uniform(0.0, 12.0, len(ids)), rng.uniform(0, 2 * np.pi, len(ids))
+        centers = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), rng.uniform(-1.5, 1.5, len(ids))])
+        inst = np.concatenate([np.repeat(np.array(ids, dtype=np.int64), 3), np.zeros(4, dtype=np.int64)])
+        xyz = np.concatenate([np.repeat(centers, 3, axis=0), rng.uniform(-9, 9, (4, 3))])
+        xyz += rng.uniform(-0.3, 0.3, xyz.shape)
+        perm = rng.permutation(len(inst))
+        cloud = labeled_cloud(xyz[perm], inst[perm])
+        in_range = []
+        for k in ids:
+            center = cloud.xyz[cloud.instance == k].astype(np.float64).mean(axis=0)
+            idx, inside = spec.bin_points(cart_to_polar(center[None]))
+            if inside[0]:
+                in_range.append((int(idx[0, 0]), int(idx[0, 1])))
+        heat = build_bev_heatmap(voxelize(cloud, spec), "gt_gaussian", sigma)
+        assert np.array_equal(heat, reference_heatmap(in_range, (r_bins, theta_bins), sigma))
+
     def test_values_bounded(self):
         rng = np.random.default_rng(1)
         xyz = np.column_stack([rng.uniform(-20, 20, (200, 2)), rng.uniform(-1, 1, 200)])
@@ -209,6 +238,34 @@ class TestNms:
             assert nms_peaks(heat, thresh, radius, max_peaks) == greedy_nms(
                 heat, thresh, radius, max_peaks
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta_bins=st.sampled_from([1, 2, 3, 360]),
+        r_bins=st.integers(1, 5),
+        radius_kind=st.sampled_from(["zero", "fraction", "half_theta", "r_bins", "inf"]),
+        offset=st.floats(0.0, 3.0),
+        max_peaks=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_oracle_equality_on_edge_grids(self, theta_bins, r_bins, radius_kind, offset, max_peaks, seed):
+        rng = np.random.default_rng(seed)
+        # few levels, so confidence ties are common
+        heat = rng.integers(0, 5, (r_bins, theta_bins)) / 4.0
+        radius = {"zero": 0.0, "fraction": np.floor(offset) + 0.5, "half_theta": theta_bins / 2 + offset,
+                  "r_bins": r_bins + offset, "inf": np.inf}[radius_kind]
+        assert nms_peaks(heat, 0.25, radius, max_peaks) == greedy_nms(heat, 0.25, radius, max_peaks)
+
+    def test_nan_radius_is_rejected(self):
+        heat = np.array([[0.9, 0.0, 0.8, 0.7]])
+        with pytest.raises(ValueError, match="NaN"):
+            nms_peaks(heat, 0.1, float("nan"), 4)
+
+    @pytest.mark.parametrize("max_peaks", [0, -1])
+    def test_empty_budget_keeps_nothing(self, max_peaks, monkeypatch):
+        # the candidates are never ranked
+        monkeypatch.setattr(np, "lexsort", None)
+        assert nms_peaks(np.full((3, 4), 0.9), 0.1, 1.0, max_peaks) == []
 
 
 class TestLift:
@@ -515,10 +572,17 @@ class TestAssemble:
         assert (containing_rows(grid, [h.position for h in hits]) >= 0).all()
         calls = self._count_centroid_calls(monkeypatch)
         qs = assemble_queries(hits, misses, grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
-        # one whole-grid call for the fallback; the embedding centres only the prior voxels
-        assert calls == [grid.num_voxels, qs.num_prior]
+        # the embedding centres only the prior voxels
+        assert calls[-1] == qs.num_prior
         rows = nearest_occupied_rows(grid, [h.position for h in qs.hints])
         assert np.array_equal(qs.prior_content, tokens.content[rows].astype(np.float32))
+
+        # misses one bin from an occupied voxel search windows of columns, never the whole grid
+        gap = np.abs(grid.indices3[None] - SPEC.unflatten(empty)[:, None]).max(axis=2).min(axis=1)
+        assert gap.tolist() == [1] * 4
+        calls.clear()
+        qs = assemble_queries(hits, misses[:4], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)
+        assert len(calls) > 1 and max(calls) < grid.num_voxels and calls[-1] == qs.num_prior
 
         calls.clear()
         qs = assemble_queries(hits, [], grid, tokens, params, l_pr=16, l_lt=2, num_classes=2)

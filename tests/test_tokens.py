@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylpano.errors import DimensionMismatchError, IndexOutOfRangeError, NoValidProjectionError
 from cylpano.geometry import cart_to_polar, rotation_z, valid_projections
@@ -551,6 +553,76 @@ class TestNearestOccupiedRow:
         lower, upper = np.flatnonzero(d == d.min())
         assert grid.indices3[[lower, upper]].tolist() == [[1, 0, 0], [1, 0, 2]]
         assert rows[0] == lower
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r_bins=st.sampled_from([1, 2, 3, 6, 40]),
+        theta_bins=st.sampled_from([1, 2, 3, 5, 8, 360]),
+        z_bins=st.sampled_from([1, 2, 4]),
+        r_lo=st.sampled_from([0.0, 0.5, 3.0]),
+        span=st.floats(1.0, 10.0),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_brute_force_on_edge_grids(self, r_bins, theta_bins, z_bins, r_lo, span, n, seed):
+        spec = CylGridSpec(r_bins, theta_bins, z_bins, (r_lo, r_lo + span), (-2.0, 2.0))
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(r_lo, r_lo + span, n)
+        phi = rng.uniform(0, 2 * np.pi, n)
+        pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), rng.uniform(-2, 2, n)])
+        grid = voxelize(PointCloud(pts, np.zeros(n)), spec)
+        cents = centroids_batch(grid.indices3, spec)
+        below_2pi = np.nextafter(2 * np.pi, 0.0)
+        r_max = spec.r_range[1]
+        # a few bins from the occupied voxels, where the nearest often lies just past a window's edge
+        m = min(n, 10)
+        near_rho = rho[:m] + rng.uniform(-4, 4, m) * span / r_bins
+        near_phi = phi[:m] + rng.uniform(-4, 4, m) * 2 * np.pi / theta_bins
+        pos = [
+            *np.column_stack([near_rho * np.cos(near_phi), near_rho * np.sin(near_phi), rng.uniform(-3, 3, m)]),
+            # anywhere around the grid, inside and outside its ranges
+            *np.column_stack([rng.uniform(-1.5, 1.5, (20, 2)) * r_max, rng.uniform(-3, 3, 20)]),
+            # on the axis, at and off the height range
+            [0.0, 0.0, 0.0], [0.0, 0.0, 7.5], [0.0, -0.0, -2.0],
+            # theta within an ulp of 2*pi
+            [r_lo + span / 3, -5e-324, 0.1], [2.0 * np.cos(below_2pi), 2.0 * np.sin(below_2pi), -1.0],
+            # a million metres out
+            [1e6, 0.0, 0.0], [-3e5, 1e6, 1e4], [1e6 * np.cos(phi[0]), 1e6 * np.sin(phi[0]), 0.0],
+        ]
+        # equidistant from an occupied voxel's centroid above and below: the empty voxel between
+        # two occupied ones of one column, whose z-edges are exact
+        col = grid.voxel_ids // z_bins
+        for i in np.flatnonzero((col[:-1] == col[1:]) & (grid.voxel_ids[1:] - grid.voxel_ids[:-1] == 2)):
+            pos.append(centroids_batch(spec.unflatten(grid.voxel_ids[i] + 1), spec)[0])
+        pos = np.array(pos)
+        rows = nearest_occupied_rows(grid, pos)
+        hit = containing_rows(grid, pos)
+        for p, row, direct in zip(pos, rows, hit):
+            assert row == (direct if direct >= 0 else np.argmin(np.linalg.norm(cents - p, axis=1)))
+
+    def test_nearest_one_theta_bin_past_a_closer_looking_voxel(self):
+        # a ring of 36 theta bins and two height bins; the position sits at the top of
+        # theta bin 0, in height bin 1. Voxel A (theta bin 35, height bin 0) is the next
+        # bin down and one height bin below; voxel B (theta bin 2, height bin 1) is two
+        # bins up at the same height. B is nearer, but a window of one theta bin either
+        # side holds only A, and A is nearer than a bound one bin too generous
+        spec = CylGridSpec(1, 36, 2, (19.5, 20.5), (-2.0, 2.0))
+        step = 2 * np.pi / 36
+        pts = np.array([[20 * np.cos(a), 20 * np.sin(a), z] for a, z in [(35.5 * step, -1.0), (2.5 * step, 1.0)]])
+        grid = voxelize(PointCloud(pts, np.zeros(2)), spec)
+        assert grid.indices3.tolist() == [[0, 2, 1], [0, 35, 0]]
+        a = np.nextafter(step, 0.0)
+        pos = np.array([20 * np.cos(a), 20 * np.sin(a), 1.0])
+        d = np.linalg.norm(centroids_batch(grid.indices3, spec) - pos, axis=1)
+        assert d[0] < d[1] < 20 * np.sin(2.5 * step)
+        assert nearest_occupied_rows(grid, pos).tolist() == [0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_is_named(self, bad):
+        grid = self._grid()
+        pos = np.array([[1.0, 2.0, 0.0], [3.0, bad, 0.5]])
+        with pytest.raises(ValueError, match=r"position \[3\.0, -?(nan|inf), 0\.5\] is not finite"):
+            nearest_occupied_rows(grid, pos)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_equal_brute_force(self, seed):
