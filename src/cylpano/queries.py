@@ -10,9 +10,10 @@ call. Texture hints come from 2D masks: the cloud is projected once per
 camera, every point whose pixel cell is set in a mask is collected into the
 mask's frustum, clustered with DBSCAN to split depth-overlapping objects, and
 each cluster centroid becomes a hint. DBSCAN bins the points into cubic cells
-of side eps / (2 * sqrt(3)), so points in the same or adjacent cells are
-neighbours without a distance test, and only the points the cells leave
-undecided go through a k-d tree (Gan & Tao, "DBSCAN Revisited", SIGMOD 2015).
+of side eps / (2 * sqrt(3)), so points in the same or adjacent cells, or
+in cells two apart along one axis, are neighbours without a distance test,
+and only the points the cells leave undecided go through a k-d tree (Gan &
+Tao, "DBSCAN Revisited", SIGMOD 2015).
 Both hint groups are merged and thinned with farthest point sampling to a
 fixed budget; each surviving hint indexes the fused token of its voxel, or of
 the nearest occupied voxel, found in a growing window of (r, theta) columns
@@ -224,38 +225,50 @@ def _components(pairs: np.ndarray, n: int) -> np.ndarray:
             root = root[root]
 
 
+def _within(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each row of p lies within eps of the same row of q, by `cKDTree`'s rule:
+    the squared differences summed over x, y and z in that order, compared with eps * eps."""
+    d = p - q
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps * eps
+
+
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density clustering over 3D Euclidean distance.
 
     Two points are neighbours when their distance, as `cKDTree` computes it,
     is <= eps; a point is core when it has at least min_pts neighbours,
     counting itself. Clusters are the connected components of the graph of
-    core-core neighbour pairs, numbered 0..C-1 by their lowest core index. A non-core point with core neighbours
-    takes the smallest label among them; all other points are noise (-1).
+    core-core neighbour pairs, numbered 0..C-1 by their lowest core index. A
+    non-core point with core neighbours takes the smallest label among them;
+    all other points are noise (-1).
     This is exactly the labeling of the classic expansion that seeds clusters
     in index order (Ester et al., KDD 1996).
 
     The points are binned into cubic cells of side eps / (2 * sqrt(3)), shrunk
     by a relative 1e-9 plus 4 machine epsilons for each cell the cloud's
     extent spans, so any two points in the same or 26-adjacent cells are
-    within eps even after rounding. A point whose 3 x 3 x 3 cell block holds min_pts points is core
+    within eps even after rounding. So are two points in cells two apart
+    along one axis, which lie at most side * sqrt(11), about 0.96 eps, apart.
+    A cell's block is the cell itself, its 26 neighbours and the 6 cells two
+    apart along an axis. A point whose block holds min_pts points is core
     without a distance test; only the others are counted by the k-d tree.
-    Adjacent cells with core points are linked outright. Two such cells
-    further apart (offsets up to 4 cells whose boxes lie within eps) can
-    still hold neighbouring core points, so when they belong to different
-    components their core points go through `query_pairs`, and each pair
-    found joins two components. Every distance decision that the cells do
-    not settle is made by `cKDTree`, so the labels are exact under its
-    distance rule. That distance can round to the other side of eps than
-    `np.linalg.norm(p - q)` for a pair within an ulp of eps, so labels equal
-    a norm-based expansion only when no pair lies on such a tie.
+    Core cells in one block are linked outright. Two core cells further apart
+    (offsets up to 4 cells whose boxes lie within eps) can still hold
+    neighbouring core points. Such a pair is kept only when its cells belong
+    to different components; then every core point of one cell is tested
+    against every core point of the other by `_within`, the distance rule of
+    `cKDTree`, and each pair within eps joins two components. Every distance
+    decision that the cells do not settle is made by that rule, so the labels
+    are exact under it. The k-d tree's distance can round to the other side
+    of eps than `np.linalg.norm(p - q)` for a pair within an ulp of eps, so
+    labels equal a norm-based expansion only when no pair lies on such a tie.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return labels
-    if eps <= 0 or min_pts < 1:
+    if not eps > 0 or min_pts < 1:  # a NaN eps fails here too
         raise ValueError("need eps > 0 and min_pts >= 1")
     rel = pts - pts.min(axis=0)
     side = eps / (2.0 * np.sqrt(3.0))
@@ -269,8 +282,9 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     coords = ijk[order[starts]]
     m = len(coords)
 
-    # cell pairs at most one step apart on every axis: squared offsets sum to <= 3
-    near = cKDTree(coords).query_pairs(1.75, output_type="ndarray")
+    # cell pairs linked outright: at most one step apart on every axis
+    # (squared offsets sum to <= 3) or two apart along one axis (sum 4)
+    near = cKDTree(coords).query_pairs(2.0, output_type="ndarray")
     a, b = near[:, 0], near[:, 1]
     counts = np.bincount(cell, minlength=m)
     block = counts + np.bincount(a, counts[b], m) + np.bincount(b, counts[a], m)
@@ -286,15 +300,22 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     cc = np.flatnonzero(core_cell)
     if len(np.unique(comp[cc])) > 1:
         # core cells up to 4 steps apart (squared offsets sum to <= 27) whose
-        # boxes lie within eps of each other and whose components differ
+        # components differ and whose boxes lie within eps of each other
         far = cc[cKDTree(coords[cc]).query_pairs(5.2, output_type="ndarray")]
+        far = far[comp[far[:, 0]] != comp[far[:, 1]]]
         gap = np.maximum(np.abs(coords[far[:, 0]] - coords[far[:, 1]]) - 1.0, 0.0)
-        far = far[((gap**2).sum(axis=1) <= 12.0) & (comp[far[:, 0]] != comp[far[:, 1]])]
-        shared = np.zeros(m, dtype=bool)
-        shared[far.reshape(-1)] = True
-        sel = np.flatnonzero(core & shared[cell])
-        links = comp[cell[sel[cKDTree(pts[sel]).query_pairs(eps, output_type="ndarray")]]]
-        comp = _components(links, m)[comp]
+        far = far[(gap**2).sum(axis=1) <= 12.0]
+        # every core point of one cell against every core point of the other
+        by_cell = order[core[order]]  # core points, grouped by cell
+        ncore = np.bincount(cell[by_cell], minlength=m)
+        start = np.cumsum(ncore) - ncore
+        size = ncore[far[:, 0]] * ncore[far[:, 1]]
+        pair = np.repeat(np.arange(len(far)), size)
+        k = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+        fa, fb = far[pair].T
+        hit = _within(pts[by_cell[start[fa] + k // ncore[fb]]], pts[by_cell[start[fb] + k % ncore[fb]]], eps)
+        links = np.unique(comp[fa[hit]] * m + comp[fb[hit]])  # one per pair of components
+        comp = _components(np.stack(np.divmod(links, m), axis=1), m)[comp]
 
     # number the clusters by their lowest core point
     core_comp = comp[cell[core]]

@@ -132,6 +132,38 @@ def reference_dbscan(points, eps, min_pts):
     return np.array(labels)
 
 
+def pairs_dbscan(points, eps, min_pts):
+    """DBSCAN from every neighbour pair `cKDTree.query_pairs(eps)` lists, for inputs too large for a distance matrix.
+
+    Clusters are the connected components of the core-core pairs, found by
+    `scipy.sparse.csgraph`, and numbered in the order of their lowest core
+    index; a border point takes the smallest label among its core neighbours.
+    It shares the k-d tree's distance rule with `dbscan` but none of its cells.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    i, j = cKDTree(pts).query_pairs(eps, output_type="ndarray").T
+    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_pts
+    both = core[i] & core[j]
+    graph = coo_matrix((np.ones(both.sum()), (i[both], j[both])), shape=(n, n))
+    comp = connected_components(graph, directed=False)[1]
+    number = {}
+    labels = np.full(n, -1, dtype=np.int64)
+    for p in np.flatnonzero(core):
+        labels[p] = number.setdefault(comp[p], len(number))
+    best = np.full(n, n, dtype=np.int64)
+    for src, dst in ((i, j), (j, i)):
+        edge = core[src] & ~core[dst]
+        np.minimum.at(best, dst[edge], labels[src[edge]])
+    border = ~core & (best < n)
+    labels[border] = best[border]
+    return labels
+
+
 def clusters_as_sets(labels):
     """Canonical form for comparing clusterings up to relabeling."""
     labels = np.asarray(labels)

@@ -19,13 +19,16 @@ from cylpano.queries import (
     lift_peaks_to_3d,
     nms_peaks,
     texture_hints,
+    _within,
 )
 from cylpano.synth import SceneConfig, generate_scene, ring_camera
 from cylpano.tokens import (
     SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_rows,
 )
 
-from oracles import clusters_as_sets, fps_step_is_greedy, greedy_nms, reference_dbscan, reference_heatmap
+from oracles import (
+    clusters_as_sets, fps_step_is_greedy, greedy_nms, pairs_dbscan, reference_dbscan, reference_heatmap,
+)
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 
@@ -34,7 +37,8 @@ SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 def cell_grid_clouds(draw):
     """(points, eps, min_pts) laid out against dbscan's cells of side about eps / (2 * sqrt(3))."""
     kind = draw(st.sampled_from(
-        ["cell_multiples", "lattice", "eps_pairs", "far_blobs", "duplicates", "offset", "tiny_eps"]))
+        ["cell_multiples", "lattice", "eps_pairs", "far_blobs", "two_apart", "far_offsets", "eps_ties",
+         "duplicates", "offset", "tiny_eps"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
     min_pts = draw(st.integers(1, 6))
@@ -49,12 +53,38 @@ def cell_grid_clouds(draw):
         steps = np.array([[1.25, 0, 0], [0, 1.25, 0], [0, 0, 1.25], [0.75, 1.0, 0], [0, 0.75, 1.0], [1.0, 0, 0.75]])
         base = rng.integers(0, 8, (n, 3)) * 0.5
         pts = np.concatenate([base, base + steps[rng.integers(0, len(steps), n)]])
-    elif kind == "far_blobs":  # two core blobs 2 to 4 cells apart: only the far-stencil pass can join them
+    elif kind == "far_blobs":  # two core blobs 2 to 4 cells apart along x
         eps = 1.0
         k = max(min_pts, 2)
         gap = draw(st.floats(0.7, 1.15))
         blobs = rng.uniform(-0.01, 0.01, (2 * k, 3)) + np.repeat([[0.0, 0.0, 0.0], [gap, 0.0, 0.0]], k, axis=0)
         pts = np.concatenate([blobs, rng.uniform(-2.0, 3.0, (n % 4, 3))])
+    elif kind in ("two_apart", "far_offsets"):
+        # a point at the origin fixes the cell grid; two core blobs sit in cells
+        # two apart along one axis (linked without a distance test), or at
+        # offset (2, 1, 0) or (3, 3, 3), which only the far test can join
+        eps = draw(st.sampled_from([0.8, 1.0]))
+        side = eps / (2.0 * np.sqrt(3.0))
+        k = max(min_pts, 2)
+        if kind == "two_apart":
+            lo, hi = rng.uniform(0.05, 0.95, (2, k, 3)) * side
+            hi[:, 0] += 2.0 * side
+        elif draw(st.booleans()):  # near the cells' far corners: 0.98 to 1.06 eps apart
+            lo = rng.uniform(0.02, 0.08, (k, 3)) * side
+            hi = rng.uniform([2.92, 1.92, 0.3], [2.98, 1.98, 0.98], (k, 3)) * side
+        else:
+            # each axis 2 sides apart, give or take a few 1e-9 sides: within
+            # eps or not, while the cells' relative shrink of about 1e-9 keeps
+            # each blob in its cell
+            lo = side * (1.0 - rng.uniform(1.2e-9, 2.0e-9, (k, 3)))
+            hi = side * (3.0 - rng.uniform(-0.5e-9, 2.5e-9, (k, 3)))
+        pts = np.concatenate([np.zeros((1, 3)), lo, hi])[:, rng.permutation(3)]
+    elif kind == "eps_ties":  # core blobs of duplicates, each pair of blobs exactly eps or just over it apart
+        eps = 1.25
+        steps = np.array([[1.25, 0, 0], [0, 0.75, 1.0], [1.0, 0, 0.75], [0.75 + 2**-40, 1.0, 0], [0, 1.25 + 2**-40, 0]])
+        k = max(min_pts, 1)
+        blobs = np.cumsum(steps[rng.integers(0, len(steps), 3)], axis=0) + rng.integers(0, 8, 3) * 0.5
+        pts = np.concatenate([np.repeat(blobs, k, axis=0), rng.integers(0, 8, (n % 4, 3)) * 0.5])
     elif kind == "duplicates":
         eps = 0.8
         min_pts = 1
@@ -68,6 +98,22 @@ def cell_grid_clouds(draw):
         base = rng.uniform(-1e3, 1e3, (n, 3))
         pts = np.concatenate([base, base + rng.uniform(-1e-6, 1e-6, (n, 3)), base[: n // 2]])
     return pts[rng.permutation(len(pts))], eps, min_pts
+
+
+@pytest.fixture(scope="module")
+def reference_masks():
+    """Frustum points of every mask of acceptance test 10's reference scenes 0-3."""
+    gen = dict(ground_points=70000, n_objects=(12, 12), points_per_object=(2000, 3000),
+               extent=45.0, camera_count=2)
+    out = []
+    for seed in range(4):
+        synth = generate_scene(SceneConfig(rng_seed=seed, **gen))
+        cloud, cams = synth.sample.cloud, synth.sample.cams
+        pixels = [camera_pixels(cloud, cam) for cam in cams]
+        for mask in synth.masks:
+            idx = frustum_points(mask, cams[mask.camera_id], pixels[mask.camera_id])
+            out.append(cloud.xyz[idx].astype(np.float64))
+    return out
 
 
 def labeled_cloud(xyz, instance):
@@ -432,6 +478,44 @@ class TestDbscan:
         assume(set(zip(*np.nonzero(np.triu(near, 1)))) == cKDTree(pts).query_pairs(eps))
         assert dbscan(pts, eps, min_pts).tolist() == reference_dbscan(pts, eps, min_pts).tolist()
 
+    def test_far_rule_is_the_kd_tree_rule(self):
+        # partners eps * (1 + k ulp) away in random directions, k in -4..4, from
+        # points 3 eps apart, so the partners are the only pairs the tree can find
+        rng = np.random.default_rng(18)
+        grid = np.stack(np.meshgrid(*[np.arange(16.0)] * 3), axis=-1).reshape(-1, 3)
+        norm_misses = 0
+        for eps in (0.8, 1.0, 1.25, 0.3, 1e-3, float(rng.uniform(0.1, 2.0))):
+            for origin in (0.0, -1e4):
+                p = origin + 3.0 * eps * grid
+                u = rng.normal(size=p.shape)
+                dist = eps * (1.0 + rng.integers(-4, 5, len(p)) * np.finfo(np.float64).eps)
+                q = p + u / np.linalg.norm(u, axis=1, keepdims=True) * dist[:, None]
+                found = cKDTree(np.concatenate([p, q])).query_pairs(eps, output_type="ndarray")
+                assert (found[:, 1] == found[:, 0] + len(p)).all()
+                tree = np.zeros(len(p), dtype=bool)
+                tree[found[:, 0]] = True
+                assert np.array_equal(_within(p, q, eps), tree)
+                norm_misses += np.count_nonzero((np.linalg.norm(p - q, axis=1) <= eps) != tree)
+        # the layout reaches pairs on which the rounding of the rule decides
+        assert norm_misses > 0
+
+    def test_pairs_oracle_equals_reference_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n = int(rng.integers(1, 60))
+            if rng.random() < 0.5:
+                pts, eps = rng.uniform(0, 4, (n, 3)), float(rng.uniform(0.3, 1.5))
+            else:  # many pairs exactly eps apart
+                pts, eps = rng.integers(0, 4, (n, 3)).astype(np.float64), float(rng.choice([1.0, 2.0]))
+            min_pts = int(rng.integers(1, 7))
+            assert pairs_dbscan(pts, eps, min_pts).tolist() == reference_dbscan(pts, eps, min_pts).tolist()
+
+    def test_labels_equal_pairs_oracle_on_reference_masks(self, reference_masks):
+        # up to a few hundred components reach the far test here, where the
+        # exact-label tests above stop at 60 points
+        for pts in reference_masks:
+            assert np.array_equal(dbscan(pts, 0.8, 5), pairs_dbscan(pts, 0.8, 5))
+
     def test_empty_input(self):
         got = dbscan(np.zeros((0, 3)), 1.0, 3)
         assert got.dtype == np.int64 and got.shape == (0,)
@@ -441,6 +525,8 @@ class TestDbscan:
             dbscan(np.zeros((2, 3)), 0.0, 3)
         with pytest.raises(ValueError):
             dbscan(np.zeros((2, 3)), 1.0, 0)
+        with pytest.raises(ValueError, match="eps"):
+            dbscan(np.zeros((2, 3)), np.nan, 3)
 
     def test_permutation_invariance_on_blobs(self):
         rng = np.random.default_rng(9)
