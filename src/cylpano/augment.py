@@ -11,7 +11,7 @@ by transformed donor instances reproduces instance pasting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class MultiModalSample:
         if len(self.images) != len(self.cams):
             raise ValueError("image count must equal camera count")
         self.images = [np.ascontiguousarray(im, dtype=np.uint8) for im in self.images]
-
-    def copy_images(self) -> list[np.ndarray]:
-        return [im.copy() for im in self.images]
 
 
 def check_range(name: str, bounds, positive: bool = False):
@@ -115,14 +112,11 @@ def alternating_slices(n_bins: int, splits: int) -> np.ndarray:
 
 
 def _check_mask(mask: np.ndarray, spec: CylGridSpec) -> np.ndarray:
+    """Flat view of a bool mask of the grid's shape."""
     mask = np.asarray(mask)
-    if mask.shape != spec.shape:
-        raise SpecMismatchError(f"mask shape {mask.shape} != grid shape {spec.shape}")
-    if mask.dtype != bool:
-        if not np.isin(mask, (0, 1)).all():
-            raise SpecMismatchError("mask entries must be 0 or 1")
-        mask = mask.astype(bool)
-    return mask
+    if mask.shape != spec.shape or mask.dtype != bool:
+        raise SpecMismatchError(f"mask must be bool of grid shape {spec.shape}, got {mask.dtype} {mask.shape}")
+    return mask.reshape(-1)
 
 
 def _remap_instances(org_inst: np.ndarray | None, new_inst: np.ndarray | None) -> np.ndarray | None:
@@ -149,8 +143,7 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     """
     if org.spec != new.spec:
         raise SpecMismatchError("grids must share one spec")
-    mask = _check_mask(mask, org.spec)
-    flat_mask = mask.reshape(-1)
+    flat_mask = _check_mask(mask, org.spec)
 
     org_keep = ~flat_mask[org.voxel_ids]
     new_keep = flat_mask[new.voxel_ids]
@@ -261,33 +254,31 @@ def paste_instances(
     points falling outside the grid range are range-cropped, and a transform
     may legally move an instance out of every camera frustum (it then simply
     gets no image pairing). Returns the new sample, the paste mask, and the
-    swapped rectangles per camera.
+    swapped rectangles per camera ({} when `s` is 0).
     """
     avail = donor_instance_ids(donor.cloud)
     if s > len(avail):
         raise InsufficientInstancesError(f"requested {s} instances, donor has {len(avail)}")
     if instance_ids is None:
         instance_ids = avail[:s]
+    if len(instance_ids) != s:
+        raise ValueError(f"{len(instance_ids)} instance ids given to paste {s} instances")
+    lacking = np.asarray(instance_ids)[~np.isin(instance_ids, avail)]
+    if len(lacking):
+        raise InsufficientInstancesError(f"donor holds no instance {lacking[0]}")
     if transforms is None:
-        transforms = [InstanceTransform.identity()] * len(instance_ids)
-    if len(transforms) != len(instance_ids):
+        transforms = [InstanceTransform.identity()] * s
+    if len(transforms) != s:
         raise ValueError("one transform per pasted instance")
-    if s == 0:
-        return (
-            MultiModalSample(org.cloud, org.copy_images(), org.cams),
-            np.zeros(spec.shape, dtype=bool),
-            {cam_id: np.zeros((0, 4), dtype=np.int32) for cam_id in range(len(org.cams))},
-        )
-
-    paste_grid, mask = _paste_grid(donor, spec, instance_ids, transforms)
-    sample, _, rects = _mix(org, voxelize(org.cloud, spec), donor, paste_grid, mask)
-    return sample, mask, rects
+    mixes = [_paste_mix(donor, spec, instance_ids, transforms)] if s else []
+    sample, _, rects = _run_mixes(org, donor, spec, mixes)
+    return sample, mixes[0][1] if mixes else np.zeros(spec.shape, dtype=bool), rects
 
 
-def _paste_grid(
+def _paste_mix(
     donor: MultiModalSample, spec: CylGridSpec, instance_ids, transforms
-) -> tuple[CylGrid, np.ndarray]:
-    """Grid of the transformed donor instances, paired with the donor cameras, and its voxel mask."""
+) -> tuple[str, np.ndarray, CylGrid]:
+    """The ("instance", mask, donor grid) mix of the transformed donor instances, paired with the donor cameras."""
     pieces = []
     for inst_id, t in zip(instance_ids, transforms):
         idx = np.flatnonzero(donor.cloud.instance == inst_id)
@@ -298,18 +289,25 @@ def _paste_grid(
     paste_cloud.source = np.ones(len(paste_cloud), dtype=np.uint8)
 
     paste_grid = pair_voxel_image(voxelize(paste_cloud, spec), donor.cams)
-    mask = np.zeros(spec.shape, dtype=bool)
-    mask.reshape(-1)[paste_grid.voxel_ids] = True
-    return paste_grid, mask
+    return "instance", instance_paste_mask([paste_grid.indices3], spec), paste_grid
 
 
-def _mix(
-    work: MultiModalSample, work_grid: CylGrid, donor: MultiModalSample, donor_grid: CylGrid, mask: np.ndarray
-) -> tuple[MultiModalSample, CylGrid, dict[int, np.ndarray]]:
-    """Mix the donor's masked voxels and their paired image rectangles into `work`."""
-    mixed = apply_mix(work_grid, donor_grid, mask)
-    images, rects = sync_image_swap(work.images, donor.images, mask, donor_grid.pairings)
-    return MultiModalSample(mixed.cloud, images, work.cams), mixed, rects
+def _run_mixes(work: MultiModalSample, donor: MultiModalSample, spec: CylGridSpec, mixes: list):
+    """Apply (strategy, mask, donor grid) mixes to `work` in order, voxels and paired image rectangles alike.
+
+    Returns the mixed sample (its images are copies), the grid of its cloud or
+    None if no mix ran, and the rectangles swapped in per camera ({} if none ran).
+    """
+    grid = voxelize(work.cloud, spec) if mixes else None
+    sample = MultiModalSample(work.cloud, [im.copy() for im in work.images], work.cams)
+    swaps = []  # per mix, the rectangles swapped in each camera
+    for _, mask, donor_grid in mixes:
+        grid = apply_mix(grid, donor_grid, mask)
+        images, rects = sync_image_swap(sample.images, donor.images, mask, donor_grid.pairings)
+        sample = MultiModalSample(grid.cloud, images, work.cams)
+        swaps.append(rects)
+    swapped = {cam: np.concatenate([rects[cam] for rects in swaps]) for cam in (swaps[0] if swaps else ())}
+    return sample, grid, swapped
 
 
 @dataclass
@@ -354,19 +352,9 @@ def augment(
         edges = np.cumsum([0.0, *p])
         do_paste, do_height, do_angle = (edges[:-1] <= u) & (u < edges[1:])
 
-    work = MultiModalSample(
-        PointCloud(org.cloud.xyz, org.cloud.intensity, org.cloud.semantic, org.cloud.instance),
-        org.copy_images(),
-        org.cams,
-    )
-    new_cloud = PointCloud(
-        new.cloud.xyz,
-        new.cloud.intensity,
-        new.cloud.semantic,
-        new.cloud.instance,
-        np.ones(len(new.cloud), dtype=np.uint8),
-    )
-    new_work = MultiModalSample(new_cloud, new.images, new.cams)
+    # the scans' own source tags give way to 0 (original) and 1 (new)
+    work = MultiModalSample(replace(org.cloud, source=None), org.images, org.cams)
+    new_work = MultiModalSample(replace(new.cloud, source=np.ones(len(new.cloud), np.uint8)), new.images, new.cams)
 
     mixes = []  # (strategy, mask, donor grid) in application order
 
@@ -389,8 +377,7 @@ def augment(
                 )
                 for _ in range(s)
             ]
-            paste_grid, mask = _paste_grid(new_work, spec, ids, transforms)
-            mixes.append(("instance", mask, paste_grid))
+            mixes.append(_paste_mix(new_work, spec, ids, transforms))
 
     if do_height or do_angle:
         new_grid = pair_voxel_image(voxelize(new_work.cloud, spec), new_work.cams)
@@ -400,12 +387,7 @@ def augment(
             selected = alternating_slices(spec.shape[AXES.index(axis)], splits)
             mixes.append((axis, scene_swap_mask(axis, selected, spec), new_grid))
 
-    grid = voxelize(work.cloud, spec) if mixes else None
-    swaps = []  # per mix, the rectangles swapped in each camera
-    for _, mask, donor_grid in mixes:
-        work, grid, rects = _mix(work, grid, new_work, donor_grid, mask)
-        swaps.append(rects)
-    swapped = {cam: np.concatenate([rects[cam] for rects in swaps]) for cam in (swaps[0] if swaps else ())}
+    work, grid, swapped = _run_mixes(work, new_work, spec, mixes)
     names = [name for name, _, _ in mixes]
     applied = {name: name in names for name in ("instance", "height", "angle")}
 

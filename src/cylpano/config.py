@@ -119,8 +119,8 @@ def _parse(cp, section, name, default):
         return default
     kind = type(default)
     try:
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+        if kind is bool:  # only configparser's BOOLEAN_STATES, so a typo is not read as false
+            return cp.getboolean(section, name)
         if kind in (int, float, str):
             return kind(raw)
         if kind is tuple:
@@ -145,13 +145,21 @@ def load_config(path) -> PipelineConfig:
             raise BadConfigError(f"cannot read config {path}")
     except configparser.Error as exc:  # no section header, a duplicate key, ...
         raise BadConfigError(f"malformed config {path}: {exc}") from exc
+    layout = _layout(PipelineConfig())
+    unknown = [f"[{section}]" for section in cp.sections() if section not in layout]
+    unknown += [  # an older file's [synth] image_size is ignored: [image] sets the cameras' size
+        f"[{section}] {key}" for section in cp.sections() if section in layout for key in cp[section]
+        if key not in layout[section] and (section, key) != ("synth", "image_size")
+    ]
+    if unknown:
+        raise BadConfigError(f"unknown config entries in {path}: {', '.join(unknown)}")
     version = _parse(cp, "pipeline", "version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise BadConfigError(f"unsupported config version {version}")
 
     parsed = {
         section: {key: _parse(cp, section, key, default) for key, default in values.items()}
-        for section, values in _layout(PipelineConfig()).items()
+        for section, values in layout.items()
     }
     g = parsed["grid"]
     image_size = (parsed["image"]["width"], parsed["image"]["height"])

@@ -13,6 +13,7 @@ from cylpano.augment import (
     alternating_slices,
     apply_mix,
     augment,
+    donor_instance_ids,
     instance_paste_mask,
     paste_instances,
     rect_union,
@@ -383,14 +384,31 @@ class TestRectUnion:
 class TestPasteInstances:
     def test_zero_instances_is_noop(self):
         org, donor = scene_pair(11)
-        out, mask, _ = paste_instances(org, donor, SPEC, 0)
+        out, mask, rects = paste_instances(org, donor, SPEC, 0)
         assert np.array_equal(out.cloud.xyz, org.cloud.xyz)
-        assert mask.sum() == 0
+        assert mask.shape == SPEC.shape and mask.dtype == bool and not mask.any()
+        assert rects == {}  # as from `augment` when no mix runs
 
     def test_insufficient_instances(self):
         org, donor = scene_pair(12)
         with pytest.raises(InsufficientInstancesError):
             paste_instances(org, donor, SPEC, 99)
+
+    def test_instance_ids_must_number_s(self):
+        org, donor = scene_pair(16)
+        ids = donor_instance_ids(donor.cloud)
+        assert len(ids) >= 3
+        with pytest.raises(ValueError):
+            paste_instances(org, donor, SPEC, 1, instance_ids=ids[:3])
+        with pytest.raises(ValueError):
+            paste_instances(org, donor, SPEC, 0, instance_ids=ids[:1])
+
+    def test_instance_id_the_donor_lacks(self):
+        org, donor = scene_pair(17)
+        ids = donor_instance_ids(donor.cloud)
+        absent = int(ids.max()) + 1
+        with pytest.raises(InsufficientInstancesError, match=rf"\b{absent}\b"):
+            paste_instances(org, donor, SPEC, 3, instance_ids=[ids[0], absent, absent + 1])
 
     def test_identity_paste_into_empty_region_preserves_records(self):
         rng = np.random.default_rng(13)
@@ -580,7 +598,6 @@ class TestAugment:
         ids=["none", "paste", "height", "angle", "all"],
     )
     def test_voxelize_calls(self, monkeypatch, probs, calls):
-        # the package re-exports the function `augment`, which shadows the module attribute
         module = sys.modules["cylpano.augment"]
         seen = []
 
@@ -595,6 +612,30 @@ class TestAugment:
         result = augment(org, new, SPEC, cfg)
         assert sum(result.applied.values()) == sum(probs)
         assert len(seen) == calls
+
+    def test_augment_pastes_as_paste_instances_does(self, monkeypatch):
+        import cylpano.augment
+
+        org, new = scene_pair(36)
+        drawn = []
+        orig = cylpano.augment._paste_mix
+
+        def capturing(donor, spec, instance_ids, transforms):
+            drawn.append((instance_ids, transforms))
+            return orig(donor, spec, instance_ids, transforms)
+
+        monkeypatch.setattr(cylpano.augment, "_paste_mix", capturing)
+        result = augment(org, new, SPEC, self._cfg(p_instance=1.0, rng_seed=4))
+        assert result.applied == {"instance": True, "height": False, "angle": False}
+        (ids, transforms), = drawn
+        out, _, rects = paste_instances(org, new, SPEC, len(ids), transforms, instance_ids=ids)
+        for field in ("xyz", "intensity", "semantic", "instance", "source"):
+            assert np.array_equal(getattr(result.sample.cloud, field), getattr(out.cloud, field)), field
+        for a, b in zip(result.sample.images, out.images, strict=True):
+            assert np.array_equal(a, b)
+        assert rects.keys() == result.swapped_rects.keys() == {0, 1}
+        for cam, r in rects.items():
+            assert np.array_equal(r, result.swapped_rects[cam])
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):

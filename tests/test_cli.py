@@ -165,20 +165,20 @@ class TestChain:
             assert outputs[0] and outputs[0] == outputs[1]
 
     def test_queries_embed_only_prior_voxels(self, tmp_path, monkeypatch):
-        import cylpano.tokens
+        import cylpano.queries
 
         cfg = small_config(tmp_path)
         org, fuse, qrs = tmp_path / "org", tmp_path / "fuse", tmp_path / "queries"
         assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
         assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
         embedded = []
-        orig = cylpano.tokens.position_encoding
+        orig = cylpano.queries.spe_batch
 
-        def counting(centers, params):
-            embedded.append(len(centers))
-            return orig(centers, params)
+        def counting(idx3, spec, params):
+            embedded.append(len(idx3))
+            return orig(idx3, spec, params)
 
-        monkeypatch.setattr(cylpano.tokens, "position_encoding", counting)
+        monkeypatch.setattr(cylpano.queries, "spe_batch", counting)
         assert main([
             "queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
             "--masks", str(org / "masks"), "--out", str(qrs),
@@ -186,7 +186,7 @@ class TestChain:
         qs = formats.read_queries(qrs / "queries.qrys")
         idx3, _ = formats.read_tokens(fuse / "tokens.toks", load_config(cfg).grid)
         assert 0 < qs.num_prior < len(idx3)
-        assert sum(embedded) <= qs.num_prior
+        assert sum(embedded) == qs.num_prior
 
     def test_weights_path_is_relative_to_config(self, tmp_path, monkeypatch):
         from cylpano.tokens import SpeParams
@@ -627,6 +627,9 @@ MALFORMED = {
     "config-nan-cam-height": (_config_case("[synth]\ncam_height = nan\n"), "BadConfigError"),
     "config-scan-id-past-u8": (_config_case("[synth]\nscan_id = 300\n"), "BadConfigError"),
     "config-zero-image-width": (_config_case("[image]\nwidth = 0\n"), "BadConfigError"),
+    "config-bad-bool": (_config_case("[tokens]\nbilinear = ture\n"), "BadConfigError"),
+    "config-unknown-key": (_config_case("[augment]\np_instace = 1.0\n"), "BadConfigError"),
+    "config-unknown-section": (_config_case("[augmnt]\np_instance = 1.0\n"), "BadConfigError"),
     "augment-zero-split-choice": (_augment_config_case("split_choices", (0,)), "BadConfigError"),
     "augment-negative-split-choice": (_augment_config_case("split_choices", (-2,)), "BadConfigError"),
     "augment-nan-rotation-range": (_augment_config_case("rotation_range", float("nan")), "BadConfigError"),

@@ -13,6 +13,10 @@ benchmark's scripts in `bench/`. Three scans hold `src/` to them:
 A one-item wrapper of a batched path, a second copy of a rule, or an option
 that selects a branch no caller takes fails these checks; its tests belong on
 the form that stays. Each allow-list entry says why it stays.
+
+A fourth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
+`cylpano` module must replace a name that module's own code loads, or the
+patch reaches no caller and the test around it checks nothing.
 """
 
 import ast
@@ -72,6 +76,53 @@ def _passed(call: ast.Call, name: str, position: int | None) -> bool:
     if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
         return True
     return (position is not None and len(call.args) > position) or any(k.arg == name for k in call.keywords)
+
+
+def _module_bindings(scope) -> dict[str, str]:
+    """Names a scope binds to `cylpano` modules, by import or as `sys.modules["cylpano.<mod>"]`."""
+    bound = {}
+    for node in ast.walk(scope):
+        if isinstance(node, ast.ImportFrom) and node.module == "cylpano":
+            bound.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            bound.update({a.asname: a.name[len("cylpano."):] for a in node.names
+                          if a.asname and a.name.startswith("cylpano.")})
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+              and ast.unparse(node.value.value) == "sys.modules" and isinstance(node.value.slice, ast.Constant)
+              and str(node.value.slice.value).startswith("cylpano.")):
+            bound.update({t.id: node.value.slice.value[len("cylpano."):] for t in node.targets
+                          if isinstance(t, ast.Name)})
+    return bound
+
+
+def _module_patches(tree):
+    """(test, module, name) of each `monkeypatch.setattr(target, "name", ...)` whose target is a `cylpano` module."""
+    top = _module_bindings(ast.Module([n for n in tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef))], []))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = {**top, **_module_bindings(fn)}
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "monkeypatch.setattr"
+                    and len(call.args) >= 2 and isinstance(call.args[1], ast.Constant)):
+                continue
+            target = call.args[0]
+            if isinstance(target, ast.Attribute) and ast.unparse(target.value) == "cylpano":
+                yield fn.name, target.attr, call.args[1].value
+            elif isinstance(target, ast.Name) and target.id in bound:
+                yield fn.name, bound[target.id], call.args[1].value
+
+
+def test_every_module_patch_replaces_a_name_the_module_loads():
+    loads = {mod: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+             for mod, tree in MODULES.items()}
+    missed = sorted({
+        f"{path.name}::{test} patches cylpano.{mod}.{name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for test, mod, name in _module_patches(ast.parse(path.read_text()))
+        if name not in loads.get(mod, ())
+    })
+    assert missed == []
 
 
 def test_every_public_definition_has_a_caller_outside_tests():
