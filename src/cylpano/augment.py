@@ -162,7 +162,7 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     counts = np.concatenate([org.counts[org_keep], new.counts[new_keep]])
     source = np.concatenate([org.source[org_keep], new.source[new_keep]])
     run_starts = np.cumsum(counts) - counts
-    perm = np.argsort(voxel_ids)
+    perm = np.argsort(voxel_ids, kind="stable")  # merges the two sorted runs
     counts = counts[perm]
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     order = np.repeat(run_starts[perm] - starts[:-1], counts) + np.arange(starts[-1])
@@ -214,7 +214,7 @@ def sync_image_swap(
     """
     if len(org_imgs) != len(new_imgs):
         raise SpecMismatchError("image sets must have equal camera counts")
-    flat_mask = np.asarray(mask).reshape(-1).astype(bool)
+    flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
     out_imgs = []
     swapped: dict[int, np.ndarray] = {}
     for cam_id, (org_im, new_im) in enumerate(zip(org_imgs, new_imgs)):
@@ -298,16 +298,16 @@ def _run_mixes(work: MultiModalSample, donor: MultiModalSample, spec: CylGridSpe
     Returns the mixed sample (its images are copies), the grid of its cloud or
     None if no mix ran, and the rectangles swapped in per camera ({} if none ran).
     """
-    grid = voxelize(work.cloud, spec) if mixes else None
-    sample = MultiModalSample(work.cloud, [im.copy() for im in work.images], work.cams)
+    if not mixes:
+        return MultiModalSample(work.cloud, [im.copy() for im in work.images], work.cams), None, {}
+    grid, images = voxelize(work.cloud, spec), work.images
     swaps = []  # per mix, the rectangles swapped in each camera
     for _, mask, donor_grid in mixes:
         grid = apply_mix(grid, donor_grid, mask)
-        images, rects = sync_image_swap(sample.images, donor.images, mask, donor_grid.pairings)
-        sample = MultiModalSample(grid.cloud, images, work.cams)
+        images, rects = sync_image_swap(images, donor.images, mask, donor_grid.pairings)  # copies the images
         swaps.append(rects)
-    swapped = {cam: np.concatenate([rects[cam] for rects in swaps]) for cam in (swaps[0] if swaps else ())}
-    return sample, grid, swapped
+    swapped = {cam: np.concatenate([rects[cam] for rects in swaps]) for cam in swaps[0]}
+    return MultiModalSample(grid.cloud, images, work.cams), grid, swapped
 
 
 @dataclass

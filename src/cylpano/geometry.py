@@ -19,14 +19,20 @@ TWO_PI = 2.0 * np.pi
 
 def cart_to_polar(xyz: np.ndarray) -> np.ndarray:
     """Convert (..., 3) Cartesian points to (rho, theta, z) with theta in [0, 2*pi)."""
-    xyz = np.asarray(xyz, dtype=np.float64)
-    rho = np.hypot(xyz[..., 0], xyz[..., 1])
-    theta = np.arctan2(xyz[..., 1], xyz[..., 0])
+    return np.stack(polar_columns(xyz), axis=-1)
+
+
+def polar_columns(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`cart_to_polar` as three float64 arrays of shape (...): rho, theta and z."""
+    xyz = np.asarray(xyz)
+    x, y, z = (np.asarray(xyz[..., i], dtype=np.float64) for i in range(3))
+    rho = np.hypot(x, y)
+    theta = np.arctan2(y, x)
     # arctan2 lies in [-pi, pi], where this equals `theta % TWO_PI` bit for bit (-0.0 gives 0.0)
     theta = theta + np.where(theta < 0.0, TWO_PI, 0.0)
     # A tiny negative angle plus 2*pi can round up to exactly 2*pi.
     theta = np.where(theta >= TWO_PI, 0.0, theta)
-    return np.stack([rho, theta, xyz[..., 2]], axis=-1)
+    return rho, theta, z
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -77,11 +83,16 @@ def project_points(xyz: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.nd
     and image bounds. Out-of-image projections are not an error.
     """
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    cam_pts = xyz @ cam.extrinsic[:3, :3].T + cam.extrinsic[:3, 3]
+    # contiguous copies of the transposed matrices give the same products as the
+    # transposed views, about three times faster
+    cam_pts = xyz @ np.ascontiguousarray(cam.extrinsic[:3, :3].T)
+    cam_pts += cam.extrinsic[:3, 3]
     depth = cam_pts[:, 2]
-    hom = cam_pts @ cam.intrinsic.T
+    hom = cam_pts @ np.ascontiguousarray(cam.intrinsic.T)
+    uv = np.empty((len(xyz), 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = hom[:, :2] / depth[:, None]
+        for axis in (0, 1):  # one column at a time: a broadcast over (N, 2) is twice as slow
+            np.divide(hom[:, axis], depth, out=uv[:, axis])
     return uv, depth
 
 
@@ -91,13 +102,12 @@ def valid_projections(xyz: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np
     Returns (uv, depth, valid_mask); uv/depth cover all input rows.
     """
     uv, depth = project_points(xyz, cam)
-    valid = (
-        (depth > 0.0)
-        & (uv[:, 0] >= 0.0)
-        & (uv[:, 0] < cam.width)
-        & (uv[:, 1] >= 0.0)
-        & (uv[:, 1] < cam.height)
-    )
+    u, v = uv.T
+    valid = depth > 0.0
+    valid &= u >= 0.0
+    valid &= u < cam.width
+    valid &= v >= 0.0
+    valid &= v < cam.height
     return uv, depth, valid
 
 

@@ -3,7 +3,10 @@
 A grid partitions the in-range points of a cloud into R x Theta x Z bins over
 (rho, theta, z). Bin intervals are half-open with the last bin closed, so the
 partition has no gaps: every in-range point lands in exactly one voxel and
-out-of-range points are recorded in a dropped list.
+out-of-range points are recorded in a dropped list. `voxelize` bins a cloud's
+x, y and z columns straight to flat voxel ids by the rule of
+`CylGridSpec.bin_points`; `centroids_batch` gathers each edge-table entry of
+a voxel once and sums its corners in `extreme_points_batch` order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRangeError
-from .geometry import TWO_PI, CameraModel, cart_to_polar, valid_projections
+from .geometry import TWO_PI, CameraModel, polar_columns, valid_projections
 
 
 @dataclass
@@ -133,19 +136,26 @@ class CylGridSpec:
         edges[i] <= v < edges[i + 1], or v <= edges[-1] in the last bin.
         """
         polar = np.asarray(polar, dtype=np.float64).reshape(-1, 3)
-        rho, theta, z = polar[:, 0], polar[:, 1], polar[:, 2]
-        r_lo, r_hi = self.r_range
-        z_lo, z_hi = self.z_range
-        inside = (rho >= r_lo) & (rho <= r_hi) & (z >= z_lo) & (z <= z_hi)
+        rho, theta, z = polar.T
         idx = np.empty((len(polar), 3), dtype=np.int32)
-        idx[:, 0] = _edge_bins(rho, r_lo, r_hi, self.r_bins, self.r_edges)
-        idx[:, 1] = _edge_bins(theta, 0.0, TWO_PI, self.theta_bins, self.theta_edges)
-        idx[:, 2] = _edge_bins(z, z_lo, z_hi, self.z_bins, self.z_edges)
-        return idx, inside
+        for axis, bins in enumerate(self._axis_bins(rho, theta, z)):
+            idx[:, axis] = bins
+        return idx, self._inside(rho, z)
+
+    def _inside(self, rho: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Whether each (rho, z) lies in the closed r and z ranges."""
+        (r_lo, r_hi), (z_lo, z_hi) = self.r_range, self.z_range
+        return (rho >= r_lo) & (rho <= r_hi) & (z >= z_lo) & (z <= z_hi)
+
+    def _axis_bins(self, rho: np.ndarray, theta: np.ndarray, z: np.ndarray):
+        """The int64 r, theta and z bins of polar columns, by `_edge_bins`."""
+        return (_edge_bins(rho, *self.r_range, self.r_bins, self.r_edges),
+                _edge_bins(theta, 0.0, TWO_PI, self.theta_bins, self.theta_edges),
+                _edge_bins(z, *self.z_range, self.z_bins, self.z_edges))
 
 
 def _edge_bins(vals: np.ndarray, lo: float, hi: float, bins: int, edges: np.ndarray) -> np.ndarray:
-    """Clipped bin of each value along one axis, consistent with that axis's edges."""
+    """Clipped int64 bin of each value along one axis, consistent with that axis's edges."""
     scaled = vals - lo
     scaled *= bins / (hi - lo)
     idx = np.floor(scaled)
@@ -157,7 +167,7 @@ def _edge_bins(vals: np.ndarray, lo: float, hi: float, bins: int, edges: np.ndar
     tol = 64 * np.finfo(np.float64).eps * bins * (1.0 + max(abs(lo), abs(hi)) / (hi - lo))
     near = np.flatnonzero(np.abs(scaled, out=scaled) <= tol)
     np.clip(idx, 0, bins - 1, out=idx)
-    idx = idx.astype(np.int32)
+    idx = idx.astype(np.int64)
     if len(near):
         k = np.clip(nearest[near], 0, bins).astype(np.int64)
         idx[near] = np.clip(k - (vals[near] < edges[k]), 0, bins - 1)
@@ -232,12 +242,19 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
 
     Out-of-range points are dropped, not clamped. A voxel's source tag is the
     maximum of its points' tags, so any new-scan point marks the voxel as new.
+    A point's flat id is `flatten` of its `bin_points` triple, computed from
+    the cloud's x, y and z columns without the (N, 3) polar or index arrays.
     """
-    polar = cart_to_polar(cloud.xyz)
-    idx, inside = spec.bin_points(polar)
-    kept = np.flatnonzero(inside)
-    flat = spec.flatten(idx[kept])
-    n = len(kept)
+    rho, theta, z = polar_columns(cloud.xyz)
+    inside = spec._inside(rho, z)
+    dropped = np.flatnonzero(~inside)
+    kept = None
+    if len(dropped):
+        kept = np.flatnonzero(inside)
+        rho, theta, z = rho[kept], theta[kept], z[kept]
+    r_bins, t_bins, z_bins = spec._axis_bins(rho, theta, z)
+    flat = (r_bins * spec.theta_bins + t_bins) * spec.z_bins + z_bins  # `flatten` of the bin triple
+    n = len(flat)
     if spec.num_cells * n < 2**63:
         # flat * n + position is unique, so one unstable sort of these keys gives
         # the stable order: the sorted flat ids are key // n, the permutation key % n
@@ -247,12 +264,11 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
     else:  # the keys would overflow int64
         perm = np.argsort(flat, kind="stable")
         flat_sorted = flat[perm]
-    order = kept[perm]
+    order = perm if kept is None else kept[perm]
     first = np.flatnonzero(np.diff(flat_sorted, prepend=-1))  # each voxel's first entry
     voxel_ids = flat_sorted[first]
     starts = np.append(first, n).astype(np.int64)
     source = np.maximum.reduceat(cloud.source[order], starts[:-1]).astype(np.uint8)
-    dropped = np.flatnonzero(~inside)
     return CylGrid(spec, cloud, voxel_ids, starts, order, dropped, source)
 
 
@@ -290,15 +306,31 @@ def extreme_points_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
 def centroids_batch(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
     """Mean of the eight corners for each voxel, shape (M, 3).
 
-    The corners are summed in `_corners` order, so the result equals the mean
-    of `extreme_points_batch` bit for bit without building the (M, 8, 3) corners.
+    Each edge-table entry is gathered once: the low and high r edges, the
+    cosine and sine at the low and high theta edges. The corners' coordinates
+    are summed in `_corners` order, so the result equals the mean of
+    `extreme_points_batch` bit for bit without building the (M, 8, 3)
+    corners. A z sum depends on the z bin alone and comes from a per-bin table.
     """
     idx3 = _checked_indices(idx3, spec)
-    total = np.zeros((3, len(idx3)))
-    for corner in _corners(idx3, spec):
-        for axis_total, values in zip(total, corner):
-            axis_total += values
-    return np.ascontiguousarray(total.T) / 8  # row-major, like the mean it equals
+    r, t, z = idx3.T
+    r_e, z_e = spec.r_edges, spec.z_edges
+    cos_t, sin_t = np.cos(spec.theta_edges), np.sin(spec.theta_edges)
+    r0, r1 = np.take(r_e, r), np.take(r_e[1:], r)
+    out = np.empty((len(idx3), 3))
+    for axis, trig in enumerate((cos_t, sin_t)):
+        lo, hi = np.take(trig, t), np.take(trig[1:], t)
+        # the four (dr, dt) corners of a z edge, r fastest, once per z edge
+        terms = (r0 * lo, r1 * lo, r0 * hi, r1 * hi)
+        total = terms[0] + terms[1]
+        for term in terms[2:] + terms:
+            total += term
+        np.divide(total, 8, out=out[:, axis])
+    z_sum = z_e[:-1] + z_e[:-1]
+    for term in (z_e[:-1], z_e[:-1], z_e[1:], z_e[1:], z_e[1:], z_e[1:]):
+        z_sum += term
+    out[:, 2] = np.take(z_sum / 8, z)
+    return out
 
 
 def pair_voxel_image(grid: CylGrid, cams: list[CameraModel]) -> CylGrid:
@@ -315,12 +347,12 @@ def pair_voxel_image(grid: CylGrid, cams: list[CameraModel]) -> CylGrid:
         uv, _, valid = valid_projections(pts, cam)
         cells = np.floor(uv[valid]).astype(np.int32)
         vrows = rows[valid]  # nondecreasing: order is grouped by voxel
-        uniq, seg_starts = np.unique(vrows, return_index=True)
-        rects = np.empty((len(uniq), 4), dtype=np.int32)
+        seg_starts = np.flatnonzero(np.diff(vrows, prepend=-1))
+        rects = np.empty((len(seg_starts), 4), dtype=np.int32)
         rects[:, 0] = np.minimum.reduceat(cells[:, 0], seg_starts)
         rects[:, 1] = np.minimum.reduceat(cells[:, 1], seg_starts)
         rects[:, 2] = np.maximum.reduceat(cells[:, 0], seg_starts)
         rects[:, 3] = np.maximum.reduceat(cells[:, 1], seg_starts)
-        grid.pairings[cam_id] = PairingTable(grid.voxel_ids[uniq], rects)
+        grid.pairings[cam_id] = PairingTable(grid.voxel_ids[vrows[seg_starts]], rects)
     return grid
 

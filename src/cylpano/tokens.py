@@ -12,10 +12,12 @@ works on two block levels (Lam, Rothberg & Wolf, ASPLOS 1991). Per
 super-block of at most 2 * SPE_BLOCK rows it computes the x/y sinusoid
 product straight into the embedding and the image means as one slice of a
 sparse sampling matrix over all voxels and cameras times the stacked
-feature maps. Per sub-block of SPE_BLOCK // 4 rows, which stays in cache, it
-adds the per-bin terms and writes both halves: the LiDAR half (the
-statistics placeholder is kept factored and multiplied out per sub-block)
-and the image half. So no (M, dim) feature or image-mean array is ever made.
+feature maps, dividing only the rows of two or more projections by their
+count. Per sub-block of SPE_BLOCK // 4 rows, which stays in cache, it adds
+the per-bin terms and builds both halves in one sub-block buffer, also in
+cache: the LiDAR half (the statistics placeholder is kept factored and
+multiplied out per sub-block) and the image half. The buffer goes into the
+tokens as whole rows. So no (M, dim) feature or image-mean array is ever made.
 """
 
 from __future__ import annotations
@@ -389,13 +391,18 @@ def build_tokens(
     s = np.empty((grid.num_voxels, dim))
     content = np.empty((grid.num_voxels, 2 * dim))
     sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
-    denom = np.maximum(counts, 1.0)[:, None]  # float64, so no block casts the counts again
+    # a row of one projection is its own mean (x / 1.0 == x) and a row of none is zero
+    multi = np.flatnonzero(counts > 1)
+    whole_rows = np.empty((min(grid.num_voxels, _SUB_BLOCK), 2 * dim))
     for sup, sub_blocks in _spe_blocks(grid.indices3, grid.spec, params, s):
         means = sampling[sup] @ stacked
-        means /= denom[sup]
+        div = multi[slice(*np.searchsorted(multi, [sup.start, sup.stop]))]
+        means[div - sup.start] /= counts[div, None]
         for rows, block in sub_blocks:
-            np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
-            np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=content[rows, dim:])
+            buf = whole_rows[:rows.stop - rows.start]
+            np.add(block, voxel_feats.rows(rows), out=buf[:, :dim])
+            np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=buf[:, dim:])
+            content[rows] = buf
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, counts > 0)
 
 

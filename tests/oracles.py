@@ -380,3 +380,64 @@ def reference_sample_box(rng, n, w, d, h):
             pts[m, 1] = (b[m] - 0.5) * d
             pts[m, 2] = h
     return pts
+
+
+# The plain expressions that the one-pass kernels of `grid`, `geometry` and
+# `tokens` replaced. Unlike the brute-force oracles above they are vectorized:
+# the kernels must equal them bit for bit, not only up to rounding.
+
+
+def stable_sort_voxelize(cloud, spec):
+    """order, voxel_ids, starts, source and dropped of `voxelize`, from `bin_points` of
+    `cart_to_polar`, `flatten` and a stable argsort of the flat ids."""
+    from cylpano.geometry import cart_to_polar
+
+    idx, inside = spec.bin_points(cart_to_polar(cloud.xyz))
+    kept = np.flatnonzero(inside)
+    flat = spec.flatten(idx[kept])
+    perm = np.argsort(flat, kind="stable")
+    order = kept[perm]
+    voxel_ids, counts = np.unique(flat[perm], return_counts=True)
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    source = (np.maximum.reduceat(cloud.source[order], starts[:-1]) if len(voxel_ids)
+              else np.zeros(0, dtype=np.uint8))
+    return order, voxel_ids, starts, source, np.flatnonzero(~inside)
+
+
+def reference_projections(xyz, cam):
+    """(uv, depth, valid) of `valid_projections` as `xyz @ R.T + t`, then `@ K.T`, one divide
+    and five comparisons."""
+    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    cam_pts = xyz @ cam.extrinsic[:3, :3].T + cam.extrinsic[:3, 3]
+    depth = cam_pts[:, 2]
+    hom = cam_pts @ cam.intrinsic.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = hom[:, :2] / depth[:, None]
+    valid = ((depth > 0.0) & (uv[:, 0] >= 0.0) & (uv[:, 0] < cam.width)
+             & (uv[:, 1] >= 0.0) & (uv[:, 1] < cam.height))
+    return uv, depth, valid
+
+
+def reference_pairings(grid, cams):
+    """Per camera, the flat ids and rectangles of `pair_voxel_image`, with segments from `np.unique`."""
+    pts = grid.cloud.xyz[grid.order]
+    rows = np.repeat(np.arange(grid.num_voxels), grid.counts)
+    tables = []
+    for cam in cams:
+        uv, _, valid = reference_projections(pts, cam)
+        cells = np.floor(uv[valid]).astype(np.int32)
+        uniq, seg = np.unique(rows[valid], return_index=True)
+        rects = np.empty((len(uniq), 4), dtype=np.int32)
+        for col, (ufunc, axis) in enumerate([(np.minimum, 0), (np.minimum, 1), (np.maximum, 0), (np.maximum, 1)]):
+            rects[:, col] = ufunc.reduceat(cells[:, axis], seg)
+        tables.append((grid.voxel_ids[uniq], rects))
+    return tables
+
+
+def reference_image_half(grid, fmaps, cams, spe, bilinear):
+    """Image half of `build_tokens`: the embedding plus each voxel's sampled feature sum over its
+    valid (point, camera) projections, divided by max(count, 1) on every row."""
+    from cylpano.tokens import _image_sampling
+
+    sampling, counts, stacked = _image_sampling(grid, fmaps, cams, spe.shape[1], bilinear)
+    return spe + (sampling @ stacked) / np.maximum(counts, 1.0)[:, None], counts

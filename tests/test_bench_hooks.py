@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cylpano.cli
-from cylpano.grid import CylGrid
+from cylpano.grid import CylGrid, CylGridSpec
 from cylpano.tokens import VoxelFeatures
 
 _SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -40,4 +40,6 @@ def test_methods_the_counters_use_exist():
     assert "stats_placeholder" in spans.LAYERS["tokens"]
     assert isinstance(VoxelFeatures.__dict__["stats_placeholder"], classmethod)
     assert callable(CylGrid.row_of)
+    # the nearest-row counter calls both; `voxelize` no longer does
+    assert callable(CylGridSpec.bin_points) and callable(CylGridSpec.flatten)
 

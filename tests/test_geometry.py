@@ -16,7 +16,7 @@ from cylpano.geometry import (
 )
 from cylpano.grid import CylGridSpec, PointCloud, pair_voxel_image, voxelize
 
-from oracles import polar_to_cart
+from oracles import polar_to_cart, reference_projections
 
 
 def make_camera(fx=100.0, fy=100.0, cx=320.0, cy=180.0, width=640, height=360, T=None):
@@ -130,6 +130,38 @@ class TestProjection:
         for i in range(20):
             uv_i, depth_i = project_points(pts[i], cam)
             assert np.allclose(np.append(uv_i, depth_i), [uv[i, 0], uv[i, 1], depth[i]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(angle=st.floats(-np.pi, np.pi), mirrored=st.booleans(),
+           shift=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+           points=st.lists(st.tuples(*[st.floats(-50.0, 50.0)] * 3), max_size=30))
+    def test_valid_projections_equal_the_plain_expression(self, angle, mirrored, shift, points):
+        # pixel (u, v) = (64 x / z + 32, 64 y / z + 16) at the identity extrinsic, exactly
+        K = np.array([[64.0, 0.0, 32.0], [0.0, 64.0, 16.0], [0.0, 0.0, 1.0]])
+        # on each image border, just inside and outside it, at depth 0 and behind the camera
+        edges = [[-0.5, 0.0, 1.0], [0.5, 0.0, 1.0], [0.4999999, 0.0, 1.0], [0.0, -0.25, 1.0], [0.0, 0.25, 1.0],
+                 [0.0, 0.2499999, 1.0], [-0.5000001, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                 [0.3, 0.1, -2.0], [-0.5, -0.25, 1.0]]
+        for T in (np.eye(4), self._extrinsic(angle, mirrored, shift)):
+            cam = CameraModel(K, T, 64, 32)
+            for xyz in (np.array(edges), np.array(points, dtype=np.float64).reshape(-1, 3),
+                        np.array(points, dtype=np.float32).reshape(-1, 3)):
+                with np.errstate(over="ignore"):  # a depth near the least normal overflows u and v
+                    got, want = valid_projections(xyz, cam), reference_projections(xyz, cam)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        identity = valid_projections(np.array(edges), CameraModel(K, np.eye(4), 64, 32))
+        assert identity[2].tolist() == [True, False, True, True, False, True, False, False, False, False, True]
+
+    @staticmethod
+    def _extrinsic(angle, mirrored, shift):
+        T = np.eye(4)
+        c, s = np.cos(angle), np.sin(angle)
+        T[:3, :3] = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+        if mirrored:
+            T[:3, :3] = np.diag([1.0, -1.0, 1.0]) @ T[:3, :3]
+        T[:3, 3] = shift
+        return T
 
     def test_camera_validation(self):
         with pytest.raises(ValueError):

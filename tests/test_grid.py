@@ -15,6 +15,8 @@ from cylpano.grid import (
 )
 from cylpano.synth import ring_camera
 
+from oracles import reference_pairings, stable_sort_voxelize
+
 NUSC_SPEC = CylGridSpec(480, 360, 32, (0.0, 50.0), (-5.0, 3.0))
 
 
@@ -153,22 +155,8 @@ class TestVoxelize:
         assert np.array_equal(grid.order[grid.starts[0]:grid.starts[1]], [0, 1, 2])
 
 
-def stable_sort_voxelize(cloud: PointCloud, spec: CylGridSpec):
-    """order, voxel_ids, starts and source as a stable argsort of the flat ids gives them."""
-    idx, inside = spec.bin_points(cart_to_polar(cloud.xyz))
-    kept = np.flatnonzero(inside)
-    flat = spec.flatten(idx[kept])
-    perm = np.argsort(flat, kind="stable")
-    order = kept[perm]
-    voxel_ids, counts = np.unique(flat[perm], return_counts=True)
-    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    source = (np.maximum.reduceat(cloud.source[order], starts[:-1]) if len(voxel_ids)
-              else np.zeros(0, dtype=np.uint8))
-    return order, voxel_ids, starts, source
-
-
 def assert_grid_equals_stable_sort(grid, cloud, spec):
-    for got, want in zip((grid.order, grid.voxel_ids, grid.starts, grid.source),
+    for got, want in zip((grid.order, grid.voxel_ids, grid.starts, grid.source, grid.dropped),
                          stable_sort_voxelize(cloud, spec)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -209,6 +197,42 @@ class TestKeySort:
         assert spec.num_cells * (len(cloud) - 1) >= 2**63
         grid = voxelize(cloud, spec)
         assert grid.num_voxels == 12
+        assert_grid_equals_stable_sort(grid, cloud, spec)
+
+
+class TestFlatIdBinning:
+    """`voxelize` bins x, y and z straight to flat ids; it must give what `bin_points` and `flatten` give."""
+
+    SPECS = (CylGridSpec(6, 5, 3, (1.0, 10.0), (-1.0, 1.0)),
+             CylGridSpec(2**20, 2**20, 2**20, (1.0, 10.0), (-1.0, 1.0)))  # 8 points overflow its keys
+    # on and just past both r and z range edges, y = -0.0, and y so small beside x = 1 that theta
+    # is an ulp below 2 pi (-6e-16) or rounds up to 2 pi (-1e-20)
+    coord = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 10.0, -10.0, float(np.nextafter(np.float32(10.0), np.float32(11.0))),
+                         float(np.nextafter(np.float32(1.0), np.float32(0.0))), -6e-16, -1e-20, 0.5]),
+        st.floats(-11.0, 11.0, width=32),
+    )
+    point = st.one_of(st.tuples(coord, coord, st.sampled_from([-1.0, 1.0, 1.0000001, -1.0000001, 0.0, 0.3])),
+                      st.tuples(st.just(1.0), st.sampled_from([-6e-16, -1e-20, -0.0]), st.just(0.0)),
+                      st.tuples(st.just(10.0), st.just(-0.0), st.sampled_from([-1.0, 1.0])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from(SPECS), points=st.lists(st.tuples(point, st.integers(0, 3)), max_size=40))
+    def test_equals_bin_points_flatten_and_stable_sort(self, spec, points):
+        xyz = np.array([p for p, _ in points], dtype=np.float32).reshape(-1, 3)
+        cloud = PointCloud(xyz, np.zeros(len(xyz)), source=[tag for _, tag in points])
+        assert_grid_equals_stable_sort(voxelize(cloud, spec), cloud, spec)
+
+    def test_edge_cases_all_occur(self):
+        spec = self.SPECS[0]
+        xyz = np.array([[1.0, -6e-16, 0.0], [1.0, -1e-20, 0.0], [10.0, -0.0, 1.0], [1.0, 0.0, -1.0],
+                        [10.000001, 0.0, 0.0], [2.0, 0.0, 1.0000001]], dtype=np.float32)
+        cloud = PointCloud(xyz, np.zeros(len(xyz)))
+        grid = voxelize(cloud, spec)
+        assert grid.dropped.tolist() == [4, 5]
+        # an ulp below 2 pi lands in the last theta bin; rounded up to 2 pi, in the first
+        assert spec.unflatten(grid.voxel_ids).tolist() == [[0, 0, 0], [0, 0, 1], [0, 4, 1], [5, 0, 2]]
+        assert grid.order.tolist() == [3, 1, 0, 2]
         assert_grid_equals_stable_sort(grid, cloud, spec)
 
 
@@ -328,6 +352,24 @@ class TestPairing:
                     assert rect is not None
                     # the rectangle contains every kept cell and is the smallest that does
                     assert rect.tolist() == cells.min(axis=0).tolist() + cells.max(axis=0).tolist()
+
+    def test_pairings_equal_unique_segments(self):
+        rng = np.random.default_rng(8)
+        spec = CylGridSpec(10, 12, 4, (0.0, 30.0), (-3.0, 3.0))
+        cams = [ring_camera(0.0, 96, 72, 60.0, 1.0), ring_camera(2.0, 64, 48, 40.0, 0.0)]
+        ahead = np.column_stack([rng.uniform(5.0, 25.0, 200), rng.uniform(-2.0, 2.0, 200), rng.uniform(-1.0, 1.0, 200)])
+        # the first camera sees every voxel of the second cloud, and no camera sees a point of the last two
+        clouds = [random_cloud(rng, 600, radius=25.0), PointCloud(ahead, np.zeros(200)),
+                  PointCloud(np.zeros((0, 3)), np.zeros(0)), PointCloud([[-5.0, 0.0, 0.0], [-5.0, 0.1, 0.0]], np.zeros(2))]
+        seen = []
+        for cloud in clouds:
+            grid = pair_voxel_image(voxelize(cloud, spec), cams)
+            for cam_id, (flat_ids, rects) in enumerate(reference_pairings(grid, cams)):
+                table = grid.pairings[cam_id]
+                assert table.flat_ids.dtype == flat_ids.dtype and np.array_equal(table.flat_ids, flat_ids)
+                assert table.rects.dtype == rects.dtype and np.array_equal(table.rects, rects)
+            seen.append((len(grid.pairings[0].flat_ids), grid.num_voxels))
+        assert seen[1][0] == seen[1][1] > 0 and seen[2][0] == seen[3][0] == 0
 
     def test_pairing_ignores_virtual_center(self):
         # Far, angularly wide voxel: centroid projects outside a narrow-FOV

@@ -13,6 +13,7 @@ from cylpano.synth import ring_camera
 from cylpano.tokens import (
     N_BANDS,
     SPE_BLOCK,
+    _SUB_BLOCK,
     FeatureMap,
     SpeParams,
     VoxelFeatures,
@@ -26,6 +27,8 @@ from cylpano.tokens import (
     scale_encoding,
     spe_batch,
 )
+
+from oracles import reference_image_half
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 
@@ -441,6 +444,29 @@ class TestBuildTokens:
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
         # every row goes through gemm, also a lone last row of a super-block
         assert np.array_equal(tokens.spe[-1], spe_batch(grid.indices3[-2:], spec, params)[-1])
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_image_means_equal_sums_over_counts_bit_for_bit(self, bilinear):
+        """Only rows of two or more projections are divided, and each sub-block is written as whole rows."""
+        spec = CylGridSpec(40, 36, 4, (1.0, 41.0), (-0.5, 0.5))
+        rng = np.random.default_rng(12)
+        n = 5000
+        xyz = np.column_stack([rng.uniform(-40, 40, (n, 2)), rng.uniform(-0.5, 0.5, n)])
+        grid = voxelize(PointCloud(xyz, rng.random(n)), spec)
+        assert grid.num_voxels > 2 * SPE_BLOCK + _SUB_BLOCK  # several sub-blocks and super-blocks
+        dim = 6
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0), ring_camera(0.5, 40, 24, 16.0, 0.2)]
+        fmaps = [FeatureMap(rng.standard_normal((8, 12, dim)).astype(np.float32), 48, 32),
+                 FeatureMap(rng.standard_normal((6, 10, dim)).astype(np.float32), 40, 24)]
+        params = SpeParams.create(spec, dim=dim, seed=4)
+        f3d = rng.normal(size=(grid.num_voxels, dim))
+        tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, f3d), fmaps, cams, params, bilinear=bilinear)
+
+        image_half, counts = reference_image_half(grid, fmaps, cams, tokens.spe, bilinear)
+        assert {0, 1, 2}.issubset(counts) and counts.max() > 2
+        assert tokens.content[:, dim:].tobytes() == image_half.tobytes()
+        assert tokens.content[:, :dim].tobytes() == (tokens.spe + f3d).tobytes()
+        assert np.array_equal(tokens.image_valid, counts > 0)
 
     def test_peak_memory_stays_below_one_feature_array(self):
         # one point at the center of every cell: 9 blocks of voxels
