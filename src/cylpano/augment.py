@@ -243,10 +243,10 @@ def paste_instances(
     donor: MultiModalSample,
     spec: CylGridSpec,
     s: int,
-    transforms: list[InstanceTransform] | None = None,
-    instance_ids: np.ndarray | None = None,
+    transforms: list[InstanceTransform],
+    instance_ids: np.ndarray,
 ) -> tuple[MultiModalSample, np.ndarray, dict[int, np.ndarray]]:
-    """Paste `s` donor instances into the original sample.
+    """Paste the `s` donor instances `instance_ids`, each moved by its transform, into the original sample.
 
     Donor points keep their semantic labels and get fresh instance ids; voxels
     covered by the transformed instances replace the original content, and the
@@ -259,15 +259,11 @@ def paste_instances(
     avail = donor_instance_ids(donor.cloud)
     if s > len(avail):
         raise InsufficientInstancesError(f"requested {s} instances, donor has {len(avail)}")
-    if instance_ids is None:
-        instance_ids = avail[:s]
     if len(instance_ids) != s:
         raise ValueError(f"{len(instance_ids)} instance ids given to paste {s} instances")
     lacking = np.asarray(instance_ids)[~np.isin(instance_ids, avail)]
     if len(lacking):
         raise InsufficientInstancesError(f"donor holds no instance {lacking[0]}")
-    if transforms is None:
-        transforms = [InstanceTransform.identity()] * s
     if len(transforms) != s:
         raise ValueError("one transform per pasted instance")
     mixes = [_paste_mix(donor, spec, instance_ids, transforms)] if s else []

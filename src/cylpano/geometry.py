@@ -125,10 +125,6 @@ class InstanceTransform:
             raise ValueError("scale must be positive")
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "InstanceTransform":
-        return cls(np.zeros(3), 0.0, 1.0)
-
 
 def transform_instance(points: np.ndarray, t: InstanceTransform) -> np.ndarray:
     """Rotate/scale about the point-set centroid, then translate. Returns float64 (N, 3)."""

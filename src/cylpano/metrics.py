@@ -242,7 +242,7 @@ def _mean(values: list[float]) -> float:
 def panoptic_quality(
     matches: MatchResult,
     table: ClassTable,
-    semantic_iou: dict[int, float] | None = None,
+    semantic_iou: dict[int, float],
 ) -> PanopticReport:
     """Turn match tallies into per-class and aggregate PQ/SQ/RQ.
 
@@ -250,7 +250,6 @@ def panoptic_quality(
     starred aggregate substitutes each stuff class's semantic IoU for its PQ
     and therefore needs `semantic_iou`.
     """
-    semantic_iou = semantic_iou or {}
     per_class: dict[int, ClassStats] = {}
     for cls in matches.classes:
         st = ClassStats(

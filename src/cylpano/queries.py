@@ -335,14 +335,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 def fps(
     points: np.ndarray,
     k: int,
-    confidences: np.ndarray | None = None,
+    confidences: np.ndarray,
 ) -> np.ndarray:
     """Greedy farthest point sampling in 3D Euclidean space.
 
-    Starts at the highest-confidence point (ties to the lowest index; no
-    confidences means index 0). Each later pick maximizes the minimum distance
-    to the selected set, ties again to the lowest index.
-    Returns all indices when k >= n.
+    Starts at the highest-confidence point (ties to the lowest index). Each
+    later pick maximizes the minimum distance to the selected set, ties again
+    to the lowest index. Returns all indices when k >= n.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -350,7 +349,7 @@ def fps(
         raise ValueError("k must be >= 1")
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    start = 0 if confidences is None else int(np.argmax(np.asarray(confidences)))
+    start = int(np.argmax(np.asarray(confidences)))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
     min_d = np.linalg.norm(pts - pts[start], axis=1)

@@ -79,7 +79,6 @@ class SynthSample:
     instance_maps: list[np.ndarray]  # (H, W) int32, 0 where empty
     masks: list[Mask2D]
     table: ClassTable
-    config: SceneConfig
 
 
 def ring_camera(yaw: float, width: int, height: int, focal: float, cam_height: float) -> CameraModel:
@@ -176,7 +175,7 @@ def generate_scene(cfg: SceneConfig) -> SynthSample:
     for cam_id, imap in enumerate(inst_maps):
         for obj_id in np.flatnonzero(np.bincount(imap.ravel())[1:]) + 1:
             masks.append(Mask2D(cam_id, imap == obj_id, class_tag=classes[obj_id]))
-    return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, ClassTable.synthetic(), cfg)
+    return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, ClassTable.synthetic())
 
 
 def rasterize(

@@ -7,17 +7,20 @@ entirely while the member points are visible. Each voxel's position embedding
 combines a sinusoidal encoding of its centroid (in Cartesian and polar
 coordinates) with a small MLP over the distances from the centroid to the
 voxel's eight corners, so tokens carry both location and physical scale; the
-terms that depend on one bin index come from per-bin tables. `build_tokens`
-works on two block levels (Lam, Rothberg & Wolf, ASPLOS 1991). Per
-super-block of at most 2 * SPE_BLOCK rows it computes the x/y sinusoid
-product straight into the embedding and the image means as one slice of a
-sparse sampling matrix over all voxels and cameras times the stacked
-feature maps, dividing only the rows of two or more projections by their
-count. Per sub-block of SPE_BLOCK // 4 rows, which stays in cache, it adds
-the per-bin terms and builds both halves in one sub-block buffer, also in
-cache: the LiDAR half (the statistics placeholder is kept factored and
-multiplied out per sub-block) and the image half. The buffer goes into the
-tokens as whole rows. So no (M, dim) feature or image-mean array is ever made.
+terms that depend on one bin index come from per-bin tables. `spe_batch` and
+`build_tokens` work on two block levels (Lam, Rothberg & Wolf, ASPLOS 1991)
+that follow one rule: a level's blocks hold a fixed number of rows, and a
+lone last row joins the block before it, since numpy multiplies a lone row
+by gemv, which rounds unlike gemm. Per super-block of 2 * SPE_BLOCK rows the
+x/y sinusoid product goes straight into the embedding, and `build_tokens`
+takes the image means as one slice of a sparse sampling matrix over all
+voxels and cameras times the stacked feature maps, dividing only the rows of
+two or more projections by their count. Per sub-block of SPE_BLOCK // 4
+rows, which stays in cache, the per-bin terms are added and `build_tokens`
+builds both halves in one sub-block buffer, also in cache: the LiDAR half
+(the statistics placeholder is kept factored and multiplied out per
+sub-block) and the image half. The buffer goes into the tokens as whole
+rows. So no (M, dim) feature or image-mean array is ever made.
 """
 
 from __future__ import annotations
@@ -78,11 +81,9 @@ class FeatureMap:
         wts = np.stack([(1 - ax) * (1 - ay), ax * (1 - ay), (1 - ax) * ay, ax * ay], axis=1)
         return idx, wts
 
-    def sample(self, uv: np.ndarray, bilinear: bool = False) -> np.ndarray:
-        """Sample features at continuous in-image pixel coordinates, (N, D) float64."""
-        idx, wts = self.cells(uv, bilinear)
-        flat = self.data.reshape(-1, self.dim).astype(np.float64)
-        return (flat[idx] * wts[:, :, None]).sum(axis=1)
+    def sample(self, uv: np.ndarray) -> np.ndarray:
+        """Features of the nearest cell at continuous in-image pixel coordinates, (N, D) float64."""
+        return self.data.reshape(-1, self.dim)[self.cells(uv)[0][:, 0]].astype(np.float64)
 
 
 N_BANDS = 6  # frequency doublings per coordinate, 2^0 .. 2^5
@@ -139,12 +140,9 @@ class SpeParams:
 def corner_distances(corners: np.ndarray) -> np.ndarray:
     """L2 distances from each corner to the corner centroid; (M, 8) for (M, 8, 3) input."""
     corners = np.asarray(corners, dtype=np.float64)
-    squeeze = corners.ndim == 2
-    if squeeze:
-        corners = corners[None]
-    center = corners.mean(axis=1, keepdims=True)
-    d = np.linalg.norm(corners - center, axis=2)
-    return d[0] if squeeze else d
+    if corners.ndim != 3 or corners.shape[1:] != (8, 3):
+        raise ValueError(f"corners must have shape (M, 8, 3), not {corners.shape}")
+    return np.linalg.norm(corners - corners.mean(axis=1, keepdims=True), axis=2)
 
 
 def _sinusoids(coords: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -169,15 +167,6 @@ def _psi(params: SpeParams, coords: slice) -> np.ndarray:
     # psi_w's columns run over (coordinate, sine / cosine, band)
     w = params.psi_w.reshape(params.dim, 5, 2, N_BANDS).transpose(2, 3, 1, 0)
     return w[:, :, coords].reshape(-1, params.dim)
-
-
-def position_encoding(centers: np.ndarray, params: SpeParams) -> np.ndarray:
-    """Sinusoidal embedding of centroid positions in Cartesian and polar form."""
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    coords = np.empty((5, len(centers)))  # x, y, z, rho, theta
-    coords[:3] = centers.T
-    coords[3:] = cart_to_polar(centers)[:, :2].T
-    return _sinusoids(coords, params.coord_scales).T @ _psi(params, slice(0, 5))
 
 
 def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
@@ -219,51 +208,52 @@ def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.nd
     return r_tab, table(theta[r_bins:r_bins + t_bins], 4), table(z[r_bins + t_bins:], 2)
 
 
+def _blocks(start: int, stop: int, size: int) -> list[slice]:
+    """Slices of `size` rows over start .. stop; a lone last row joins the slice before it.
+
+    numpy multiplies a lone row by gemv, which rounds unlike the gemm of the
+    rows before it.
+    """
+    bounds = [*range(start, stop, size), stop]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams, out: np.ndarray):
     """Fill `out` with the embedding of (M, 3) bin indices, on two block levels.
 
-    Yields each super-block's row slice, once its x and y sinusoid term (the
-    only one that needs the voxel's own centroid) is in `out`, with an
-    iterator over its sub-blocks. Each step of that iterator adds the rho,
-    theta, z and scale terms from per-bin tables (`_bin_tables`) to one
-    sub-block and yields its row slice and filled view; every sub-block
-    iterator must be run to its end.
+    Yields (super_block, rows, view) for each sub-block in row order. The x
+    and y sinusoid term of the super-block (the only one that needs the
+    voxel's own centroid) is in `out` from its first sub-block on; the rho,
+    theta, z and scale terms from per-bin tables (`_bin_tables`) are added to
+    `view`, the sub-block's rows of `out`, before it is yielded.
     """
-    m = len(idx3)
     xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
     tables = _bin_tables(spec, params)
     w_xy = _psi(params, slice(0, 2))
-    gathered = np.empty((min(m, _SUB_BLOCK), params.dim))
-
-    def sub_blocks(sup: slice):
-        for a in range(sup.start, sup.stop, _SUB_BLOCK):
-            rows = slice(a, min(a + _SUB_BLOCK, sup.stop))
-            block = out[rows]
+    gathered = np.empty((min(len(idx3), _SUB_BLOCK + 1), params.dim))
+    for sup in _blocks(0, len(idx3), _SUPER_BLOCK):
+        np.matmul(_sinusoids(xy[:, sup], params.coord_scales[:2]).T, w_xy, out=out[sup])
+        for rows in _blocks(sup.start, sup.stop, _SUB_BLOCK):
+            view = out[rows]
             for axis, table in enumerate(tables):
                 # mode="raise" would buffer `out`; the indices are known to be in range
-                block += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(block)], mode="clip")
-            yield rows, block
-
-    bounds = [*range(0, m, _SUPER_BLOCK), m]
-    if m % _SUPER_BLOCK == 1 and m > 1:
-        # numpy multiplies a lone row by gemv, which rounds unlike gemm: it joins the super-block before
-        del bounds[-2]
-    for sup in map(slice, bounds[:-1], bounds[1:]):
-        np.matmul(_sinusoids(xy[:, sup], params.coord_scales[:2]).T, w_xy, out=out[sup])
-        yield sup, sub_blocks(sup)
+                view += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(view)], mode="clip")
+            yield sup, rows, view
 
 
 def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
     """Scale-aware positional embedding of voxels at (M, 3) bin indices; (M, dim).
 
-    Equals, up to rounding, `position_encoding` of the voxels' corner means
-    plus `scale_encoding` of their `corner_distances`.
+    Equals, up to rounding, the sinusoids of the voxels' corner means in
+    Cartesian and polar form projected by `psi_w`, plus `scale_encoding` of
+    their `corner_distances`.
     """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(idx3), params.dim))
-    for _, sub_blocks in _spe_blocks(idx3, spec, params, out):
-        for _ in sub_blocks:
-            pass
+    for _ in _spe_blocks(idx3, spec, params, out):
+        pass
     return out
 
 
@@ -309,12 +299,8 @@ class VoxelFeatures:
     def dim(self) -> int:
         return self.raw.shape[1] if self.proj is None else self.proj.shape[0]
 
-    def rows(self, rows: slice) -> np.ndarray:  # (raw @ proj.T)[rows], multiplying out at most one other row
-        if self.proj is None:
-            return self.raw[rows]
-        # numpy multiplies a lone row by gemv, which rounds unlike the gemm of all rows
-        lone = int(rows.stop - rows.start == 1 and rows.start > 0)
-        return (self.raw[rows.start - lone:rows.stop] @ self.proj.T)[lone:]
+    def rows(self, rows: slice) -> np.ndarray:  # (raw @ proj.T)[rows]
+        return self.raw[rows] if self.proj is None else self.raw[rows] @ self.proj.T
 
     @classmethod
     def for_grid(cls, grid: CylGrid, feats: np.ndarray) -> "VoxelFeatures":
@@ -393,16 +379,16 @@ def build_tokens(
     sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
     # a row of one projection is its own mean (x / 1.0 == x) and a row of none is zero
     multi = np.flatnonzero(counts > 1)
-    whole_rows = np.empty((min(grid.num_voxels, _SUB_BLOCK), 2 * dim))
-    for sup, sub_blocks in _spe_blocks(grid.indices3, grid.spec, params, s):
-        means = sampling[sup] @ stacked
-        div = multi[slice(*np.searchsorted(multi, [sup.start, sup.stop]))]
-        means[div - sup.start] /= counts[div, None]
-        for rows, block in sub_blocks:
-            buf = whole_rows[:rows.stop - rows.start]
-            np.add(block, voxel_feats.rows(rows), out=buf[:, :dim])
-            np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=buf[:, dim:])
-            content[rows] = buf
+    whole_rows = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), 2 * dim))
+    for sup, rows, block in _spe_blocks(grid.indices3, grid.spec, params, s):
+        if rows.start == sup.start:
+            means = sampling[sup] @ stacked
+            div = multi[slice(*np.searchsorted(multi, [sup.start, sup.stop]))]
+            means[div - sup.start] /= counts[div, None]
+        buf = whole_rows[:rows.stop - rows.start]
+        np.add(block, voxel_feats.rows(rows), out=buf[:, :dim])
+        np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=buf[:, dim:])
+        content[rows] = buf
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, counts > 0)
 
 

@@ -441,3 +441,31 @@ def reference_image_half(grid, fmaps, cams, spe, bilinear):
 
     sampling, counts, stacked = _image_sampling(grid, fmaps, cams, spe.shape[1], bilinear)
     return spe + (sampling @ stacked) / np.maximum(counts, 1.0)[:, None], counts
+
+
+def position_encoding(centers, params):
+    """Sinusoidal embedding of centroid positions, band by band: sin and cos of pi * c * scale * 2^k
+    for each of x, y, z, rho and theta and each band k, projected by `psi_w`."""
+    from cylpano.geometry import cart_to_polar
+    from cylpano.tokens import N_BANDS
+
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    coords = np.column_stack([centers, cart_to_polar(centers)[:, :2]])
+    args = np.pi * coords[:, :, None] * params.coord_scales[None, :, None] * 2.0 ** np.arange(N_BANDS)
+    feats = np.concatenate([np.sin(args), np.cos(args)], axis=2).reshape(len(centers), params.psi_w.shape[1])
+    return feats @ params.psi_w.T
+
+
+def bilinear_sample(fmap, uv):
+    """Features at continuous pixel coordinates, interpolated between the four nearest feature-cell
+    centers, clamped to the outermost cells at the map's borders; (N, D) float64."""
+    h, w, _ = fmap.data.shape
+    d = fmap.data.astype(np.float64)
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    x = np.clip(uv[:, 0] * w / fmap.width - 0.5, 0, w - 1)
+    y = np.clip(uv[:, 1] * h / fmap.height - 0.5, 0, h - 1)
+    x0, y0 = np.floor(x).astype(int), np.floor(y).astype(int)
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    ax, ay = (x - x0)[:, None], (y - y0)[:, None]
+    return (d[y0, x0] * (1 - ax) * (1 - ay) + d[y0, x1] * ax * (1 - ay)
+            + d[y1, x0] * (1 - ax) * ay + d[y1, x1] * ax * ay)

@@ -23,6 +23,7 @@ from cylpano.augment import (
 from cylpano.errors import (
     IndexOutOfRangeError, InsufficientInstancesError, ShapeMismatchError, SpecMismatchError,
 )
+from cylpano.geometry import InstanceTransform
 
 from cylpano.grid import CylGridSpec, PairingTable, PointCloud, pair_voxel_image, voxelize
 from cylpano.synth import SceneConfig, generate_scene
@@ -384,7 +385,7 @@ class TestRectUnion:
 class TestPasteInstances:
     def test_zero_instances_is_noop(self):
         org, donor = scene_pair(11)
-        out, mask, rects = paste_instances(org, donor, SPEC, 0)
+        out, mask, rects = paste_instances(org, donor, SPEC, 0, [], donor_instance_ids(donor.cloud)[:0])
         assert np.array_equal(out.cloud.xyz, org.cloud.xyz)
         assert mask.shape == SPEC.shape and mask.dtype == bool and not mask.any()
         assert rects == {}  # as from `augment` when no mix runs
@@ -392,23 +393,23 @@ class TestPasteInstances:
     def test_insufficient_instances(self):
         org, donor = scene_pair(12)
         with pytest.raises(InsufficientInstancesError):
-            paste_instances(org, donor, SPEC, 99)
+            paste_instances(org, donor, SPEC, 99, unmoved(99), np.arange(1, 100))
 
     def test_instance_ids_must_number_s(self):
         org, donor = scene_pair(16)
         ids = donor_instance_ids(donor.cloud)
         assert len(ids) >= 3
         with pytest.raises(ValueError):
-            paste_instances(org, donor, SPEC, 1, instance_ids=ids[:3])
+            paste_instances(org, donor, SPEC, 1, unmoved(1), ids[:3])
         with pytest.raises(ValueError):
-            paste_instances(org, donor, SPEC, 0, instance_ids=ids[:1])
+            paste_instances(org, donor, SPEC, 0, [], ids[:1])
 
     def test_instance_id_the_donor_lacks(self):
         org, donor = scene_pair(17)
         ids = donor_instance_ids(donor.cloud)
         absent = int(ids.max()) + 1
         with pytest.raises(InsufficientInstancesError, match=rf"\b{absent}\b"):
-            paste_instances(org, donor, SPEC, 3, instance_ids=[ids[0], absent, absent + 1])
+            paste_instances(org, donor, SPEC, 3, unmoved(3), [ids[0], absent, absent + 1])
 
     def test_identity_paste_into_empty_region_preserves_records(self):
         rng = np.random.default_rng(13)
@@ -421,7 +422,7 @@ class TestPasteInstances:
         )
         donor_cloud = PointCloud(inst_xyz, np.full(40, 0.5), np.full(40, 3), np.full(40, 7))
         donor = MultiModalSample(donor_cloud, [np.zeros((8, 8, 3), np.uint8)], [_tiny_cam()])
-        out, mask, _ = paste_instances(org, donor, SPEC, 1)
+        out, mask, _ = paste_instances(org, donor, SPEC, 1, unmoved(1), [7])
         pasted = out.cloud.source == 1
         assert pasted.sum() == 40
         got = {
@@ -437,7 +438,7 @@ class TestPasteInstances:
 
     def test_pasted_instance_ids_are_fresh(self):
         org, donor = scene_pair(14)
-        out, _, _ = paste_instances(org, donor, SPEC, 2)
+        out, _, _ = paste_instances(org, donor, SPEC, 2, unmoved(2), donor_instance_ids(donor.cloud)[:2])
         org_max = int(org.cloud.instance.max())
         pasted = out.cloud.source == 1
         ids = np.unique(out.cloud.instance[pasted])
@@ -446,12 +447,17 @@ class TestPasteInstances:
 
     def test_pasted_voxels_carry_donor_tag(self):
         org, donor = scene_pair(15)
-        out, mask, _ = paste_instances(org, donor, SPEC, 1)
+        out, mask, _ = paste_instances(org, donor, SPEC, 1, unmoved(1), donor_instance_ids(donor.cloud)[:1])
         grid = voxelize(out.cloud, SPEC)
         flat = mask.reshape(-1)
         for row in range(grid.num_voxels):
             if flat[grid.voxel_ids[row]]:
                 assert grid.source[row] == 1
+
+
+def unmoved(s):
+    """Transforms that leave `s` pasted instances where the donor holds them."""
+    return [InstanceTransform(np.zeros(3))] * s
 
 
 def _tiny_cam():

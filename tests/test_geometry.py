@@ -211,7 +211,7 @@ class TestRect:
 class TestInstanceTransform:
     def test_identity(self):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = transform_instance(pts, InstanceTransform.identity())
+        out = transform_instance(pts, InstanceTransform(np.zeros(3)))
         assert np.allclose(out, pts)
 
     def test_centroid_is_fixed_point(self):

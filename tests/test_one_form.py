@@ -1,20 +1,23 @@
 """Each operation has one form in `src/`: nothing public that only tests reach.
 
 The callers are the modules of `src/cylpano`, the acceptance tests and the
-benchmark's scripts in `bench/`. Three scans hold `src/` to them:
+benchmark's scripts in `bench/`. Four scans hold `src/` to them:
 
 - a public module-level function or class must be referenced (loaded, called
   or imported) by a caller, or wrapped by the benchmark's span recorder;
 - a public method, classmethod or property of a public class must be loaded
   as an attribute by a caller;
 - an optional parameter of a public function or method must be passed, by
-  position or by keyword, by some call of that name in a caller.
+  position or by keyword, by some call of that name in a caller;
+- a parameter that defaults to None must be left out by some call of that
+  name in a caller.
 
-A one-item wrapper of a batched path, a second copy of a rule, or an option
-that selects a branch no caller takes fails these checks; its tests belong on
-the form that stays. Each allow-list entry says why it stays.
+A one-item wrapper of a batched path, a second copy of a rule, an option
+that selects a branch no caller takes, or a default that only tests take
+fails these checks; its tests belong on the form that stays. Each
+allow-list entry says why it stays.
 
-A fourth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
+A fifth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
 `cylpano` module must replace a name that module's own code loads, or the
 patch reaches no caller and the test around it checks nothing.
 """
@@ -31,15 +34,12 @@ CALLERS = [*MODULES.values(), ast.parse((ROOT / "tests" / "test_acceptance.py").
            *(ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py")))]
 
 ALLOWED = {
-    "position_encoding": "the closed-form reference that tests check the blocked SPE against",
     "write_spe_params": "the writing half of the SPEW codec, for tools that ship trained weights",
 }
 ALLOWED_METHODS = {
     "VoxelFeatures.for_grid": "where learned per-voxel features enter the fuse stage",
 }
-ALLOWED_PARAMS = {
-    "FeatureMap.sample(bilinear)": "the bilinear reference the tests check `build_tokens` against",
-}
+ALLOWED_PARAMS: dict[str, str] = {}
 
 
 def _loaded_names(tree) -> set[str]:
@@ -69,6 +69,34 @@ def _public_defs():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield node.name, item
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in a caller, by the name it calls (a function's name or a method's attribute)."""
+    calls = {}
+    for tree in CALLERS:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def _optional_params(owner: str | None, node: ast.FunctionDef):
+    """(name, positional index or None for keyword-only, default node) of each parameter with a default.
+
+    The index counts from the first argument a call writes: a call through an
+    instance or a class binds self or cls, a staticmethod binds nothing.
+    """
+    args = node.args
+    bound = owner is not None and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    positional = [*args.posonlyargs, *args.args][int(bound):]
+    first = len(positional) - len(args.defaults)
+    for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first):
+        yield a.arg, i, d
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        if d is not None:  # a keyword-only parameter without a default has None here
+            yield a.arg, None, d
 
 
 def _passed(call: ast.Call, name: str, position: int | None) -> bool:
@@ -147,25 +175,27 @@ def test_every_public_method_is_loaded_outside_tests():
 
 
 def test_every_optional_parameter_is_passed_outside_tests():
-    calls = {}
-    for tree in CALLERS:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                calls.setdefault(callee, []).append(node)
+    calls = _calls_by_name()
     never = []
     for owner, node in _public_defs():
-        args = node.args
-        # a call through an instance or a class binds self or cls; a staticmethod binds nothing
-        bound = owner is not None and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-        positional = [*args.posonlyargs, *args.args][int(bound):]
-        optional = [(a.arg, i) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
-        optional += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        for param, position in optional:
+        for param, position, _ in _optional_params(owner, node):
             qual = f"{owner}.{node.name}({param})" if owner else f"{node.name}({param})"
             if qual not in ALLOWED_PARAMS and not any(_passed(c, param, position) for c in calls.get(node.name, [])):
                 never.append(qual)
     assert never == []
+
+
+def test_every_none_default_is_left_out_outside_tests():
+    """A None default that every caller overrides selects a branch only tests take."""
+    calls = _calls_by_name()
+    always = [
+        f"{owner}.{node.name}({param})" if owner else f"{node.name}({param})"
+        for owner, node in _public_defs()
+        for param, position, default in _optional_params(owner, node)
+        if isinstance(default, ast.Constant) and default.value is None
+        and all(_passed(c, param, position) for c in calls.get(node.name, []))
+    ]
+    assert always == []
 
 
 def test_package_namespace_binds_only_the_version():

@@ -548,11 +548,11 @@ class TestDbscan:
 class TestFps:
     def test_k_at_least_n_returns_all(self):
         pts = np.random.default_rng(10).normal(0, 1, (4, 3))
-        assert fps(pts, 9).tolist() == [0, 1, 2, 3]
+        assert fps(pts, 9, np.zeros(4)).tolist() == [0, 1, 2, 3]
 
     def test_collinear_hand_case(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
-        assert fps(pts, 2).tolist() == [0, 2]
+        assert fps(pts, 2, np.zeros(3)).tolist() == [0, 2]
 
     def test_greedy_argmax_property(self):
         rng = np.random.default_rng(11)
@@ -580,7 +580,7 @@ class TestFps:
 
         prev = np.inf
         for k in range(2, 12):
-            sel = fps(pts, k).tolist()
+            sel = fps(pts, k, np.zeros(len(pts))).tolist()
             cur = min_pairwise(sel)
             assert cur <= prev + 1e-12
             prev = cur

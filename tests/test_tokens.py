@@ -11,7 +11,6 @@ from cylpano.geometry import cart_to_polar, rotation_z, valid_projections
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
 from cylpano.synth import ring_camera
 from cylpano.tokens import (
-    N_BANDS,
     SPE_BLOCK,
     _SUB_BLOCK,
     FeatureMap,
@@ -23,12 +22,11 @@ from cylpano.tokens import (
     containing_rows,
     corner_distances,
     nearest_occupied_rows,
-    position_encoding,
     scale_encoding,
     spe_batch,
 )
 
-from oracles import reference_image_half
+from oracles import bilinear_sample, position_encoding, reference_image_half
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 
@@ -85,9 +83,15 @@ class TestAggregation:
             worst = max(worst, np.abs(got - acc / n).max() / max(np.abs(acc / n).max(), 1e-12))
         assert worst < 1e-6
 
+    @staticmethod
+    def _bilinear_cells(fmap, uv):
+        """The cells and weights `build_tokens` samples with `bilinear`, summed as its sampling matrix sums them."""
+        idx, wts = fmap.cells(uv, bilinear=True)
+        return (fmap.data.reshape(-1, fmap.dim).astype(np.float64)[idx] * wts[:, :, None]).sum(axis=1)
+
     def test_bilinear_interpolates_between_cells(self):
         fmap = FeatureMap(np.arange(4, dtype=np.float32).reshape(2, 2, 1), 2, 2)
-        mid = fmap.sample(np.array([[1.0, 1.0]]), bilinear=True)
+        mid = self._bilinear_cells(fmap, np.array([[1.0, 1.0]]))
         assert mid[0, 0] == pytest.approx(np.mean([0, 1, 2, 3]))
 
     def test_bilinear_equals_four_cell_formula(self):
@@ -95,15 +99,7 @@ class TestAggregation:
         fmap = FeatureMap(rng.standard_normal((6, 10, 3)).astype(np.float32), 40, 30)
         # inside, and on or past every image border
         uv = np.concatenate([rng.uniform(0, [40, 30], (200, 2)), [[0, 0], [40, 30], [39.99, 0.01], [0, 29.9]]])
-        d = fmap.data.astype(np.float64)
-        x = np.clip(uv[:, 0] * 10 / 40 - 0.5, 0, 9)
-        y = np.clip(uv[:, 1] * 6 / 30 - 0.5, 0, 5)
-        x0, y0 = np.floor(x).astype(int), np.floor(y).astype(int)
-        x1, y1 = np.minimum(x0 + 1, 9), np.minimum(y0 + 1, 5)
-        ax, ay = (x - x0)[:, None], (y - y0)[:, None]
-        expected = (d[y0, x0] * (1 - ax) * (1 - ay) + d[y0, x1] * ax * (1 - ay)
-                    + d[y1, x0] * (1 - ax) * ay + d[y1, x1] * ax * ay)
-        assert np.abs(fmap.sample(uv, bilinear=True) - expected).max() < 1e-12
+        assert np.abs(self._bilinear_cells(fmap, uv) - bilinear_sample(fmap, uv)).max() < 1e-12
 
 
 class TestSpe:
@@ -120,7 +116,7 @@ class TestSpe:
             idx = np.array(
                 [[rng.integers(0, SPEC.r_bins), rng.integers(0, SPEC.theta_bins), rng.integers(0, SPEC.z_bins)]]
             )
-            corners = extreme_points_batch(idx, SPEC)[0]
+            corners = extreme_points_batch(idx, SPEC)
             rot = rotation_z(rng.uniform(0, 2 * np.pi))
             d0 = corner_distances(corners)
             d1 = corner_distances(corners @ rot.T)
@@ -133,10 +129,13 @@ class TestSpe:
 
     def test_degenerate_corners_reduce_to_zero_distance_term(self):
         params = SpeParams.create(SPEC, dim=16, seed=7)
-        corners = np.tile([3.0, 1.0, 0.5], (8, 1))
-        assert corner_distances(corners).tolist() == [0.0] * 8
+        corners = np.tile([3.0, 1.0, 0.5], (1, 8, 1))
+        assert corner_distances(corners).tolist() == [[0.0] * 8]
         expected = np.tanh(params.phi_b1) @ params.phi_w2.T + params.phi_b2
         assert np.allclose(scale_encoding(corner_distances(corners), params)[0], expected, atol=1e-12)
+        # one voxel's (8, 3) corners without the batch axis would average over x, y and z
+        with pytest.raises(ValueError):
+            corner_distances(corners[0])
 
     def test_injective_on_small_grid(self):
         spec = CylGridSpec(24, 18, 8, (0.0, 50.0), (-5.0, 3.0))
@@ -161,16 +160,6 @@ class TestSpe:
         assert got.shape == (len(idx), 32)
         assert np.abs(got - expected).max() < 1e-12
         assert spe_batch(idx[:0], spec, params).shape == (0, 32)
-
-    def test_position_encoding_equals_direct_sinusoids(self):
-        rng = np.random.default_rng(13)
-        params = SpeParams.create(CylGridSpec(), dim=24, seed=4)
-        centers = np.column_stack([rng.uniform(-50, 50, (300, 2)), rng.uniform(-5, 3, 300)])
-        coords = np.column_stack([centers, cart_to_polar(centers)[:, :2]])
-        args = np.pi * coords[:, :, None] * params.coord_scales[None, :, None] * 2.0 ** np.arange(N_BANDS)
-        feats = np.concatenate([np.sin(args), np.cos(args)], axis=2).reshape(len(centers), -1)
-        assert np.abs(position_encoding(centers, params) - feats @ params.psi_w.T).max() < 1e-12
-        assert position_encoding(np.zeros((0, 3)), params).shape == (0, 24)
 
     def test_index_outside_grid_rejected(self):
         params = SpeParams.create(SPEC, dim=8, seed=0)
@@ -304,7 +293,8 @@ class TestBuildTokens:
 
     @staticmethod
     def _brute_force_image_half(grid, fmaps, cams, bilinear):
-        """Mean of `FeatureMap.sample` over each voxel's valid (point, camera) projections."""
+        """Mean of the nearest-cell `FeatureMap.sample`, or of the four-cell formula, over each voxel's
+        valid (point, camera) projections."""
         dim = fmaps[0].dim
         means, seen = np.zeros((grid.num_voxels, dim)), np.zeros(grid.num_voxels, dtype=bool)
         for row in range(grid.num_voxels):
@@ -313,7 +303,7 @@ class TestBuildTokens:
                 for fmap, cam in zip(fmaps, cams):
                     uv, _, valid = valid_projections(p[None], cam)
                     if valid[0]:
-                        samples.append(fmap.sample(uv, bilinear=bilinear)[0])
+                        samples.append((bilinear_sample(fmap, uv) if bilinear else fmap.sample(uv))[0])
             if samples:
                 means[row], seen[row] = np.mean(samples, axis=0), True
         return means, seen
@@ -398,7 +388,8 @@ class TestBuildTokens:
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
 
     @pytest.mark.parametrize("bilinear", [False, True])
-    @pytest.mark.parametrize("m", [0, 1, SPE_BLOCK - 1, SPE_BLOCK, SPE_BLOCK + 1, 2 * SPE_BLOCK + 3])
+    @pytest.mark.parametrize("m", [0, 1, _SUB_BLOCK + 1, SPE_BLOCK - 1, SPE_BLOCK, SPE_BLOCK + 1, 2 * SPE_BLOCK + 1,
+                                   2 * SPE_BLOCK + 3, 2 * SPE_BLOCK + _SUB_BLOCK + 1])
     def test_factored_placeholder_equals_its_dense_features(self, m, bilinear):
         spec = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
         grid = self._blocked_grid(spec, m)
@@ -415,7 +406,7 @@ class TestBuildTokens:
                               build_tokens(grid, dense, fmaps, cams, params, bilinear=bilinear).content)
 
     @pytest.mark.parametrize("bilinear", [False, True])
-    @pytest.mark.parametrize("m", [255, 256, 257, 2047, 2048, 2049, 4097])
+    @pytest.mark.parametrize("m", [255, 256, 257, 2047, 2048, 2049, 2305, 4097])
     def test_two_block_levels_equal_unblocked_reference(self, m, bilinear):
         """Edges of the SPE_BLOCK // 4-row sub-blocks and the 2 * SPE_BLOCK-row super-blocks, and lone last rows."""
         spec = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
