@@ -11,7 +11,7 @@ by transformed donor instances reproduces instance pasting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,12 +81,11 @@ class AugConfig:
                 raise ValueError("categorical probabilities must sum to <= 1")
 
 
-def instance_paste_mask(instances: list[np.ndarray], spec: CylGridSpec) -> np.ndarray:
-    """Union of the voxel-index sets covered by pasted instances, as a dense bool mask."""
+def instance_paste_mask(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
+    """The (M, 3) voxel indices covered by pasted instances, as a dense bool mask."""
     mask = np.zeros(spec.shape, dtype=bool)
-    for idx3 in instances:
-        r, t, z = _checked_indices(idx3, spec).T
-        mask[r, t, z] = True
+    r, t, z = _checked_indices(idx3, spec).T
+    mask[r, t, z] = True
     return mask
 
 
@@ -285,7 +284,7 @@ def _paste_mix(
     paste_cloud.source = np.ones(len(paste_cloud), dtype=np.uint8)
 
     paste_grid = pair_voxel_image(voxelize(paste_cloud, spec), donor.cams)
-    return "instance", instance_paste_mask([paste_grid.indices3], spec), paste_grid
+    return "instance", instance_paste_mask(paste_grid.indices3, spec), paste_grid
 
 
 def _run_mixes(work: MultiModalSample, donor: MultiModalSample, spec: CylGridSpec, mixes: list):
@@ -319,7 +318,7 @@ class AugResult:
     sample: MultiModalSample
     grid: CylGrid
     applied: dict[str, bool]
-    swapped_rects: dict[int, np.ndarray] = field(default_factory=dict)
+    swapped_rects: dict[int, np.ndarray]
 
 
 def augment(

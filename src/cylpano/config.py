@@ -74,7 +74,7 @@ class QueryConfig:
 class PipelineConfig:
     version: int = CONFIG_VERSION
     grid: CylGridSpec = field(default_factory=CylGridSpec)
-    image_size: tuple[int, int] = (640, 360)
+    image_size: tuple[int, int] = SceneConfig.image_size
     augment: AugConfig = field(default_factory=AugConfig)
     tokens: TokenConfig = field(default_factory=TokenConfig)
     queries: QueryConfig = field(default_factory=QueryConfig)

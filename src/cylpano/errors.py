@@ -6,7 +6,7 @@ class PipelineError(Exception):
 
 
 class IndexOutOfRangeError(PipelineError):
-    """Voxel or bin index outside the grid spec."""
+    """Voxel or bin index outside the grid spec, or class id outside the class table."""
 
 
 class SpecMismatchError(PipelineError):

@@ -117,6 +117,8 @@ def read_feature_maps(path) -> np.ndarray:
     k, h, w, d = (r.u32() for _ in range(4))
     data = r.array("<f4", k * h * w * d)
     r.done()
+    if min(h, w) < 1:
+        raise ShapeMismatchError(f"{path}: {h}x{w} feature maps hold no cell")
     return data.reshape(k, h, w, d).copy()
 
 

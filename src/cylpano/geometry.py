@@ -136,7 +136,7 @@ def transform_instance(points: np.ndarray, t: InstanceTransform) -> np.ndarray:
     return out + centroid + t.translation
 
 
-def similarity_matrix(rot_z: float = 0.0, flip_y: bool = False, scale: float = 1.0) -> np.ndarray:
+def similarity_matrix(rot_z: float, flip_y: bool, scale: float) -> np.ndarray:
     """3x3 linear map for the global scene transforms: p' = scale * F * Rz * p."""
     A = rotation_z(rot_z)
     if flip_y:

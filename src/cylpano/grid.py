@@ -90,10 +90,10 @@ class CylGridSpec:
     def __post_init__(self):
         if min(self.r_bins, self.theta_bins, self.z_bins) < 1:
             raise ValueError("all bin counts must be >= 1")
-        if self.r_range[0] < 0 or self.r_range[0] >= self.r_range[1]:
-            raise ValueError("need 0 <= r_min < r_max")
-        if self.z_range[0] >= self.z_range[1]:
-            raise ValueError("need z_min < z_max")
+        if not 0 <= self.r_range[0] < self.r_range[1] < np.inf:  # False for NaN too
+            raise ValueError("need 0 <= r_min < r_max < inf")
+        if not -np.inf < self.z_range[0] < self.z_range[1] < np.inf:
+            raise ValueError("need -inf < z_min < z_max < inf")
 
     @property
     def shape(self) -> tuple[int, int, int]:

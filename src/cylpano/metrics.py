@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BadConfigError, LengthMismatchError
+from .errors import BadConfigError, IndexOutOfRangeError, LengthMismatchError
 
 THING, STUFF, IGNORE = "thing", "stuff", "ignore"
 
@@ -37,6 +37,8 @@ class ClassTable:
 
     def __post_init__(self):
         for cid, (name, kind) in self.entries.items():
+            if not 0 <= cid <= 0xFFFF:  # the u16 semantic field of a PLCD cloud
+                raise ValueError(f"class id {cid} outside [0, 65535]")
             if kind not in (THING, STUFF, IGNORE):
                 raise ValueError(f"class {cid} ({name}) has unknown kind {kind!r}")
 
@@ -85,7 +87,7 @@ class ClassTable:
                 raise BadConfigError(f"bad class entry {key} = {value}") from exc
         try:
             return cls(entries)
-        except ValueError as exc:  # an unknown kind
+        except ValueError as exc:  # an unknown kind or an id past u16
             raise BadConfigError(f"{path}: {exc}") from exc
 
 
@@ -106,6 +108,9 @@ class SegLabeling:
         self.instance = np.asarray(self.instance, dtype=np.uint16).reshape(-1).copy()
         if len(self.semantic) != len(self.instance):
             raise LengthMismatchError("semantic and instance arrays differ in length")
+        unknown = self.semantic[~np.isin(self.semantic, list(self.table.entries))]
+        if len(unknown):
+            raise IndexOutOfRangeError(f"semantic id {unknown[0]} is not in the class table")
         thing_ids = self.table.things
         is_thing = np.isin(self.semantic, np.asarray(thing_ids, dtype=np.uint16))
         self.instance[~is_thing] = 0
@@ -128,7 +133,7 @@ def _segment_key(sem: np.ndarray, inst: np.ndarray) -> np.ndarray:
     return (sem.astype(np.int64) << 16) | inst.astype(np.int64)
 
 
-def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int = 0) -> MatchResult:
+def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int) -> MatchResult:
     """Match same-class segments at IoU > 0.5 after removing ignore-class points.
 
     Points whose ground-truth class is ignored are removed entirely;

@@ -23,7 +23,7 @@ around it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -62,7 +62,7 @@ class LocationHint:
             raise ValueError("hint position must be finite")
 
 
-def build_bev_heatmap(grid: CylGrid, mode: str = "gt_gaussian", sigma: float = 2.0) -> np.ndarray:
+def build_bev_heatmap(grid: CylGrid, mode: str, sigma: float) -> np.ndarray:
     """Class-agnostic confidence map over the (r, theta) BEV grid, values in [0, 1].
 
     gt_gaussian splats a Gaussian of std `sigma` bins at every labeled
@@ -110,10 +110,7 @@ def _theta_offset(dt, theta_bins: int):
 
 
 def nms_peaks(
-    heat: np.ndarray,
-    conf_thresh: float = 0.1,
-    radius: float = 4.0,
-    max_peaks: int = 128,
+    heat: np.ndarray, conf_thresh: float, radius: float, max_peaks: int
 ) -> list[tuple[tuple[int, int], float]]:
     """Greedy peak selection by descending confidence with a separation radius.
 
@@ -178,11 +175,7 @@ def lift_peaks_to_3d(peaks, grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def geometric_hints(
-    grid: CylGrid,
-    heat: np.ndarray,
-    conf_thresh: float = 0.1,
-    radius: float = 4.0,
-    max_peaks: int = 128,
+    grid: CylGrid, heat: np.ndarray, conf_thresh: float, radius: float, max_peaks: int
 ) -> list[LocationHint]:
     """NMS peaks lifted to 3D; peaks over empty columns are skipped."""
     peaks = nms_peaks(heat, conf_thresh, radius, max_peaks)
@@ -361,11 +354,7 @@ def fps(
 
 
 def texture_hints(
-    masks: list[Mask2D],
-    cloud: PointCloud,
-    cams: list[CameraModel],
-    eps: float = 0.8,
-    min_pts: int = 5,
+    masks: list[Mask2D], cloud: PointCloud, cams: list[CameraModel], eps: float, min_pts: int
 ) -> list[LocationHint]:
     """Cluster each mask's frustum points and emit one hint per cluster centroid.
 
@@ -397,9 +386,9 @@ class QuerySet:
     dim: int
     prior_content: np.ndarray  # (P, 2 * dim) float32
     prior_spe: np.ndarray      # (P, dim) float32
-    hints: list[LocationHint] = field(default_factory=list)
-    no_prior: np.ndarray = None  # (l_lt, dim) float32
-    semantic: np.ndarray = None  # (C, dim) float32
+    hints: list[LocationHint]
+    no_prior: np.ndarray  # (l_lt, dim) float32
+    semantic: np.ndarray  # (C, dim) float32
 
     def __post_init__(self):
         if self.prior_content.shape != (len(self.hints), 2 * self.dim):
@@ -422,8 +411,8 @@ def assemble_queries(
     grid: CylGrid,
     tokens: TokenSet,
     params: SpeParams,
-    l_pr: int = 128,
-    l_lt: int = 128,
+    l_pr: int,
+    l_lt: int,
     num_classes: int = 17,
 ) -> QuerySet:
     """Merge hint groups, thin to at most l_pr with FPS, and index token content.

@@ -216,7 +216,7 @@ def rasterize(
 
 
 def render_provenance(
-    cloud: PointCloud, cams: list[CameraModel], scan_id: int, splat_radius: int = 1
+    cloud: PointCloud, cams: list[CameraModel], scan_id: int, splat_radius: int
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Render provenance images plus depth and instance-id buffers per camera."""
     images, depths, inst_maps = [], [], []

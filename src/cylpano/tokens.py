@@ -49,8 +49,8 @@ class FeatureMap:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3 or self.data.shape[2] < 1:
-            raise ValueError("feature map must be (H', W', D)")
+        if self.data.ndim != 3 or min(self.data.shape) < 1:
+            raise ValueError("feature map must be (H', W', D) with H', W', D >= 1")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
 
@@ -118,7 +118,7 @@ class SpeParams:
                 raise ValueError(f"{name} holds a non-finite weight")
 
     @classmethod
-    def create(cls, spec: CylGridSpec, dim: int = 128, seed: int = 0) -> "SpeParams":
+    def create(cls, spec: CylGridSpec, dim: int, seed: int) -> "SpeParams":
         """Seeded pseudo-random weights; frequency bases follow the grid ranges."""
         r_max = spec.r_range[1]
         z_extent = spec.z_range[1] - spec.z_range[0]
@@ -310,7 +310,7 @@ class VoxelFeatures:
         return cls(grid.voxel_ids.copy(), feats)
 
     @classmethod
-    def stats_placeholder(cls, grid: CylGrid, dim: int, seed: int = 0) -> "VoxelFeatures":
+    def stats_placeholder(cls, grid: CylGrid, dim: int, seed: int) -> "VoxelFeatures":
         """Deterministic stand-in for a learned encoder: per-voxel stats, seed-projected."""
         counts = grid.counts.astype(np.float64)
         xyz = np.take(grid.cloud.xyz, grid.order, axis=0).astype(np.float64)

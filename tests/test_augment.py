@@ -55,23 +55,23 @@ def scene_pair(seed):
 
 class TestMasks:
     def test_empty_instance_list(self):
-        assert instance_paste_mask([], SPEC).sum() == 0
+        assert instance_paste_mask(np.zeros((0, 3)), SPEC).sum() == 0
 
     def test_single_voxel(self):
-        mask = instance_paste_mask([np.array([[0, 0, 0]])], SPEC)
+        mask = instance_paste_mask(np.array([[0, 0, 0]]), SPEC)
         assert mask.sum() == 1 and mask[0, 0, 0]
 
     def test_union_popcount(self):
         rng = np.random.default_rng(0)
         a = np.column_stack([rng.integers(0, s, 30) for s in SPEC.shape])
         b = np.column_stack([rng.integers(0, s, 30) for s in SPEC.shape])
-        mask = instance_paste_mask([a, b], SPEC)
+        mask = instance_paste_mask(np.concatenate([a, b]), SPEC)
         union = {tuple(v) for v in a} | {tuple(v) for v in b}
         assert mask.sum() == len(union)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
-            instance_paste_mask([np.array([[SPEC.r_bins, 0, 0]])], SPEC)
+            instance_paste_mask(np.array([[SPEC.r_bins, 0, 0]]), SPEC)
 
     def test_angle_slices_popcount(self):
         spec = CylGridSpec(6, 4, 3, (0.0, 10.0), (0.0, 1.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from cylpano import formats
 from cylpano.cli import main
-from cylpano.config import PipelineConfig, load_config, save_config
+from cylpano.config import PipelineConfig, QueryConfig, load_config, save_config
 
 
 def small_config(tmp_path, **synth_kw):
@@ -495,6 +496,24 @@ def _non_finite_cloud_case(base, cfg, tmp):
     return ["voxelize", "--config", cfg, "--cloud", str(tmp / "nan.plcd"), "--out", str(tmp / "o")]
 
 
+def _empty_fmap_case(h, w):
+    """`cylpano fuse --features` on FMAP feature maps of h x w cells."""
+    def case(base, cfg, tmp):
+        loaded = load_config(cfg)
+        formats.write_feature_maps(tmp / "e.fmap", np.zeros((loaded.synth.camera_count, h, w, loaded.tokens.dim)))
+        return ["fuse", "--config", cfg, "--sample", str(base / "org"), "--features", str(tmp / "e.fmap"),
+                "--out", str(tmp / "o")]
+    return case
+
+
+def _unknown_class_id_case(base, cfg, tmp):
+    cloud = formats.read_point_cloud(base / "org" / "cloud.plcd")
+    cloud.semantic[0] = 9  # the synthetic class table holds ids 0-4
+    formats.write_point_cloud(tmp / "pred.plcd", cloud)
+    return ["eval", "--pred", str(tmp / "pred.plcd"), "--gt", str(base / "org" / "cloud.plcd"),
+            "--classes", str(base / "org" / "classes.cfg"), "--report", str(tmp / "r.json")]
+
+
 def _replay_case(base, cfg, tmp):
     (tmp / "manifest.json").write_text("{not json")
     return ["replay", "--manifest", str(tmp / "manifest.json"), "--out", str(tmp / "o")]
@@ -547,7 +566,7 @@ def _spew_case(block, value):
         from cylpano.tokens import SpeParams
 
         weighted = load_config(cfg)
-        params = SpeParams.create(weighted.grid, weighted.tokens.dim)
+        params = SpeParams.create(weighted.grid, weighted.tokens.dim, weighted.tokens.seed)
         setattr(params, block, value(getattr(params, block)))  # set after construction, so it is written unchecked
         formats.write_spe_params(tmp / "w.spew", params)
         weighted.tokens.weights_path = "w.spew"
@@ -627,6 +646,8 @@ MALFORMED = {
     "config-nan-cam-height": (_config_case("[synth]\ncam_height = nan\n"), "BadConfigError"),
     "config-scan-id-past-u8": (_config_case("[synth]\nscan_id = 300\n"), "BadConfigError"),
     "config-zero-image-width": (_config_case("[image]\nwidth = 0\n"), "BadConfigError"),
+    "config-nan-z-min": (_config_case("[grid]\nz_min = nan\n"), "BadConfigError"),
+    "config-infinite-r-max": (_config_case("[grid]\nr_max = inf\n"), "BadConfigError"),
     "config-bad-bool": (_config_case("[tokens]\nbilinear = ture\n"), "BadConfigError"),
     "config-unknown-key": (_config_case("[augment]\np_instace = 1.0\n"), "BadConfigError"),
     "config-unknown-section": (_config_case("[augmnt]\np_instance = 1.0\n"), "BadConfigError"),
@@ -654,6 +675,11 @@ MALFORMED = {
     "augment-negative-seed": (_seed_case("augment", "-3"), "BadConfigError"),
     "fuse-negative-token-seed": (_negative_token_seed_case, "BadConfigError"),
     "classes-unknown-kind": (_classes_case("[classes]\n1 = car,foo\n"), "BadConfigError"),
+    "classes-negative-id": (_classes_case("[classes]\n-1 = car,thing\n"), "BadConfigError"),
+    "classes-id-past-u16": (_classes_case("[classes]\n70000 = car,thing\n"), "BadConfigError"),
+    "eval-class-id-not-in-table": (_unknown_class_id_case, "IndexOutOfRangeError"),
+    "fmap-zero-height": (_empty_fmap_case(0, 5), "ShapeMismatchError"),
+    "fmap-zero-width": (_empty_fmap_case(5, 0), "ShapeMismatchError"),
     "spew-phi-w2-wrong-shape": (_spew_case("phi_w2", lambda a: a[:, :-1]), "ShapeMismatchError"),
     "spew-phi-b1-wrong-shape": (_spew_case("phi_b1", lambda a: a[:-1]), "ShapeMismatchError"),
     "spew-phi-b2-wrong-shape": (_spew_case("phi_b2", lambda a: np.append(a, 0.0)), "ShapeMismatchError"),
@@ -675,6 +701,41 @@ def test_malformed_input_exits_1_with_error_name(fused_scene, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ")
     assert "Traceback" not in err
+
+
+QUERY_KEYS = {  # one non-default value of each [queries] key
+    "l_pr": 1,
+    "l_lt": 3,
+    "nms_conf_thresh": 1.01,
+    "nms_radius": 0.0,
+    "nms_radius_unit": "meters",
+    "nms_max_peaks": 1,
+    "dbscan_eps": 0.1,
+    "dbscan_min_pts": 100000,
+    "heatmap_mode": "density",
+    "heatmap_sigma": 8.0,
+}
+
+
+def _queries_run(base, cfg, out):
+    """The queries.qrys bytes and manifest counters of `cylpano queries` on the fused scene."""
+    assert main(["queries", "--config", str(cfg), "--sample", str(base / "org"), "--tokens",
+                 str(base / "fuse" / "tokens.toks"), "--masks", str(base / "org" / "masks"), "--out", str(out)]) == 0
+    return (out / "queries.qrys").read_bytes(), json.loads((out / "manifest.json").read_text())["counters"]
+
+
+def test_query_keys_cover_every_field():
+    assert sorted(QUERY_KEYS) == sorted(f.name for f in dataclasses.fields(QueryConfig))
+
+
+@pytest.mark.parametrize("key", sorted(QUERY_KEYS))
+def test_each_queries_key_reaches_the_query_stage(fused_scene, tmp_path, key):
+    base, cfg = fused_scene
+    changed = load_config(cfg)
+    changed.queries = dataclasses.replace(changed.queries, **{key: QUERY_KEYS[key]})
+    save_config(tmp_path / "changed.cfg", changed)
+    assert _queries_run(base, tmp_path / "changed.cfg", tmp_path / "changed") != _queries_run(
+        base, cfg, tmp_path / "default")
 
 
 def test_wrong_size_image_error_names_the_file(fused_scene, tmp_path, capsys):

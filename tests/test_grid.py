@@ -35,6 +35,12 @@ class TestSpec:
             CylGridSpec(1, 1, 1, (-1.0, 50.0))
         with pytest.raises(ValueError):
             CylGridSpec(1, 1, 1, (0.0, 50.0), (3.0, -5.0))
+        for r_range, z_range in [((np.nan, 50.0), (-5.0, 3.0)), ((0.0, np.nan), (-5.0, 3.0)),
+                                 ((0.0, np.inf), (-5.0, 3.0)), ((0.0, 50.0), (np.nan, 3.0)),
+                                 ((0.0, 50.0), (-5.0, np.nan)), ((0.0, 50.0), (-np.inf, 3.0)),
+                                 ((0.0, 50.0), (-5.0, np.inf))]:
+            with pytest.raises(ValueError):
+                CylGridSpec(1, 1, 1, r_range, z_range)
 
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(0)

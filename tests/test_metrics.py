@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cylpano.errors import LengthMismatchError
+from cylpano.errors import IndexOutOfRangeError, LengthMismatchError
 from cylpano.metrics import ClassTable, SegLabeling, evaluate, match_segments, miou
 
 from oracles import reference_miou, reference_panoptic_report
@@ -43,7 +43,7 @@ class TestMatching:
     def test_perfect_prediction_all_tp_iou_one(self):
         rng = np.random.default_rng(0)
         _, gt = random_scene(rng, 150)
-        m = match_segments(gt, gt)
+        m = match_segments(gt, gt, min_points=0)
         assert not m.fp and not m.fn
         for cls, triples in m.tp.items():
             assert all(iou == 1.0 for _, _, iou in triples)
@@ -52,7 +52,7 @@ class TestMatching:
         gt = labeling([1] * 100, [1] * 100)
         pred_sem = [1] * 60 + [4] * 40
         pred_inst = [1] * 60 + [0] * 40
-        m = match_segments(labeling(pred_sem, pred_inst), gt)
+        m = match_segments(labeling(pred_sem, pred_inst), gt, min_points=0)
         (gk, pk, iou), = m.tp[1]
         assert iou == pytest.approx(0.6)
 
@@ -61,21 +61,32 @@ class TestMatching:
         gt = labeling([1] * 100, [1] * 100)
         pred_sem = [1] * 50 + [4] * 50
         pred_inst = [1] * 50 + [0] * 50
-        m = match_segments(labeling(pred_sem, pred_inst), gt)
+        m = match_segments(labeling(pred_sem, pred_inst), gt, min_points=0)
         assert 1 not in m.tp
         assert len(m.fp[1]) == 1 and len(m.fn[1]) == 1
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            match_segments(labeling([1], [1]), labeling([1, 1], [1, 1]))
+            match_segments(labeling([1], [1]), labeling([1, 1], [1, 1]), min_points=0)
 
     def test_ignore_class_removed(self):
         gt = labeling([0] * 50 + [1] * 50, [0] * 50 + [1] * 50)
         pred = labeling([2] * 50 + [1] * 50, [3] * 50 + [1] * 50)
-        m = match_segments(pred, gt)
+        m = match_segments(pred, gt, min_points=0)
         # the 50 void gt points vanish, so the pred "2" segment has no footprint
         assert 2 not in m.fp and 2 not in m.tp
         assert len(m.tp[1]) == 1
+
+
+class TestLabels:
+    @pytest.mark.parametrize("cid", [-1, 0x10000])
+    def test_class_id_outside_u16_rejected(self, cid):
+        with pytest.raises(ValueError):
+            ClassTable({cid: ("car", "thing")})
+
+    def test_semantic_id_not_in_table_rejected(self):
+        with pytest.raises(IndexOutOfRangeError, match="semantic id 9"):
+            labeling([1, 9, 4], [1, 1, 0])
 
 
 class TestPanopticQuality:

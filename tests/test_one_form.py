@@ -9,13 +9,16 @@ benchmark's scripts in `bench/`. Four scans hold `src/` to them:
   as an attribute by a caller;
 - an optional parameter of a public function or method must be passed, by
   position or by keyword, by some call of that name in a caller;
-- a parameter that defaults to None must be left out by some call of that
-  name in a caller.
+- every default of a public function or method must be left out by some
+  call of that name in a caller. A call with `*args` or `**kwargs` may leave
+  any parameter out, so it never makes a default look unused.
 
 A one-item wrapper of a batched path, a second copy of a rule, an option
 that selects a branch no caller takes, or a default that only tests take
-fails these checks; its tests belong on the form that stays. Each
-allow-list entry says why it stays.
+fails these checks; its tests belong on the form that stays. A value whose
+default the config sections hold reaches a stage function from its caller,
+so the function repeats no default of its own. Each allow-list entry says
+why it stays.
 
 A fifth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
 `cylpano` module must replace a name that module's own code loads, or the
@@ -83,7 +86,7 @@ def _calls_by_name() -> dict[str, list[ast.Call]]:
 
 
 def _optional_params(owner: str | None, node: ast.FunctionDef):
-    """(name, positional index or None for keyword-only, default node) of each parameter with a default.
+    """(name, positional index or None for keyword-only) of each parameter with a default.
 
     The index counts from the first argument a call writes: a call through an
     instance or a class binds self or cls, a staticmethod binds nothing.
@@ -92,18 +95,28 @@ def _optional_params(owner: str | None, node: ast.FunctionDef):
     bound = owner is not None and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
     positional = [*args.posonlyargs, *args.args][int(bound):]
     first = len(positional) - len(args.defaults)
-    for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first):
-        yield a.arg, i, d
+    for i, a in enumerate(positional[first:], first):
+        yield a.arg, i
     for a, d in zip(args.kwonlyargs, args.kw_defaults):
         if d is not None:  # a keyword-only parameter without a default has None here
-            yield a.arg, None, d
+            yield a.arg, None
+
+
+def _unpacks(call: ast.Call) -> bool:
+    """Whether a call spreads `*args` or `**kwargs`, so it may pass or leave out any parameter."""
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
 
 
 def _passed(call: ast.Call, name: str, position: int | None) -> bool:
-    """Whether a call passes the parameter `name` at positional index `position` (None: keyword-only)."""
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+    """Whether a call may pass the parameter `name` at positional index `position` (None: keyword-only)."""
+    if _unpacks(call):
         return True
     return (position is not None and len(call.args) > position) or any(k.arg == name for k in call.keywords)
+
+
+def _may_leave_out(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call may leave the parameter `name` out."""
+    return _unpacks(call) or not _passed(call, name, position)
 
 
 def _module_bindings(scope) -> dict[str, str]:
@@ -178,22 +191,21 @@ def test_every_optional_parameter_is_passed_outside_tests():
     calls = _calls_by_name()
     never = []
     for owner, node in _public_defs():
-        for param, position, _ in _optional_params(owner, node):
+        for param, position in _optional_params(owner, node):
             qual = f"{owner}.{node.name}({param})" if owner else f"{node.name}({param})"
             if qual not in ALLOWED_PARAMS and not any(_passed(c, param, position) for c in calls.get(node.name, [])):
                 never.append(qual)
     assert never == []
 
 
-def test_every_none_default_is_left_out_outside_tests():
-    """A None default that every caller overrides selects a branch only tests take."""
+def test_every_default_is_left_out_outside_tests():
+    """A default that every caller overrides is a second copy of a value the caller owns."""
     calls = _calls_by_name()
     always = [
         f"{owner}.{node.name}({param})" if owner else f"{node.name}({param})"
         for owner, node in _public_defs()
-        for param, position, default in _optional_params(owner, node)
-        if isinstance(default, ast.Constant) and default.value is None
-        and all(_passed(c, param, position) for c in calls.get(node.name, []))
+        for param, position in _optional_params(owner, node)
+        if not any(_may_leave_out(c, param, position) for c in calls.get(node.name, []))
     ]
     assert always == []
 

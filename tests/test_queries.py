@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from cylpano.config import QueryConfig
 from cylpano.geometry import cart_to_polar
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxelize
 from cylpano.queries import (
@@ -124,7 +125,7 @@ def labeled_cloud(xyz, instance):
 class TestHeatmap:
     def test_no_instances_gives_zero_map(self):
         cloud = labeled_cloud(np.array([[5.0, 0.0, 0.0]]), [0])
-        heat = build_bev_heatmap(voxelize(cloud, SPEC), "gt_gaussian")
+        heat = build_bev_heatmap(voxelize(cloud, SPEC), "gt_gaussian", QueryConfig().heatmap_sigma)
         assert heat.shape == (SPEC.r_bins, SPEC.theta_bins)
         assert heat.sum() == 0
 
@@ -159,7 +160,7 @@ class TestHeatmap:
     def test_density_mode_normalized(self):
         rng = np.random.default_rng(0)
         xyz = np.column_stack([rng.uniform(-20, 20, (500, 2)), rng.uniform(-1, 1, 500)])
-        heat = build_bev_heatmap(voxelize(PointCloud(xyz, np.zeros(500)), SPEC), "density")
+        heat = build_bev_heatmap(voxelize(PointCloud(xyz, np.zeros(500)), SPEC), "density", QueryConfig().heatmap_sigma)
         assert heat.max() == 1.0 and heat.min() >= 0.0
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
@@ -172,10 +173,11 @@ class TestHeatmap:
         cols = idx[:, 0].astype(np.int64) * SPEC.theta_bins + idx[:, 1]
         counts = np.bincount(cols, minlength=SPEC.r_bins * SPEC.theta_bins)
         expected = (counts / counts.max()).reshape(SPEC.r_bins, SPEC.theta_bins)
-        assert np.array_equal(build_bev_heatmap(grid, "density"), expected)
+        assert np.array_equal(build_bev_heatmap(grid, "density", QueryConfig().heatmap_sigma), expected)
 
     def test_density_of_empty_cloud_is_zero(self):
-        heat = build_bev_heatmap(voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), SPEC), "density")
+        heat = build_bev_heatmap(voxelize(PointCloud(np.zeros((0, 3)), np.zeros(0)), SPEC), "density",
+                                 QueryConfig().heatmap_sigma)
         assert heat.shape == (SPEC.r_bins, SPEC.theta_bins) and not heat.any()
 
     def test_wide_splat_wraps_cleanly_on_small_grid(self):
@@ -774,4 +776,4 @@ class TestTextureHints:
         assert len(projected) == 1
 
         with pytest.raises(ValueError):
-            texture_hints(masks + [Mask2D(0, np.ones((72, 95), bool))], cloud, cams)
+            texture_hints(masks + [Mask2D(0, np.ones((72, 95), bool))], cloud, cams, eps=0.8, min_pts=5)

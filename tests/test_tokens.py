@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylpano.config import TokenConfig
 from cylpano.errors import DimensionMismatchError, IndexOutOfRangeError, NoValidProjectionError
 from cylpano.geometry import cart_to_polar, rotation_z, valid_projections
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
@@ -88,6 +89,11 @@ class TestAggregation:
         """The cells and weights `build_tokens` samples with `bilinear`, summed as its sampling matrix sums them."""
         idx, wts = fmap.cells(uv, bilinear=True)
         return (fmap.data.reshape(-1, fmap.dim).astype(np.float64)[idx] * wts[:, :, None]).sum(axis=1)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 8), (5, 0, 8), (5, 5, 0)])
+    def test_map_without_cells_rejected(self, shape):
+        with pytest.raises(ValueError):
+            FeatureMap(np.zeros(shape, np.float32), 40, 30)
 
     def test_bilinear_interpolates_between_cells(self):
         fmap = FeatureMap(np.arange(4, dtype=np.float32).reshape(2, 2, 1), 2, 2)
@@ -247,7 +253,7 @@ class TestBuildTokens:
         cam = ring_camera(0.0, 32, 32, 16.0, 0.0)
         grid = voxelize(PointCloud(np.array([[100.0, 0.0, 0.0]]), np.zeros(1)), SPEC)
         params = SpeParams.create(SPEC, dim=4, seed=0)
-        placeholder = VoxelFeatures.stats_placeholder(grid, 4)
+        placeholder = VoxelFeatures.stats_placeholder(grid, 4, TokenConfig().seed)
         dense = placeholder.rows(slice(0, grid.num_voxels))
         assert dense.dtype == np.float64 and dense.shape == (0, 4)
         feats = VoxelFeatures.for_grid(grid, np.zeros((0, 4)))
@@ -475,7 +481,8 @@ class TestBuildTokens:
         params = SpeParams.create(spec, dim=dim, seed=0)
         tracemalloc.start()
         try:
-            tokens = build_tokens(grid, VoxelFeatures.stats_placeholder(grid, dim), fmaps, cams, params, bilinear=True)
+            feats = VoxelFeatures.stats_placeholder(grid, dim, TokenConfig().seed)
+            tokens = build_tokens(grid, feats, fmaps, cams, params, bilinear=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
