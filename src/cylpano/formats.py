@@ -125,7 +125,7 @@ def read_feature_maps(path) -> np.ndarray:
 def write_tokens(path, tokens: TokenSet):
     rec = np.empty(len(tokens), dtype=np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * tokens.dim)]))
     rec["idx"] = _u16_indices(tokens.indices3)
-    rec["content"] = tokens.content  # cast to <f4 in place, with no float32 copy
+    rec["content"] = tokens.content  # `build_tokens` content is float32 already, so no cast
     with open(path, "wb") as f:  # the header, then the records' own buffer: no full-size copy
         f.write(b"TOKS" + _u32(len(tokens), tokens.dim))
         f.write(rec.data)

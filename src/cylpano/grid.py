@@ -265,10 +265,13 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
         perm = np.argsort(flat, kind="stable")
         flat_sorted = flat[perm]
     order = perm if kept is None else kept[perm]
-    first = np.flatnonzero(np.diff(flat_sorted, prepend=-1))  # each voxel's first entry
+    is_first = np.diff(flat_sorted, prepend=-1) != 0  # each voxel's first entry
+    first = np.flatnonzero(is_first)
     voxel_ids = flat_sorted[first]
     starts = np.append(first, n).astype(np.int64)
-    source = np.maximum.reduceat(cloud.source[order], starts[:-1]).astype(np.uint8)
+    # each entry's tag into its voxel row; uint8 tags are never below the zero start
+    source = np.zeros(len(first), dtype=np.uint8)
+    np.maximum.at(source, np.cumsum(is_first) - 1, cloud.source[order])
     return CylGrid(spec, cloud, voxel_ids, starts, order, dropped, source)
 
 

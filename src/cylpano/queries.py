@@ -436,7 +436,7 @@ def assemble_queries(
     rows = nearest_occupied_rows(grid, [h.position for h in hints])
     return QuerySet(
         dim=dim,
-        prior_content=tokens.content[rows].astype(np.float32),
+        prior_content=tokens.content[rows].astype(np.float32, copy=False),
         prior_spe=spe_batch(grid.spec.unflatten(grid.voxel_ids[rows]), grid.spec, params).astype(np.float32),
         hints=hints,
         no_prior=placeholder_queries(l_lt, dim, params.seed, 1),

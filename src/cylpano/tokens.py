@@ -12,15 +12,16 @@ terms that depend on one bin index come from per-bin tables. `spe_batch` and
 that follow one rule: a level's blocks hold a fixed number of rows, and a
 lone last row joins the block before it, since numpy multiplies a lone row
 by gemv, which rounds unlike gemm. Per super-block of 2 * SPE_BLOCK rows the
-x/y sinusoid product goes straight into the embedding, and `build_tokens`
-takes the image means as one slice of a sparse sampling matrix over all
-voxels and cameras times the stacked feature maps, dividing only the rows of
-two or more projections by their count. Per sub-block of SPE_BLOCK // 4
-rows, which stays in cache, the per-bin terms are added and `build_tokens`
-builds both halves in one sub-block buffer, also in cache: the LiDAR half
-(the statistics placeholder is kept factored and multiplied out per
-sub-block) and the image half. The buffer goes into the tokens as whole
-rows. So no (M, dim) feature or image-mean array is ever made.
+x/y sinusoid product goes into a super-block embedding buffer, and
+`build_tokens` takes the image means as one slice of a sparse sampling
+matrix over all voxels and cameras times the stacked feature maps, dividing
+only the rows of two or more projections by their count. Per sub-block of
+SPE_BLOCK // 4 rows, which stays in cache, the per-bin terms are added and
+`build_tokens` builds both halves in one float64 sub-block buffer: the LiDAR
+half (the statistics placeholder is kept factored and multiplied out per
+sub-block) and the image half. It goes into the float32 content as whole
+rows, rounded as the TOKS codec stores them. So no (M, dim) embedding,
+feature or image-mean array is ever made; `spe_batch` computes the embedding.
 """
 
 from __future__ import annotations
@@ -220,25 +221,28 @@ def _blocks(start: int, stop: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams, out: np.ndarray):
-    """Fill `out` with the embedding of (M, 3) bin indices, on two block levels.
+def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams):
+    """The embedding of (M, 3) bin indices, on two block levels.
 
     Yields (super_block, rows, view) for each sub-block in row order. The x
     and y sinusoid term of the super-block (the only one that needs the
-    voxel's own centroid) is in `out` from its first sub-block on; the rho,
-    theta, z and scale terms from per-bin tables (`_bin_tables`) are added to
-    `view`, the sub-block's rows of `out`, before it is yielded.
+    voxel's own centroid) goes into one buffer, which the next super-block
+    overwrites; the rho, theta, z and scale terms from per-bin tables
+    (`_bin_tables`) are added to `view`, the sub-block's rows of it, before
+    it is yielded.
     """
     xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
     tables = _bin_tables(spec, params)
     w_xy = _psi(params, slice(0, 2))
     gathered = np.empty((min(len(idx3), _SUB_BLOCK + 1), params.dim))
+    whole = np.empty((min(len(idx3), _SUPER_BLOCK + 1), params.dim))
     for sup in _blocks(0, len(idx3), _SUPER_BLOCK):
-        np.matmul(_sinusoids(xy[:, sup], params.coord_scales[:2]).T, w_xy, out=out[sup])
+        out = whole[:sup.stop - sup.start]
+        np.matmul(_sinusoids(xy[:, sup], params.coord_scales[:2]).T, w_xy, out=out)
         for rows in _blocks(sup.start, sup.stop, _SUB_BLOCK):
-            view = out[rows]
+            view = out[rows.start - sup.start:rows.stop - sup.start]
             for axis, table in enumerate(tables):
-                # mode="raise" would buffer `out`; the indices are known to be in range
+                # mode="raise" would buffer `view`; the indices are known to be in range
                 view += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(view)], mode="clip")
             yield sup, rows, view
 
@@ -252,8 +256,8 @@ def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndar
     """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(idx3), params.dim))
-    for _ in _spe_blocks(idx3, spec, params, out):
-        pass
+    for _, rows, view in _spe_blocks(idx3, spec, params):
+        out[rows] = view
     return out
 
 
@@ -327,19 +331,25 @@ class VoxelFeatures:
 class TokenSet:
     """Fused tokens for all non-empty voxels, ordered by (r, theta, z).
 
-    `build_tokens` fills every field; a set read back from TOKS holds only the
-    voxels and content, with `spe` and `image_valid` left None.
+    `build_tokens` fills every field, with float32 content; a set read back
+    from TOKS holds only the voxels and content, with `params` and
+    `image_valid` left None. No embedding is stored; `spe` computes it.
     """
 
     spec: CylGridSpec
     flat_ids: np.ndarray
     content: np.ndarray                    # (M, 2 * dim)
-    spe: np.ndarray | None = None          # (M, dim)
+    params: SpeParams | None = None
     image_valid: np.ndarray | None = None  # (M,) bool
 
     @property
     def dim(self) -> int:
         return self.content.shape[1] // 2
+
+    @property
+    def spe(self) -> np.ndarray | None:
+        """`spe_batch` of the voxels, (M, dim) float64, computed anew on each access; None without params."""
+        return None if self.params is None else spe_batch(self.indices3, self.spec, self.params)
 
     @property
     def indices3(self) -> np.ndarray:
@@ -374,13 +384,12 @@ def build_tokens(
     if any(fmap.dim != dim for fmap in fmaps):
         raise DimensionMismatchError("feature map dim must match embedding dim")
 
-    s = np.empty((grid.num_voxels, dim))
-    content = np.empty((grid.num_voxels, 2 * dim))
+    content = np.empty((grid.num_voxels, 2 * dim), dtype=np.float32)
     sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
     # a row of one projection is its own mean (x / 1.0 == x) and a row of none is zero
     multi = np.flatnonzero(counts > 1)
     whole_rows = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), 2 * dim))
-    for sup, rows, block in _spe_blocks(grid.indices3, grid.spec, params, s):
+    for sup, rows, block in _spe_blocks(grid.indices3, grid.spec, params):
         if rows.start == sup.start:
             means = sampling[sup] @ stacked
             div = multi[slice(*np.searchsorted(multi, [sup.start, sup.stop]))]
@@ -388,8 +397,8 @@ def build_tokens(
         buf = whole_rows[:rows.stop - rows.start]
         np.add(block, voxel_feats.rows(rows), out=buf[:, :dim])
         np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=buf[:, dim:])
-        content[rows] = buf
-    return TokenSet(grid.spec, grid.voxel_ids.copy(), content, s, counts > 0)
+        content[rows] = buf  # rounds to float32 as the TOKS codec stores it
+    return TokenSet(grid.spec, grid.voxel_ids.copy(), content, params, counts > 0)
 
 
 def _image_sampling(

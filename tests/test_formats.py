@@ -80,8 +80,7 @@ class TestTensorCodecs:
         spec = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
         idx = np.unique(rng.integers(0, spec.num_cells, 40))
         content = rng.standard_normal((len(idx), 6)).astype(np.float32)
-        tokens = TokenSet(spec, idx.astype(np.int64), content.astype(np.float64),
-                          np.zeros((len(idx), 3)), np.ones(len(idx), bool))
+        tokens = TokenSet(spec, idx.astype(np.int64), content.astype(np.float64), image_valid=np.ones(len(idx), bool))
         formats.write_tokens(tmp_path / "t.toks", tokens)
         idx3, got = formats.read_tokens(tmp_path / "t.toks", spec)
         assert np.array_equal(idx3, spec.unflatten(idx))

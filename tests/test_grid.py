@@ -188,10 +188,12 @@ class TestKeySort:
         assert_grid_equals_stable_sort(voxelize(cloud, self.SPEC), cloud, self.SPEC)
 
     def test_empty_and_single_voxel_clouds(self):
-        for xyz in (np.zeros((0, 3)), np.tile([3.0, 0.5, 0.2], (50, 1)), [[3.0, 0.5, 0.2], [99.0, 0.0, 0.0]]):
+        all_dropped = [[99.0, 0.0, 0.0], [3.0, 0.5, 5.0], [0.0, 11.0, -0.5]]  # past 10 m or 1 m
+        for xyz, voxels in ((np.zeros((0, 3)), 0), (all_dropped, 0), (np.tile([3.0, 0.5, 0.2], (50, 1)), 1),
+                            ([[3.0, 0.5, 0.2], [99.0, 0.0, 0.0]], 1)):
             cloud = PointCloud(xyz, np.zeros(len(xyz)), source=np.arange(len(xyz)) % 2)
             grid = voxelize(cloud, self.SPEC)
-            assert grid.num_voxels == min(len(cloud), 1)
+            assert grid.num_voxels == voxels
             assert_grid_equals_stable_sort(grid, cloud, self.SPEC)
 
     def test_keys_that_would_overflow_take_the_stable_argsort(self):

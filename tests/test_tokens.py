@@ -37,6 +37,12 @@ def const_fmap(value, dim=4, hw=(16, 16), image=(32, 32)):
     return FeatureMap(data, image[0], image[1])
 
 
+def assert_within_one_float32_ulp(got, expected):
+    """`got` is float32 and within one float32 ulp of the float64 `expected`, elementwise."""
+    assert got.dtype == np.float32 and got.shape == expected.shape
+    assert (np.abs(got - expected) <= np.spacing(np.abs(expected).astype(np.float32))).all()
+
+
 class TestAggregation:
     def test_identical_cells_return_constant(self):
         cam = ring_camera(0.0, 32, 32, 16.0, 0.0)
@@ -211,7 +217,7 @@ class TestFuseToken:
         grid = self._grid()
         params = SpeParams.create(SPEC, dim=4, seed=1)
         tokens = build_tokens(grid, VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, 4))), [], [], params)
-        assert np.array_equal(tokens.content, np.concatenate([tokens.spe, tokens.spe], axis=1))
+        assert np.array_equal(tokens.content, np.concatenate([tokens.spe, tokens.spe], axis=1).astype(np.float32))
 
     def test_structural_length(self):
         grid = self._grid()
@@ -279,7 +285,7 @@ class TestBuildTokens:
         feats = VoxelFeatures.for_grid(grid, np.zeros((1, 4)))
         tokens = build_tokens(grid, feats, [const_fmap(9.0)], [cam], params)
         assert not tokens.image_valid[0]
-        assert np.allclose(tokens.content[0, 4:] - tokens.spe[0], 0.0)
+        assert np.array_equal(tokens.content[0, 4:], tokens.spe[0].astype(np.float32))
 
     def test_shared_embedding_across_both_halves(self):
         rng = np.random.default_rng(6)
@@ -336,16 +342,16 @@ class TestBuildTokens:
         assert (per_cam[0] != per_cam[1]).any() and (per_cam[0] & per_cam[1]).any()  # some voxel one camera sees
         assert 0 < seen.sum() < grid.num_voxels
         assert np.array_equal(tokens.image_valid, seen)
-        assert np.abs(tokens.content[:, dim:] - (tokens.spe + means)).max() < 1e-12
-        assert np.array_equal(tokens.content[~seen, dim:], tokens.spe[~seen])
-        assert np.abs(tokens.content[:, :dim] - (tokens.spe + f3d)).max() < 1e-12
+        assert_within_one_float32_ulp(tokens.content[:, dim:], tokens.spe + means)
+        assert np.array_equal(tokens.content[~seen, dim:], tokens.spe[~seen].astype(np.float32))
+        assert_within_one_float32_ulp(tokens.content[:, :dim], tokens.spe + f3d)
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, SPEC, params))
 
         # the camera behind every point alone: the image half is the embedding, and no voxel is seen
         behind = build_tokens(grid, VoxelFeatures.for_grid(grid, f3d), fmaps[2:], cams[2:], params,
                               bilinear=bilinear)
         assert not behind.image_valid.any()
-        assert np.array_equal(behind.content[:, dim:], behind.spe)
+        assert np.array_equal(behind.content[:, dim:], behind.spe.astype(np.float32))
 
     @staticmethod
     def _blocked_grid(spec, m):
@@ -389,8 +395,8 @@ class TestBuildTokens:
         assert np.array_equal(tokens.image_valid, seen)
         assert tokens.content.shape == (m, 2 * dim)
         if m:
-            assert np.abs(tokens.content[:, :dim] - (spe_ref + f3d)).max() < 1e-12
-            assert np.abs(tokens.content[:, dim:] - (spe_ref + means)).max() < 1e-12
+            assert_within_one_float32_ulp(tokens.content[:, :dim], spe_ref + f3d)
+            assert_within_one_float32_ulp(tokens.content[:, dim:], spe_ref + means)
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
 
     @pytest.mark.parametrize("bilinear", [False, True])
@@ -436,8 +442,8 @@ class TestBuildTokens:
         means, seen = self._brute_force_image_half(grid, fmaps, cams, bilinear)
         assert 0 < seen.sum() < m
         assert np.array_equal(tokens.image_valid, seen)
-        assert np.abs(tokens.content[:, :dim] - (spe_ref + placeholder.rows(slice(0, m)))).max() < 1e-12
-        assert np.abs(tokens.content[:, dim:] - (spe_ref + means)).max() < 1e-12
+        assert_within_one_float32_ulp(tokens.content[:, :dim], spe_ref + placeholder.rows(slice(0, m)))
+        assert_within_one_float32_ulp(tokens.content[:, dim:], spe_ref + means)
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
         # every row goes through gemm, also a lone last row of a super-block
         assert np.array_equal(tokens.spe[-1], spe_batch(grid.indices3[-2:], spec, params)[-1])
@@ -461,8 +467,8 @@ class TestBuildTokens:
 
         image_half, counts = reference_image_half(grid, fmaps, cams, tokens.spe, bilinear)
         assert {0, 1, 2}.issubset(counts) and counts.max() > 2
-        assert tokens.content[:, dim:].tobytes() == image_half.tobytes()
-        assert tokens.content[:, :dim].tobytes() == (tokens.spe + f3d).tobytes()
+        assert np.array_equal(tokens.content[:, dim:], image_half.astype(np.float32))
+        assert np.array_equal(tokens.content[:, :dim], (tokens.spe + f3d).astype(np.float32))
         assert np.array_equal(tokens.image_valid, counts > 0)
 
     def test_peak_memory_stays_below_one_feature_array(self):
@@ -487,8 +493,9 @@ class TestBuildTokens:
         finally:
             tracemalloc.stop()
         assert 0 < tokens.image_valid.sum() < grid.num_voxels
-        # neither the (M, dim) features nor the image means are ever held whole
-        assert peak - tokens.content.nbytes - tokens.spe.nbytes < grid.num_voxels * dim * 8
+        # neither the (M, dim) features, the image means nor the embedding are ever held whole
+        assert tokens.content.dtype == np.float32
+        assert peak - tokens.content.nbytes < grid.num_voxels * dim * 8
 
     def test_tokens_ordered_by_voxel_index(self):
         rng = np.random.default_rng(7)
