@@ -118,11 +118,9 @@ def _check_mask(mask: np.ndarray, spec: CylGridSpec) -> np.ndarray:
     return mask.reshape(-1)
 
 
-def _remap_instances(org_inst: np.ndarray | None, new_inst: np.ndarray | None) -> np.ndarray | None:
+def _remap_instances(org_inst: np.ndarray, new_inst: np.ndarray) -> np.ndarray:
     """Give incoming points fresh instance ids above the original scan's maximum."""
-    if new_inst is None:
-        return None
-    base = int(org_inst.max()) if org_inst is not None and len(org_inst) else 0
+    base = int(org_inst.max()) if len(org_inst) else 0
     ids = np.unique(new_inst[new_inst > 0])
     if base + len(ids) > np.iinfo(np.uint16).max:
         raise ShapeMismatchError("instance id space exhausted while remapping: ids do not fit a u16 field")
@@ -151,8 +149,7 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
 
     org_cloud = org.cloud.select(org_pts)
     new_cloud = new.cloud.select(new_pts)
-    if org_cloud.has_labels and new_cloud.has_labels:
-        new_cloud.instance = _remap_instances(org_cloud.instance, new_cloud.instance)
+    new_cloud.instance = _remap_instances(org_cloud.instance, new_cloud.instance)
     merged = PointCloud.concat([org_cloud, new_cloud])
 
     # Merged rows hold each kept voxel's points as one run; the two voxel sets
@@ -231,9 +228,7 @@ def sync_image_swap(
 
 
 def donor_instance_ids(cloud: PointCloud) -> np.ndarray:
-    """Sorted nonzero instance ids present in a labeled cloud."""
-    if not cloud.has_labels:
-        return np.zeros(0, dtype=np.int64)
+    """Sorted nonzero instance ids present in a cloud."""
     return np.unique(cloud.instance[cloud.instance > 0]).astype(np.int64)
 
 

@@ -21,10 +21,6 @@ class NoValidProjectionError(PipelineError):
     """No point of a voxel projects into the camera image."""
 
 
-class MissingLabelsError(PipelineError):
-    """Operation needs semantic/instance labels that the cloud lacks."""
-
-
 class LengthMismatchError(PipelineError):
     """Predicted and ground-truth labelings differ in point count."""
 

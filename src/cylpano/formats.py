@@ -35,7 +35,9 @@ PLCD_DTYPE = np.dtype([("xyz", "<f4", (3,)), ("intensity", "<f4"), ("semantic", 
 PVOX_DTYPE = np.dtype([("idx", "<u2", (3,)), ("tag", "u1")])
 ORIGIN_CODES = {"geometric": 0, "texture": 1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
-PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")  # width, height, maxval, one whitespace
+_PPM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"  # whitespace and `#` comments, each to the end of its line
+# width, height and maxval, each after a gap, then one whitespace byte: a `#` after it is pixel data
+PPM_HEADER = re.compile(rb"P6%s(\d+)%s(\d+)%s(\d+)\s" % (_PPM_GAP, _PPM_GAP, _PPM_GAP))
 
 
 class _Reader:
@@ -45,11 +47,6 @@ class _Reader:
         self.data = data
         self.off = 0
         self.path = path
-
-    def magic(self, expected: bytes):
-        got = self.take(4)
-        if got != expected:
-            raise BadMagicError(f"{self.path}: expected magic {expected!r}, got {got!r}")
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.data):
@@ -74,6 +71,23 @@ def _u32(*vals) -> bytes:
     return np.asarray(vals, dtype="<u4").tobytes()
 
 
+def _read(path, magic: bytes, n: int) -> tuple[_Reader, list[int]]:
+    """A reader over the file past its 4-byte `magic` and `n` u32 header fields, and those fields."""
+    r = _Reader(Path(path).read_bytes(), path)
+    got = r.take(4)
+    if got != magic:
+        raise BadMagicError(f"{path}: expected magic {magic!r}, got {got!r}")
+    return r, [r.u32() for _ in range(n)]
+
+
+def _write(path, magic: bytes, header, *arrays: np.ndarray):
+    """Write `magic`, the u32 `header` fields, then each contiguous array's own buffer: no joined copy."""
+    with open(path, "wb") as f:
+        f.write(magic + _u32(*header))
+        for a in arrays:
+            f.write(a.data)
+
+
 def _u16_indices(idx3) -> np.ndarray:
     """(M, 3) voxel indices for a u16 record field; raises on any that would wrap."""
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
@@ -86,15 +100,13 @@ def write_point_cloud(path, cloud: PointCloud):
     rec = np.empty(len(cloud), dtype=PLCD_DTYPE)
     rec["xyz"] = cloud.xyz
     rec["intensity"] = cloud.intensity
-    rec["semantic"] = cloud.semantic if cloud.semantic is not None else 0
-    rec["instance"] = cloud.instance if cloud.instance is not None else 0
-    Path(path).write_bytes(b"PLCD" + _u32(len(cloud)) + rec.tobytes())
+    rec["semantic"] = cloud.semantic
+    rec["instance"] = cloud.instance
+    _write(path, b"PLCD", [len(cloud)], rec)
 
 
 def read_point_cloud(path) -> PointCloud:
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"PLCD")
-    n = r.u32()
+    r, (n,) = _read(path, b"PLCD", 1)
     rec = r.array(PLCD_DTYPE, n)
     r.done()
     try:
@@ -108,13 +120,11 @@ def write_feature_maps(path, maps: np.ndarray):
     maps = np.ascontiguousarray(maps, dtype="<f4")
     if maps.ndim != 4:
         raise ShapeMismatchError("feature maps must be (K, H', W', D)")
-    Path(path).write_bytes(b"FMAP" + _u32(*maps.shape) + maps.tobytes())
+    _write(path, b"FMAP", maps.shape, maps)
 
 
 def read_feature_maps(path) -> np.ndarray:
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"FMAP")
-    k, h, w, d = (r.u32() for _ in range(4))
+    r, (k, h, w, d) = _read(path, b"FMAP", 4)
     data = r.array("<f4", k * h * w * d)
     r.done()
     if min(h, w) < 1:
@@ -126,17 +136,12 @@ def write_tokens(path, tokens: TokenSet):
     rec = np.empty(len(tokens), dtype=np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * tokens.dim)]))
     rec["idx"] = _u16_indices(tokens.indices3)
     rec["content"] = tokens.content  # `build_tokens` content is float32 already, so no cast
-    with open(path, "wb") as f:  # the header, then the records' own buffer: no full-size copy
-        f.write(b"TOKS" + _u32(len(tokens), tokens.dim))
-        f.write(rec.data)
+    _write(path, b"TOKS", [len(tokens), tokens.dim], rec)
 
 
 def read_tokens(path, spec) -> tuple[np.ndarray, np.ndarray]:
     """Read token records: returns ((M, 3) voxel indices, (M, 2*D) float32 content)."""
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"TOKS")
-    n = r.u32()
-    dim = r.u32()
+    r, (n, dim) = _read(path, b"TOKS", 2)
     rec = r.array(np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)]), n)
     r.done()
     idx3 = rec["idx"].astype(np.int64).reshape(n, 3)
@@ -153,15 +158,11 @@ def write_mask(path, mask: Mask2D):
     if len(flat) and flat[0]:
         runs = np.concatenate([[0], runs])  # runs always start with a zero run
     h, w = mask.bitmap.shape
-    Path(path).write_bytes(
-        b"MSK2" + _u32(mask.camera_id, h, w, len(runs)) + runs.astype("<u4").tobytes()
-    )
+    _write(path, b"MSK2", [mask.camera_id, h, w, len(runs)], runs.astype("<u4"))
 
 
 def read_mask(path) -> Mask2D:
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"MSK2")
-    cam_id, h, w, n_runs = (r.u32() for _ in range(4))
+    r, (cam_id, h, w, n_runs) = _read(path, b"MSK2", 4)
     runs = r.array("<u4", n_runs).astype(np.int64)
     r.done()
     if runs.sum() != h * w:
@@ -184,16 +185,12 @@ def write_queries(path, qs: QuerySet):
     rec["origin"] = [ORIGIN_CODES[h.origin] for h in qs.hints]
     rec["content"] = qs.prior_content
     rec["spe"] = qs.prior_spe
-    Path(path).write_bytes(
-        b"QRY2" + _u32(qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim) + rec.tobytes()
-        + qs.no_prior.astype("<f4").tobytes() + qs.semantic.astype("<f4").tobytes()
-    )
+    _write(path, b"QRY2", [qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim],
+           rec, qs.no_prior.astype("<f4"), qs.semantic.astype("<f4"))
 
 
 def read_queries(path) -> QuerySet:
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"QRY2")
-    n_prior, n_lt, n_sem, dim = (r.u32() for _ in range(4))
+    r, (n_prior, n_lt, n_sem, dim) = _read(path, b"QRY2", 4)
     rec = r.array(_prior_dtype(dim), n_prior)
     no_prior = r.array("<f4", n_lt * dim).reshape(n_lt, dim).copy()
     semantic = r.array("<f4", n_sem * dim).reshape(n_sem, dim).copy()
@@ -220,13 +217,11 @@ def write_provenance(path, idx3: np.ndarray, tags: np.ndarray):
     rec = np.empty(len(idx3), dtype=PVOX_DTYPE)
     rec["idx"] = idx3
     rec["tag"] = np.asarray(tags, dtype=np.uint8)
-    Path(path).write_bytes(b"PVOX" + _u32(len(idx3)) + rec.tobytes())
+    _write(path, b"PVOX", [len(idx3)], rec)
 
 
 def read_provenance(path) -> tuple[np.ndarray, np.ndarray]:
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"PVOX")
-    n = r.u32()
+    r, (n,) = _read(path, b"PVOX", 1)
     rec = r.array(PVOX_DTYPE, n)
     r.done()
     return rec["idx"].astype(np.int64), rec["tag"].copy()
@@ -302,20 +297,14 @@ def read_calibration(path) -> list[CameraModel]:
 
 
 def write_spe_params(path, params: SpeParams):
-    arrays = [params.coord_scales, params.psi_w, params.phi_w1, params.phi_b1, params.phi_w2, params.phi_b2]
-    parts = [b"SPEW", _u32(params.dim, len(arrays))]
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype="<f8")
-        parts.append(_u32(a.ndim, *a.shape))
-        parts.append(a.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (
+        params.coord_scales, params.psi_w, params.phi_w1, params.phi_b1, params.phi_w2, params.phi_b2)]
+    blocks = [b for a in arrays for b in (np.asarray([a.ndim, *a.shape], dtype="<u4"), a)]  # shape, then data
+    _write(path, b"SPEW", [params.dim, len(arrays)], *blocks)
 
 
 def read_spe_params(path) -> SpeParams:
-    r = _Reader(Path(path).read_bytes(), path)
-    r.magic(b"SPEW")
-    dim = r.u32()
-    n_arrays = r.u32()
+    r, (dim, n_arrays) = _read(path, b"SPEW", 2)
     arrays = []
     for _ in range(n_arrays):
         ndim = r.u32()

@@ -21,7 +21,11 @@ from .geometry import TWO_PI, CameraModel, polar_columns, valid_projections
 
 @dataclass
 class PointCloud:
-    """Point records: float32 xyz/intensity, uint16 labels, uint8 scan-source tag."""
+    """Point records: float32 xyz/intensity, uint16 labels, uint8 scan-source tag.
+
+    A label or tag array left out is zeros: semantic class 0 is "unlabeled"
+    and instance 0 is "no instance", as a PLCD file stores them.
+    """
 
     xyz: np.ndarray
     intensity: np.ndarray
@@ -35,29 +39,20 @@ class PointCloud:
             raise ValueError("point coordinates must be finite")
         n = self.xyz.shape[0]
         self.intensity = np.asarray(self.intensity, dtype=np.float32).reshape(n)
-        if self.semantic is not None:
-            self.semantic = np.asarray(self.semantic, dtype=np.uint16).reshape(n)
-        if self.instance is not None:
-            self.instance = np.asarray(self.instance, dtype=np.uint16).reshape(n)
-        if self.source is None:
-            self.source = np.zeros(n, dtype=np.uint8)
-        else:
-            self.source = np.asarray(self.source, dtype=np.uint8).reshape(n)
+        self.semantic = _field(self.semantic, np.uint16, n)
+        self.instance = _field(self.instance, np.uint16, n)
+        self.source = _field(self.source, np.uint8, n)
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    @property
-    def has_labels(self) -> bool:
-        return self.semantic is not None and self.instance is not None
 
     def select(self, idx) -> "PointCloud":
         """The points at integer indices `idx`, in that order."""
         return PointCloud(
             np.take(self.xyz, idx, axis=0),
             self.intensity[idx],
-            None if self.semantic is None else self.semantic[idx],
-            None if self.instance is None else self.instance[idx],
+            self.semantic[idx],
+            self.instance[idx],
             self.source[idx],
         )
 
@@ -65,16 +60,18 @@ class PointCloud:
     def concat(clouds: list["PointCloud"]) -> "PointCloud":
         if not clouds:
             return PointCloud(np.zeros((0, 3)), np.zeros(0))
-        labeled = [c.has_labels for c in clouds]
-        if any(labeled) and not all(labeled):
-            raise ValueError("cannot concatenate labeled and unlabeled clouds")
         return PointCloud(
             np.concatenate([c.xyz for c in clouds]),
             np.concatenate([c.intensity for c in clouds]),
-            np.concatenate([c.semantic for c in clouds]) if all(labeled) else None,
-            np.concatenate([c.instance for c in clouds]) if all(labeled) else None,
+            np.concatenate([c.semantic for c in clouds]),
+            np.concatenate([c.instance for c in clouds]),
             np.concatenate([c.source for c in clouds]),
         )
+
+
+def _field(values, dtype, n: int) -> np.ndarray:
+    """A per-point array of `dtype`, zeros where `values` is None."""
+    return np.zeros(n, dtype=dtype) if values is None else np.asarray(values, dtype=dtype).reshape(n)
 
 
 @dataclass(frozen=True)

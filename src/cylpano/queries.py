@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import IndexOutOfRangeError, MissingLabelsError
+from .errors import IndexOutOfRangeError
 from .grid import CylGrid, PointCloud, centroids_batch
 from .geometry import CameraModel, cart_to_polar, valid_projections
 from .tokens import SpeParams, TokenSet, nearest_occupied_rows, spe_batch
@@ -40,7 +40,6 @@ class Mask2D:
 
     camera_id: int
     bitmap: np.ndarray
-    class_tag: int | None = None
 
     def __post_init__(self):
         self.bitmap = np.asarray(self.bitmap).astype(bool)
@@ -65,9 +64,10 @@ class LocationHint:
 def build_bev_heatmap(grid: CylGrid, mode: str, sigma: float) -> np.ndarray:
     """Class-agnostic confidence map over the (r, theta) BEV grid, values in [0, 1].
 
-    gt_gaussian splats a Gaussian of std `sigma` bins at every labeled
-    instance center (max-combined, wrapping over theta); density normalizes
-    per-column point counts. Both stand in for a learned center head.
+    gt_gaussian splats a Gaussian of std `sigma` bins at the center of every
+    nonzero instance id (max-combined, wrapping over theta), so a cloud without
+    one gives an all-zero map; density normalizes per-column point counts.
+    Both stand in for a learned center head.
     """
     spec = grid.spec
     heat = np.zeros((spec.r_bins, spec.theta_bins))
@@ -78,8 +78,6 @@ def build_bev_heatmap(grid: CylGrid, mode: str, sigma: float) -> np.ndarray:
         return heat
     if mode != "gt_gaussian":
         raise ValueError("mode must be 'gt_gaussian' or 'density'")
-    if grid.cloud.instance is None:
-        raise MissingLabelsError("gt_gaussian heatmap needs instance labels")
 
     # one Gaussian window over row offsets x theta offsets, each theta offset
     # taken the shorter way round, so columns a wide window visits twice agree

@@ -140,7 +140,6 @@ def generate_scene(cfg: SceneConfig) -> SynthSample:
     inst = [np.zeros(cfg.ground_points, dtype=np.uint16)]
 
     n_obj = int(rng.integers(cfg.n_objects[0], cfg.n_objects[1] + 1))
-    classes = [0]  # by instance id
     for obj_id in range(1, n_obj + 1):
         kind = int(rng.integers(0, 3))  # 0 box, 1 pillar, 2 wall
         dist = rng.uniform(cfg.min_center_dist, cfg.extent * 0.85)
@@ -163,7 +162,6 @@ def generate_scene(cfg: SceneConfig) -> SynthSample:
             pts = _sample_box(rng, n, length, 0.15, height)
             cls = WALL
         xyz.append(pts @ rotation_z(yaw).T + center)
-        classes.append(cls)
         sem.append(np.full(n, cls, dtype=np.uint16))
         inst.append(np.full(n, obj_id, dtype=np.uint16))
 
@@ -174,7 +172,7 @@ def generate_scene(cfg: SceneConfig) -> SynthSample:
     masks = []
     for cam_id, imap in enumerate(inst_maps):
         for obj_id in np.flatnonzero(np.bincount(imap.ravel())[1:]) + 1:
-            masks.append(Mask2D(cam_id, imap == obj_id, class_tag=classes[obj_id]))
+            masks.append(Mask2D(cam_id, imap == obj_id))
     return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, ClassTable.synthetic())
 
 
@@ -227,11 +225,9 @@ def render_provenance(
         imap = np.zeros((cam.height, cam.width), dtype=np.int32)
         pix, pid, dep = rasterize(cloud.xyz, cam, splat_radius)
         rows, cols = np.divmod(pix, cam.width)
-        if cloud.semantic is not None:
-            img[rows, cols, 0] = (cloud.semantic[pid] & 0xFF).astype(np.uint8)
-        if cloud.instance is not None:
-            img[rows, cols, 2] = (cloud.instance[pid] & 0xFF).astype(np.uint8)
-            imap[rows, cols] = cloud.instance[pid]
+        img[rows, cols, 0] = (cloud.semantic[pid] & 0xFF).astype(np.uint8)
+        img[rows, cols, 2] = (cloud.instance[pid] & 0xFF).astype(np.uint8)
+        imap[rows, cols] = cloud.instance[pid]
         dmap[rows, cols] = dep
         images.append(img)
         depths.append(dmap)
@@ -262,9 +258,6 @@ def render_overlay(
         canvas = img.copy()
         pix, pid, _ = rasterize(cloud.xyz, cam, 0)
         rows, cols = np.divmod(pix, cam.width)
-        if cloud.semantic is not None:
-            canvas[rows, cols] = COLORMAP[np.minimum(cloud.semantic[pid], len(COLORMAP) - 1)]
-        else:
-            canvas[rows, cols] = 255
+        canvas[rows, cols] = COLORMAP[np.minimum(cloud.semantic[pid], len(COLORMAP) - 1)]
         out.append(canvas)
     return out

@@ -249,9 +249,6 @@ class TestRemapInstances:
         with pytest.raises(ShapeMismatchError):
             _remap_instances(np.array([65534], np.uint16), np.array([4, 9], np.uint16))
 
-    def test_unlabeled_cloud_returns_none(self):
-        assert _remap_instances(np.array([3], np.uint16), None) is None
-
 
 class TestSyncImageSwap:
     def _setup(self, seed=7):

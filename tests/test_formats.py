@@ -190,9 +190,12 @@ PPM_GOOD_HEADERS = {
     "tabs": b"P6\t3\t2\t255\t",
     "crlf-between-fields": b"P6\r\n3 2\r\n255\n",
     "several-spaces": b"P6   3    2  255 ",
+    "comment-line": b"P6\n# Created by GIMP\n3 2\n255\n",
+    "comment-after-width": b"P6 3 # width\n2 255\n",
 }
 PPM_BAD_FILES = {
     "header-cut-short": (b"P6\n3 2", TruncatedFileError),
+    "comment-without-line-end": (b"P6\n3 2 # no end", TruncatedFileError),
     "no-whitespace-after-maxval": (b"P6\n3 2\n255", TruncatedFileError),
     "maxval-65535": (b"P6\n3 2\n65535\n" + PPM_IMAGE.tobytes(), ShapeMismatchError),
     "payload-short": (b"P6\n3 2\n255\n" + PPM_IMAGE.tobytes()[:-1], TruncatedFileError),
@@ -424,10 +427,13 @@ class TestCodecProperties:
         got = formats.read_point_cloud(path)
         assert got.xyz.tobytes() == cloud.xyz.tobytes()
         assert got.intensity.tobytes() == cloud.intensity.tobytes()
-        zeros = np.zeros(n, np.uint16)
-        assert np.array_equal(got.semantic, cloud.semantic if labeled else zeros)
-        assert np.array_equal(got.instance, cloud.instance if labeled else zeros)
+        if not labeled:  # labels left out are zeros, in memory as on disk
+            assert not cloud.semantic.any() and not cloud.instance.any()
+        assert np.array_equal(got.semantic, cloud.semantic)
+        assert np.array_equal(got.instance, cloud.instance)
         assert got.xyz.flags.writeable and got.xyz.flags.c_contiguous
+        formats.write_point_cloud(path.with_name("again.plcd"), got)
+        assert path.with_name("again.plcd").read_bytes() == path.read_bytes()
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(0, 20), w=st.integers(0, 20), cam=st.integers(0, 2**32 - 1),

@@ -27,6 +27,17 @@ def random_cloud(rng, n=500, radius=45.0):
     return PointCloud(xyz, rng.random(n), rng.integers(0, 5, n), rng.integers(0, 4, n))
 
 
+class TestPointCloud:
+    def test_concat_of_labeled_and_unlabeled_gives_zeros_to_the_unlabeled(self):
+        labeled = PointCloud(np.ones((2, 3)), np.ones(2), [3, 4], [7, 0], [1, 1])
+        unlabeled = PointCloud(np.zeros((3, 3)), np.zeros(3))
+        merged = PointCloud.concat([labeled, unlabeled])
+        assert merged.semantic.dtype == merged.instance.dtype == np.uint16
+        assert merged.semantic.tolist() == [3, 4, 0, 0, 0]
+        assert merged.instance.tolist() == [7, 0, 0, 0, 0]
+        assert merged.source.tolist() == [1, 1, 0, 0, 0]
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Each operation has one form in `src/`: nothing public that only tests reach.
 
 The callers are the modules of `src/cylpano`, the acceptance tests and the
-benchmark's scripts in `bench/`. Four scans hold `src/` to them:
+benchmark's scripts in `bench/`. Five scans hold `src/` to them:
 
 - a public module-level function or class must be referenced (loaded, called
   or imported) by a caller, or wrapped by the benchmark's span recorder;
@@ -11,7 +11,10 @@ benchmark's scripts in `bench/`. Four scans hold `src/` to them:
   position or by keyword, by some call of that name in a caller;
 - every default of a public function or method must be left out by some
   call of that name in a caller. A call with `*args` or `**kwargs` may leave
-  any parameter out, so it never makes a default look unused.
+  any parameter out, so it never makes a default look unused;
+- every field of a public dataclass must be loaded as an attribute by a
+  caller. A class whose own methods read its fields through
+  `dataclasses.fields(self)` reads them all.
 
 A one-item wrapper of a batched path, a second copy of a rule, an option
 that selects a branch no caller takes, or a default that only tests take
@@ -20,7 +23,7 @@ default the config sections hold reaches a stage function from its caller,
 so the function repeats no default of its own. Each allow-list entry says
 why it stays.
 
-A fifth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
+A sixth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
 `cylpano` module must replace a name that module's own code loads, or the
 patch reaches no caller and the test around it checks nothing.
 """
@@ -43,6 +46,11 @@ ALLOWED_METHODS = {
     "VoxelFeatures.for_grid": "where learned per-voxel features enter the fuse stage",
 }
 ALLOWED_PARAMS: dict[str, str] = {}
+_RENDER_BUFFER = "an exact render buffer: five synth tests and one query test check images and masks against it"
+ALLOWED_FIELDS = {
+    "SynthSample.depth_maps": _RENDER_BUFFER,
+    "SynthSample.instance_maps": _RENDER_BUFFER,
+}
 
 
 def _loaded_names(tree) -> set[str]:
@@ -208,6 +216,27 @@ def test_every_default_is_left_out_outside_tests():
         if not any(_may_leave_out(c, param, position) for c in calls.get(node.name, []))
     ]
     assert always == []
+
+
+def _dataclass_fields():
+    """(class name, field name, whether the class reads all its fields through `fields(self)`) per public dataclass."""
+    for tree in MODULES.values():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)):
+                continue
+            generic = any(isinstance(n, ast.Call) and ast.unparse(n) == "fields(self)" for n in ast.walk(node))
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, generic
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    """A field no caller reads is stored for tests alone, or for nobody."""
+    used = set().union(*map(_loaded_attributes, CALLERS))
+    found = {f"{owner}.{name}": generic or name in used for owner, name, generic in _dataclass_fields()}
+    assert set(ALLOWED_FIELDS) <= set(found)  # no entry outlives its field
+    assert [qual for qual, read in found.items() if not read and qual not in ALLOWED_FIELDS] == []
 
 
 def test_package_namespace_binds_only_the_version():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from cylpano.config import QueryConfig
+from cylpano.formats import read_point_cloud, write_point_cloud
 from cylpano.geometry import cart_to_polar
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxelize
 from cylpano.queries import (
@@ -123,11 +124,15 @@ def labeled_cloud(xyz, instance):
 
 
 class TestHeatmap:
-    def test_no_instances_gives_zero_map(self):
-        cloud = labeled_cloud(np.array([[5.0, 0.0, 0.0]]), [0])
-        heat = build_bev_heatmap(voxelize(cloud, SPEC), "gt_gaussian", QueryConfig().heatmap_sigma)
-        assert heat.shape == (SPEC.r_bins, SPEC.theta_bins)
-        assert heat.sum() == 0
+    def test_no_instances_gives_zero_map(self, tmp_path):
+        """Instance ids all 0, or labels left out: in memory and read back from PLCD alike."""
+        xyz = np.array([[5.0, 0.0, 0.0], [7.0, 1.0, 0.0]])
+        unlabeled = PointCloud(xyz, np.zeros(2))
+        write_point_cloud(tmp_path / "c.plcd", unlabeled)
+        for cloud in (labeled_cloud(xyz, [0, 0]), unlabeled, read_point_cloud(tmp_path / "c.plcd")):
+            heat = build_bev_heatmap(voxelize(cloud, SPEC), "gt_gaussian", QueryConfig().heatmap_sigma)
+            assert heat.shape == (SPEC.r_bins, SPEC.theta_bins)
+            assert heat.sum() == 0
 
     def test_sigma_zero_is_a_delta(self):
         cloud = labeled_cloud(np.array([[5.0, 0.0, 0.0]] * 3), [1, 1, 1])
