@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -152,6 +153,16 @@ def cmd_augment(args) -> int:
     return 0
 
 
+# the last rig's placeholder maps, by ([tokens] seed, camera index, map height, map width, dim)
+_PLACEHOLDER_MAPS: dict[tuple, np.ndarray] = {}
+
+
+def _draw_placeholder(seed: int, k: int, h: int, w: int, dim: int) -> np.ndarray:
+    data = np.random.default_rng([seed, k]).standard_normal((h, w, dim)).astype(np.float32)
+    data.flags.writeable = False  # every later call with the same key shares it
+    return data
+
+
 def _feature_maps(args, cfg, cams) -> list[FeatureMap]:
     dim = cfg.tokens.dim
     if args.features:
@@ -162,12 +173,11 @@ def _feature_maps(args, cfg, cams) -> list[FeatureMap]:
             raise ShapeMismatchError(f"feature dim {data.shape[3]} != configured {dim}")
         return [FeatureMap(data[k], cams[k].width, cams[k].height) for k in range(len(cams))]
     ds = cfg.tokens.feat_downsample
-    maps = []
-    for k, cam in enumerate(cams):
-        h, w = max(1, cam.height // ds), max(1, cam.width // ds)
-        rng = np.random.default_rng([cfg.tokens.seed, k])
-        maps.append(FeatureMap(rng.standard_normal((h, w, dim)).astype(np.float32), cam.width, cam.height))
-    return maps
+    keys = [(cfg.tokens.seed, k, max(1, cam.height // ds), max(1, cam.width // ds), dim) for k, cam in enumerate(cams)]
+    maps = {key: _PLACEHOLDER_MAPS[key] if key in _PLACEHOLDER_MAPS else _draw_placeholder(*key) for key in keys}
+    _PLACEHOLDER_MAPS.clear()
+    _PLACEHOLDER_MAPS.update(maps)
+    return [FeatureMap(maps[key], cam.width, cam.height) for key, cam in zip(keys, cams)]
 
 
 def _spe_params(cfg) -> SpeParams:
@@ -297,6 +307,7 @@ def cmd_init_config(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: every stage call of a chain reuses it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cylpano", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -309,24 +320,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate a synthetic multi-modal sample")
     common(sp, seed=True)
-    sp.set_defaults(func=cmd_synth)
+    sp.set_defaults(func=cmd_synth.__name__)
 
     sp = sub.add_parser("voxelize", help="voxelize a point cloud and report occupancy")
     common(sp)
     sp.add_argument("--cloud", required=True)
-    sp.set_defaults(func=cmd_voxelize)
+    sp.set_defaults(func=cmd_voxelize.__name__)
 
     sp = sub.add_parser("augment", help="mix two samples with synchronized image swaps")
     common(sp, seed=True)
     sp.add_argument("--org", required=True, help="original sample directory")
     sp.add_argument("--new", required=True, help="second sample directory")
-    sp.set_defaults(func=cmd_augment)
+    sp.set_defaults(func=cmd_augment.__name__)
 
     sp = sub.add_parser("fuse", help="build fused voxel/image tokens")
     common(sp)
     sp.add_argument("--sample", required=True)
     sp.add_argument("--features", default=None, help="optional FMAP feature tensor")
-    sp.set_defaults(func=cmd_fuse)
+    sp.set_defaults(func=cmd_fuse.__name__)
 
     sp = sub.add_parser("queries", help="seed decoder queries from modality priors")
     common(sp)
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tokens", required=True)
     sp.add_argument("--masks", default=None, help="directory of MSK2 masks")
     sp.add_argument("--classes", default=None)
-    sp.set_defaults(func=cmd_queries)
+    sp.set_defaults(func=cmd_queries.__name__)
 
     sp = sub.add_parser("eval", help="panoptic evaluation of pred vs gt labels")
     sp.add_argument("--pred", required=True)
@@ -342,21 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classes", required=True)
     sp.add_argument("--report", required=True)
     sp.add_argument("--min-points", type=int, default=0)
-    sp.set_defaults(func=cmd_eval)
+    sp.set_defaults(func=cmd_eval.__name__)
 
     sp = sub.add_parser("render-overlay", help="paint projected labels onto the images")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--sample", required=True)
-    sp.set_defaults(func=cmd_render_overlay)
+    sp.set_defaults(func=cmd_render_overlay.__name__)
 
     sp = sub.add_parser("replay", help="re-run a stage from its manifest")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_replay)
+    sp.set_defaults(func=cmd_replay.__name__)
 
     sp = sub.add_parser("init-config", help="write the default config file")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_init_config)
+    sp.set_defaults(func=cmd_init_config.__name__)
     return p
 
 
@@ -368,7 +379,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy generators take non-negative seeds
             raise BadConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        # by name when main runs, so a `cmd_*` replaced after the parser was built is the one called
+        return globals()[args.func](args)
     except PipelineError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -18,8 +18,10 @@ binary PPM (P6).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -40,44 +42,81 @@ _PPM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"  # whitespace and `#` comments, each to t
 PPM_HEADER = re.compile(rb"P6%s(\d+)%s(\d+)%s(\d+)\s" % (_PPM_GAP, _PPM_GAP, _PPM_GAP))
 
 
-class _Reader:
-    """Cursor over a byte buffer with truncation checks."""
+_CHUNK = 4096  # records per read of a structured array: about 4 MiB at a dim-128 TOKS record
 
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
+
+class _Reader:
+    """Reads an open binary file straight into its arrays, each size checked against the file's first."""
+
+    def __init__(self, f, path):
+        self.f = f
         self.path = path
+        self.size = os.fstat(f.fileno()).st_size
+        self.off = 0
+
+    def _claim(self, n: int):
+        """Count the next `n` bytes as read, or raise before anything is allocated for them."""
+        if self.off + n > self.size:
+            raise TruncatedFileError(f"{self.path}: needs {self.off + n} bytes, has {self.size}")
+        self.off += n
+
+    def _fill(self, out: np.ndarray):
+        if self.f.readinto(out) != out.nbytes:  # the file shrank after it was opened
+            raise TruncatedFileError(f"{self.path}: needs {self.off} bytes, read fewer")
 
     def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise TruncatedFileError(f"{self.path}: needs {self.off + n} bytes, has {len(self.data)}")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
+        self._claim(n)
+        return self.f.read(n)
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
 
     def array(self, dtype, count: int) -> np.ndarray:
+        """`count` values of a plain `dtype`, read into the array returned."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype, count=count)
+        self._claim(dtype.itemsize * count)
+        out = np.empty(count, dtype)
+        self._fill(out)
+        return out
+
+    def fields(self, dtype: np.dtype, count: int) -> dict[str, np.ndarray]:
+        """`count` records of a structured `dtype` as one (count, *field shape) array per field.
+
+        The records pass through one buffer of at most `_CHUNK` records, so the
+        whole record array is never held next to its fields.
+        """
+        self._claim(dtype.itemsize * count)
+        out = {name: np.empty((count, *dtype[name].shape), dtype[name].base) for name in dtype.names}
+        buf = np.empty(min(count, _CHUNK), dtype)
+        for start in range(0, count, _CHUNK):
+            part = buf[:count - start]
+            self._fill(part)
+            for name, a in out.items():
+                a[start:start + len(part)] = part[name]
+        return out
 
     def done(self):
-        if self.off != len(self.data):
-            raise ShapeMismatchError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
+        if self.off != self.size:
+            raise ShapeMismatchError(f"{self.path}: {self.size - self.off} trailing bytes")
 
 
 def _u32(*vals) -> bytes:
     return np.asarray(vals, dtype="<u4").tobytes()
 
 
-def _read(path, magic: bytes, n: int) -> tuple[_Reader, list[int]]:
-    """A reader over the file past its 4-byte `magic` and `n` u32 header fields, and those fields."""
-    r = _Reader(Path(path).read_bytes(), path)
-    got = r.take(4)
-    if got != magic:
-        raise BadMagicError(f"{path}: expected magic {magic!r}, got {got!r}")
-    return r, [r.u32() for _ in range(n)]
+@contextlib.contextmanager
+def _read(path, magic: bytes, n: int):
+    """A reader over the open file past its 4-byte `magic` and `n` u32 header fields, and those fields.
+
+    The `with` body reads the payload; leaving it checks that no byte is left over.
+    """
+    with open(path, "rb") as f:
+        r = _Reader(f, path)
+        got = r.take(4)
+        if got != magic:
+            raise BadMagicError(f"{path}: expected magic {magic!r}, got {got!r}")
+        yield r, [r.u32() for _ in range(n)]
+        r.done()
 
 
 def _write(path, magic: bytes, header, *arrays: np.ndarray):
@@ -106,11 +145,10 @@ def write_point_cloud(path, cloud: PointCloud):
 
 
 def read_point_cloud(path) -> PointCloud:
-    r, (n,) = _read(path, b"PLCD", 1)
-    rec = r.array(PLCD_DTYPE, n)
-    r.done()
+    with _read(path, b"PLCD", 1) as (r, (n,)):
+        rec = r.fields(PLCD_DTYPE, n)
     try:
-        return PointCloud(rec["xyz"].copy(), rec["intensity"].copy(), rec["semantic"].copy(), rec["instance"].copy())
+        return PointCloud(rec["xyz"], rec["intensity"], rec["semantic"], rec["instance"])
     except ValueError as exc:  # a non-finite coordinate
         raise ShapeMismatchError(f"{path}: {exc}") from exc
 
@@ -124,12 +162,11 @@ def write_feature_maps(path, maps: np.ndarray):
 
 
 def read_feature_maps(path) -> np.ndarray:
-    r, (k, h, w, d) = _read(path, b"FMAP", 4)
-    data = r.array("<f4", k * h * w * d)
-    r.done()
+    with _read(path, b"FMAP", 4) as (r, (k, h, w, d)):
+        data = r.array("<f4", k * h * w * d)
     if min(h, w) < 1:
         raise ShapeMismatchError(f"{path}: {h}x{w} feature maps hold no cell")
-    return data.reshape(k, h, w, d).copy()
+    return data.reshape(k, h, w, d)
 
 
 def write_tokens(path, tokens: TokenSet):
@@ -141,13 +178,12 @@ def write_tokens(path, tokens: TokenSet):
 
 def read_tokens(path, spec) -> tuple[np.ndarray, np.ndarray]:
     """Read token records: returns ((M, 3) voxel indices, (M, 2*D) float32 content)."""
-    r, (n, dim) = _read(path, b"TOKS", 2)
-    rec = r.array(np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)]), n)
-    r.done()
-    idx3 = rec["idx"].astype(np.int64).reshape(n, 3)
+    with _read(path, b"TOKS", 2) as (r, (n, dim)):
+        rec = r.fields(np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)]), n)
+    idx3 = rec["idx"].astype(np.int64)
     if (idx3 >= np.array(spec.shape)).any():
         raise ShapeMismatchError("token voxel index outside the grid spec")
-    return idx3, rec["content"].reshape(n, 2 * dim).copy()
+    return idx3, rec["content"]
 
 
 def write_mask(path, mask: Mask2D):
@@ -162,9 +198,8 @@ def write_mask(path, mask: Mask2D):
 
 
 def read_mask(path) -> Mask2D:
-    r, (cam_id, h, w, n_runs) = _read(path, b"MSK2", 4)
-    runs = r.array("<u4", n_runs).astype(np.int64)
-    r.done()
+    with _read(path, b"MSK2", 4) as (r, (cam_id, h, w, n_runs)):
+        runs = r.array("<u4", n_runs).astype(np.int64)
     if runs.sum() != h * w:
         raise ShapeMismatchError(f"{path}: runs sum to {runs.sum()}, expected {h * w}")
     flat = np.repeat(np.arange(n_runs) % 2 == 1, runs)  # runs alternate clear, set, clear, ...
@@ -190,11 +225,10 @@ def write_queries(path, qs: QuerySet):
 
 
 def read_queries(path) -> QuerySet:
-    r, (n_prior, n_lt, n_sem, dim) = _read(path, b"QRY2", 4)
-    rec = r.array(_prior_dtype(dim), n_prior)
-    no_prior = r.array("<f4", n_lt * dim).reshape(n_lt, dim).copy()
-    semantic = r.array("<f4", n_sem * dim).reshape(n_sem, dim).copy()
-    r.done()
+    with _read(path, b"QRY2", 4) as (r, (n_prior, n_lt, n_sem, dim)):
+        rec = r.fields(_prior_dtype(dim), n_prior)
+        no_prior = r.array("<f4", n_lt * dim).reshape(n_lt, dim)
+        semantic = r.array("<f4", n_sem * dim).reshape(n_sem, dim)
     unknown = ~np.isin(rec["origin"], list(ORIGIN_NAMES))
     if unknown.any():
         raise ShapeMismatchError(f"{path}: unknown hint origin code {rec['origin'][unknown][0]}")
@@ -204,8 +238,8 @@ def read_queries(path) -> QuerySet:
     ]
     return QuerySet(
         dim=dim,
-        prior_content=rec["content"].reshape(n_prior, 2 * dim).copy(),
-        prior_spe=rec["spe"].reshape(n_prior, dim).copy(),
+        prior_content=rec["content"],
+        prior_spe=rec["spe"],
         hints=hints,
         no_prior=no_prior,
         semantic=semantic,
@@ -221,10 +255,9 @@ def write_provenance(path, idx3: np.ndarray, tags: np.ndarray):
 
 
 def read_provenance(path) -> tuple[np.ndarray, np.ndarray]:
-    r, (n,) = _read(path, b"PVOX", 1)
-    rec = r.array(PVOX_DTYPE, n)
-    r.done()
-    return rec["idx"].astype(np.int64), rec["tag"].copy()
+    with _read(path, b"PVOX", 1) as (r, (n,)):
+        rec = r.fields(PVOX_DTYPE, n)
+    return rec["idx"].astype(np.int64), rec["tag"]
 
 
 def write_ppm(path, image: np.ndarray):
@@ -232,11 +265,15 @@ def write_ppm(path, image: np.ndarray):
     if image.ndim != 3 or image.shape[2] != 3:
         raise ShapeMismatchError("PPM images must be (H, W, 3) uint8")
     h, w, _ = image.shape
-    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + image.tobytes())
+    with open(path, "wb") as f:  # the header, then the image's own buffer: no joined copy
+        f.write(f"P6\n{w} {h}\n255\n".encode())
+        f.write(image.data)
 
 
 def read_ppm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:  # into a writable buffer that the image then views
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        f.readinto(data)
     if not data.startswith(b"P6"):
         raise BadMagicError(f"{path}: not a binary PPM")
     header = PPM_HEADER.match(data)
@@ -245,10 +282,9 @@ def read_ppm(path) -> np.ndarray:
     w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ShapeMismatchError(f"{path}: only maxval 255 supported")
-    payload = data[header.end():header.end() + w * h * 3]
-    if len(payload) < w * h * 3:
+    if len(data) - header.end() < w * h * 3:
         raise TruncatedFileError(f"{path}: PPM payload short")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+    return np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=header.end()).reshape(h, w, 3)
 
 
 def write_calibration(path, cams: list[CameraModel]):
@@ -304,13 +340,12 @@ def write_spe_params(path, params: SpeParams):
 
 
 def read_spe_params(path) -> SpeParams:
-    r, (dim, n_arrays) = _read(path, b"SPEW", 2)
     arrays = []
-    for _ in range(n_arrays):
-        ndim = r.u32()
-        shape = tuple(r.u32() for _ in range(ndim))
-        arrays.append(r.array("<f8", math.prod(shape)).reshape(shape).copy())  # exact, where np.prod wraps
-    r.done()
+    with _read(path, b"SPEW", 2) as (r, (dim, n_arrays)):
+        for _ in range(n_arrays):
+            ndim = r.u32()
+            shape = tuple(r.u32() for _ in range(ndim))
+            arrays.append(r.array("<f8", math.prod(shape)).reshape(shape))  # exact, where np.prod wraps
     if n_arrays != 6:
         raise ShapeMismatchError(f"{path}: expected 6 weight blocks, found {n_arrays}")
     try:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -5,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from cylpano import formats
-from cylpano.cli import main
+from cylpano import cli, formats
+from cylpano.cli import build_parser, main
 from cylpano.config import PipelineConfig, QueryConfig, load_config, save_config
+from cylpano.synth import ring_camera
 
 
 def small_config(tmp_path, **synth_kw):
@@ -381,7 +383,9 @@ class TestErrors:
         bad = tmp_path / "bad.plcd"
         bad.write_bytes(b"NOPE" + b"\0" * 8)
         assert main(["voxelize", "--cloud", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert "BadMagicError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "BadMagicError" in err
+        assert "b'NOPE'" in err  # the magic's bytes, not the repr of a view over them
 
     def test_bad_config_reports_error_name(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
@@ -751,3 +755,48 @@ def test_sha256_in_chunks_equals_whole_file_hash(tmp_path):
     path = tmp_path / "blob"
     path.write_bytes(np.random.default_rng(0).integers(0, 256, 7 << 19, dtype=np.uint8).tobytes())  # 3.5 MiB
     assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPerProcessReuse:
+    """A process builds its parser once and draws each placeholder feature map once per config."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_stage_patched_after_a_call_is_the_one_run(self, tmp_path, monkeypatch):
+        assert main(["init-config", "--out", str(tmp_path / "p.cfg")]) == 0  # the parser now exists
+        calls = []
+        monkeypatch.setattr(cli, "cmd_voxelize", lambda args: calls.append(args.cloud) or 0)
+        assert main(["voxelize", "--cloud", "c.plcd", "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["c.plcd"]
+
+    def test_placeholder_maps_follow_the_config(self, tmp_path):
+        cfg = small_config(tmp_path)
+        loaded = load_config(cfg)
+        loaded.tokens.seed += 1
+        other = str(tmp_path / "other.cfg")
+        save_config(other, loaded)
+        org = tmp_path / "org"
+        assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(org)]) == 0
+        w, h = loaded.image_size
+        maps = np.random.default_rng(5).standard_normal((loaded.synth.camera_count, h // 4, w // 4, loaded.tokens.dim))
+        formats.write_feature_maps(tmp_path / "f.fmap", maps.astype(np.float32))
+        runs = [("first", cfg, []), ("features", cfg, ["--features", str(tmp_path / "f.fmap")]),
+                ("other", other, []), ("again", cfg, [])]
+        for tag, config, extra in runs:
+            assert main(["fuse", "--config", config, "--sample", str(org), *extra, "--out", str(tmp_path / tag)]) == 0
+        toks = {tag: (tmp_path / tag / "tokens.toks").read_bytes() for tag, _, _ in runs}
+        assert toks["again"] == toks["first"]
+        assert toks["other"] != toks["first"]
+        assert toks["features"] != toks["first"]
+
+    def test_placeholder_maps_are_read_only_and_shared(self):
+        cfg = PipelineConfig()
+        cams = [ring_camera(0.0, 64, 48, 32.0, 0.0), ring_camera(np.pi, 64, 48, 32.0, 0.0)]
+        args = argparse.Namespace(features=None)
+        maps = cli._feature_maps(args, cfg, cams)
+        ds = cfg.tokens.feat_downsample
+        assert [m.data.shape for m in maps] == [(48 // ds, 64 // ds, cfg.tokens.dim)] * 2
+        assert cli._feature_maps(args, cfg, cams)[1].data is maps[1].data
+        with pytest.raises(ValueError):
+            maps[0].data[0, 0, 0] = 1.0

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,54 @@ class TestConfig:
         (tmp_path / "big.spew").write_bytes(data)
         with pytest.raises(TruncatedFileError):
             read_spe_params(tmp_path / "big.spew")
+
+    @pytest.mark.parametrize("read, header", [
+        (formats.read_point_cloud, b"PLCD" + struct.pack("<I", 2**32 - 1)),
+        (formats.read_provenance, b"PVOX" + struct.pack("<I", 2**32 - 1)),
+        (lambda p: formats.read_tokens(p, CylGridSpec()), b"TOKS" + struct.pack("<2I", 2**32 - 1, 128)),
+        (formats.read_queries, b"QRY2" + struct.pack("<4I", 2**32 - 1, 0, 0, 128)),
+        (formats.read_mask, b"MSK2" + struct.pack("<4I", 0, 4, 4, 2**32 - 1)),
+    ], ids=["plcd", "pvox", "toks", "qry2", "msk2"])
+    def test_record_count_past_file_size_is_truncated_before_allocating(self, tmp_path, read, header):
+        path = tmp_path / "big.bin"
+        path.write_bytes(header + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError):
+                read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestReadMemory:
+    """A reader holds its arrays and a bounded chunk, not the file and copies of it."""
+
+    @staticmethod
+    def _traced_peak(read, path) -> int:
+        tracemalloc.start()
+        try:
+            read(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_tokens_peaks_below_one_and_a_half_files(self, tmp_path):
+        spec = CylGridSpec()
+        flat = np.arange(20_000, dtype=np.int64) * 97
+        content = np.random.default_rng(0).standard_normal((len(flat), 256)).astype(np.float32)
+        path = tmp_path / "t.toks"
+        formats.write_tokens(path, TokenSet(spec, flat, content))
+        del content
+        peak = self._traced_peak(lambda p: formats.read_tokens(p, spec), path)
+        assert peak < 1.5 * path.stat().st_size
+
+    def test_read_point_cloud_peaks_below_one_and_a_half_files(self, tmp_path):
+        path = tmp_path / "c.plcd"
+        formats.write_point_cloud(path, random_cloud(np.random.default_rng(1), 200_000))
+        peak = self._traced_peak(formats.read_point_cloud, path)
+        assert peak < 1.5 * path.stat().st_size
 
 def random_bits(rng, shape, dtype):
     """Arrays of arbitrary bit patterns, NaNs and infinities included for floats."""
