@@ -119,10 +119,24 @@ def _read(path, magic: bytes, n: int):
         r.done()
 
 
-def _write(path, magic: bytes, header, *arrays: np.ndarray):
-    """Write `magic`, the u32 `header` fields, then each contiguous array's own buffer: no joined copy."""
+def _write(path, magic: bytes, header, *arrays: np.ndarray, records=None):
+    """Write `magic`, the u32 `header` fields, the `records`, then each contiguous array's own buffer.
+
+    `records` is a structured dtype and one array per field, all of one
+    length. They pass through one buffer of at most `_CHUNK` records, as
+    `_Reader.fields` reads them, so the whole record array is never built.
+    """
     with open(path, "wb") as f:
         f.write(magic + _u32(*header))
+        if records is not None:
+            dtype, fields = records
+            count = len(next(iter(fields.values())))
+            buf = np.empty(min(count, _CHUNK), dtype)
+            for start in range(0, count, _CHUNK):
+                part = buf[:count - start]
+                for name, a in fields.items():
+                    part[name] = a[start:start + len(part)]
+                f.write(part.data)
         for a in arrays:
             f.write(a.data)
 
@@ -136,12 +150,8 @@ def _u16_indices(idx3) -> np.ndarray:
 
 
 def write_point_cloud(path, cloud: PointCloud):
-    rec = np.empty(len(cloud), dtype=PLCD_DTYPE)
-    rec["xyz"] = cloud.xyz
-    rec["intensity"] = cloud.intensity
-    rec["semantic"] = cloud.semantic
-    rec["instance"] = cloud.instance
-    _write(path, b"PLCD", [len(cloud)], rec)
+    fields = {"xyz": cloud.xyz, "intensity": cloud.intensity, "semantic": cloud.semantic, "instance": cloud.instance}
+    _write(path, b"PLCD", [len(cloud)], records=(PLCD_DTYPE, fields))
 
 
 def read_point_cloud(path) -> PointCloud:
@@ -169,17 +179,20 @@ def read_feature_maps(path) -> np.ndarray:
     return data.reshape(k, h, w, d)
 
 
+def _token_dtype(dim: int) -> np.dtype:
+    return np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)])
+
+
 def write_tokens(path, tokens: TokenSet):
-    rec = np.empty(len(tokens), dtype=np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * tokens.dim)]))
-    rec["idx"] = _u16_indices(tokens.indices3)
-    rec["content"] = tokens.content  # `build_tokens` content is float32 already, so no cast
-    _write(path, b"TOKS", [len(tokens), tokens.dim], rec)
+    # `build_tokens` content is float32 already, so no cast
+    fields = {"idx": _u16_indices(tokens.indices3), "content": tokens.content}
+    _write(path, b"TOKS", [len(tokens), tokens.dim], records=(_token_dtype(tokens.dim), fields))
 
 
 def read_tokens(path, spec) -> tuple[np.ndarray, np.ndarray]:
     """Read token records: returns ((M, 3) voxel indices, (M, 2*D) float32 content)."""
     with _read(path, b"TOKS", 2) as (r, (n, dim)):
-        rec = r.fields(np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)]), n)
+        rec = r.fields(_token_dtype(dim), n)
     idx3 = rec["idx"].astype(np.int64)
     if (idx3 >= np.array(spec.shape)).any():
         raise ShapeMismatchError("token voxel index outside the grid spec")
@@ -214,14 +227,15 @@ def _prior_dtype(dim: int) -> np.dtype:
 
 
 def write_queries(path, qs: QuerySet):
-    rec = np.empty(qs.num_prior, dtype=_prior_dtype(qs.dim))
-    rec["xyz"] = np.reshape([h.position for h in qs.hints], (-1, 3))
-    rec["confidence"] = [h.confidence for h in qs.hints]
-    rec["origin"] = [ORIGIN_CODES[h.origin] for h in qs.hints]
-    rec["content"] = qs.prior_content
-    rec["spe"] = qs.prior_spe
+    fields = {
+        "xyz": np.reshape([h.position for h in qs.hints], (-1, 3)),
+        "confidence": np.array([h.confidence for h in qs.hints]),
+        "origin": np.array([ORIGIN_CODES[h.origin] for h in qs.hints]),
+        "content": qs.prior_content,
+        "spe": qs.prior_spe,
+    }
     _write(path, b"QRY2", [qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim],
-           rec, qs.no_prior.astype("<f4"), qs.semantic.astype("<f4"))
+           qs.no_prior.astype("<f4"), qs.semantic.astype("<f4"), records=(_prior_dtype(qs.dim), fields))
 
 
 def read_queries(path) -> QuerySet:
@@ -248,10 +262,7 @@ def read_queries(path) -> QuerySet:
 
 def write_provenance(path, idx3: np.ndarray, tags: np.ndarray):
     idx3 = _u16_indices(idx3)
-    rec = np.empty(len(idx3), dtype=PVOX_DTYPE)
-    rec["idx"] = idx3
-    rec["tag"] = np.asarray(tags, dtype=np.uint8)
-    _write(path, b"PVOX", [len(idx3)], rec)
+    _write(path, b"PVOX", [len(idx3)], records=(PVOX_DTYPE, {"idx": idx3, "tag": np.asarray(tags, dtype=np.uint8)}))
 
 
 def read_provenance(path) -> tuple[np.ndarray, np.ndarray]:

@@ -11,9 +11,10 @@ camera, every point whose pixel cell is set in a mask is collected into the
 mask's frustum, clustered with DBSCAN to split depth-overlapping objects, and
 each cluster centroid becomes a hint. DBSCAN bins the points into cubic cells
 of side eps / (2 * sqrt(3)), so points in the same or adjacent cells, or
-in cells two apart along one axis, are neighbours without a distance test,
-and only the points the cells leave undecided go through a k-d tree (Gan &
-Tao, "DBSCAN Revisited", SIGMOD 2015).
+in cells two apart along one axis, are neighbours without a distance test
+(Gan & Tao, "DBSCAN Revisited", SIGMOD 2015), and the cells, found by int64
+keys, also hold every other candidate pair, as in exact grid DBSCAN
+(Gunawan, "A faster algorithm for DBSCAN", 2013).
 Both hint groups are merged and thinned with farthest point sampling to a
 fixed budget; each surviving hint indexes the fused token of its voxel, or of
 the nearest occupied voxel, found in a growing window of (r, theta) columns
@@ -23,10 +24,10 @@ around it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import IndexOutOfRangeError
 from .grid import CylGrid, PointCloud, centroids_batch
@@ -223,11 +224,59 @@ def _within(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps * eps
 
 
+# the offsets after zero, in lexicographic order, of the cells linked outright
+# (at most one step on every axis, or two along one axis) and of the coarse
+# blocks around a block (at most one step on every axis); the mirror of each
+# is not among them
+_NEAR = np.array([d for d in itertools.product(range(-2, 3), repeat=3) if d > (0, 0, 0) and np.dot(d, d) <= 4])
+_CUBE = np.array([d for d in itertools.product(range(-1, 2), repeat=3) if d > (0, 0, 0)])
+_KEY_LIMIT = 2**63  # keys stay below int64's bound
+
+
+def _keys(rows: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 keys of the (n, 3) int64 rows, and (n, k) keys of each row plus each of the k steps.
+
+    The rows hold values >= 0 and the steps values in [-4, 4]. The keys of
+    the rows follow the rows' lexicographic order, and the key of a row plus
+    a step equals the key of a row only where that row is. One key holds
+    (x, y, z) with 4 empty places past the largest value of each axis, so a
+    step past the end of an axis lands on no row. Where that key would
+    overflow int64, (x, y) is keyed first, and the key is (rank of (x, y), z):
+    with compressed cell coordinates, that takes a cloud of more than about
+    420k points, and (x, y) alone holds for up to about 6e8.
+    """
+    span = rows.max(axis=0) + 5
+    if math.prod(span.tolist()) < _KEY_LIMIT:
+        keys = (rows[:, 0] * span[1] + rows[:, 1]) * span[2] + rows[:, 2]
+        return keys, keys[:, None] + (steps[:, 0] * span[1] + steps[:, 1]) * span[2] + steps[:, 2]
+    xy = rows[:, 0] * span[1] + rows[:, 1]
+    pairs, rank = np.unique(xy, return_inverse=True)
+    at = _lookup(pairs, xy[:, None] + steps[:, 0] * span[1] + steps[:, 1])
+    # a step to a missing (x, y) gets a negative key, which is no row's
+    return rank * span[2] + rows[:, 2], at * span[2] + rows[:, 2:] + steps[:, 2]
+
+
+def _lookup(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Position of each of q in the sorted distinct keys, or -1 where it is not among them."""
+    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[at] == q, at, -1)
+
+
+def _pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with i in range(a_start[s], a_start[s] + a_size[s]) and j in
+    range(b_start[s], b_start[s] + b_size[s]), segment pair s by segment pair."""
+    size = a_size * b_size
+    s = np.repeat(np.arange(len(size)), size)
+    k = np.arange(len(s)) - np.repeat(np.cumsum(size) - size, size)
+    return a_start[s] + k // b_size[s], b_start[s] + k % b_size[s]
+
+
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density clustering over 3D Euclidean distance.
 
-    Two points are neighbours when their distance, as `cKDTree` computes it,
-    is <= eps; a point is core when it has at least min_pts neighbours,
+    Two points are neighbours when their squared differences, summed over x,
+    y and z in that order, are <= eps * eps (`_within`, the rule of scipy's
+    `cKDTree`); a point is core when it has at least min_pts neighbours,
     counting itself. Clusters are the connected components of the graph of
     core-core neighbour pairs, numbered 0..C-1 by their lowest core index. A
     non-core point with core neighbours takes the smallest label among them;
@@ -235,24 +284,37 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     This is exactly the labeling of the classic expansion that seeds clusters
     in index order (Ester et al., KDD 1996).
 
-    The points are binned into cubic cells of side eps / (2 * sqrt(3)), shrunk
-    by a relative 1e-9 plus 4 machine epsilons for each cell the cloud's
-    extent spans, so any two points in the same or 26-adjacent cells are
-    within eps even after rounding. So are two points in cells two apart
+    Cells. The points are binned into cubic cells of side eps / (2 * sqrt(3)),
+    shrunk by a relative 1e-9 plus 4 machine epsilons for each cell the
+    cloud's extent spans, so any two points in the same or 26-adjacent cells
+    are within eps even after rounding. So are two points in cells two apart
     along one axis, which lie at most side * sqrt(11), about 0.96 eps, apart.
-    A cell's block is the cell itself, its 26 neighbours and the 6 cells two
-    apart along an axis. A point whose block holds min_pts points is core
-    without a distance test; only the others are counted by the k-d tree.
-    Core cells in one block are linked outright. Two core cells further apart
-    (offsets up to 4 cells whose boxes lie within eps) can still hold
-    neighbouring core points. Such a pair is kept only when its cells belong
-    to different components; then every core point of one cell is tested
-    against every core point of the other by `_within`, the distance rule of
-    `cKDTree`, and each pair within eps joins two components. Every distance
-    decision that the cells do not settle is made by that rule, so the labels
-    are exact under it. The k-d tree's distance can round to the other side
-    of eps than `np.linalg.norm(p - q)` for a pair within an ulp of eps, so
-    labels equal a norm-based expansion only when no pair lies on such a tie.
+    A cell's block is the cell itself, those 26 and the 6 cells two apart.
+    A point whose block holds min_pts points is core without a distance
+    test, and core cells in one block are linked outright.
+
+    Keys. Two points within eps lie at most 4 cells apart on every axis, so
+    each axis' occupied cell coordinates are compressed: a gap of more than
+    4 cells counts as 5, which keeps every offset up to 4 as it is and every
+    larger one above 4. A cell is then one int64 key (`_keys`), and all its
+    neighbour cells are found by one `np.searchsorted` over the sorted keys.
+
+    Coarse blocks. Cells group into coarse blocks of 4 x 4 x 4 compressed
+    cells, keyed the same way, and two points within eps always lie in the
+    same or adjacent coarse blocks. Every point the cells leave unsure is
+    tested against every point of the 27 coarse blocks around its own: this
+    gives its exact neighbour count and, if it is not core, its core
+    neighbours. Core cells in different components can still hold
+    neighbouring core points: the core points are grouped by (coarse block,
+    component), and each group is tested against the groups of other
+    components in its own and the adjacent coarse blocks, so no pair inside
+    one component is formed; each pair within eps joins two components.
+
+    Every distance decision that the cells do not settle is made by
+    `_within`, so the labels are exact under that rule. It can round to the
+    other side of eps than `np.linalg.norm(p - q)` for a pair within an ulp
+    of eps, so labels equal a norm-based expansion only when no pair lies on
+    such a tie.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -265,61 +327,81 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     side = eps / (2.0 * np.sqrt(3.0))
     side *= 1.0 - 1e-9 - 4.0 * np.finfo(np.float64).eps * rel.max() / side
     ijk = np.floor(rel / side)
-    order = np.lexsort(ijk.T[::-1])
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (ijk[order[1:]] != ijk[order[:-1]]).any(axis=1)
-    cell = np.empty(n, dtype=np.int64)
-    cell[order] = np.cumsum(starts) - 1
-    coords = ijk[order[starts]]
-    m = len(coords)
+    # each axis' cell coordinates, with every gap of more than 4 cells cut to 5
+    order, axes = np.argsort(ijk, axis=0), np.arange(3)
+    c = np.empty((n, 3), dtype=np.int64)
+    c[order, axes] = np.minimum(np.diff(ijk[order, axes], axis=0, prepend=0.0), 5.0).cumsum(axis=0)
+    key, reach = _keys(c, _NEAR)
+    cells, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    m = len(cells)
 
-    # cell pairs linked outright: at most one step apart on every axis
-    # (squared offsets sum to <= 3) or two apart along one axis (sum 4)
-    near = cKDTree(coords).query_pairs(2.0, output_type="ndarray")
-    a, b = near[:, 0], near[:, 1]
+    # pairs of cells linked outright, each pair once
+    nb = _lookup(cells, reach[first])
+    a, k = np.nonzero(nb >= 0)
+    b = nb[a, k]
     counts = np.bincount(cell, minlength=m)
-    block = counts + np.bincount(a, counts[b], m) + np.bincount(b, counts[a], m)
-    core = block[cell] >= min_pts
-    tree = cKDTree(pts)
-    unsure = np.flatnonzero(~core)
-    if len(unsure):
-        core[unsure] = tree.query_ball_point(pts[unsure], eps, return_length=True) >= min_pts
+    core = (counts + np.bincount(a, counts[b], m) + np.bincount(b, counts[a], m))[cell] >= min_pts
+    # the coarse blocks, the points of each and the blocks around each: the
+    # block itself, the 13 after it, then the 13 that it comes after
+    key, reach = _keys(c[first] // 4, _CUBE)
+    blocks, b_first, cell_block = np.unique(key, return_index=True, return_inverse=True)
+    nb = _lookup(blocks, reach[b_first])
+    around = np.full((len(blocks), 1 + 2 * len(_CUBE)), -1)
+    around[:, 0] = np.arange(len(blocks))
+    around[:, 1:1 + len(_CUBE)] = nb
+    ba, k = np.nonzero(nb >= 0)
+    around[nb[ba, k], 1 + len(_CUBE) + k] = ba
+    block = cell_block[cell]
+    by_block = np.argsort(block, kind="stable")
+    size = np.bincount(block, minlength=len(blocks))
+    start = np.cumsum(size) - size
 
+    # every point the cells leave unsure against every point of its coarse blocks
+    unsure = np.flatnonzero(~core)
+    dst = around[block[unsure]].reshape(-1)
+    i, j = _pairs(np.repeat(unsure, around.shape[1]), 1, start[dst], np.where(dst >= 0, size[dst], 0))
+    j = by_block[j]
+    hit = _within(pts[i], pts[j], eps)
+    i, j = i[hit], j[hit]
+    core[unsure] = np.bincount(i, minlength=n)[unsure] >= min_pts
+
+    # core cells linked outright
     core_cell = np.zeros(m, dtype=bool)
     core_cell[cell[core]] = True
-    comp = _components(near[core_cell[a] & core_cell[b]], m)
-    cc = np.flatnonzero(core_cell)
-    if len(np.unique(comp[cc])) > 1:
-        # core cells up to 4 steps apart (squared offsets sum to <= 27) whose
-        # components differ and whose boxes lie within eps of each other
-        far = cc[cKDTree(coords[cc]).query_pairs(5.2, output_type="ndarray")]
-        far = far[comp[far[:, 0]] != comp[far[:, 1]]]
-        gap = np.maximum(np.abs(coords[far[:, 0]] - coords[far[:, 1]]) - 1.0, 0.0)
-        far = far[(gap**2).sum(axis=1) <= 12.0]
-        # every core point of one cell against every core point of the other
-        by_cell = order[core[order]]  # core points, grouped by cell
-        ncore = np.bincount(cell[by_cell], minlength=m)
-        start = np.cumsum(ncore) - ncore
-        size = ncore[far[:, 0]] * ncore[far[:, 1]]
-        pair = np.repeat(np.arange(len(far)), size)
-        k = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
-        fa, fb = far[pair].T
-        hit = _within(pts[by_cell[start[fa] + k // ncore[fb]]], pts[by_cell[start[fb] + k % ncore[fb]]], eps)
-        links = np.unique(comp[fa[hit]] * m + comp[fb[hit]])  # one per pair of components
-        comp = _components(np.stack(np.divmod(links, m), axis=1), m)[comp]
+    link = core_cell[a] & core_cell[b]
+    comp = _components(np.stack([a[link], b[link]], axis=1), m)
+    if np.count_nonzero(comp[core_cell] == np.flatnonzero(core_cell)) > 1:  # two components or more
+        # groups of core points by (coarse block, component), in that order;
+        # each group against the groups of other components in its own block
+        # (each pair once) and in the 13 blocks after it
+        cp = np.flatnonzero(core)
+        groups, g = np.unique(block[cp] * m + comp[cell[cp]], return_inverse=True)
+        g_block, g_comp = np.divmod(groups, m)
+        members = cp[np.argsort(g, kind="stable")]
+        g_size = np.bincount(g, minlength=len(groups))
+        g_start = np.cumsum(g_size) - g_size
+        run = np.bincount(g_block, minlength=len(blocks))  # each block's groups
+        dst = around[g_block, :1 + len(_CUBE)].reshape(-1)
+        ga, gb = _pairs(np.repeat(np.arange(len(groups)), 1 + len(_CUBE)), 1,
+                        np.cumsum(run)[dst] - run[dst], np.where(dst >= 0, run[dst], 0))
+        cross = (g_comp[ga] != g_comp[gb]) & ((ga < gb) | (g_block[ga] != g_block[gb]))
+        ga, gb = ga[cross], gb[cross]
+        pa, pb = _pairs(g_start[ga], g_size[ga], g_start[gb], g_size[gb])
+        pa, pb = members[pa], members[pb]
+        hit = _within(pts[pa], pts[pb], eps)
+        joined = np.unique(comp[cell[pa[hit]]] * m + comp[cell[pb[hit]]])  # one per pair of components
+        comp = _components(np.stack(np.divmod(joined, m), axis=1), m)[comp]
 
     # number the clusters by their lowest core point
     core_comp = comp[cell[core]]
     _, first, inv = np.unique(core_comp, return_index=True, return_inverse=True)
     labels[core] = np.argsort(np.argsort(first))[inv]
-    # a border point takes the smallest label among its core neighbours
-    border = np.flatnonzero(~core)
-    if len(border):
-        nbrs = tree.query_ball_point(pts[border], eps)
-        lens = np.fromiter(map(len, nbrs), dtype=np.int64, count=len(border))
-        flat = np.fromiter(itertools.chain.from_iterable(nbrs), dtype=np.int64, count=int(lens.sum()))
-        best = np.minimum.reduceat(np.where(core[flat], labels[flat], n), np.cumsum(lens) - lens)
-        labels[border] = np.where(best < n, best, -1)
+    # a non-core point takes the smallest label among its core neighbours,
+    # which are among the pairs tested for the unsure points
+    border = ~core[i] & core[j]
+    best = np.full(n, n)
+    np.minimum.at(best, i[border], labels[j[border]])
+    labels[best < n] = best[best < n]
     return labels
 
 

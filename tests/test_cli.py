@@ -2,6 +2,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -800,3 +804,13 @@ class TestPerProcessReuse:
         assert cli._feature_maps(args, cfg, cams)[1].data is maps[1].data
         with pytest.raises(ValueError):
             maps[0].data[0, 0, 0] = 1.0
+
+
+def test_import_loads_no_scipy_spatial():
+    # `scipy.spatial` holds about 16 MB of resident memory and 0.2 s of start-up;
+    # the test modules import it for their oracles, so a fresh interpreter checks
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, cylpano.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

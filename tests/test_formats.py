@@ -456,6 +456,25 @@ class TestReadMemory:
         peak = self._traced_peak(formats.read_point_cloud, path)
         assert peak < 1.5 * path.stat().st_size
 
+
+class TestWriteMemory:
+    """A writer passes its records through a bounded chunk, not a whole record array."""
+
+    def test_write_tokens_peaks_below_half_the_file(self, tmp_path):
+        spec = CylGridSpec()
+        flat = np.arange(20_000, dtype=np.int64) * 97
+        tokens = TokenSet(spec, flat, np.random.default_rng(2).standard_normal((len(flat), 256)).astype(np.float32))
+        path = tmp_path / "t.toks"
+        tracemalloc.start()
+        try:
+            formats.write_tokens(path, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
+        idx3, content = formats.read_tokens(path, spec)
+        assert np.array_equal(idx3, tokens.indices3) and np.array_equal(content, tokens.content)
+
 def random_bits(rng, shape, dtype):
     """Arrays of arbitrary bit patterns, NaNs and infinities included for floats."""
     dtype = np.dtype(dtype)

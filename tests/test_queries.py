@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +11,7 @@ from cylpano.config import QueryConfig
 from cylpano.formats import read_point_cloud, write_point_cloud
 from cylpano.geometry import cart_to_polar
 from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, voxelize
+from cylpano import queries
 from cylpano.queries import (
     LocationHint,
     Mask2D,
@@ -21,6 +25,7 @@ from cylpano.queries import (
     lift_peaks_to_3d,
     nms_peaks,
     texture_hints,
+    _keys,
     _within,
 )
 from cylpano.synth import SceneConfig, generate_scene, ring_camera
@@ -110,6 +115,20 @@ def reference_masks():
     out = []
     for seed in range(4):
         synth = generate_scene(SceneConfig(rng_seed=seed, **gen))
+        cloud, cams = synth.sample.cloud, synth.sample.cams
+        pixels = [camera_pixels(cloud, cam) for cam in cams]
+        for mask in synth.masks:
+            idx = frustum_points(mask, cams[mask.camera_id], pixels[mask.camera_id])
+            out.append(cloud.xyz[idx].astype(np.float64))
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_masks():
+    """Frustum points of every mask of the default `init-config` scene, seeds 0-39."""
+    out = []
+    for seed in range(40):
+        synth = generate_scene(SceneConfig(rng_seed=seed))
         cloud, cams = synth.sample.cloud, synth.sample.cams
         pixels = [camera_pixels(cloud, cam) for cam in cams]
         for mask in synth.masks:
@@ -522,6 +541,84 @@ class TestDbscan:
         # exact-label tests above stop at 60 points
         for pts in reference_masks:
             assert np.array_equal(dbscan(pts, 0.8, 5), pairs_dbscan(pts, 0.8, 5))
+
+    def test_labels_equal_pairs_oracle_on_default_config_masks(self, default_masks):
+        assert len(default_masks) > 100
+        for pts in default_masks:
+            assert np.array_equal(dbscan(pts, 0.8, 5), pairs_dbscan(pts, 0.8, 5))
+
+    @pytest.mark.parametrize("gap", [4, 5, 6])
+    def test_labels_equal_pairs_oracle_across_axis_gaps(self, gap):
+        # occupied cell coordinates exactly `gap` cells apart on every axis, at
+        # the bound where the keys cut a gap of more than 4 cells to 5; points
+        # sit near the cells' faces, so across a gap of 4 some pairs are within
+        # eps and across 5 or 6 none is
+        eps = 1.0
+        side = eps / (2.0 * np.sqrt(3.0))
+        rng = np.random.default_rng(40 + gap)
+        across = 0
+        for _ in range(30):
+            n = int(rng.integers(8, 60))
+            frac = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.02, 0.2, (n, 3)), rng.uniform(0.8, 0.98, (n, 3)))
+            pts = np.concatenate([np.zeros((1, 3)), (rng.integers(0, 3, (n, 3)) * gap + frac) * side])
+            min_pts = int(rng.integers(1, 5))
+            assert np.array_equal(dbscan(pts, eps, min_pts), pairs_dbscan(pts, eps, min_pts))
+            i, j = cKDTree(pts).query_pairs(eps, output_type="ndarray").T
+            across += np.count_nonzero((np.abs(np.floor(pts[i] / side) - np.floor(pts[j] / side)) == gap).any(axis=1))
+        assert (across > 0) == (gap == 4)
+
+    @pytest.mark.parametrize("eps, lo, hi", [(1e-6, 0.0, 1e4), (0.8, 1e4, 1e4 + 4.0), (1e-6, 1e4, 2e4)])
+    def test_labels_equal_pairs_oracle_at_extreme_scales(self, eps, lo, hi):
+        # tiny eps over a 10 km extent (about 3.5e10 cells per axis) and a cloud
+        # 10 km from the origin; partners within a few eps make clusters at every scale
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            base = rng.uniform(lo, hi, (int(rng.integers(1, 30)), 3))
+            pts = np.concatenate([base, base + rng.uniform(-eps, eps, base.shape), base[::2] + eps * 0.5])
+            min_pts = int(rng.integers(1, 4))
+            assert np.array_equal(dbscan(pts, eps, min_pts), pairs_dbscan(pts, eps, min_pts))
+
+    def test_labels_equal_pairs_oracle_on_duplicate_points(self):
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            base = rng.uniform(0, 3, (int(rng.integers(1, 6)), 3))
+            pts = base[rng.integers(0, len(base), int(rng.integers(1, 60)))]
+            eps, min_pts = float(rng.choice([0.2, 0.8, 1.5])), int(rng.integers(1, 12))
+            assert np.array_equal(dbscan(pts, eps, min_pts), pairs_dbscan(pts, eps, min_pts))
+        assert dbscan(np.ones((7, 3)), 0.5, 7).tolist() == [0] * 7  # one cell holds every point
+        assert dbscan(np.ones((7, 3)), 0.5, 8).tolist() == [-1] * 7
+
+    def test_keys_past_int64_are_exact(self):
+        # two clusters of rows 2**21 apart on every axis: one (x, y, z) key
+        # would pass int64, so the keys rank (x, y) first
+        rng = np.random.default_rng(43)
+        rows = np.concatenate([rng.integers(0, 6, (40, 3)), 2**21 + rng.integers(0, 6, (40, 3))])
+        assert math.prod((rows.max(axis=0) + 5).tolist()) >= 2**63
+        steps = np.array(list(itertools.product(range(-4, 5), repeat=3)))
+        keys, reach = _keys(rows, steps)
+        order = np.lexsort(rows.T[::-1])
+        assert (np.diff(keys[order]) >= 0).all()
+        key_of = {}
+        for row, key in zip(map(tuple, rows.tolist()), keys.tolist()):
+            assert key_of.setdefault(row, key) == key  # equal rows, equal keys
+        assert len(set(key_of.values())) == len(key_of)  # distinct rows, distinct keys
+        rows_of = {key: row for row, key in key_of.items()}
+        for r, row in enumerate(rows):
+            for s, step in enumerate(steps):
+                assert rows_of.get(int(reach[r, s]), tuple((row + step).tolist())) == tuple((row + step).tolist())
+                assert (int(reach[r, s]) in rows_of) == (tuple((row + step).tolist()) in key_of)
+
+    def test_labels_equal_pairs_oracle_with_ranked_keys(self, monkeypatch, reference_masks):
+        # every key takes the ranked (x, y) path that clouds of more than about
+        # 420k points need; its labels equal the oracle's as the one-key path's do
+        monkeypatch.setattr(queries, "_KEY_LIMIT", 0)
+        rng = np.random.default_rng(44)
+        for pts in reference_masks[::3]:
+            assert np.array_equal(dbscan(pts, 0.8, 5), pairs_dbscan(pts, 0.8, 5))
+        for _ in range(40):
+            pts, eps = rng.uniform(0, 4, (int(rng.integers(1, 60)), 3)), float(rng.uniform(0.3, 1.5))
+            min_pts = int(rng.integers(1, 7))
+            assert np.array_equal(dbscan(pts, eps, min_pts), pairs_dbscan(pts, eps, min_pts))
 
     def test_empty_input(self):
         got = dbscan(np.zeros((0, 3)), 1.0, 3)
