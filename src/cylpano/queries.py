@@ -241,17 +241,19 @@ def _keys(rows: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a step equals the key of a row only where that row is. One key holds
     (x, y, z) with 4 empty places past the largest value of each axis, so a
     step past the end of an axis lands on no row. Where that key would
-    overflow int64, (x, y) is keyed first, and the key is (rank of (x, y), z):
-    with compressed cell coordinates, that takes a cloud of more than about
-    420k points, and (x, y) alone holds for up to about 6e8.
+    overflow int64, the key is (rank of (x, y), z): with compressed cell
+    coordinates, that takes a cloud of more than about 420k points, and
+    (x, y) alone holds for up to about 6e8. Ranking every time would cost
+    each call one more sort and one more lookup.
     """
     span = rows.max(axis=0) + 5
-    if math.prod(span.tolist()) < _KEY_LIMIT:
-        keys = (rows[:, 0] * span[1] + rows[:, 1]) * span[2] + rows[:, 2]
-        return keys, keys[:, None] + (steps[:, 0] * span[1] + steps[:, 1]) * span[2] + steps[:, 2]
     xy = rows[:, 0] * span[1] + rows[:, 1]
+    dxy = steps[:, 0] * span[1] + steps[:, 1]
+    if math.prod(span.tolist()) < _KEY_LIMIT:
+        keys = xy * span[2] + rows[:, 2]
+        return keys, keys[:, None] + (dxy * span[2] + steps[:, 2])
     pairs, rank = np.unique(xy, return_inverse=True)
-    at = _lookup(pairs, xy[:, None] + steps[:, 0] * span[1] + steps[:, 1])
+    at = _lookup(pairs, xy[:, None] + dxy)
     # a step to a missing (x, y) gets a negative key, which is no row's
     return rank * span[2] + rows[:, 2], at * span[2] + rows[:, 2:] + steps[:, 2]
 

@@ -463,7 +463,7 @@ class TestWriteMemory:
     def test_write_tokens_peaks_below_half_the_file(self, tmp_path):
         spec = CylGridSpec()
         flat = np.arange(20_000, dtype=np.int64) * 97
-        tokens = TokenSet(spec, flat, np.random.default_rng(2).standard_normal((len(flat), 256)).astype(np.float32))
+        tokens = TokenSet(spec, flat, np.random.default_rng(2).standard_normal((len(flat), 128)).astype(np.float32))
         path = tmp_path / "t.toks"
         tracemalloc.start()
         try:
@@ -474,6 +474,7 @@ class TestWriteMemory:
         assert peak < 0.5 * path.stat().st_size
         idx3, content = formats.read_tokens(path, spec)
         assert np.array_equal(idx3, tokens.indices3) and np.array_equal(content, tokens.content)
+
 
 def random_bits(rng, shape, dtype):
     """Arrays of arbitrary bit patterns, NaNs and infinities included for floats."""
