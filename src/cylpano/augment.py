@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, InsufficientInstancesError, ShapeMismatchError, SpecMismatchError
 from .geometry import CameraModel, InstanceTransform, similarity_matrix, transform_camera, transform_instance
-from .grid import CylGrid, CylGridSpec, PairingTable, PointCloud, _checked_indices, pair_voxel_image, voxelize
+from .grid import CylGrid, CylGridSpec, PairingTable, PointCloud, _checked_indices, pair_voxel_image, ranges, voxelize
 
 AXES = ("radius", "angle", "height")  # in the order of CylGridSpec.shape
 
@@ -161,7 +161,7 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     perm = np.argsort(voxel_ids, kind="stable")  # merges the two sorted runs
     counts = counts[perm]
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    order = np.repeat(run_starts[perm] - starts[:-1], counts) + np.arange(starts[-1])
+    order = ranges(run_starts[perm], counts)
     return CylGrid(
         org.spec, merged, voxel_ids[perm], starts, order, np.zeros(0, dtype=np.int64), source[perm]
     )

@@ -25,7 +25,7 @@ from .config import PipelineConfig, load_config, save_config
 from .errors import BadConfigError, PipelineError, ShapeMismatchError
 from .grid import voxelize
 from .metrics import ClassTable, SegLabeling, evaluate
-from .queries import assemble_queries, build_bev_heatmap, geometric_hints, texture_hints
+from .queries import assemble_queries, build_bev_heatmap, geometric_hints, placeholder_queries, texture_hints
 from .synth import generate_scene, render_overlay
 from .tokens import FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, containing_rows
 
@@ -158,7 +158,7 @@ _PLACEHOLDER_MAPS: dict[tuple, np.ndarray] = {}
 
 
 def _draw_placeholder(seed: int, k: int, h: int, w: int, dim: int) -> np.ndarray:
-    data = np.random.default_rng([seed, k]).standard_normal((h, w, dim)).astype(np.float32)
+    data = placeholder_queries(h * w, dim, seed, k).reshape(h, w, dim)
     data.flags.writeable = False  # every later call with the same key shares it
     return data
 

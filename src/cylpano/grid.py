@@ -125,12 +125,13 @@ class CylGridSpec:
     def bin_points(self, polar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Assign polar triples to bins: returns ((N, 3) int32 indices, (N,) inside mask).
 
-        Indices follow floor((val - lo) / (hi - lo) * bins), clipped so that
-        values exactly on the upper range edge fall in the last bin. Within a
-        few ulps of an interior edge that formula and the `linspace` edges can
-        round to opposite sides, so such values are checked against the edges
-        and moved to the neighbouring bin: every in-range value then satisfies
-        edges[i] <= v < edges[i + 1], or v <= edges[-1] in the last bin.
+        Each index starts as floor((val - lo) / (hi - lo) * bins), clipped to
+        the bins. Within a few ulps of an edge that formula and the `linspace`
+        edges can round to opposite sides, so the edges decide: a value below
+        its bin's lower edge steps down one bin, then a value at or past its
+        bin's upper edge steps up one, and the index is clipped again. Every
+        in-range value then satisfies edges[i] <= v < edges[i + 1], or
+        v <= edges[-1] in the last bin.
         """
         polar = np.asarray(polar, dtype=np.float64).reshape(-1, 3)
         rho, theta, z = polar.T
@@ -156,19 +157,35 @@ def _edge_bins(vals: np.ndarray, lo: float, hi: float, bins: int, edges: np.ndar
     scaled = vals - lo
     scaled *= bins / (hi - lo)
     idx = np.floor(scaled)
-    nearest = np.rint(scaled)
-    scaled -= nearest
-    # Rounding in `scaled` and in the edges is a few ulps of the range's magnitude,
-    # so only values that close to an edge can sit on its wrong side; they take
-    # the bin above the edge if they reach it, else the bin below.
-    tol = 64 * np.finfo(np.float64).eps * bins * (1.0 + max(abs(lo), abs(hi)) / (hi - lo))
-    near = np.flatnonzero(np.abs(scaled, out=scaled) <= tol)
     np.clip(idx, 0, bins - 1, out=idx)
     idx = idx.astype(np.int64)
-    if len(near):
-        k = np.clip(nearest[near], 0, bins).astype(np.int64)
-        idx[near] = np.clip(k - (vals[near] < edges[k]), 0, bins - 1)
-    return idx
+    # the scaled floor is off by at most one bin, within a few ulps of an edge
+    idx -= vals < np.take(edges, idx)
+    idx += vals >= np.take(edges, idx + 1)
+    return np.clip(idx, 0, bins - 1, out=idx)
+
+
+def lookup(keys: np.ndarray, q) -> np.ndarray:
+    """Position of each of q, of any shape or a scalar, in the sorted distinct keys; -1 where it is not among them."""
+    if len(keys) == 0:
+        return np.full(np.shape(q), -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[at] == q, at, -1)
+
+
+def ranges(starts, sizes: np.ndarray) -> np.ndarray:
+    """The concatenation of range(starts[s], starts[s] + sizes[s]) over segments s; a scalar start serves them all."""
+    ends = np.cumsum(sizes)
+    return np.arange(sizes.sum()) + np.repeat(starts - (ends - sizes), sizes)
+
+
+def segment_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with i in range(a_start[s], a_start[s] + a_size[s]) and j in range(b_start[s],
+    b_start[s] + b_size[s]), segment pair s by segment pair and j fastest; one size may be a scalar."""
+    size = a_size * b_size
+    s = np.repeat(np.arange(len(size)), size)
+    k = ranges(0, size)
+    return a_start[s] + k // b_size[s], b_start[s] + k % b_size[s]
 
 
 @dataclass
@@ -179,10 +196,8 @@ class PairingTable:
     rects: np.ndarray  # (n, 4) int32: u_min, v_min, u_max, v_max (inclusive)
 
     def rect_of(self, flat_id: int) -> np.ndarray | None:
-        i = np.searchsorted(self.flat_ids, flat_id)
-        if i < len(self.flat_ids) and self.flat_ids[i] == flat_id:
-            return self.rects[i]
-        return None
+        i = int(lookup(self.flat_ids, flat_id))
+        return self.rects[i] if i >= 0 else None
 
 
 @dataclass
@@ -224,14 +239,10 @@ class CylGrid:
         """Rows of the occupied voxels of flat (r, theta) columns, column after column, and each column's count."""
         lo = np.searchsorted(self.voxel_ids, cols * self.spec.z_bins)
         sizes = np.searchsorted(self.voxel_ids, (cols + 1) * self.spec.z_bins) - lo
-        ends = np.cumsum(sizes)
-        return np.arange(sizes.sum()) + np.repeat(lo - (ends - sizes), sizes), sizes
+        return ranges(lo, sizes), sizes
 
     def row_of(self, flat_id: int) -> int:
-        i = int(np.searchsorted(self.voxel_ids, flat_id))
-        if i < self.num_voxels and self.voxel_ids[i] == flat_id:
-            return i
-        return -1
+        return int(lookup(self.voxel_ids, flat_id))
 
 
 def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRangeError
-from .grid import CylGrid, PointCloud, centroids_batch
+from .grid import CylGrid, PointCloud, centroids_batch, lookup, segment_pairs
 from .geometry import CameraModel, cart_to_polar, valid_projections
 from .tokens import SpeParams, TokenSet, nearest_occupied_rows, spe_batch
 
@@ -253,24 +253,9 @@ def _keys(rows: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = xy * span[2] + rows[:, 2]
         return keys, keys[:, None] + (dxy * span[2] + steps[:, 2])
     pairs, rank = np.unique(xy, return_inverse=True)
-    at = _lookup(pairs, xy[:, None] + dxy)
+    at = lookup(pairs, xy[:, None] + dxy)
     # a step to a missing (x, y) gets a negative key, which is no row's
     return rank * span[2] + rows[:, 2], at * span[2] + rows[:, 2:] + steps[:, 2]
-
-
-def _lookup(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Position of each of q in the sorted distinct keys, or -1 where it is not among them."""
-    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    return np.where(keys[at] == q, at, -1)
-
-
-def _pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
-    """Every (i, j) with i in range(a_start[s], a_start[s] + a_size[s]) and j in
-    range(b_start[s], b_start[s] + b_size[s]), segment pair s by segment pair."""
-    size = a_size * b_size
-    s = np.repeat(np.arange(len(size)), size)
-    k = np.arange(len(s)) - np.repeat(np.cumsum(size) - size, size)
-    return a_start[s] + k // b_size[s], b_start[s] + k % b_size[s]
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -299,7 +284,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     each axis' occupied cell coordinates are compressed: a gap of more than
     4 cells counts as 5, which keeps every offset up to 4 as it is and every
     larger one above 4. A cell is then one int64 key (`_keys`), and all its
-    neighbour cells are found by one `np.searchsorted` over the sorted keys.
+    neighbour cells are found by one `lookup` among the sorted keys.
 
     Coarse blocks. Cells group into coarse blocks of 4 x 4 x 4 compressed
     cells, keyed the same way, and two points within eps always lie in the
@@ -338,21 +323,16 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     m = len(cells)
 
     # pairs of cells linked outright, each pair once
-    nb = _lookup(cells, reach[first])
+    nb = lookup(cells, reach[first])
     a, k = np.nonzero(nb >= 0)
     b = nb[a, k]
     counts = np.bincount(cell, minlength=m)
     core = (counts + np.bincount(a, counts[b], m) + np.bincount(b, counts[a], m))[cell] >= min_pts
     # the coarse blocks, the points of each and the blocks around each: the
     # block itself, the 13 after it, then the 13 that it comes after
-    key, reach = _keys(c[first] // 4, _CUBE)
+    key, reach = _keys(c[first] // 4, np.concatenate([np.zeros((1, 3), dtype=np.int64), _CUBE, -_CUBE]))
     blocks, b_first, cell_block = np.unique(key, return_index=True, return_inverse=True)
-    nb = _lookup(blocks, reach[b_first])
-    around = np.full((len(blocks), 1 + 2 * len(_CUBE)), -1)
-    around[:, 0] = np.arange(len(blocks))
-    around[:, 1:1 + len(_CUBE)] = nb
-    ba, k = np.nonzero(nb >= 0)
-    around[nb[ba, k], 1 + len(_CUBE) + k] = ba
+    around = lookup(blocks, reach[b_first])
     block = cell_block[cell]
     by_block = np.argsort(block, kind="stable")
     size = np.bincount(block, minlength=len(blocks))
@@ -361,7 +341,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     # every point the cells leave unsure against every point of its coarse blocks
     unsure = np.flatnonzero(~core)
     dst = around[block[unsure]].reshape(-1)
-    i, j = _pairs(np.repeat(unsure, around.shape[1]), 1, start[dst], np.where(dst >= 0, size[dst], 0))
+    i, j = segment_pairs(np.repeat(unsure, around.shape[1]), 1, start[dst], np.where(dst >= 0, size[dst], 0))
     j = by_block[j]
     hit = _within(pts[i], pts[j], eps)
     i, j = i[hit], j[hit]
@@ -384,11 +364,11 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         g_start = np.cumsum(g_size) - g_size
         run = np.bincount(g_block, minlength=len(blocks))  # each block's groups
         dst = around[g_block, :1 + len(_CUBE)].reshape(-1)
-        ga, gb = _pairs(np.repeat(np.arange(len(groups)), 1 + len(_CUBE)), 1,
-                        np.cumsum(run)[dst] - run[dst], np.where(dst >= 0, run[dst], 0))
+        ga, gb = segment_pairs(np.repeat(np.arange(len(groups)), 1 + len(_CUBE)), 1,
+                               np.cumsum(run)[dst] - run[dst], np.where(dst >= 0, run[dst], 0))
         cross = (g_comp[ga] != g_comp[gb]) & ((ga < gb) | (g_block[ga] != g_block[gb]))
         ga, gb = ga[cross], gb[cross]
-        pa, pb = _pairs(g_start[ga], g_size[ga], g_start[gb], g_size[gb])
+        pa, pb = segment_pairs(g_start[ga], g_size[ga], g_start[gb], g_size[gb])
         pa, pb = members[pa], members[pb]
         hit = _within(pts[pa], pts[pb], eps)
         joined = np.unique(comp[cell[pa[hit]]] * m + comp[cell[pb[hit]]])  # one per pair of components

@@ -33,7 +33,7 @@ from scipy import sparse
 
 from .errors import DimensionMismatchError, NoValidProjectionError
 from .geometry import TWO_PI, CameraModel, cart_to_polar, valid_projections
-from .grid import CylGrid, CylGridSpec, centroids_batch, extreme_points_batch
+from .grid import CylGrid, CylGridSpec, centroids_batch, extreme_points_batch, lookup, segment_pairs
 
 
 @dataclass
@@ -430,11 +430,7 @@ def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
     """Row of the occupied voxel containing each position, -1 where there is none."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     idx, inside = grid.spec.bin_points(cart_to_polar(pos))
-    flat = grid.spec.flatten(idx)
-    i = np.searchsorted(grid.voxel_ids, flat)
-    hit = inside & (i < grid.num_voxels)
-    hit[hit] = grid.voxel_ids[i[hit]] == flat[hit]
-    return np.where(hit, i, -1)
+    return np.where(inside, lookup(grid.voxel_ids, grid.spec.flatten(idx)), -1)
 
 
 def nearest_occupied_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:
@@ -500,13 +496,9 @@ def _window_search(grid: CylGrid, pos: np.ndarray) -> np.ndarray:
         b = np.minimum(ir[todo] + h, r_bins - 1)
         n_t = np.minimum(2 * k + 1, theta_bins)
         # the window's columns, row by row, then their occupied voxels
-        n_cols = (b - a + 1) * n_t
-        win = np.repeat(np.arange(len(todo)), n_cols)
-        j = np.arange(n_cols.sum()) - np.repeat(np.cumsum(n_cols) - n_cols, n_cols)
-        first = np.where(n_t == theta_bins, 0, it[todo] - k)
-        col = (a[win] + j // n_t[win]) * theta_bins + (first[win] + j % n_t[win]) % theta_bins
-        rows, sizes = grid.column_rows(col)
-        owner = np.repeat(win, sizes)
+        r, t = segment_pairs(a, b - a + 1, np.where(n_t == theta_bins, 0, it[todo] - k), n_t)
+        rows, sizes = grid.column_rows(r * theta_bins + t % theta_bins)
+        owner = np.repeat(np.repeat(np.arange(len(todo)), (b - a + 1) * n_t), sizes)
         dist = np.linalg.norm(centroids_batch(spec.unflatten(grid.voxel_ids[rows]), spec) - pos[todo][owner], axis=1)
         # each window's least distance and the lowest row at it
         per_win = np.bincount(owner, minlength=len(todo))

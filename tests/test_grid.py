@@ -10,7 +10,10 @@ from cylpano.grid import (
     PointCloud,
     centroids_batch,
     extreme_points_batch,
+    lookup,
     pair_voxel_image,
+    ranges,
+    segment_pairs,
     voxelize,
 )
 from cylpano.synth import ring_camera
@@ -408,3 +411,59 @@ class TestPairing:
         _, _, valid = valid_projections(centroid, cam)
         assert not valid[0]  # the virtual center misses the image
         assert grid.pairings[0].rect_of(int(grid.voxel_ids[0])) is not None
+
+
+class TestSortedKeyPrimitives:
+    """`lookup`, `ranges` and `segment_pairs` against brute-force Python loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(-50, 50), max_size=12), st.lists(st.integers(-60, 60), max_size=30))
+    def test_lookup_equals_a_loop(self, keys, queries):
+        keys = sorted(keys)
+        found = lookup(np.array(keys, dtype=np.int64), np.array(queries, dtype=np.int64))
+        assert found.dtype == np.int64
+        assert found.tolist() == [keys.index(q) if q in keys else -1 for q in queries]
+
+    def test_lookup_below_above_and_between_keys_of_any_shape(self):
+        keys = np.array([3, 7, 20])
+        q = np.array([[-5, 3, 5], [7, 20, 21]])  # below the first, a key, between, keys, above the last
+        assert lookup(keys, q).tolist() == [[-1, 0, -1], [1, 2, -1]]
+        assert lookup(keys, 7).shape == ()
+        assert int(lookup(keys, 7)) == 1 and int(lookup(keys, 8)) == -1
+
+    def test_empty_keys_give_minus_one_everywhere(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert lookup(empty, np.array([[0, 1], [2, 3]])).tolist() == [[-1, -1], [-1, -1]]
+        assert int(lookup(empty, 4)) == -1
+        assert lookup(empty, np.zeros(0, dtype=np.int64)).tolist() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 4)), max_size=10))
+    def test_ranges_equals_a_loop(self, segments):
+        starts = np.array([a for a, _ in segments], dtype=np.int64)
+        sizes = np.array([n for _, n in segments], dtype=np.int64)
+        assert ranges(starts, sizes).tolist() == [i for a, n in segments for i in range(a, a + n)]
+
+    def test_ranges_of_zero_sizes_and_of_a_scalar_start(self):
+        assert ranges(np.array([5, 9, 2]), np.array([2, 0, 3])).tolist() == [5, 6, 2, 3, 4]
+        assert ranges(np.array([5, 9]), np.array([0, 0])).tolist() == []
+        assert ranges(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).tolist() == []
+        assert ranges(10, np.array([2, 0, 3])).tolist() == [10, 11, 10, 11, 12]
+        assert ranges(0, np.array([0, 0])).tolist() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 3), st.integers(-9, 9), st.integers(0, 3)),
+                    max_size=8))
+    def test_segment_pairs_equals_a_loop(self, segments):
+        i, j = segment_pairs(*(np.array([seg[c] for seg in segments], dtype=np.int64) for c in range(4)))
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (x, y) for a, n, b, m in segments for x in range(a, a + n) for y in range(b, b + m)]
+
+    def test_segment_pairs_with_a_zero_size_side_or_a_scalar_size(self):
+        for a_size, b_size in (([0, 2], [3, 1]), ([2, 1], [0, 2])):  # segment 0 is empty on one side
+            i, j = segment_pairs(np.array([0, 10]), np.array(a_size), np.array([100, 200]), np.array(b_size))
+            assert list(zip(i.tolist(), j.tolist())) == [
+                (x, y) for a, n, b, m in zip([0, 10], a_size, [100, 200], b_size)
+                for x in range(a, a + n) for y in range(b, b + m)]
+        i, j = segment_pairs(np.array([4, 8]), 1, np.array([0, 5]), np.array([2, 0]))
+        assert (i.tolist(), j.tolist()) == ([4, 4], [0, 1])

@@ -21,7 +21,8 @@ that selects a branch no caller takes, or a default that only tests take
 fails these checks; its tests belong on the form that stays. A value whose
 default the config sections hold reaches a stage function from its caller,
 so the function repeats no default of its own. Each allow-list entry says
-why it stays.
+why it stays, and names a definition, method, parameter or field that still
+exists, so that no stale entry covers a future name.
 
 A sixth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
 `cylpano` module must replace a name that module's own code loads, or the
@@ -237,6 +238,18 @@ def test_every_dataclass_field_is_read_outside_tests():
     found = {f"{owner}.{name}": generic or name in used for owner, name, generic in _dataclass_fields()}
     assert set(ALLOWED_FIELDS) <= set(found)  # no entry outlives its field
     assert [qual for qual, read in found.items() if not read and qual not in ALLOWED_FIELDS] == []
+
+
+def test_no_allow_list_entry_outlives_its_target():
+    """An exemption whose function, method or parameter is gone would cover a future one of that name."""
+    defs = {node.name for tree in MODULES.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    methods = {f"{owner}.{node.name}" for owner, node in _public_defs() if owner}
+    params = {f"{owner}.{node.name}({param})" if owner else f"{node.name}({param})"
+              for owner, node in _public_defs() for param, _ in _optional_params(owner, node)}
+    assert sorted(set(ALLOWED) - defs) == []
+    assert sorted(set(ALLOWED_METHODS) - methods) == []
+    assert sorted(set(ALLOWED_PARAMS) - params) == []
 
 
 def test_package_namespace_binds_only_the_version():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -30,7 +31,7 @@ from cylpano.queries import (
 )
 from cylpano.synth import SceneConfig, generate_scene, ring_camera
 from cylpano.tokens import (
-    SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_rows,
+    FeatureMap, SpeParams, VoxelFeatures, build_tokens, containing_rows, nearest_occupied_rows,
 )
 
 from oracles import (
@@ -879,3 +880,74 @@ class TestTextureHints:
 
         with pytest.raises(ValueError):
             texture_hints(masks + [Mask2D(0, np.ones((72, 95), bool))], cloud, cams, eps=0.8, min_pts=5)
+
+
+# an even theta bin count, so a half turn is a whole number of bins
+HALF_TURN_SPEC = CylGridSpec(100, 72, 16, (0.0, 25.0), (-3.0, 3.0))
+
+
+def fused_scene(cloud, cams):
+    """The grid, the fused tokens and the gt_gaussian heatmap of a cloud on `HALF_TURN_SPEC`."""
+    grid = voxelize(cloud, HALF_TURN_SPEC)
+    dim = 16
+    rng = np.random.default_rng(0)
+    fmaps = [FeatureMap(rng.standard_normal((c.height // 8, c.width // 8, dim)).astype(np.float32), c.width, c.height)
+             for c in cams]
+    tokens = build_tokens(grid, VoxelFeatures.stats_placeholder(grid, dim, 0), fmaps, cams,
+                          SpeParams.create(HALF_TURN_SPEC, dim, 0))
+    return grid, tokens, build_bev_heatmap(grid, "gt_gaussian", 2.0)
+
+
+class TestMetamorphicRelations:
+    """How whole-scene outputs move under input transforms that should not matter
+    (Chen et al., "Metamorphic Testing: A Review of Challenges and Opportunities", ACM Computing Surveys, 2018)."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        sample = generate_scene(SceneConfig(rng_seed=3)).sample
+        cloud = sample.cloud
+        cloud.source = np.random.default_rng(1).integers(0, 3, len(cloud)).astype(np.uint8)
+        return cloud, sample.cams, fused_scene(cloud, sample.cams)
+
+    def test_point_shuffle_keeps_voxels_tags_tokens_and_geometric_hints(self, scene):
+        cloud, cams, (grid, tokens, heat) = scene
+        perm = np.random.default_rng(2).permutation(len(cloud))
+        s_grid, s_tokens, s_heat = fused_scene(cloud.select(perm), cams)
+        assert np.array_equal(s_grid.voxel_ids, grid.voxel_ids)
+        assert np.array_equal(s_grid.counts, grid.counts)
+        point_row = np.empty(len(cloud), dtype=np.int64)
+        point_row[grid.order] = grid.point_rows
+        assert np.array_equal(point_row[perm[s_grid.order]], s_grid.point_rows)  # each point keeps its voxel
+        assert len(np.unique(grid.source)) == 3
+        assert np.array_equal(s_grid.source, grid.source)
+        assert 0 < tokens.image_valid.sum() < len(tokens)
+        assert np.array_equal(s_tokens.image_valid, tokens.image_valid)
+        assert s_tokens.content.tobytes() == tokens.content.tobytes()
+        qc = QueryConfig()
+        radius = qc.radius_in_bins(HALF_TURN_SPEC)
+        hints, s_hints = (geometric_hints(g, h, qc.nms_conf_thresh, radius, qc.nms_max_peaks)
+                          for g, h in ((grid, heat), (s_grid, s_heat)))
+        assert len(hints) > 0
+        assert [(h.position.tobytes(), h.confidence) for h in s_hints] == [
+            (h.position.tobytes(), h.confidence) for h in hints]
+
+    def test_rotation_by_pi_moves_every_voxel_half_a_turn_and_rolls_the_heatmap(self, scene):
+        cloud, cams, (grid, tokens, heat) = scene
+        turned = PointCloud(cloud.xyz * [-1.0, -1.0, 1.0], cloud.intensity, cloud.semantic, cloud.instance,
+                            cloud.source)
+        turned_cams = []
+        for cam in cams:
+            extrinsic = cam.extrinsic.copy()
+            extrinsic[:3, :2] *= -1.0  # the camera sees the negated x and y where it saw x and y
+            turned_cams.append(dataclasses.replace(cam, extrinsic=extrinsic))
+        t_grid, t_tokens, t_heat = fused_scene(turned, turned_cams)
+        half = HALF_TURN_SPEC.theta_bins // 2
+        r, t, z = grid.indices3.T
+        moved = HALF_TURN_SPEC.flatten(np.column_stack([r, (t + half) % HALF_TURN_SPEC.theta_bins, z]))
+        order = np.argsort(moved)
+        assert np.array_equal(t_grid.voxel_ids, moved[order])
+        assert np.array_equal(t_grid.counts, grid.counts[order])
+        assert 0 < tokens.image_valid.sum() < len(tokens)
+        assert np.array_equal(t_tokens.image_valid, tokens.image_valid[order])
+        assert heat.max() == 1.0
+        assert np.array_equal(t_heat, np.roll(heat, half, axis=1))
