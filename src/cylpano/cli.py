@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -41,14 +42,17 @@ def _sha256(path: Path) -> str:
 def _write_manifest(
     out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, timings, counters=None
 ):
+    # one read, so the hash is of the bytes the snapshot shows
+    config = Path(config_path).read_bytes() if config_path else None
     manifest = {
         "version": 1,
         "command": command,
         "argv": argv,
         "seed": seed,
         "config": str(config_path) if config_path else None,
-        "config_sha256": _sha256(Path(config_path)) if config_path else None,
-        "config_snapshot": Path(config_path).read_text() if config_path else None,
+        "config_sha256": hashlib.sha256(config).hexdigest() if config_path else None,
+        # decoded as `Path.read_text` decodes: the locale's encoding, universal newlines
+        "config_snapshot": io.TextIOWrapper(io.BytesIO(config)).read() if config_path else None,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {
             str(p.relative_to(out_dir)): _sha256(p)

@@ -9,6 +9,7 @@ Numeric defaults follow the reference setup: a 480 x 360 x 32 grid over
 from __future__ import annotations
 
 import configparser
+import copy
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -138,11 +139,33 @@ def _build(section, cls, *args, **kwargs):
         raise BadConfigError(f"[{section}] {exc}") from exc
 
 
+# the last config parsed, by (its text, the directory a relative weights_path resolves against)
+_PARSED: dict[tuple[str, str], PipelineConfig] = {}
+
+
 def load_config(path) -> PipelineConfig:
+    """The config in the file at `path`, parsed once per text and directory; each call gets its own copy."""
+    try:
+        with open(path) as f:  # universal newlines, as configparser reads
+            text = f.read()
+    except OSError as exc:
+        raise BadConfigError(f"cannot read config {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadConfigError(f"cannot decode config {path}: {exc}") from exc
+    key = (text, os.path.dirname(os.fspath(path)))
+    if key not in _PARSED:
+        _PARSED.clear()  # a text that fails to parse leaves nothing behind
+        _PARSED[key] = _parse_config(text, path)
+    cfg = copy.deepcopy(_PARSED[key])  # callers set seeds on what they get
+    if cfg.tokens.weights_path and not os.path.exists(cfg.tokens.weights_path):
+        raise BadConfigError(f"weights_path {cfg.tokens.weights_path!r} does not exist")
+    return cfg
+
+
+def _parse_config(text: str, path) -> PipelineConfig:
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        if not cp.read(path):
-            raise BadConfigError(f"cannot read config {path}")
+        cp.read_string(text, source=os.fspath(path))
     except configparser.Error as exc:  # no section header, a duplicate key, ...
         raise BadConfigError(f"malformed config {path}: {exc}") from exc
     layout = _layout(PipelineConfig())
@@ -176,6 +199,4 @@ def load_config(path) -> PipelineConfig:
     if cfg.tokens.weights_path:
         # relative to the config file, so a stage may run from any directory
         cfg.tokens.weights_path = os.path.join(os.path.dirname(os.fspath(path)), cfg.tokens.weights_path)
-        if not os.path.exists(cfg.tokens.weights_path):
-            raise BadConfigError(f"weights_path {cfg.tokens.weights_path!r} does not exist")
     return cfg

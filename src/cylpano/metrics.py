@@ -76,6 +76,8 @@ class ClassTable:
                 raise BadConfigError(f"cannot read class table {path}")
         except configparser.Error as exc:  # no section header, a duplicate key, ...
             raise BadConfigError(f"malformed class table {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise BadConfigError(f"cannot decode class table {path}: {exc}") from exc
         if "classes" not in cp:
             raise BadConfigError("class table needs a [classes] section")
         entries = {}

@@ -17,11 +17,11 @@ x/y sinusoid product goes into a super-block embedding buffer, and
 matrix over all voxels and cameras times the stacked feature maps, dividing
 only the rows of two or more projections by their count. Per sub-block of
 SPE_BLOCK // 4 rows, which stays in cache, the per-bin terms are added and
-`build_tokens` builds both halves in one float64 sub-block buffer: the LiDAR
-half (the statistics placeholder is kept factored and multiplied out per
-sub-block) and the image half. It goes into the float32 content as whole
-rows, rounded as the TOKS codec stores them. So no (M, dim) embedding,
-feature or image-mean array is ever made; `spe_batch` computes the embedding.
+`build_tokens` adds the sub-block's embedding to its LiDAR half (the
+statistics placeholder is kept factored and multiplied out per sub-block)
+and to its image half, each sum stored straight into the float32 content,
+rounded as the TOKS codec stores it. So no (M, dim) embedding, feature or
+image-mean array is ever made; `spe_batch` computes the embedding.
 """
 
 from __future__ import annotations
@@ -184,7 +184,27 @@ _SUB_BLOCK = SPE_BLOCK // 4
 _SUPER_BLOCK = 2 * SPE_BLOCK
 
 
+# the last grid's and weights' per-bin tables, by the spec and each weight's dtype, shape and bytes
+_BIN_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
 def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_build_bin_tables`, built once per grid spec and weight values and handed out read-only.
+
+    Keyed on the values, not on the objects: a caller may build new weights
+    equal to the last ones, or reassign a field of the last ones.
+    """
+    weights = (params.coord_scales, params.psi_w, params.phi_w1, params.phi_b1, params.phi_w2, params.phi_b2)
+    key = (spec, *((a.dtype.str, a.shape, a.tobytes()) for a in weights))
+    if key not in _BIN_TABLES:
+        _BIN_TABLES.clear()
+        _BIN_TABLES[key] = _build_bin_tables(spec, params)
+        for table in _BIN_TABLES[key]:
+            table.flags.writeable = False  # every later call with the same key shares it
+    return _BIN_TABLES[key]
+
+
+def _build_bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Embedding terms that depend on one bin index: (R, dim), (Theta, dim), (Z, dim).
 
     A voxel's centroid has the same rho, and the voxel the same corner
@@ -388,16 +408,14 @@ def build_tokens(
     sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
     # a row of one projection is its own mean (x / 1.0 == x) and a row of none is zero
     multi = np.flatnonzero(counts > 1)
-    whole_rows = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), 2 * dim))
     for sup, rows, block in _spe_blocks(grid.indices3, grid.spec, params):
         if rows.start == sup.start:
             means = sampling[sup] @ stacked
             div = multi[slice(*np.searchsorted(multi, [sup.start, sup.stop]))]
             means[div - sup.start] /= counts[div, None]
-        buf = whole_rows[:rows.stop - rows.start]
-        np.add(block, voxel_feats.rows(rows), out=buf[:, :dim])
-        np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=buf[:, dim:])
-        content[rows] = buf  # rounds to float32 as the TOKS codec stores it
+        # summed in float64 and rounded once on the store, as the TOKS codec stores it
+        np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
+        np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=content[rows, dim:])
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, params, counts > 0)
 
 

@@ -618,6 +618,18 @@ def _image_size_case(command):
     return case
 
 
+def _undecodable_case(command):
+    """`cylpano voxelize --config`, or `eval --classes`, on a file holding a byte that UTF-8 cannot decode."""
+    def case(base, cfg, tmp):
+        (tmp / "bad.cfg").write_bytes(b"[classes]\n1 = car,thing\xff\n")
+        cloud = str(base / "org" / "cloud.plcd")
+        if command == "voxelize":
+            return ["voxelize", "--config", str(tmp / "bad.cfg"), "--cloud", cloud, "--out", str(tmp / "o")]
+        return ["eval", "--pred", cloud, "--gt", cloud, "--classes", str(tmp / "bad.cfg"),
+                "--report", str(tmp / "r.json")]
+    return case
+
+
 def _null_width(calib):
     calib["cameras"][0]["width"] = None
     return calib
@@ -669,6 +681,8 @@ MALFORMED = {
     "config-zero-token-dim": (_config_case("[tokens]\ndim = 0\n"), "BadConfigError"),
     "config-negative-token-dim": (_config_case("[tokens]\ndim = -4\n"), "BadConfigError"),
     "config-zero-feat-downsample": (_config_case("[tokens]\nfeat_downsample = 0\n"), "BadConfigError"),
+    "config-not-utf8": (_undecodable_case("voxelize"), "BadConfigError"),
+    "classes-not-utf8": (_undecodable_case("eval"), "BadConfigError"),
     "classes-no-section-header": (_classes_case("1 = car,thing\n"), "BadConfigError"),
     "classes-duplicate-key": (_classes_case("[classes]\n1 = car,thing\n1 = bus,thing\n"), "BadConfigError"),
     "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),
@@ -761,8 +775,19 @@ def test_sha256_in_chunks_equals_whole_file_hash(tmp_path):
     assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_manifest_hashes_the_config_bytes_its_snapshot_shows(tmp_path):
+    cfg = Path(small_config(tmp_path))
+    cfg.write_bytes(cfg.read_text().replace("\n", "\r\n").encode())
+    assert main(["synth", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "org")]) == 0
+    manifest = json.loads((tmp_path / "org" / "manifest.json").read_text())
+    assert "\r" not in manifest["config_snapshot"]
+    assert manifest["config_snapshot"] == cfg.read_text()
+    assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
 class TestPerProcessReuse:
-    """A process builds its parser once and draws each placeholder feature map once per config."""
+    """A process builds its parser once, parses each config text once, draws each placeholder feature map
+    once per config and builds the embedding's per-bin tables once per grid and weights."""
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -804,6 +829,69 @@ class TestPerProcessReuse:
         assert cli._feature_maps(args, cfg, cams)[1].data is maps[1].data
         with pytest.raises(ValueError):
             maps[0].data[0, 0, 0] = 1.0
+
+    def test_fuse_then_queries_parse_the_config_once_and_build_the_tables_once(self, tmp_path, monkeypatch):
+        import cylpano.config
+        import cylpano.tokens
+
+        calls = []
+
+        def count(module, name):  # the uncached builder, counted; its memo starts empty
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or build(*args))
+
+        count(cylpano.config, "_parse_config")
+        count(cylpano.tokens, "_build_bin_tables")
+        monkeypatch.setattr(cylpano.config, "_PARSED", {})
+        monkeypatch.setattr(cylpano.tokens, "_BIN_TABLES", {})
+        cfg = small_config(tmp_path)
+        org, fuse = tmp_path / "org", tmp_path / "fuse"
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        assert main(["queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
+                     "--masks", str(org / "masks"), "--out", str(tmp_path / "queries")]) == 0
+        assert sorted(calls) == ["_build_bin_tables", "_parse_config"]
+
+    def test_one_process_writes_what_fresh_processes_write(self, tmp_path):
+        configs = {}
+        for name, (dim, seed, bins) in {"a": (16, 0, (48, 36, 8)), "b": (8, 5, (40, 30, 6))}.items():
+            (tmp_path / name).mkdir()
+            cfg = load_config(small_config(tmp_path / name))
+            cfg.tokens.dim, cfg.tokens.seed = dim, seed
+            cfg.grid = dataclasses.replace(cfg.grid, r_bins=bins[0], theta_bins=bins[1], z_bins=bins[2])
+            cfg.augment.p_instance = cfg.augment.p_height_swap = cfg.augment.p_angle_swap = 1.0
+            save_config(tmp_path / name / "pipeline.cfg", cfg)
+            configs[name] = str(tmp_path / name / "pipeline.cfg")
+
+        def chain(cfg, out):
+            org, new, aug, fuse = (str(out / d) for d in ("org", "new", "aug", "fuse"))
+            return [
+                ["synth", "--config", cfg, "--seed", "1", "--out", org],
+                ["synth", "--config", cfg, "--seed", "2", "--out", new],
+                ["voxelize", "--config", cfg, "--cloud", org + "/cloud.plcd", "--out", str(out / "vox")],
+                ["augment", "--config", cfg, "--seed", "3", "--org", org, "--new", new, "--out", aug],
+                ["fuse", "--config", cfg, "--sample", aug, "--out", fuse],
+                ["queries", "--config", cfg, "--sample", aug, "--tokens", fuse + "/tokens.toks",
+                 "--masks", org + "/masks", "--out", str(out / "queries")],
+            ]
+
+        def written(out):  # every artifact's bytes, and what each manifest records of the outputs
+            files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                     if p.is_file() and p.name != "manifest.json"}
+            manifests = {str(p.relative_to(out)): {k: json.loads(p.read_text())[k] for k in ("outputs", "counters")}
+                         for p in sorted(out.rglob("manifest.json"))}
+            return files, manifests
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import json, sys; from cylpano.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+        for name, cfg in configs.items():
+            subprocess.run([sys.executable, "-c", code, json.dumps(chain(cfg, tmp_path / f"fresh-{name}"))],
+                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        for k, name in enumerate("aba"):
+            out = tmp_path / f"one-{k}"
+            assert [main(argv) for argv in chain(configs[name], out)] == [0] * 6
+            assert written(out) == written(tmp_path / f"fresh-{name}")
+        assert written(tmp_path / "one-0")[0] != written(tmp_path / "one-1")[0]
 
 
 def test_import_loads_no_scipy_spatial():

@@ -11,6 +11,7 @@ from cylpano.config import PipelineConfig, load_config, save_config
 from cylpano.errors import BadConfigError, BadMagicError, ShapeMismatchError, TruncatedFileError
 from cylpano.geometry import similarity_matrix, transform_camera
 from cylpano.grid import CylGridSpec, PointCloud
+from cylpano.metrics import ClassTable
 from cylpano.queries import LocationHint, Mask2D, QuerySet
 from cylpano.synth import ring_camera
 from cylpano.tokens import TokenSet
@@ -426,6 +427,66 @@ class TestConfig:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestConfigMemo:
+    """`load_config` parses a text once per directory and hands each caller its own copy."""
+
+    def test_two_loads_are_equal_but_distinct(self, tmp_path):
+        cfg = PipelineConfig()
+        cfg.tokens.dim = 24
+        save_config(tmp_path / "p.cfg", cfg)
+        first = load_config(tmp_path / "p.cfg")
+        first.synth.rng_seed = 99
+        first.augment.split_choices = (7,)
+        first.grid = CylGridSpec(4, 4, 4, (0.0, 1.0), (0.0, 1.0))
+        second = load_config(tmp_path / "p.cfg")
+        assert second == cfg and second is not first and second.synth is not first.synth
+
+    def test_a_rewrite_of_the_same_length_gives_the_new_values(self, tmp_path):
+        path = tmp_path / "p.cfg"
+        path.write_text("[tokens]\ndim = 16\n")
+        assert load_config(path).tokens.dim == 16
+        path.write_text("[tokens]\ndim = 32\n")
+        assert load_config(path).tokens.dim == 32
+        path.write_text("[tokens]\ndim = -1\n")
+        for _ in range(2):
+            with pytest.raises(BadConfigError):
+                load_config(path)
+        path.write_text("[tokens]\ndim = 16\n")
+        assert load_config(path).tokens.dim == 16
+
+    def test_a_weights_path_removed_after_a_load_raises(self, tmp_path):
+        (tmp_path / "w.spew").write_bytes(b"")
+        cfg = PipelineConfig()
+        cfg.tokens.weights_path = "w.spew"
+        save_config(tmp_path / "p.cfg", cfg)
+        assert load_config(tmp_path / "p.cfg").tokens.weights_path == str(tmp_path / "w.spew")
+        (tmp_path / "w.spew").unlink()
+        with pytest.raises(BadConfigError, match="does not exist"):
+            load_config(tmp_path / "p.cfg")
+
+    def test_the_same_text_resolves_weights_against_each_files_directory(self, tmp_path):
+        cfg = PipelineConfig()
+        cfg.tokens.weights_path = "w.spew"
+        for name in ("a", "b", "a"):
+            (tmp_path / name).mkdir(exist_ok=True)
+            (tmp_path / name / "w.spew").write_bytes(b"")
+            save_config(tmp_path / name / "p.cfg", cfg)
+            assert load_config(tmp_path / name / "p.cfg").tokens.weights_path == str(tmp_path / name / "w.spew")
+
+    def test_crlf_and_lf_files_parse_alike(self, tmp_path):
+        save_config(tmp_path / "p.cfg", PipelineConfig())
+        text = (tmp_path / "p.cfg").read_text()
+        (tmp_path / "crlf.cfg").write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_config(tmp_path / "crlf.cfg") == PipelineConfig()
+
+    @pytest.mark.parametrize("load, what", [(load_config, "config"), (ClassTable.load, "class table")])
+    def test_a_file_that_is_not_utf8_is_a_bad_config(self, tmp_path, load, what):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[classes]\n1 = car,thing\xff\n")
+        with pytest.raises(BadConfigError, match=f"cannot decode {what} .*bad.cfg"):
+            load(path)
 
 
 class TestReadMemory:

@@ -14,6 +14,8 @@ from cylpano.synth import ring_camera
 from cylpano.tokens import (
     SPE_BLOCK,
     _SUB_BLOCK,
+    _bin_tables,
+    _build_bin_tables,
     FeatureMap,
     SpeParams,
     VoxelFeatures,
@@ -191,6 +193,49 @@ class TestSpe:
         loaded = read_spe_params(tmp_path / "w.spew")
         idx = np.array([[3, 3, 2]])
         assert np.array_equal(spe_batch(idx, SPEC, params), spe_batch(idx, SPEC, loaded))
+
+
+class TestBinTableMemo:
+    """`_bin_tables` builds once per grid spec and weight values, and hands the tables out read-only."""
+
+    def test_warm_tables_equal_cold_ones_and_are_read_only(self, monkeypatch):
+        import cylpano.tokens
+
+        monkeypatch.setattr(cylpano.tokens, "_BIN_TABLES", {})  # so the first call below builds
+        params = SpeParams.create(SPEC, dim=16, seed=3)
+        idx = np.column_stack([np.arange(40) % b for b in SPEC.shape])
+        cold_spe = spe_batch(idx, SPEC, params)
+        warm = _bin_tables(SPEC, params)
+        # equal weights in new objects reuse the tables
+        assert all(a is b for a, b in zip(_bin_tables(SPEC, SpeParams.create(SPEC, dim=16, seed=3)), warm))
+        assert spe_batch(idx, SPEC, params).tobytes() == cold_spe.tobytes()
+        for table, built in zip(warm, _build_bin_tables(SPEC, params)):
+            assert table.tobytes() == built.tobytes()
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["coord_scales", "psi_w", "phi_w1", "phi_b1", "phi_w2", "phi_b2"])
+    @pytest.mark.parametrize("how", ["in place", "reassigned"])
+    def test_a_changed_weight_gives_tables_equal_to_a_cold_build(self, name, how):
+        params = SpeParams.create(SPEC, dim=16, seed=3)
+        before = [t.copy() for t in _bin_tables(SPEC, params)]
+        if how == "in place":
+            getattr(params, name).flat[-1] += 0.5
+        else:
+            changed = getattr(params, name).copy()
+            changed.flat[-1] += 0.5
+            setattr(params, name, changed)
+        after = _bin_tables(SPEC, params)
+        assert any(not np.array_equal(a, b) for a, b in zip(after, before))
+        assert [t.tobytes() for t in after] == [t.tobytes() for t in _build_bin_tables(SPEC, params)]
+
+    def test_another_grid_gives_its_own_tables(self):
+        params = SpeParams.create(SPEC, dim=16, seed=3)
+        other = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 3.0))
+        _bin_tables(SPEC, params)
+        built = _build_bin_tables(other, params)
+        assert [t.tobytes() for t in _bin_tables(other, params)] == [t.tobytes() for t in built]
 
 
 class TestFuseToken:
