@@ -19,6 +19,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+# numpy loads these on first use (np.random.default_rng, and np.unique through np.ma.is_masked); every chain
+# stage but voxelize uses one, so they load with the CLI and no stage's timings include their import
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import formats
 from .augment import MultiModalSample, augment, rect_union
@@ -40,8 +44,9 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, timings, counters=None
+    out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, outputs, timings, counters=None
 ):
+    """manifest.json in `out_dir`; `outputs` are the files the stage wrote, so a file left there before is not listed."""
     # one read, so the hash is of the bytes the snapshot shows
     config = Path(config_path).read_bytes() if config_path else None
     manifest = {
@@ -54,11 +59,7 @@ def _write_manifest(
         # decoded as `Path.read_text` decodes: the locale's encoding, universal newlines
         "config_snapshot": io.TextIOWrapper(io.BytesIO(config)).read() if config_path else None,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {
-            str(p.relative_to(out_dir)): _sha256(p)
-            for p in sorted(out_dir.rglob("*"))
-            if p.is_file() and p.name != "manifest.json"
-        },
+        "outputs": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(outputs)},
         "timings": timings,
         "counters": counters or {},
     }
@@ -83,13 +84,17 @@ def _load_sample(sample_dir) -> MultiModalSample:
     return MultiModalSample(cloud, images, cams)
 
 
-def _write_sample(out_dir: Path, sample: MultiModalSample):
+def _write_sample(out_dir: Path, sample: MultiModalSample) -> list[Path]:
+    """Write the cloud, calibration and images; returns their paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "images").mkdir(exist_ok=True)
-    formats.write_point_cloud(out_dir / "cloud.plcd", sample.cloud)
-    formats.write_calibration(out_dir / "calib.json", sample.cams)
+    paths = [out_dir / "cloud.plcd", out_dir / "calib.json"]
+    formats.write_point_cloud(paths[0], sample.cloud)
+    formats.write_calibration(paths[1], sample.cams)
     for k, img in enumerate(sample.images):
-        formats.write_ppm(out_dir / "images" / f"cam{k:02d}.ppm", img)
+        paths.append(out_dir / "images" / f"cam{k:02d}.ppm")
+        formats.write_ppm(paths[-1], img)
+    return paths
 
 
 def cmd_synth(args) -> int:
@@ -99,12 +104,15 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     synth = generate_scene(scene_cfg)
     out = Path(args.out)
-    _write_sample(out, synth.sample)
+    written = _write_sample(out, synth.sample)
     (out / "masks").mkdir(exist_ok=True)
     for i, mask in enumerate(synth.masks):
-        formats.write_mask(out / "masks" / f"mask_{i:03d}.msk2", mask)
-    synth.table.save(out / "classes.cfg")
-    _write_manifest(out, "synth", args._argv, args.seed, args.config, [], {"synth": time.perf_counter() - t0})
+        written.append(out / "masks" / f"mask_{i:03d}.msk2")
+        formats.write_mask(written[-1], mask)
+    written.append(out / "classes.cfg")
+    synth.table.save(written[-1])
+    _write_manifest(out, "synth", args._argv, args.seed, args.config, [], written,
+                    {"synth": time.perf_counter() - t0})
     return 0
 
 
@@ -128,7 +136,8 @@ def cmd_voxelize(args) -> int:
             indent=1,
         )
     )
-    _write_manifest(out, "voxelize", args._argv, None, args.config, [args.cloud], {"voxelize": dt})
+    _write_manifest(out, "voxelize", args._argv, None, args.config, [args.cloud],
+                    [out / "voxels.pvox", out / "summary.json"], {"voxelize": dt})
     return 0
 
 
@@ -150,10 +159,10 @@ def cmd_augment(args) -> int:
         ],
     }
     out = Path(args.out)
-    _write_sample(out, result.sample)
-    formats.write_provenance(out / "provenance.pvox", result.grid.indices3, result.grid.source)
+    written = _write_sample(out, result.sample) + [out / "provenance.pvox"]
+    formats.write_provenance(written[-1], result.grid.indices3, result.grid.source)
     inputs = [Path(args.org) / "cloud.plcd", Path(args.new) / "cloud.plcd"]
-    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, {"augment": dt}, counters)
+    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, written, {"augment": dt}, counters)
     return 0
 
 
@@ -212,7 +221,8 @@ def cmd_fuse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     formats.write_tokens(out / "tokens.toks", tokens)
     inputs = [Path(args.sample) / "cloud.plcd"] + ([args.features] if args.features else [])
-    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, {"fuse": dt}, counters)
+    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, [out / "tokens.toks"],
+                    {"fuse": dt}, counters)
     return 0
 
 
@@ -256,7 +266,8 @@ def cmd_queries(args) -> int:
     formats.write_queries(out / "queries.qrys", qs)
     inputs = [Path(args.sample) / "cloud.plcd", args.tokens]
     _write_manifest(
-        out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, {"queries": dt}, counters
+        out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, [out / "queries.qrys"], {"queries": dt},
+        counters,
     )
     return 0
 
@@ -288,9 +299,10 @@ def cmd_render_overlay(args) -> int:
     images = render_overlay(sample.cloud, sample.images, sample.cams)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for k, img in enumerate(images):
-        formats.write_ppm(out / f"overlay{k:02d}.ppm", img)
-    _write_manifest(out, "render-overlay", args._argv, None, None, [Path(args.sample) / "cloud.plcd"], {})
+    written = [out / f"overlay{k:02d}.ppm" for k in range(len(images))]
+    for path, img in zip(written, images):
+        formats.write_ppm(path, img)
+    _write_manifest(out, "render-overlay", args._argv, None, None, [Path(args.sample) / "cloud.plcd"], written, {})
     return 0
 
 

@@ -12,16 +12,17 @@ terms that depend on one bin index come from per-bin tables. `spe_batch` and
 that follow one rule: a level's blocks hold a fixed number of rows, and a
 lone last row joins the block before it, since numpy multiplies a lone row
 by gemv, which rounds unlike gemm. Per super-block of 2 * SPE_BLOCK rows the
-x/y sinusoid product goes into a super-block embedding buffer, and
-`build_tokens` takes the image means as one slice of a sparse sampling
-matrix over all voxels and cameras times the stacked feature maps, dividing
-only the rows of two or more projections by their count. Per sub-block of
-SPE_BLOCK // 4 rows, which stays in cache, the per-bin terms are added and
+x/y sinusoid product goes into a super-block embedding buffer. Per sub-block
+of SPE_BLOCK // 4 rows, which stays in cache, the per-bin terms are added and
 `build_tokens` adds the sub-block's embedding to its LiDAR half (the
 statistics placeholder is kept factored and multiplied out per sub-block)
-and to its image half, each sum stored straight into the float32 content,
-rounded as the TOKS codec stores it. So no (M, dim) embedding, feature or
-image-mean array is ever made; `spe_batch` computes the embedding.
+and to its image means, each sum stored straight into the float32 content,
+rounded as the TOKS codec stores it. The image means are gathered from one
+table per call (`_image_means`), which holds the stacked feature maps, a
+zero row and the means of the voxels that sample two or more cells, summed
+in numpy in the order of a CSR matrix product. So no (M, dim) embedding or
+feature array is ever made, and image means only for the voxels of several
+samples; `spe_batch` computes the embedding.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionMismatchError, NoValidProjectionError
 from .geometry import TWO_PI, CameraModel, cart_to_polar, valid_projections
@@ -180,7 +180,7 @@ def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
 SPE_BLOCK = 1024  # sizes both block levels of the embedding and fusion pass
 # a sub-block and its five (rows, dim) temporaries fit in a 2 MB L2 cache
 _SUB_BLOCK = SPE_BLOCK // 4
-# a super-block pays one sparse slice and product dispatch, and its image means stay near 2 MB
+# a super-block's x/y sinusoid product is one gemm, and its embedding buffer stays near 2 MB
 _SUPER_BLOCK = 2 * SPE_BLOCK
 
 
@@ -405,43 +405,94 @@ def build_tokens(
         raise DimensionMismatchError("feature map dim must match embedding dim")
 
     content = np.empty((grid.num_voxels, 2 * dim), dtype=np.float32)
-    sampling, counts, stacked = _image_sampling(grid, fmaps, cams, dim, bilinear)
-    # a row of one projection is its own mean (x / 1.0 == x) and a row of none is zero
-    multi = np.flatnonzero(counts > 1)
-    for sup, rows, block in _spe_blocks(grid.indices3, grid.spec, params):
-        if rows.start == sup.start:
-            means = sampling[sup] @ stacked
-            div = multi[slice(*np.searchsorted(multi, [sup.start, sup.stop]))]
-            means[div - sup.start] /= counts[div, None]
+    table, mean_rows, counts = _image_means(grid, fmaps, cams, dim, bilinear)
+    means = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), dim))
+    for _, rows, block in _spe_blocks(grid.indices3, grid.spec, params):
         # summed in float64 and rounded once on the store, as the TOKS codec stores it
         np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
-        np.add(block, means[rows.start - sup.start:rows.stop - sup.start], out=content[rows, dim:])
+        # mode="raise" would buffer `means`; `mean_rows` holds rows of `table` only
+        np.take(table, mean_rows[rows], axis=0, out=means[:len(block)], mode="clip")
+        np.add(block, means[:len(block)], out=content[rows, dim:])
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, params, counts > 0)
 
 
-def _image_sampling(
+def _image_means(
     grid: CylGrid, fmaps: list[FeatureMap], cams: list[CameraModel], dim: int, bilinear: bool
-) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Sampling matrix of each voxel row's valid projections, their number, and the float64 feature maps."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each voxel row's mean sampled feature over its valid projections, and their number.
+
+    Returns a float64 table of the stacked feature maps' cells, a zero row and
+    the means of the rows with two or more sampled entries; the row of the
+    table that holds each voxel row's mean; and the projection counts. A row
+    of one entry, a nearest cell of weight 1, points at that cell, and a row of
+    none at the zero row. A mean starts at 0.0 and adds w * feature for each of
+    the row's distinct cells in ascending cell order, w being the sum of the
+    cell's entry weights in input order (camera, point, then corner); a row of
+    two or more projections is then divided by its count. So a cell's feature
+    is its own mean once -0.0 is made 0.0, as 0.0 + -0.0 makes it. A sum starts
+    at its first product instead: the two differ only while every product is
+    -0.0, and each row has a cell of weight at least 1/4, whose product with a
+    feature that is not -0.0 is not -0.0 either.
+    """
     pts = np.take(grid.cloud.xyz, grid.order, axis=0)
-    point_rows = grid.point_rows
+    sizes = [fmap.data.shape[0] * fmap.data.shape[1] for fmap in fmaps]
+    offsets, n_cells = np.cumsum([0] + sizes), sum(sizes)
     counts = np.zeros(grid.num_voxels, dtype=np.int64)
-    if not fmaps:
-        return sparse.csr_matrix((grid.num_voxels, 0)), counts, np.zeros((0, dim))
-    rows, cols, wts = [], [], []
-    offset = 0
-    for fmap, cam in zip(fmaps, cams):
+    rows, cells, wts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for fmap, cam, offset in zip(fmaps, cams, offsets):
         uv, _, valid = valid_projections(pts, cam)
         idx, w = fmap.cells(uv[valid], bilinear)
-        vrows = point_rows[valid]
+        vrows = grid.point_rows[valid]
         counts += np.bincount(vrows, minlength=grid.num_voxels)
         rows.append(np.repeat(vrows, idx.shape[1]))
-        cols.append((idx + offset).ravel())
+        cells.append((idx + offset).ravel())
         wts.append(w.ravel())
-        offset += fmap.data.shape[0] * fmap.data.shape[1]
-    sampling = sparse.csr_matrix((np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
-                                 shape=(grid.num_voxels, offset))
-    return sampling, counts, np.concatenate([fmap.data.reshape(-1, dim) for fmap in fmaps], dtype=np.float64)
+    rows, cells, wts = np.concatenate(rows), np.concatenate(cells), np.concatenate(wts)
+    lone = np.bincount(rows, minlength=grid.num_voxels)[rows] == 1
+    mean_rows = np.full(grid.num_voxels, n_cells, dtype=np.int64)
+    mean_rows[rows[lone]] = cells[lone]
+
+    # the other rows' distinct (row, cell) pairs in ascending order, their weights summed in input order
+    keys = rows[~lone] * (n_cells + 1) + cells[~lone]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.diff(keys, prepend=-1) != 0
+    pair_w = np.bincount(np.cumsum(new) - 1, weights=wts[~lone][order])
+    pair_row, pair_cell = np.divmod(keys[new], n_cells + 1)
+    starts = np.flatnonzero(np.diff(pair_row, prepend=-1))
+
+    # those rows by falling number of cells, so that the rows with an L-th cell are a prefix
+    # (jagged diagonals: Saad, SIAM J. Sci. Stat. Comput. 1989)
+    lengths = np.diff(starts, append=len(pair_row))
+    jagged = np.argsort(-lengths, kind="stable")
+    lengths, starts = lengths[jagged], starts[jagged]
+    multi = pair_row[starts]
+    mean_rows[multi] = n_cells + 1 + np.arange(len(multi))
+
+    table = np.empty((n_cells + 1 + len(multi), dim))
+    for fmap, offset, size in zip(fmaps, offsets, sizes):
+        np.add(fmap.data.reshape(-1, dim), 0.0, out=table[offset:offset + size])  # -0.0 becomes 0.0
+    table[n_cells] = 0.0
+    div = np.maximum(counts[multi], 1).astype(np.float64)[:, None]
+    # per level, the cells and weights of the rows that have one there
+    ends = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
+    levels = [(pair_cell[starts[:n] + j], pair_w[starts[:n] + j, None]) for j, n in enumerate(ends)]
+    gathered = np.empty((min(len(multi), _SUB_BLOCK), dim))
+    for a in range(0, len(multi), _SUB_BLOCK):  # chunk by chunk, each level a prefix of the chunk
+        b = min(a + _SUB_BLOCK, len(multi))
+        acc = table[n_cells + 1 + a:n_cells + 1 + b]
+        for j, (cell, w) in enumerate(levels):
+            n = min(b, len(cell)) - a
+            if n <= 0:
+                break
+            term = np.take(table, cell[a:a + n], axis=0, out=gathered[:n], mode="clip")
+            if j:
+                term *= w[a:a + n]
+                acc[:n] += term
+            else:
+                np.multiply(term, w[a:b], out=acc)
+        acc /= div[a:b]
+    return table, mean_rows, counts
 
 
 def containing_rows(grid: CylGrid, positions: np.ndarray) -> np.ndarray:

@@ -434,13 +434,55 @@ def reference_pairings(grid, cams):
     return tables
 
 
+def _sampled_entries(grid, fmaps, cams, bilinear):
+    """Per (point, camera) pair with a valid projection, in camera then point order, its voxel row,
+    and its `FeatureMap.cells` indices (offset into the stacked maps) and weights; also the
+    stacked maps as float64 and the projection count per row."""
+    from cylpano.geometry import valid_projections
+
+    pts = grid.cloud.xyz[grid.order]
+    point_rows = np.repeat(np.arange(grid.num_voxels), grid.counts)
+    entries, counts, offset = [], np.zeros(grid.num_voxels, dtype=np.int64), 0
+    for fmap, cam in zip(fmaps, cams):
+        uv, _, valid = valid_projections(pts, cam)
+        idx, w = fmap.cells(uv[valid], bilinear)
+        entries.append((point_rows[valid], idx + offset, w))
+        counts += np.bincount(point_rows[valid], minlength=grid.num_voxels)
+        offset += fmap.data.shape[0] * fmap.data.shape[1]
+    stacked = np.concatenate([fmap.data.reshape(-1, fmap.dim) for fmap in fmaps]).astype(np.float64)
+    return entries, stacked, counts
+
+
 def reference_image_half(grid, fmaps, cams, spe, bilinear):
     """Image half of `build_tokens`: the embedding plus each voxel's sampled feature sum over its
-    valid (point, camera) projections, divided by max(count, 1) on every row."""
-    from cylpano.tokens import _image_sampling
+    valid (point, camera) projections, one `scipy.sparse` product, divided by max(count, 1) on every row."""
+    from scipy.sparse import csr_matrix
 
-    sampling, counts, stacked = _image_sampling(grid, fmaps, cams, spe.shape[1], bilinear)
+    entries, stacked, counts = _sampled_entries(grid, fmaps, cams, bilinear)
+    rows = np.concatenate([np.repeat(r, idx.shape[1]) for r, idx, _ in entries])
+    cols = np.concatenate([idx.ravel() for _, idx, _ in entries])
+    wts = np.concatenate([w.ravel() for _, _, w in entries])
+    sampling = csr_matrix((wts, (rows, cols)), shape=(grid.num_voxels, len(stacked)))
     return spe + (sampling @ stacked) / np.maximum(counts, 1.0)[:, None], counts
+
+
+def looped_image_means(grid, fmaps, cams, bilinear):
+    """Each voxel's image mean, row by row: the weights of a repeated cell summed in input order
+    (camera, point, corner) from 0.0, then 0.0 plus weight * feature for each distinct cell in
+    ascending order, divided by the projection count where it is above 1; (M, D) float64 and counts."""
+    entries, stacked, counts = _sampled_entries(grid, fmaps, cams, bilinear)
+    weights = [{} for _ in range(grid.num_voxels)]
+    for rows, idx, w in entries:
+        for row, cells, ws in zip(rows.tolist(), idx.tolist(), w.tolist()):
+            for cell, wt in zip(cells, ws):
+                weights[row][cell] = weights[row].get(cell, 0.0) + wt
+    means = np.zeros((grid.num_voxels, stacked.shape[1]))
+    for row, cell_w in enumerate(weights):
+        acc = np.zeros(stacked.shape[1])
+        for cell in sorted(cell_w):
+            acc = acc + cell_w[cell] * stacked[cell]
+        means[row] = acc / counts[row] if counts[row] > 1 else acc
+    return means, counts
 
 
 def position_encoding(centers, params):

@@ -378,6 +378,23 @@ class TestChain:
         assert any(name.startswith("masks/") and name.endswith(".msk2") for name in outputs[0])
 
 
+    def test_manifest_lists_only_the_files_its_stage_wrote(self, tmp_path):
+        cfg = small_config(tmp_path)
+        org, vox, fuse = tmp_path / "org", tmp_path / "vox", tmp_path / "fuse"
+        for d in (org, vox, fuse):
+            (d / "old").mkdir(parents=True)
+            (d / "stale.bin").write_bytes(b"left by an earlier run")
+            (d / "old" / "tokens.toks").write_bytes(b"TOKS")
+        assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
+        assert main(["voxelize", "--config", cfg, "--cloud", str(org / "cloud.plcd"), "--out", str(vox)]) == 0
+        assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
+        outputs = {d.name: json.loads((d / "manifest.json").read_text())["outputs"] for d in (org, vox, fuse)}
+        assert outputs["fuse"].keys() == {"tokens.toks"}
+        assert outputs["vox"].keys() == {"voxels.pvox", "summary.json"}
+        assert {"cloud.plcd", "calib.json", "classes.cfg", "images/cam00.ppm"} <= outputs["org"].keys()
+        assert not {"stale.bin", "old/tokens.toks"} & outputs["org"].keys()
+        assert outputs["fuse"]["tokens.toks"] == sha(fuse / "tokens.toks")
+
 class TestErrors:
     def test_missing_cloud_reports_io_error(self, tmp_path, capsys):
         assert main(["voxelize", "--cloud", str(tmp_path / "nope.plcd"), "--out", str(tmp_path / "o")]) == 1
@@ -902,3 +919,30 @@ def test_import_loads_no_scipy_spatial():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_chain_loads_no_scipy(tmp_path):
+    # the fuse stage's image means are numpy only, so no stage of a chain, in either sampling mode, loads scipy;
+    # the test modules import it for their oracles, so a fresh interpreter checks
+    cfg = small_config(tmp_path)
+    bilinear = load_config(cfg)
+    bilinear.tokens.bilinear = True
+    save_config(tmp_path / "bilinear.cfg", bilinear)
+    org, new, aug, fuse = (str(tmp_path / d) for d in ("org", "new", "aug", "fuse"))
+    chain = [
+        ["synth", "--config", cfg, "--seed", "1", "--out", org],
+        ["synth", "--config", cfg, "--seed", "2", "--out", new],
+        ["voxelize", "--config", cfg, "--cloud", org + "/cloud.plcd", "--out", str(tmp_path / "vox")],
+        ["augment", "--config", cfg, "--seed", "3", "--org", org, "--new", new, "--out", aug],
+        ["fuse", "--config", cfg, "--sample", aug, "--out", fuse],
+        ["fuse", "--config", str(tmp_path / "bilinear.cfg"), "--sample", aug, "--out", str(tmp_path / "fuse-bilinear")],
+        ["queries", "--config", cfg, "--sample", aug, "--tokens", fuse + "/tokens.toks", "--masks", org + "/masks",
+         "--out", str(tmp_path / "queries")],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys, cylpano.cli; codes = [cylpano.cli.main(a) for a in json.loads(sys.argv[1])]; "
+            "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(chain)], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == f"{[0] * len(chain)} []"
+    assert (tmp_path / "fuse-bilinear" / "tokens.toks").read_bytes() != (Path(fuse) / "tokens.toks").read_bytes()

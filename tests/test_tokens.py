@@ -15,6 +15,7 @@ from cylpano.tokens import (
     SPE_BLOCK,
     _SUB_BLOCK,
     _bin_tables,
+    _image_means,
     _build_bin_tables,
     FeatureMap,
     SpeParams,
@@ -29,7 +30,7 @@ from cylpano.tokens import (
     spe_batch,
 )
 
-from oracles import bilinear_sample, position_encoding, reference_image_half
+from oracles import bilinear_sample, looped_image_means, position_encoding, reference_image_half
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 
@@ -515,6 +516,35 @@ class TestBuildTokens:
         assert np.array_equal(tokens.content[:, dim:], image_half.astype(np.float32))
         assert np.array_equal(tokens.content[:, :dim], (tokens.spe + f3d).astype(np.float32))
         assert np.array_equal(tokens.image_valid, counts > 0)
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_image_means_equal_a_row_loop_bit_for_bit(self, bilinear):
+        """Repeated cells summed in input order, cells added in ascending order from 0.0, counts above 1 divided."""
+        spec = CylGridSpec(6, 8, 2, (1.0, 13.0), (-1.0, 1.0))
+        rng = np.random.default_rng(5)
+        spread = np.column_stack([rng.uniform(-12, 12, (300, 2)), rng.uniform(-1, 1, 300)])
+        crowd = np.array([6.0, 0.3, 0.0]) + rng.uniform(-0.4, 0.4, (12, 3))  # one voxel, many cells
+        # three points at one spot that only camera 0 sees, alone in their voxel: every projection in one cell
+        stack = np.repeat([[4.0, -2.8, 0.2]], 3, axis=0)
+        flat = spec.flatten(spec.bin_points(cart_to_polar(np.concatenate([spread, stack[:1]])))[0])
+        xyz = np.concatenate([spread[flat[:-1] != flat[-1]], crowd, stack])
+        grid = voxelize(PointCloud(xyz, rng.random(len(xyz))), spec)
+        cams = [ring_camera(0.0, 32, 24, 12.0, 0.0), ring_camera(0.6, 30, 20, 10.0, 0.1)]
+        maps = [rng.standard_normal((3, 4, 3)).astype(np.float32), rng.standard_normal((2, 5, 3)).astype(np.float32)]
+        for data in maps:
+            data[..., 0] = -0.0
+        fmaps = [FeatureMap(data, cam.width, cam.height) for data, cam in zip(maps, cams)]
+
+        table, mean_rows, counts = _image_means(grid, fmaps, cams, 3, bilinear)
+        means = table[mean_rows]
+        expected, expected_counts = looped_image_means(grid, fmaps, cams, bilinear)
+        assert means.tobytes() == expected.tobytes()  # also tells 0.0 from -0.0
+        assert np.array_equal(counts, expected_counts)
+        assert not np.signbit(means[:, 0]).any()  # 0.0 + w * -0.0 is 0.0
+        assert {0, 1}.issubset(counts)
+        assert counts[containing_rows(grid, stack[:1])[0]] == 3
+        # a bilinear row of 17 or more entries, more than libstdc++'s sort keeps in input order
+        assert counts[containing_rows(grid, crowd[:1])[0]] * 4 >= 17
 
     def test_peak_memory_stays_below_one_feature_array(self):
         # one point at the center of every cell: 9 blocks of voxels
