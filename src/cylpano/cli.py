@@ -1,9 +1,10 @@
 """Command-line pipeline: synth | voxelize | augment | fuse | queries | eval | render-overlay.
 
 Every stage writes its artifacts plus a manifest.json recording the argv,
-seed, config hash, and input/output content hashes, so a run can be replayed
-(`cylpano replay`) and verified byte-for-byte. Stage errors exit nonzero with
-the error name on stderr.
+seed, config hash, and input/output content hashes. `cylpano replay` re-runs
+the stage a manifest records; it compares nothing, so to check a run, compare
+the `outputs` of the two runs' manifests. Stage errors exit nonzero with the
+error name on stderr.
 """
 
 from __future__ import annotations
@@ -74,10 +75,9 @@ def _load_sample(sample_dir) -> MultiModalSample:
     sample_dir = Path(sample_dir)
     cloud = formats.read_point_cloud(sample_dir / "cloud.plcd")
     cams = formats.read_calibration(sample_dir / "calib.json")
-    paths = sorted((sample_dir / "images").glob("cam*.ppm"))
+    # the names `_write_sample` gives, so an image left by a run with more cameras is not read
+    paths = [sample_dir / "images" / f"cam{k:02d}.ppm" for k in range(len(cams))]
     images = [formats.read_ppm(p) for p in paths]
-    if len(images) != len(cams):
-        raise ShapeMismatchError(f"{sample_dir}: {len(images)} images vs {len(cams)} cameras")
     for path, img, cam in zip(paths, images, cams):
         if img.shape[:2] != (cam.height, cam.width):
             raise ShapeMismatchError(f"{path}: {img.shape[1]}x{img.shape[0]} image vs {cam.width}x{cam.height} camera")

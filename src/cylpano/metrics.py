@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BadConfigError, IndexOutOfRangeError, LengthMismatchError
+from .grid import lookup
 
 THING, STUFF, IGNORE = "thing", "stuff", "ignore"
 
@@ -121,81 +122,6 @@ class SegLabeling:
         return len(self.semantic)
 
 
-@dataclass
-class MatchResult:
-    """Per-class matching outcome; TP entries are ordered by ground-truth key."""
-
-    tp: dict[int, list[tuple[int, int, float]]]  # class -> [(gt_key, pred_key, iou)]
-    fp: dict[int, list[int]]                     # class -> unmatched pred keys
-    fn: dict[int, list[int]]                     # class -> unmatched gt keys
-    classes: list[int]
-
-
-def _segment_key(sem: np.ndarray, inst: np.ndarray) -> np.ndarray:
-    return (sem.astype(np.int64) << 16) | inst.astype(np.int64)
-
-
-def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int) -> MatchResult:
-    """Match same-class segments at IoU > 0.5 after removing ignore-class points.
-
-    Points whose ground-truth class is ignored are removed entirely;
-    predicted segments of an ignored class never count. With `min_points`
-    set, segments smaller than the threshold are excluded from the tallies.
-    """
-    if len(pred) != len(gt):
-        raise LengthMismatchError(f"pred has {len(pred)} points, gt has {len(gt)}")
-    if pred.table.entries != gt.table.entries:
-        raise ValueError("pred and gt must share one class table")
-    ignore = np.asarray(gt.table.ignored, dtype=np.uint16)
-    valid = ~np.isin(gt.semantic, ignore)
-    g_sem, g_inst = gt.semantic[valid], gt.instance[valid]
-    p_sem, p_inst = pred.semantic[valid], pred.instance[valid]
-    p_ok = ~np.isin(p_sem, ignore)
-
-    g_key = _segment_key(g_sem, g_inst)
-    p_key = _segment_key(p_sem, p_inst)
-    g_ids, g_sizes = np.unique(g_key, return_counts=True)
-    p_ids, p_sizes = np.unique(p_key[p_ok], return_counts=True)
-    keep = g_sizes >= min_points
-    g_ids, g_sizes = g_ids[keep], g_sizes[keep]
-    keep = p_sizes >= min_points
-    p_ids, p_sizes = p_ids[keep], p_sizes[keep]
-    g_size = dict(zip(g_ids.tolist(), g_sizes.tolist()))
-    p_size = dict(zip(p_ids.tolist(), p_sizes.tolist()))
-
-    pair = (g_key[p_ok].astype(np.uint64) << 32) | p_key[p_ok].astype(np.uint64)
-    pair_ids, inters = np.unique(pair, return_counts=True)
-
-    tp: dict[int, list[tuple[int, int, float]]] = {}
-    matched_g, matched_p = set(), set()
-    for pid, inter in zip(pair_ids, inters):  # np.unique sorts them, so by gt key (the high word)
-        gk = int(pid >> np.uint64(32))
-        pk = int(pid & np.uint64(0xFFFFFFFF))
-        if gk not in g_size or pk not in p_size:
-            continue
-        if (gk >> 16) != (pk >> 16):
-            continue
-        iou = inter / (g_size[gk] + p_size[pk] - inter)
-        if iou > 0.5:
-            cls = gk >> 16
-            tp.setdefault(cls, []).append((gk, pk, float(iou)))
-            if gk in matched_g or pk in matched_p:
-                raise AssertionError("IoU > 0.5 matching must be unique")
-            matched_g.add(gk)
-            matched_p.add(pk)
-
-    fp: dict[int, list[int]] = {}
-    fn: dict[int, list[int]] = {}
-    for pk in p_ids.tolist():
-        if pk not in matched_p:
-            fp.setdefault(pk >> 16, []).append(pk)
-    for gk in g_ids.tolist():
-        if gk not in matched_g:
-            fn.setdefault(gk >> 16, []).append(gk)
-    classes = sorted(set(tp) | set(fp) | set(fn))
-    return MatchResult(tp, fp, fn, classes)
-
-
 _CLASS_KEYS = ("pq", "sq", "rq", "iou", "tp", "fp", "fn")  # per-class report keys, in JSON order
 
 
@@ -204,11 +130,66 @@ class ClassStats:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    iou_sum: float = 0.0
+    iou_sum: float = 0.0  # the TPs' IoUs, added in ground-truth key order
     pq: float = 0.0
     sq: float = 0.0
     rq: float = 0.0
     iou: float = 0.0  # semantic IoU
+
+
+def _segment_key(sem: np.ndarray, inst: np.ndarray) -> np.ndarray:
+    """Class id in bits 16-31 and instance id in bits 0-15, as uint64, so two keys fit in one pair key."""
+    return (sem.astype(np.uint64) << 16) | inst
+
+
+def match_segments(pred: SegLabeling, gt: SegLabeling, min_points: int) -> dict[int, ClassStats]:
+    """Match same-class segments at IoU > 0.5 after removing ignore-class points.
+
+    Points whose ground-truth class is ignored are removed entirely;
+    predicted segments of an ignored class never count. With `min_points`
+    set, segments smaller than the threshold are excluded from the tallies.
+    Returns the TP, FP and FN counts and the TP IoU sum of each class that
+    has a TP, FP or FN, in ascending class order.
+    """
+    if len(pred) != len(gt):
+        raise LengthMismatchError(f"pred has {len(pred)} points, gt has {len(gt)}")
+    if pred.table.entries != gt.table.entries:
+        raise ValueError("pred and gt must share one class table")
+    ignore = np.asarray(gt.table.ignored, dtype=np.uint16)
+    valid = ~np.isin(gt.semantic, ignore)
+    g_sem, p_sem = gt.semantic[valid], pred.semantic[valid]
+    g_key = _segment_key(g_sem, gt.instance[valid])
+    p_key = _segment_key(p_sem, pred.instance[valid])
+    g_ids, g_sizes = np.unique(g_key, return_counts=True)
+    p_ids, p_sizes = np.unique(p_key, return_counts=True)
+    g_ids, g_sizes = g_ids[g_sizes >= min_points], g_sizes[g_sizes >= min_points]
+    keep = (p_sizes >= min_points) & (lookup(ignore, p_ids >> 16) < 0)  # no segment of an ignored class
+    p_ids, p_sizes = p_ids[keep], p_sizes[keep]
+
+    # the overlaps of same-class segments, sorted by gt key (the high word)
+    same = g_sem == p_sem
+    pair_ids, inters = np.unique((g_key[same] << 32) | p_key[same], return_counts=True)
+    g_at, p_at = lookup(g_ids, pair_ids >> 32), lookup(p_ids, pair_ids & 0xFFFFFFFF)
+    kept = (g_at >= 0) & (p_at >= 0)
+    g_at, p_at, inters = g_at[kept], p_at[kept], inters[kept]
+    iou = inters / (g_sizes[g_at] + p_sizes[p_at] - inters)
+    hit = iou > 0.5
+    g_tp, p_tp = g_at[hit], p_at[hit]
+    if len(np.unique(g_tp)) < len(g_tp) or len(np.unique(p_tp)) < len(p_tp):
+        raise AssertionError("IoU > 0.5 matching must be unique")
+
+    # each kept segment is a TP, or else an FN (gt) or an FP (pred)
+    classes = np.union1d(g_ids >> 16, p_ids >> 16)
+    g_cls, p_cls = lookup(classes, g_ids >> 16), lookup(classes, p_ids >> 16)
+    tp = np.bincount(g_cls[g_tp], minlength=len(classes))
+    # bincount adds one IoU at a time in array order, from 0.0, so each class's sum runs in gt key order
+    iou_sum = np.bincount(g_cls[g_tp], weights=iou[hit], minlength=len(classes))
+    fp = np.bincount(p_cls, minlength=len(classes)) - tp
+    fn = np.bincount(g_cls, minlength=len(classes)) - tp
+    return {
+        c: ClassStats(t, f, m, s)
+        for c, t, f, m, s in zip(classes.tolist(), tp.tolist(), fp.tolist(), fn.tolist(), iou_sum.tolist())
+    }
 
 
 @dataclass
@@ -247,30 +228,22 @@ def _mean(values: list[float]) -> float:
 
 
 def panoptic_quality(
-    matches: MatchResult,
+    per_class: dict[int, ClassStats],
     table: ClassTable,
     semantic_iou: dict[int, float],
 ) -> PanopticReport:
-    """Turn match tallies into per-class and aggregate PQ/SQ/RQ.
+    """Fill in each class's semantic IoU, SQ, RQ and PQ from its match tallies, then the aggregates.
 
     Classes with no TP, FP, or FN do not participate in any aggregate. The
     starred aggregate substitutes each stuff class's semantic IoU for its PQ
     and therefore needs `semantic_iou`.
     """
-    per_class: dict[int, ClassStats] = {}
-    for cls in matches.classes:
-        st = ClassStats(
-            tp=len(matches.tp.get(cls, [])),
-            fp=len(matches.fp.get(cls, [])),
-            fn=len(matches.fn.get(cls, [])),
-            iou_sum=sum(iou for _, _, iou in matches.tp.get(cls, [])),
-            iou=semantic_iou.get(cls, 0.0),
-        )
+    for cls, st in per_class.items():
+        st.iou = semantic_iou.get(cls, 0.0)
         st.sq = st.iou_sum / st.tp if st.tp else 0.0
         denom = st.tp + 0.5 * st.fp + 0.5 * st.fn
         st.rq = st.tp / denom if denom else 0.0
         st.pq = st.sq * st.rq
-        per_class[cls] = st
 
     participating = sorted(per_class)  # each has a TP, FP or FN
     report = PanopticReport(per_class, table, participating)
@@ -295,30 +268,22 @@ def miou(pred: SegLabeling, gt: SegLabeling) -> tuple[dict[int, float], float]:
         raise LengthMismatchError(f"pred has {len(pred)} points, gt has {len(gt)}")
     ignore = np.asarray(gt.table.ignored, dtype=np.uint16)
     valid = ~np.isin(gt.semantic, ignore)
-    g = gt.semantic[valid].astype(np.int64)
-    p = pred.semantic[valid].astype(np.int64)
-    pair_ids, counts = np.unique((g << 16) | p, return_counts=True)
-    inter: dict[tuple[int, int], int] = {
-        (int(pid >> 16), int(pid & 0xFFFF)): int(c) for pid, c in zip(pair_ids, counts)
-    }
-    g_tot: dict[int, int] = {}
-    p_tot: dict[int, int] = {}
-    for (gc, pc), c in inter.items():
-        g_tot[gc] = g_tot.get(gc, 0) + c
-        p_tot[pc] = p_tot.get(pc, 0) + c
-    classes = sorted((set(g_tot) | set(p_tot)) - set(int(i) for i in ignore))
-    ious = {}
-    for c in classes:
-        i = inter.get((c, c), 0)
-        union = g_tot.get(c, 0) + p_tot.get(c, 0) - i
-        ious[c] = i / union if union else 0.0
+    # the confusion table's non-zero cells, and per-class sums over them indexed by class id
+    cells, counts = np.unique((gt.semantic[valid].astype(np.uint32) << 16) | pred.semantic[valid], return_counts=True)
+    g, p = cells >> 16, cells & 0xFFFF
+    size = 1 + int(max(g.max(initial=0), p.max(initial=0)))
+    inter = np.bincount(g[g == p], counts[g == p], size)  # float64, exact: counts stay below 2**53
+    union = np.bincount(g, counts, size) + np.bincount(p, counts, size) - inter
+    classes = np.flatnonzero(union)
+    classes = classes[lookup(ignore, classes) < 0]
+    ious = dict(zip(classes.tolist(), (inter[classes] / union[classes]).tolist()))
     return ious, _mean(list(ious.values()))
 
 
 def evaluate(pred: SegLabeling, gt: SegLabeling, min_points: int = 0) -> PanopticReport:
     """Full evaluation: matching, PQ family, starred variant, and mIoU."""
-    matches = match_segments(pred, gt, min_points=min_points)
+    per_class = match_segments(pred, gt, min_points=min_points)
     ious, mean_iou = miou(pred, gt)
-    report = panoptic_quality(matches, gt.table, ious)
+    report = panoptic_quality(per_class, gt.table, ious)
     report.miou = mean_iou
     return report

@@ -498,7 +498,8 @@ def _calibration_case(edit):
 
         shutil.copytree(base / "org", tmp / "sample")
         calib = tmp / "sample" / "calib.json"
-        calib.write_text(json.dumps(edit(json.loads(calib.read_text()))))
+        edited = edit(json.loads(calib.read_text()))
+        calib.write_text(edited if isinstance(edited, str) else json.dumps(edited))  # a str is written as it is
         return ["fuse", "--config", cfg, "--sample", str(tmp / "sample"), "--out", str(tmp / "o")]
     return case
 
@@ -521,11 +522,12 @@ def _non_finite_cloud_case(base, cfg, tmp):
     return ["voxelize", "--config", cfg, "--cloud", str(tmp / "nan.plcd"), "--out", str(tmp / "o")]
 
 
-def _empty_fmap_case(h, w):
-    """`cylpano fuse --features` on FMAP feature maps of h x w cells."""
+def _fmap_case(h, w, extra_dim=0):
+    """`cylpano fuse --features` on FMAP feature maps of h x w cells and `extra_dim` more than [tokens] dim."""
     def case(base, cfg, tmp):
         loaded = load_config(cfg)
-        formats.write_feature_maps(tmp / "e.fmap", np.zeros((loaded.synth.camera_count, h, w, loaded.tokens.dim)))
+        formats.write_feature_maps(
+            tmp / "e.fmap", np.zeros((loaded.synth.camera_count, h, w, loaded.tokens.dim + extra_dim)))
         return ["fuse", "--config", cfg, "--sample", str(base / "org"), "--features", str(tmp / "e.fmap"),
                 "--out", str(tmp / "o")]
     return case
@@ -598,6 +600,34 @@ def _spew_case(block, value):
         save_config(tmp / "weights.cfg", weighted)
         return ["fuse", "--config", str(tmp / "weights.cfg"), "--sample", str(base / "org"), "--out", str(tmp / "o")]
     return case
+
+
+def _spew_five_blocks_case(base, cfg, tmp):
+    from cylpano.tokens import SpeParams
+
+    weighted = load_config(cfg)
+    params = SpeParams.create(weighted.grid, weighted.tokens.dim, weighted.tokens.seed)
+    arrays = [params.coord_scales, params.psi_w, params.phi_w1, params.phi_b1, params.phi_w2]  # no phi_b2
+    blocks = [np.asarray([a.ndim, *a.shape], "<u4").tobytes() + np.asarray(a, "<f8").tobytes() for a in arrays]
+    (tmp / "w.spew").write_bytes(b"SPEW" + np.asarray([params.dim, len(arrays)], "<u4").tobytes() + b"".join(blocks))
+    weighted.tokens.weights_path = "w.spew"
+    save_config(tmp / "weights.cfg", weighted)
+    return ["fuse", "--config", str(tmp / "weights.cfg"), "--sample", str(base / "org"), "--out", str(tmp / "o")]
+
+
+def _tokens_of_another_sample_case(base, cfg, tmp):
+    assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(tmp / "other")]) == 0
+    assert main(["fuse", "--config", cfg, "--sample", str(tmp / "other"), "--out", str(tmp / "fuse")]) == 0
+    return ["queries", "--config", cfg, "--sample", str(base / "org"), "--tokens", str(tmp / "fuse" / "tokens.toks"),
+            "--out", str(tmp / "o")]
+
+
+def _missing_camera_image_case(base, cfg, tmp):
+    import shutil
+
+    shutil.copytree(base / "org", tmp / "sample")
+    (tmp / "sample" / "images" / "cam01.ppm").unlink()
+    return ["fuse", "--config", cfg, "--sample", str(tmp / "sample"), "--out", str(tmp / "o")]
 
 
 def _with_nan(a):
@@ -705,6 +735,12 @@ MALFORMED = {
     "calibration-top-level-list": (_calibration_case(lambda c: c["cameras"]), "BadConfigError"),
     "calibration-camera-not-object": (_calibration_case(lambda c: {"cameras": [1]}), "BadConfigError"),
     "calibration-null-width": (_calibration_case(_null_width), "BadConfigError"),
+    "calibration-no-cameras": (_calibration_case(lambda c: {"cameras": []}), "BadConfigError"),
+    "calibration-not-json": (_calibration_case(lambda c: "{not json"), "BadConfigError"),
+    "sample-missing-camera-image": (_missing_camera_image_case, "IoError"),
+    "config-unsupported-version": (_config_case("[pipeline]\nversion = 2\n"), "BadConfigError"),
+    "queries-tokens-of-another-sample": (_tokens_of_another_sample_case, "ShapeMismatchError"),
+    "spew-five-blocks": (_spew_five_blocks_case, "ShapeMismatchError"),
     "mask-camera-outside-rig": (_mask_case(5, (72, 96)), "ShapeMismatchError"),
     "mask-size-not-camera-size": (_mask_case(0, (7, 9)), "ShapeMismatchError"),
     "cloud-non-finite-coordinate": (_non_finite_cloud_case, "ShapeMismatchError"),
@@ -717,8 +753,9 @@ MALFORMED = {
     "classes-negative-id": (_classes_case("[classes]\n-1 = car,thing\n"), "BadConfigError"),
     "classes-id-past-u16": (_classes_case("[classes]\n70000 = car,thing\n"), "BadConfigError"),
     "eval-class-id-not-in-table": (_unknown_class_id_case, "IndexOutOfRangeError"),
-    "fmap-zero-height": (_empty_fmap_case(0, 5), "ShapeMismatchError"),
-    "fmap-zero-width": (_empty_fmap_case(5, 0), "ShapeMismatchError"),
+    "fmap-zero-height": (_fmap_case(0, 5), "ShapeMismatchError"),
+    "fmap-zero-width": (_fmap_case(5, 0), "ShapeMismatchError"),
+    "fmap-dim-past-token-dim": (_fmap_case(5, 5, extra_dim=1), "ShapeMismatchError"),
     "spew-phi-w2-wrong-shape": (_spew_case("phi_w2", lambda a: a[:, :-1]), "ShapeMismatchError"),
     "spew-phi-b1-wrong-shape": (_spew_case("phi_b1", lambda a: a[:-1]), "ShapeMismatchError"),
     "spew-phi-b2-wrong-shape": (_spew_case("phi_b2", lambda a: np.append(a, 0.0)), "ShapeMismatchError"),
@@ -775,6 +812,16 @@ def test_each_queries_key_reaches_the_query_stage(fused_scene, tmp_path, key):
     save_config(tmp_path / "changed.cfg", changed)
     assert _queries_run(base, tmp_path / "changed.cfg", tmp_path / "changed") != _queries_run(
         base, cfg, tmp_path / "default")
+
+
+def test_stale_camera_image_is_not_read(fused_scene, tmp_path):
+    import shutil
+
+    base, cfg = fused_scene
+    shutil.copytree(base / "org", tmp_path / "sample")
+    shutil.copy(tmp_path / "sample" / "images" / "cam00.ppm", tmp_path / "sample" / "images" / "cam09.ppm")
+    assert main(["fuse", "--config", cfg, "--sample", str(tmp_path / "sample"), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "tokens.toks").read_bytes() == (base / "fuse" / "tokens.toks").read_bytes()
 
 
 def test_wrong_size_image_error_names_the_file(fused_scene, tmp_path, capsys):

@@ -19,24 +19,29 @@ TABLE = ClassTable(
 )
 
 
-def labeling(sem, inst):
-    return SegLabeling(np.asarray(sem), np.asarray(inst), TABLE)
+# class ids past 32767, where a segment key shifted into the high word of an int64 pair key overflows
+WIDE_TABLE = ClassTable({0: ("void", "ignore"), 7: ("car", "thing"), 40000: ("bus", "thing"), 65535: ("road", "stuff")})
 
 
-def random_scene(rng, n=None):
+def labeling(sem, inst, table=TABLE):
+    return SegLabeling(np.asarray(sem), np.asarray(inst), table)
+
+
+def random_scene(rng, n=None, table=TABLE):
     n = n or int(rng.integers(20, 200))
-    gt_sem = rng.integers(0, 6, n)
-    gt_inst = np.where(np.isin(gt_sem, (1, 2, 3)), rng.integers(1, 9, n), 0)
+    ids = np.asarray(sorted(table.entries))
+    gt_sem = ids[rng.integers(0, len(ids), n)]
+    gt_inst = np.where(np.isin(gt_sem, table.things), rng.integers(1, 9, n), 0)
     # predictions correlate with gt but carry noise
     pred_sem = gt_sem.copy()
     flip = rng.random(n) < 0.3
-    pred_sem[flip] = rng.integers(0, 6, flip.sum())
-    pred_inst = np.where(np.isin(pred_sem, (1, 2, 3)), rng.integers(1, 9, n), 0)
+    pred_sem[flip] = ids[rng.integers(0, len(ids), flip.sum())]
+    pred_inst = np.where(np.isin(pred_sem, table.things), rng.integers(1, 9, n), 0)
     keep = rng.random(n) < 0.7
-    pred_inst[keep & np.isin(gt_sem, (1, 2, 3)) & (pred_sem == gt_sem)] = gt_inst[
-        keep & np.isin(gt_sem, (1, 2, 3)) & (pred_sem == gt_sem)
+    pred_inst[keep & np.isin(gt_sem, table.things) & (pred_sem == gt_sem)] = gt_inst[
+        keep & np.isin(gt_sem, table.things) & (pred_sem == gt_sem)
     ]
-    return labeling(pred_sem, pred_inst), labeling(gt_sem, gt_inst)
+    return labeling(pred_sem, pred_inst, table), labeling(gt_sem, gt_inst, table)
 
 
 class TestMatching:
@@ -44,17 +49,17 @@ class TestMatching:
         rng = np.random.default_rng(0)
         _, gt = random_scene(rng, 150)
         m = match_segments(gt, gt, min_points=0)
-        assert not m.fp and not m.fn
-        for cls, triples in m.tp.items():
-            assert all(iou == 1.0 for _, _, iou in triples)
+        assert m
+        for st in m.values():
+            assert st.fp == st.fn == 0 and st.iou_sum == st.tp
 
     def test_partial_overlap_hand_iou(self):
         gt = labeling([1] * 100, [1] * 100)
         pred_sem = [1] * 60 + [4] * 40
         pred_inst = [1] * 60 + [0] * 40
         m = match_segments(labeling(pred_sem, pred_inst), gt, min_points=0)
-        (gk, pk, iou), = m.tp[1]
-        assert iou == pytest.approx(0.6)
+        assert m[1].tp == 1
+        assert m[1].iou_sum == pytest.approx(0.6)
 
     def test_exact_half_iou_is_fp_plus_fn(self):
         # pred covers 50 of 100 gt points and nothing else: IoU = 0.5 exactly
@@ -62,8 +67,8 @@ class TestMatching:
         pred_sem = [1] * 50 + [4] * 50
         pred_inst = [1] * 50 + [0] * 50
         m = match_segments(labeling(pred_sem, pred_inst), gt, min_points=0)
-        assert 1 not in m.tp
-        assert len(m.fp[1]) == 1 and len(m.fn[1]) == 1
+        assert m[1].tp == 0
+        assert m[1].fp == m[1].fn == 1
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -74,8 +79,8 @@ class TestMatching:
         pred = labeling([2] * 50 + [1] * 50, [3] * 50 + [1] * 50)
         m = match_segments(pred, gt, min_points=0)
         # the 50 void gt points vanish, so the pred "2" segment has no footprint
-        assert 2 not in m.fp and 2 not in m.tp
-        assert len(m.tp[1]) == 1
+        assert 2 not in m
+        assert m[1].tp == 1
 
 
 class TestLabels:
@@ -124,6 +129,21 @@ class TestPanopticQuality:
             report = evaluate(pred, gt)
             for st in report.per_class.values():
                 assert abs(st.pq - st.sq * st.rq) <= 1e-12
+
+    def test_point_order_changes_nothing(self):
+        # Dozens of TPs per class with distinct IoUs, so a class's IoU sum would round differently if
+        # it were added in point order rather than in ground-truth key order.
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            gt_sem, gt_inst = rng.integers(1, 6, 3000), rng.integers(1, 60, 3000)
+            pred_sem, pred_inst = gt_sem.copy(), gt_inst.copy()
+            noise = rng.random(3000) < 0.2
+            pred_sem[noise], pred_inst[noise] = rng.integers(0, 6, noise.sum()), rng.integers(1, 60, noise.sum())
+            pred, gt = labeling(pred_sem, pred_inst), labeling(gt_sem, gt_inst)
+            perm = rng.permutation(3000)
+            shuffled = evaluate(labeling(pred.semantic[perm], pred.instance[perm]),
+                                labeling(gt.semantic[perm], gt.instance[perm]))
+            assert shuffled.to_dict() == evaluate(pred, gt).to_dict()
 
     def test_instance_relabeling_changes_nothing(self):
         rng = np.random.default_rng(3)
@@ -206,11 +226,11 @@ class TestMiou:
 class TestOracleEquivalence:
     def test_full_report_matches_brute_force(self):
         rng = np.random.default_rng(7)
-        for _ in range(30):
-            pred, gt = random_scene(rng)
+        scenes = [random_scene(rng) for _ in range(30)] + [random_scene(rng, table=WIDE_TABLE) for _ in range(30)]
+        for pred, gt in scenes:
             report = evaluate(pred, gt)
             ref_classes, ref_agg, ref_part = reference_panoptic_report(
-                pred.semantic, pred.instance, gt.semantic, gt.instance, TABLE
+                pred.semantic, pred.instance, gt.semantic, gt.instance, gt.table
             )
             assert sorted(report.per_class) == sorted(ref_classes)
             for c, st in report.per_class.items():
