@@ -106,6 +106,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     written = _write_sample(out, synth.sample)
     (out / "masks").mkdir(exist_ok=True)
+    for stale in (out / "masks").glob("mask_*.msk2"):  # queries --masks reads every mask there
+        stale.unlink()
     for i, mask in enumerate(synth.masks):
         written.append(out / "masks" / f"mask_{i:03d}.msk2")
         formats.write_mask(written[-1], mask)

@@ -73,9 +73,7 @@ class QueryConfig:
 
 @dataclass
 class PipelineConfig:
-    version: int = CONFIG_VERSION
     grid: CylGridSpec = field(default_factory=CylGridSpec)
-    image_size: tuple[int, int] = SceneConfig.image_size
     augment: AugConfig = field(default_factory=AugConfig)
     tokens: TokenConfig = field(default_factory=TokenConfig)
     queries: QueryConfig = field(default_factory=QueryConfig)
@@ -94,10 +92,10 @@ def _layout(cfg: PipelineConfig) -> dict[str, dict]:
     """Section -> key -> value of the INI file that holds `cfg`."""
     g = cfg.grid
     layout = {
-        "pipeline": {"version": cfg.version},
+        "pipeline": {"version": CONFIG_VERSION},  # the file format's, not a setting
         "grid": {"r_bins": g.r_bins, "theta_bins": g.theta_bins, "z_bins": g.z_bins, "r_min": g.r_range[0],
                  "r_max": g.r_range[1], "z_min": g.z_range[0], "z_max": g.z_range[1]},
-        "image": {"width": cfg.image_size[0], "height": cfg.image_size[1]},
+        "image": {"width": cfg.synth.image_size[0], "height": cfg.synth.image_size[1]},
     }
     for section in ("augment", "tokens", "queries", "synth"):
         obj = getattr(cfg, section)
@@ -139,7 +137,7 @@ def _build(section, cls, *args, **kwargs):
         raise BadConfigError(f"[{section}] {exc}") from exc
 
 
-# the last config parsed, by (its text, the directory a relative weights_path resolves against)
+# the last config parsed, by (its text, the absolute directory a relative weights_path resolves against)
 _PARSED: dict[tuple[str, str], PipelineConfig] = {}
 
 
@@ -152,17 +150,17 @@ def load_config(path) -> PipelineConfig:
         raise BadConfigError(f"cannot read config {path}") from exc
     except UnicodeDecodeError as exc:
         raise BadConfigError(f"cannot decode config {path}: {exc}") from exc
-    key = (text, os.path.dirname(os.fspath(path)))
+    key = (text, os.path.dirname(os.path.abspath(path)))
     if key not in _PARSED:
         _PARSED.clear()  # a text that fails to parse leaves nothing behind
-        _PARSED[key] = _parse_config(text, path)
+        _PARSED[key] = _parse_config(text, path, key[1])
     cfg = copy.deepcopy(_PARSED[key])  # callers set seeds on what they get
     if cfg.tokens.weights_path and not os.path.exists(cfg.tokens.weights_path):
         raise BadConfigError(f"weights_path {cfg.tokens.weights_path!r} does not exist")
     return cfg
 
 
-def _parse_config(text: str, path) -> PipelineConfig:
+def _parse_config(text: str, path, directory: str) -> PipelineConfig:
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text, source=os.fspath(path))
@@ -184,19 +182,16 @@ def _parse_config(text: str, path) -> PipelineConfig:
         section: {key: _parse(cp, section, key, default) for key, default in values.items()}
         for section, values in layout.items()
     }
-    g = parsed["grid"]
-    image_size = (parsed["image"]["width"], parsed["image"]["height"])
+    g, image = parsed["grid"], parsed["image"]
     cfg = PipelineConfig(
-        version=version,
         grid=_build("grid", CylGridSpec, g["r_bins"], g["theta_bins"], g["z_bins"],
                     (g["r_min"], g["r_max"]), (g["z_min"], g["z_max"])),
-        image_size=image_size,
         augment=_build("augment", AugConfig, **parsed["augment"]),
         tokens=_build("tokens", TokenConfig, **parsed["tokens"]),
         queries=_build("queries", QueryConfig, **parsed["queries"]),
-        synth=_build("synth", SceneConfig, **parsed["synth"], image_size=image_size),
+        synth=_build("synth", SceneConfig, **parsed["synth"], image_size=(image["width"], image["height"])),
     )
     if cfg.tokens.weights_path:
-        # relative to the config file, so a stage may run from any directory
-        cfg.tokens.weights_path = os.path.join(os.path.dirname(os.fspath(path)), cfg.tokens.weights_path)
+        # relative to the config file, so a stage may run from any directory and a saved copy loads back equal
+        cfg.tokens.weights_path = os.path.abspath(os.path.join(directory, cfg.tokens.weights_path))
     return cfg

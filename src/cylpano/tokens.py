@@ -244,12 +244,11 @@ def _blocks(start: int, stop: int, size: int) -> list[slice]:
 def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams):
     """The embedding of (M, 3) bin indices, on two block levels.
 
-    Yields (super_block, rows, view) for each sub-block in row order. The x
-    and y sinusoid term of the super-block (the only one that needs the
-    voxel's own centroid) goes into one buffer, which the next super-block
-    overwrites; the rho, theta, z and scale terms from per-bin tables
-    (`_bin_tables`) are added to `view`, the sub-block's rows of it, before
-    it is yielded.
+    Yields (rows, view) for each sub-block in row order. The x and y sinusoid
+    term of the super-block (the only one that needs the voxel's own
+    centroid) goes into one buffer, which the next super-block overwrites;
+    the rho, theta, z and scale terms from per-bin tables (`_bin_tables`) are
+    added to `view`, the sub-block's rows of it, before it is yielded.
     """
     xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
     tables = _bin_tables(spec, params)
@@ -264,7 +263,7 @@ def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams):
             for axis, table in enumerate(tables):
                 # mode="raise" would buffer `view`; the indices are known to be in range
                 view += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(view)], mode="clip")
-            yield sup, rows, view
+            yield rows, view
 
 
 def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
@@ -276,7 +275,7 @@ def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndar
     """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(idx3), params.dim))
-    for _, rows, view in _spe_blocks(idx3, spec, params):
+    for rows, view in _spe_blocks(idx3, spec, params):
         out[rows] = view
     return out
 
@@ -407,7 +406,7 @@ def build_tokens(
     content = np.empty((grid.num_voxels, 2 * dim), dtype=np.float32)
     table, mean_rows, counts = _image_means(grid, fmaps, cams, dim, bilinear)
     means = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), dim))
-    for _, rows, block in _spe_blocks(grid.indices3, grid.spec, params):
+    for rows, block in _spe_blocks(grid.indices3, grid.spec, params):
         # summed in float64 and rounded once on the store, as the TOKS codec stores it
         np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
         # mode="raise" would buffer `means`; `mean_rows` holds rows of `table` only

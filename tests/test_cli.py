@@ -19,7 +19,7 @@ from cylpano.synth import ring_camera
 def small_config(tmp_path, **synth_kw):
     cfg = PipelineConfig()
     cfg.grid = type(cfg.grid)(48, 36, 8, (0.0, 30.0), (-3.0, 5.0))
-    cfg.image_size = (96, 72)
+    cfg.synth.image_size = (96, 72)
     cfg.tokens.dim = 16
     cfg.tokens.feat_downsample = 4
     cfg.queries.l_pr = 16
@@ -281,7 +281,7 @@ class TestChain:
     def test_augment_noop_preserves_cloud_bytes(self, tmp_path):
         cfg_obj = PipelineConfig()
         cfg_obj.grid = type(cfg_obj.grid)(48, 36, 8, (0.0, 30.0), (-3.0, 5.0))
-        cfg_obj.image_size = (96, 72)
+        cfg_obj.synth.image_size = (96, 72)
         cfg_obj.synth.ground_points = 800
         cfg_obj.synth.extent = 15.0
         cfg_obj.synth.focal = 60.0
@@ -344,7 +344,7 @@ class TestChain:
         main(["synth", "--config", cfg, "--seed", "11", "--out", str(org)])
         loaded = load_config(cfg)
         k = loaded.synth.camera_count
-        w, h = loaded.image_size
+        w, h = loaded.synth.image_size
         maps = np.random.default_rng(0).standard_normal((k, h // 4, w // 4, loaded.tokens.dim))
         formats.write_feature_maps(tmp_path / "ext.fmap", maps.astype(np.float32))
         out = tmp_path / "fuse-ext"
@@ -712,6 +712,7 @@ MALFORMED = {
     "config-center-dist-past-extent": (_config_case("[synth]\nmin_center_dist = 100\n"), "BadConfigError"),
     "config-nan-cam-height": (_config_case("[synth]\ncam_height = nan\n"), "BadConfigError"),
     "config-scan-id-past-u8": (_config_case("[synth]\nscan_id = 300\n"), "BadConfigError"),
+    "config-object-count-past-u16": (_config_case("[synth]\nn_objects = 65536,65536\n"), "BadConfigError"),
     "config-zero-image-width": (_config_case("[image]\nwidth = 0\n"), "BadConfigError"),
     "config-nan-z-min": (_config_case("[grid]\nz_min = nan\n"), "BadConfigError"),
     "config-infinite-r-max": (_config_case("[grid]\nr_max = inf\n"), "BadConfigError"),
@@ -824,6 +825,26 @@ def test_stale_camera_image_is_not_read(fused_scene, tmp_path):
     assert (tmp_path / "o" / "tokens.toks").read_bytes() == (base / "fuse" / "tokens.toks").read_bytes()
 
 
+def test_a_rerun_of_synth_removes_stale_masks(fused_scene, tmp_path):
+    import shutil
+
+    from cylpano.queries import Mask2D
+
+    base, cfg = fused_scene
+    sample = tmp_path / "sample"
+    shutil.copytree(base / "org", sample)
+    formats.write_mask(sample / "masks" / "mask_009.msk2", Mask2D(0, np.ones((72, 96), bool)))
+    (sample / "masks" / "notes.txt").write_text("not a mask")
+    assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(sample)]) == 0
+    listed = {k for k in json.loads((sample / "manifest.json").read_text())["outputs"] if k.startswith("masks/")}
+    assert {f"masks/{p.name}" for p in (sample / "masks").glob("*.msk2")} == listed
+    assert (sample / "masks" / "notes.txt").exists()
+    assert main(["queries", "--config", cfg, "--sample", str(sample), "--tokens", str(base / "fuse" / "tokens.toks"),
+                 "--masks", str(sample / "masks"), "--out", str(tmp_path / "q")]) == 0
+    fresh, _ = _queries_run(base, cfg, tmp_path / "fresh")
+    assert (tmp_path / "q" / "queries.qrys").read_bytes() == fresh
+
+
 def test_wrong_size_image_error_names_the_file(fused_scene, tmp_path, capsys):
     argv = _image_size_case("render-overlay")(*fused_scene, tmp_path)
     capsys.readouterr()
@@ -871,7 +892,7 @@ class TestPerProcessReuse:
         save_config(other, loaded)
         org = tmp_path / "org"
         assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(org)]) == 0
-        w, h = loaded.image_size
+        w, h = loaded.synth.image_size
         maps = np.random.default_rng(5).standard_normal((loaded.synth.camera_count, h // 4, w // 4, loaded.tokens.dim))
         formats.write_feature_maps(tmp_path / "f.fmap", maps.astype(np.float32))
         runs = [("first", cfg, []), ("features", cfg, ["--features", str(tmp_path / "f.fmap")]),

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -284,7 +285,7 @@ class TestConfig:
         assert cfg.grid.shape == (480, 360, 32)
         assert cfg.grid.r_range == (0.0, 50.0)
         assert cfg.grid.z_range == (-5.0, 3.0)
-        assert cfg.image_size == (640, 360)
+        assert cfg.synth.image_size == (640, 360)
         assert (cfg.augment.p_instance, cfg.augment.p_height_swap, cfg.augment.p_angle_swap) == (0.4, 0.05, 0.05)
         assert cfg.augment.split_choices == (3, 4, 5)
         assert cfg.queries.l_pr == 128 and cfg.queries.l_lt == 128
@@ -309,7 +310,6 @@ class TestConfig:
         weights.write_bytes(b"")
         cfg = PipelineConfig(
             grid=CylGridSpec(40, 30, 8, (1.5, 30.0), (-2.5, 4.0)),
-            image_size=(96, 72),
             augment=AugConfig(
                 p_instance=0.3, p_height_swap=0.2, p_angle_swap=0.1, split_choices=(2, 6),
                 instance_count_range=(2, 4), strategy_mode="categorical", paste_translation=1.5,
@@ -329,7 +329,6 @@ class TestConfig:
             ),
         )
         default = PipelineConfig()
-        assert cfg.image_size != default.image_size
         for section in ("grid", "augment", "tokens", "queries", "synth"):
             for f in fields(getattr(cfg, section)):
                 assert getattr(getattr(cfg, section), f.name) != getattr(getattr(default, section), f.name), f.name
@@ -678,3 +677,86 @@ class TestCodecProperties:
         assert np.array_equal(formats.read_tokens(tmp_path / "t.toks", spec)[0], idx3)
         formats.write_provenance(tmp_path / "p.pvox", idx3, [1])
         assert np.array_equal(formats.read_provenance(tmp_path / "p.pvox")[0], idx3)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COUNT = st.integers(0, 2**64)
+SIZE = st.integers(1, 2**64)
+# configparser strips a value's surrounding whitespace and ends it at a newline
+FILE_NAME = st.text("abcxyzABZ019._-%", min_size=1, max_size=12).filter(lambda s: s not in (".", ".."))
+
+
+def ordered(elem, unique=False):
+    """A pair lo <= hi, or lo < hi if `unique`."""
+    return st.lists(elem, min_size=2, max_size=2, unique=unique).map(lambda v: tuple(sorted(v)))
+
+
+@st.composite
+def pipeline_configs(draw):
+    """A legal value for every field of every section."""
+    from cylpano.augment import AugConfig
+    from cylpano.config import QueryConfig, TokenConfig
+    from cylpano.synth import SceneConfig
+
+    grid = CylGridSpec(draw(SIZE), draw(SIZE), draw(SIZE), draw(ordered(st.floats(0.0, 1e300), unique=True)),
+                       draw(ordered(FINITE, unique=True)))
+    mode = draw(st.sampled_from(["independent", "categorical"]))
+    p_instance = draw(st.floats(0.0, 1.0))
+    p_height = draw(st.floats(0.0, 1.0 - p_instance if mode == "categorical" else 1.0))
+    p_angle = draw(st.floats(0.0, max(0.0, 1.0 - p_instance - p_height) if mode == "categorical" else 1.0))
+    augment = AugConfig(
+        p_instance=p_instance, p_height_swap=p_height, p_angle_swap=p_angle,
+        split_choices=tuple(draw(st.lists(SIZE, min_size=1, max_size=5))),
+        instance_count_range=draw(ordered(COUNT)), strategy_mode=mode, paste_translation=draw(FINITE),
+        paste_rotation=draw(FINITE), paste_scale_range=draw(ordered(POSITIVE)), rotation_range=draw(FINITE),
+        flip_prob=draw(st.floats(0.0, 1.0)), scale_range=draw(ordered(POSITIVE)), rng_seed=draw(COUNT),
+    )
+    tokens = TokenConfig(dim=draw(SIZE), seed=draw(COUNT), feat_downsample=draw(SIZE), bilinear=draw(st.booleans()))
+    queries = QueryConfig(
+        l_pr=draw(SIZE), l_lt=draw(COUNT), nms_conf_thresh=draw(FINITE),
+        nms_radius=draw(st.floats(0.0, allow_infinity=False)),
+        nms_radius_unit=draw(st.sampled_from(["bins", "meters"])), nms_max_peaks=draw(COUNT),
+        dbscan_eps=draw(POSITIVE), dbscan_min_pts=draw(SIZE),
+        heatmap_mode=draw(st.sampled_from(["gt_gaussian", "density"])),
+        heatmap_sigma=draw(st.floats(0.0, allow_infinity=False)),
+    )
+    extent = draw(POSITIVE)
+    synth = SceneConfig(
+        rng_seed=draw(COUNT), n_objects=draw(ordered(st.integers(0, 65535))), extent=extent,
+        ground_points=draw(COUNT), points_per_object=draw(ordered(COUNT)), box_size=draw(ordered(POSITIVE)),
+        pillar_radius=draw(ordered(POSITIVE)), pillar_height=draw(ordered(POSITIVE)),
+        wall_length=draw(ordered(POSITIVE)),
+        min_center_dist=draw(st.floats(max_value=0.85 * extent, allow_infinity=False)),
+        camera_count=draw(SIZE), image_size=(draw(SIZE), draw(SIZE)),
+        focal=draw(POSITIVE), cam_height=draw(FINITE), splat_radius=draw(COUNT),
+        scan_id=draw(st.integers(0, 255)),
+    )
+    return PipelineConfig(grid=grid, augment=augment, tokens=tokens, queries=queries, synth=synth)
+
+
+class TestConfigProperties:
+    """`load_config(save_config(cfg)) == cfg` for every legal config."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=pipeline_configs(), weights=st.none() | FILE_NAME)
+    def test_every_legal_config_round_trips(self, tmp_path_factory, cfg, weights):
+        path = tmp_path_factory.mktemp("cfg") / "p.cfg"
+        if weights is not None:
+            (path.parent / weights).write_bytes(b"")
+            cfg.tokens.weights_path = str(path.parent / weights)
+        save_config(path, cfg)
+        assert load_config(path) == cfg
+
+    def test_a_config_loaded_through_a_relative_path_saves_and_loads_back_equal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfgs").mkdir()
+        (tmp_path / "cfgs" / "w.spew").write_bytes(b"")
+        cfg = PipelineConfig()
+        cfg.tokens.weights_path = "w.spew"
+        save_config("cfgs/p.cfg", cfg)
+        first = load_config("cfgs/p.cfg")
+        save_config("cfgs/q.cfg", first)
+        assert load_config("cfgs/q.cfg") == first
+        assert os.path.isabs(first.tokens.weights_path)
+        assert os.path.samefile(first.tokens.weights_path, tmp_path / "cfgs" / "w.spew")
