@@ -42,7 +42,7 @@ def check_range(name: str, bounds, positive: bool = False):
         raise ValueError(f"{name} must be a finite pair {'0 <' if positive else '0 <='} lo <= hi, got {bounds}")
 
 
-@dataclass
+@dataclass(slots=True)
 class AugConfig:
     """Probabilities and ranges for the augmentation pipeline."""
 

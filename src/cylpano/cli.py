@@ -1,10 +1,13 @@
-"""Command-line pipeline: synth | voxelize | augment | fuse | queries | eval | render-overlay.
+"""Command-line pipeline: synth | voxelize | augment | fuse | queries | eval | render-overlay | replay | batch.
 
 Every stage writes its artifacts plus a manifest.json recording the argv,
-seed, config hash, and input/output content hashes. `cylpano replay` re-runs
-the stage a manifest records; it compares nothing, so to check a run, compare
-the `outputs` of the two runs' manifests. Stage errors exit nonzero with the
-error name on stderr.
+seed, config hash, and input/output content hashes; each output hash is of
+the bytes the stage wrote. `cylpano replay` re-runs the stage a manifest
+records: first it checks that the config and every input still hash as
+recorded, then that the rerun's outputs hash as the recorded outputs, and it
+exits 1 naming the files that differ. `cylpano batch` runs stage command
+lines, one per line, from a file or stdin, in one process, and stops at the
+first line that fails. Stage errors exit nonzero with the error name on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -28,7 +32,7 @@ import numpy.random  # noqa: F401
 from . import formats
 from .augment import MultiModalSample, augment, rect_union
 from .config import PipelineConfig, load_config, save_config
-from .errors import BadConfigError, PipelineError, ShapeMismatchError
+from .errors import BadConfigError, PipelineError, ReplayMismatchError, ShapeMismatchError
 from .grid import voxelize
 from .metrics import ClassTable, SegLabeling, evaluate
 from .queries import assemble_queries, build_bev_heatmap, geometric_hints, placeholder_queries, texture_hints
@@ -36,18 +40,18 @@ from .synth import generate_scene, render_overlay
 from .tokens import FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, containing_rows
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as f:  # in 1 MiB chunks, not the whole file at once
-        while chunk := f.read(1 << 20):
-            h.update(chunk)
-    return h.hexdigest()
+_sha256 = formats.file_sha256  # `cli._sha256` stays importable
 
 
 def _write_manifest(
     out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, outputs, timings, counters=None
 ):
-    """manifest.json in `out_dir`; `outputs` are the files the stage wrote, so a file left there before is not listed."""
+    """manifest.json in `out_dir`; `outputs` are the files the stage wrote, so a file left there before is not listed.
+
+    Each output's hash is the digest its writer took of the bytes it wrote; the
+    manifest then seals every digest taken so far, so a later stage that reads
+    one of these files as an input need not hash it again.
+    """
     # one read, so the hash is of the bytes the snapshot shows
     config = Path(config_path).read_bytes() if config_path else None
     manifest = {
@@ -59,12 +63,13 @@ def _write_manifest(
         "config_sha256": hashlib.sha256(config).hexdigest() if config_path else None,
         # decoded as `Path.read_text` decodes: the locale's encoding, universal newlines
         "config_snapshot": io.TextIOWrapper(io.BytesIO(config)).read() if config_path else None,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(outputs)},
+        "inputs": {str(p): formats.file_sha256(p) for p in inputs},
+        "outputs": {str(p.relative_to(out_dir)): formats.file_sha256(p, own=True) for p in sorted(outputs)},
         "timings": timings,
         "counters": counters or {},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    formats.seal(out_dir / "manifest.json")
 
 
 def _load_cfg(args) -> PipelineConfig:
@@ -308,16 +313,62 @@ def cmd_render_overlay(args) -> int:
     return 0
 
 
+def _changed(recorded: dict[str, str], root: Path) -> list[str]:
+    """The names in `recorded` whose file under `root` is gone or no longer hashes to the recorded sha256."""
+    changed = []
+    for name, digest in recorded.items():
+        try:
+            same = formats.file_sha256(root / name) == digest
+        except OSError:
+            same = False
+        if not same:
+            changed.append(name)
+    return changed
+
+
 def cmd_replay(args) -> int:
     try:
-        argv = list(json.loads(Path(args.manifest).read_text())["argv"])
+        manifest = json.loads(Path(args.manifest).read_text())
+        argv, inputs, outputs = list(manifest["argv"]), dict(manifest["inputs"]), dict(manifest["outputs"])
+        if manifest["config"] is not None:
+            inputs[manifest["config"]] = manifest["config_sha256"]
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise BadConfigError(f"cannot parse manifest {args.manifest}: {exc}") from exc
+    changed = _changed(inputs, Path())
+    if changed:
+        raise ReplayMismatchError(f"inputs differ from {args.manifest}: {', '.join(changed)}")
     if "--out" in argv:
         argv[argv.index("--out") + 1] = args.out
     else:
         argv += ["--out", args.out]
-    return main(argv)
+    _dispatch(argv)
+    rerun = json.loads((Path(args.out) / "manifest.json").read_text())["outputs"]
+    changed = _changed(outputs, Path(args.out)) + sorted(rerun.keys() - outputs.keys())
+    if changed:
+        raise ReplayMismatchError(f"outputs differ from {args.manifest}: {', '.join(changed)}")
+    return 0
+
+
+def cmd_batch(args) -> int:
+    text = sys.stdin.read() if args.lines == "-" else Path(args.lines).read_text()
+    for n, line in enumerate(text.splitlines(), 1):
+        try:
+            try:
+                argv = shlex.split(line, comments=True)  # a blank line or a `#` line splits to nothing
+            except ValueError as exc:  # an unclosed quote
+                raise BadConfigError(str(exc)) from exc
+            if argv and argv[0] == "batch":
+                raise BadConfigError("a batch cannot run another batch")
+            code = _dispatch(argv) if argv else 0
+        except (PipelineError, OSError) as e:
+            print(f"line {n}: {_error_text(e)}", file=sys.stderr)
+            return 1
+        except SystemExit as e:  # from argparse, which has printed the usage or the help
+            code = e.code
+        if code:
+            print(f"line {n}: exit {code}", file=sys.stderr)
+            return 1
+    return 0
 
 
 def cmd_init_config(args) -> int:
@@ -383,27 +434,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_replay.__name__)
 
+    sp = sub.add_parser("batch", help="run stage command lines, one per line, in this process")
+    sp.add_argument("lines", help="file of stage command lines, or - for stdin")
+    sp.set_defaults(func=cmd_batch.__name__)
+
     sp = sub.add_parser("init-config", help="write the default config file")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_init_config.__name__)
     return p
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def _dispatch(argv: list[str]) -> int:
+    """Parse one command line and run its stage; the stage's errors propagate."""
     args = build_parser().parse_args(argv)
     args._argv = list(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy generators take non-negative seeds
+        raise BadConfigError(f"--seed must be >= 0, got {args.seed}")
+    # by name when it runs, so a `cmd_*` replaced after the parser was built is the one called
+    return globals()[args.func](args)
+
+
+def _error_text(e: Exception) -> str:
+    return f"IoError: {e}" if isinstance(e, OSError) else f"{type(e).__name__}: {e}"
+
+
+def main(argv=None) -> int:
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy generators take non-negative seeds
-            raise BadConfigError(f"--seed must be >= 0, got {args.seed}")
-        # by name when main runs, so a `cmd_*` replaced after the parser was built is the one called
-        return globals()[args.func](args)
-    except PipelineError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"IoError: {e}", file=sys.stderr)
+        return _dispatch(sys.argv[1:] if argv is None else argv)
+    except (PipelineError, OSError) as e:
+        print(_error_text(e), file=sys.stderr)
         return 1
 
 

@@ -22,7 +22,7 @@ from .synth import SceneConfig
 CONFIG_VERSION = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenConfig:
     dim: int = 128
     seed: int = 0
@@ -35,7 +35,7 @@ class TokenConfig:
             raise ValueError("need dim >= 1, feat_downsample >= 1 and seed >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryConfig:
     l_pr: int = 128
     l_lt: int = 128
@@ -71,7 +71,7 @@ class QueryConfig:
         return self.nms_radius
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineConfig:
     grid: CylGridSpec = field(default_factory=CylGridSpec)
     augment: AugConfig = field(default_factory=AugConfig)

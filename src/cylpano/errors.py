@@ -43,3 +43,7 @@ class ShapeMismatchError(PipelineError):
 
 class BadConfigError(PipelineError):
     """Configuration file is malformed or references missing files."""
+
+
+class ReplayMismatchError(PipelineError):
+    """A replayed stage's inputs or outputs differ from those its manifest recorded."""

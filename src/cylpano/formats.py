@@ -14,15 +14,22 @@ shapes, so round-trips are bit-exact across platforms:
 
 Camera calibrations are JSON (numbers parse as 64-bit floats); images are
 binary PPM (P6).
+
+Every writer sends the bytes it writes through one sha256 and records the
+digest under the file's stat key, so a manifest need not read a file back to
+hash it; `file_sha256` says when a recorded digest still holds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
 import re
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +126,87 @@ def _read(path, magic: bytes, n: int):
         r.done()
 
 
+_MEMO_FILES = 1024  # digests kept: the files most recently written or hashed, so a long batch stays bounded
+
+
+@dataclass(slots=True)
+class _Digest:
+    key: tuple  # the file's `_stat_key` when `sha256` was taken
+    sha256: str
+    written: bool  # taken from the bytes a writer wrote, not read back
+    seal: int | None = None  # `st_mtime_ns` of the first manifest written after it was recorded
+
+
+# by (st_dev, st_ino), oldest first: each digest is recorded at the end, so the unsealed ones are a suffix
+_DIGESTS: OrderedDict[tuple[int, int], _Digest] = OrderedDict()
+
+
+def _stat_key(path) -> tuple[int, int, int, int, int]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _record(key: tuple, sha256: str, written: bool):
+    _DIGESTS.pop(key[:2], None)
+    _DIGESTS[key[:2]] = _Digest(key, sha256, written)
+    if len(_DIGESTS) > _MEMO_FILES:
+        _DIGESTS.popitem(last=False)
+
+
+def _hash_file(path, key: tuple) -> str:
+    """The sha256 of the file's bytes, read in 1 MiB chunks; recorded if its stat key is still `key`."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            h.update(chunk)
+    digest = h.hexdigest()
+    if _stat_key(path) == key:  # else it changed while it was read
+        _record(key, digest, written=False)
+    return digest
+
+
+def file_sha256(path, own: bool = False) -> str:
+    """The sha256 of the file at `path`, hashed only when no recorded digest still holds for it.
+
+    A digest holds while the file's stat key is the one recorded with it and
+    either the file's mtime is strictly older than the digest's seal, the
+    manifest written after the digest was recorded, or no manifest has been
+    written since and the digest is of the bytes the caller's stage wrote
+    (`own`). The seal is git's racy-clean rule, with the manifest as the
+    index: a change after the seal moves the mtime to the seal's tick or later.
+    """
+    key = _stat_key(path)
+    entry = _DIGESTS.get(key[:2])
+    if entry is None or entry.key != key:
+        return _hash_file(path, key)
+    if entry.seal is None:  # recorded since the last manifest
+        holds = own and entry.written
+    else:
+        holds = key[3] < entry.seal
+    return entry.sha256 if holds else _hash_file(path, key)
+
+
+def seal(path):
+    """Seal every digest recorded since the last seal with the mtime of `path`, a file written after them."""
+    mtime = os.stat(path).st_mtime_ns
+    for entry in reversed(_DIGESTS.values()):
+        if entry.seal is not None:
+            break
+        entry.seal = mtime
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """`write(data)` into a new file at `path`; the bytes pass through one sha256 recorded as the file's digest."""
+    h = hashlib.sha256()
+    with open(path, "wb") as f:
+        def write(data):
+            h.update(data)
+            f.write(data)
+        yield write
+    _record(_stat_key(path), h.hexdigest(), written=True)
+
+
 def _write(path, magic: bytes, header, *arrays: np.ndarray, records=None):
     """Write `magic`, the u32 `header` fields, the `records`, then each contiguous array's own buffer.
 
@@ -126,8 +214,8 @@ def _write(path, magic: bytes, header, *arrays: np.ndarray, records=None):
     length. They pass through one buffer of at most `_CHUNK` records, as
     `_Reader.fields` reads them, so the whole record array is never built.
     """
-    with open(path, "wb") as f:
-        f.write(magic + _u32(*header))
+    with _writing(path) as write:
+        write(magic + _u32(*header))
         if records is not None:
             dtype, fields = records
             count = len(next(iter(fields.values())))
@@ -136,9 +224,9 @@ def _write(path, magic: bytes, header, *arrays: np.ndarray, records=None):
                 part = buf[:count - start]
                 for name, a in fields.items():
                     part[name] = a[start:start + len(part)]
-                f.write(part.data)
+                write(part.data)
         for a in arrays:
-            f.write(a.data)
+            write(a.data)
 
 
 def _u16_indices(idx3) -> np.ndarray:
@@ -276,9 +364,9 @@ def write_ppm(path, image: np.ndarray):
     if image.ndim != 3 or image.shape[2] != 3:
         raise ShapeMismatchError("PPM images must be (H, W, 3) uint8")
     h, w, _ = image.shape
-    with open(path, "wb") as f:  # the header, then the image's own buffer: no joined copy
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(image.data)
+    with _writing(path) as write:  # the header, then the image's own buffer: no joined copy
+        write(f"P6\n{w} {h}\n255\n".encode())
+        write(image.data)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -311,7 +399,8 @@ def write_calibration(path, cams: list[CameraModel]):
             for cam in cams
         ]
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    with _writing(path) as write:
+        write(json.dumps(payload, indent=1).encode())  # ASCII: `json.dumps` escapes the rest
 
 
 def read_calibration(path) -> list[CameraModel]:

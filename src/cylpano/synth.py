@@ -24,7 +24,7 @@ GROUND, BOX, PILLAR, WALL = 1, 2, 3, 4
 INTENSITY = np.array([0.0, 0.2, 0.5, 0.7, 0.9], dtype=np.float32)  # indexed by class id
 
 
-@dataclass
+@dataclass(slots=True)
 class SceneConfig:
     """Knobs for the scene generator; everything derives from rng_seed."""
 

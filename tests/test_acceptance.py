@@ -362,7 +362,6 @@ def test_09_determinism_and_round_trip(tmp_path):
     with criterion(9, "byte-identical reruns and bit-exact codec round-trips"):
         cfg = PipelineConfig()
         cfg.grid = FAST_SPEC
-        cfg.image_size = (96, 72)
         cfg.tokens.dim = 16
         cfg.tokens.feat_downsample = 4
         cfg.queries.l_pr = 16

@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,20 @@ def small_config(tmp_path, **synth_kw):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _chain(cfg, out):
+    """The command lines of synth x2 -> voxelize -> augment -> fuse -> queries, all under `out`."""
+    org, new, aug, fuse = (str(out / d) for d in ("org", "new", "aug", "fuse"))
+    return [
+        ["synth", "--config", cfg, "--seed", "1", "--out", org],
+        ["synth", "--config", cfg, "--seed", "2", "--out", new],
+        ["voxelize", "--config", cfg, "--cloud", org + "/cloud.plcd", "--out", str(out / "vox")],
+        ["augment", "--config", cfg, "--seed", "3", "--org", org, "--new", new, "--out", aug],
+        ["fuse", "--config", cfg, "--sample", aug, "--out", fuse],
+        ["queries", "--config", cfg, "--sample", aug, "--tokens", fuse + "/tokens.toks",
+         "--masks", org + "/masks", "--out", str(out / "queries")],
+    ]
 
 
 class TestChain:
@@ -948,18 +964,6 @@ class TestPerProcessReuse:
             save_config(tmp_path / name / "pipeline.cfg", cfg)
             configs[name] = str(tmp_path / name / "pipeline.cfg")
 
-        def chain(cfg, out):
-            org, new, aug, fuse = (str(out / d) for d in ("org", "new", "aug", "fuse"))
-            return [
-                ["synth", "--config", cfg, "--seed", "1", "--out", org],
-                ["synth", "--config", cfg, "--seed", "2", "--out", new],
-                ["voxelize", "--config", cfg, "--cloud", org + "/cloud.plcd", "--out", str(out / "vox")],
-                ["augment", "--config", cfg, "--seed", "3", "--org", org, "--new", new, "--out", aug],
-                ["fuse", "--config", cfg, "--sample", aug, "--out", fuse],
-                ["queries", "--config", cfg, "--sample", aug, "--tokens", fuse + "/tokens.toks",
-                 "--masks", org + "/masks", "--out", str(out / "queries")],
-            ]
-
         def written(out):  # every artifact's bytes, and what each manifest records of the outputs
             files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
                      if p.is_file() and p.name != "manifest.json"}
@@ -970,13 +974,113 @@ class TestPerProcessReuse:
         src = Path(__file__).resolve().parents[1] / "src"
         code = "import json, sys; from cylpano.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
         for name, cfg in configs.items():
-            subprocess.run([sys.executable, "-c", code, json.dumps(chain(cfg, tmp_path / f"fresh-{name}"))],
+            subprocess.run([sys.executable, "-c", code, json.dumps(_chain(cfg, tmp_path / f"fresh-{name}"))],
                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         for k, name in enumerate("aba"):
             out = tmp_path / f"one-{k}"
-            assert [main(argv) for argv in chain(configs[name], out)] == [0] * 6
+            assert [main(argv) for argv in _chain(configs[name], out)] == [0] * 6
             assert written(out) == written(tmp_path / f"fresh-{name}")
         assert written(tmp_path / "one-0")[0] != written(tmp_path / "one-1")[0]
+        # both chains as one `cylpano batch` on stdin, in a fresh process
+        lines = [shlex.join(argv) for name in "ab" for argv in _chain(configs[name], tmp_path / f"batch-{name}")]
+        subprocess.run([sys.executable, "-m", "cylpano.cli", "batch", "-"], input="\n".join(["# a, then b", *lines]),
+                       text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        for name in "ab":
+            assert written(tmp_path / f"batch-{name}") == written(tmp_path / f"fresh-{name}")
+
+
+class TestBatch:
+    def test_lines_run_in_order_and_blank_and_comment_lines_are_skipped(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        chain = _chain(cfg, tmp_path)
+        lines = ["# synth, then voxelize what it wrote", "", "   ", shlex.join(chain[0]), shlex.join(chain[2])]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+        assert main(["batch", "-"]) == 0
+        manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("org", "vox")]
+        assert [m["command"] for m in manifests] == ["synth", "voxelize"]
+
+    def test_a_failing_line_stops_the_batch(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        (tmp_path / "short.plcd").write_bytes(b"PLCD" + (5).to_bytes(4, "little"))  # five points, none present
+        lines = [
+            shlex.join(["synth", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "org")]),
+            "# the next line fails",
+            shlex.join(["voxelize", "--cloud", str(tmp_path / "short.plcd"), "--out", str(tmp_path / "vox")]),
+            shlex.join(["synth", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "new")]),
+        ]
+        (tmp_path / "chain.txt").write_text("\n".join(lines) + "\n")
+        assert main(["batch", str(tmp_path / "chain.txt")]) == 1
+        assert capsys.readouterr().err.startswith("line 3: TruncatedFileError: ")
+        assert (tmp_path / "org" / "manifest.json").exists()
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ("batch other.txt", "line 1: BadConfigError: "),
+        ("synth --out 'unclosed", "line 1: BadConfigError: "),
+        ("voxelize --out o", "line 1: exit 2"),  # argparse's usage error: --cloud is missing
+    ])
+    def test_a_bad_line_exits_1_naming_it(self, tmp_path, capsys, line, error):
+        (tmp_path / "chain.txt").write_text(line + "\n")
+        assert main(["batch", str(tmp_path / "chain.txt")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(error)
+
+
+class TestReplayVerifies:
+    @pytest.fixture
+    def chain(self, tmp_path):
+        """A chain run in this process; returns its directory and the config path."""
+        cfg = small_config(tmp_path)
+        assert [main(argv) for argv in _chain(cfg, tmp_path / "run")] == [0] * 6
+        return tmp_path / "run", cfg
+
+    def test_every_recorded_hash_is_the_file_hash(self, chain):
+        run, cfg = chain
+        manifests = sorted(run.rglob("manifest.json"))
+        assert len(manifests) == 6
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert manifest["config_sha256"] == sha(Path(cfg))
+            assert manifest["inputs"] == {p: sha(Path(p)) for p in manifest["inputs"]}
+            assert manifest["outputs"] == {p: sha(path.parent / p) for p in manifest["outputs"]}
+
+    def test_replaying_every_manifest_of_a_chain_exits_0(self, chain, tmp_path, capsys):
+        run, _ = chain
+        for k, path in enumerate(sorted(run.rglob("manifest.json"))):
+            assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / f"replay{k}")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_changed_input_exits_1_before_the_stage_runs(self, chain, monkeypatch, capsys):
+        run, _ = chain
+        tokens = run / "fuse" / "tokens.toks"
+        data = bytearray(tokens.read_bytes())
+        data[-1] ^= 1  # the last content float's lowest bit
+        tokens.write_bytes(bytes(data))
+        calls = []
+        monkeypatch.setattr(cli, "cmd_queries", lambda args: calls.append(args) or 0)
+        assert main(["replay", "--manifest", str(run / "queries" / "manifest.json"), "--out", str(run / "q2")]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("ReplayMismatchError: inputs differ") and err.rstrip().endswith(str(tokens))
+
+    def test_a_changed_config_exits_1(self, chain, capsys):
+        run, cfg = chain
+        Path(cfg).write_text(Path(cfg).read_text() + "\n")
+        assert main(["replay", "--manifest", str(run / "vox" / "manifest.json"), "--out", str(run / "v2")]) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"inputs differ from {run / 'vox' / 'manifest.json'}: {cfg}")
+
+    def test_an_output_that_differs_exits_1_naming_it(self, chain, monkeypatch, capsys):
+        run, _ = chain
+        generate = cli.generate_scene
+
+        def brighter(scene_cfg):  # one point's intensity moves, so only cloud.plcd differs
+            synth = generate(scene_cfg)
+            synth.sample.cloud.intensity[0] += 1.0
+            return synth
+
+        monkeypatch.setattr(cli, "generate_scene", brighter)
+        assert main(["replay", "--manifest", str(run / "org" / "manifest.json"), "--out", str(run / "o2")]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("outputs differ from "
+                                                         f"{run / 'org' / 'manifest.json'}: cloud.plcd")
 
 
 def test_import_loads_no_scipy_spatial():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -428,6 +429,15 @@ class TestConfig:
         assert peak < 1 << 20
 
 
+    @pytest.mark.parametrize("section", [None, "augment", "tokens", "queries", "synth"])
+    @pytest.mark.parametrize("name", ["version", "rng_sed"])
+    def test_an_unknown_attribute_is_rejected(self, section, name):
+        cfg = PipelineConfig()
+        obj = cfg if section is None else getattr(cfg, section)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 2)
+        assert not hasattr(obj, name)
+
 class TestConfigMemo:
     """`load_config` parses a text once per directory and hands each caller its own copy."""
 
@@ -677,6 +687,122 @@ class TestCodecProperties:
         assert np.array_equal(formats.read_tokens(tmp_path / "t.toks", spec)[0], idx3)
         formats.write_provenance(tmp_path / "p.pvox", idx3, [1])
         assert np.array_equal(formats.read_provenance(tmp_path / "p.pvox")[0], idx3)
+
+
+@st.composite
+def written_artifacts(draw):
+    """(writer, its arguments after the path) for every writer, drawn as `TestCodecProperties` draws its inputs."""
+    from cylpano.tokens import SpeParams
+
+    kind = draw(st.sampled_from(["point_cloud", "mask", "provenance", "spe_params", "tokens", "queries",
+                                 "feature_maps", "ppm", "calibration"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "point_cloud":
+        n = draw(st.integers(0, 40))
+        return formats.write_point_cloud, (PointCloud(rng.normal(0, 1e3, (n, 3)), random_bits(rng, n, "<f4"),
+                                                      random_bits(rng, n, "<u2"), random_bits(rng, n, "<u2")),)
+    if kind == "mask":
+        h, w, cam = draw(st.integers(0, 20)), draw(st.integers(0, 20)), draw(st.integers(0, 2**32 - 1))
+        return formats.write_mask, (Mask2D(cam, rng.random((h, w)) < draw(st.floats(0, 1))),)
+    if kind == "provenance":
+        n = draw(st.integers(0, 40))
+        return formats.write_provenance, (rng.integers(0, 2**16, (n, 3)), random_bits(rng, n, "u1"))
+    if kind == "spe_params":
+        return formats.write_spe_params, (SpeParams.create(CylGridSpec(), draw(st.integers(1, 24)), 0),)
+    if kind == "tokens":
+        shape, dim = draw(st.tuples(*[st.integers(1, 9)] * 3)), draw(st.integers(1, 8))
+        spec = CylGridSpec(*shape, (0.0, 10.0), (-1.0, 1.0))
+        flat = np.flatnonzero(rng.random(spec.num_cells) < draw(st.floats(0, 1)))
+        return formats.write_tokens, (TokenSet(spec, flat, random_bits(rng, (len(flat), 2 * dim), "<f4")),)
+    if kind == "queries":
+        dim, n_prior, n_lt, n_sem = draw(st.integers(1, 8)), *(draw(st.integers(0, 6)) for _ in range(3))
+        hints = [LocationHint(rng.normal(0, 50, 3).astype(np.float32), float(np.float32(rng.random())),
+                              ("geometric", "texture")[int(rng.integers(2))]) for _ in range(n_prior)]
+        return formats.write_queries, (QuerySet(
+            dim, random_bits(rng, (n_prior, 2 * dim), "<f4"), random_bits(rng, (n_prior, dim), "<f4"), hints,
+            random_bits(rng, (n_lt, dim), "<f4"), random_bits(rng, (n_sem, dim), "<f4")),)
+    if kind == "feature_maps":
+        return formats.write_feature_maps, (random_bits(rng, [draw(st.integers(0, 4)) for _ in range(4)], "<f4"),)
+    if kind == "ppm":
+        return formats.write_ppm, (random_bits(rng, (draw(st.integers(0, 20)), draw(st.integers(0, 20)), 3), "u1"),)
+    cams = [ring_camera(float(yaw), 64, 48, 40.0, 1.5) for yaw in rng.uniform(0, 2 * np.pi, draw(st.integers(1, 3)))]
+    return formats.write_calibration, (cams,)
+
+
+def _never_hashed(path, key):
+    raise AssertionError(f"{path} was read to be hashed")
+
+
+class TestWriteDigests:
+    """Each writer records the sha256 of the bytes it wrote; `file_sha256` trusts a recorded digest only
+    while the file's stat key is unchanged and, once a manifest has sealed it, the file is older than the seal."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=written_artifacts())
+    def test_the_recorded_digest_is_the_file_hash(self, tmp_path_factory, case):
+        write, args = case
+        path = tmp_path_factory.mktemp("digest") / "artifact"
+        write(path, *args)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(formats, "_hash_file", _never_hashed)  # so the digest is the one the writer took
+            assert formats.file_sha256(path, own=True) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @staticmethod
+    def _written_and_sealed(tmp_path, seal_after_ns):
+        """A PLCD file written through its writer, its digest sealed `seal_after_ns` after the file's mtime."""
+        path = tmp_path / "c.plcd"
+        formats.write_point_cloud(path, PointCloud(np.arange(30.0).reshape(10, 3), np.ones(10), None, None))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}")
+        seal_ns = os.stat(path).st_mtime_ns + seal_after_ns
+        os.utime(manifest, ns=(seal_ns, seal_ns))
+        formats.seal(manifest)
+        return path
+
+    @staticmethod
+    def _flip_last_byte(path) -> bytes:
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))  # not through a writer: a new mtime and ctime, the same size
+        return bytes(data)
+
+    def test_a_file_older_than_its_seal_is_not_read_again(self, tmp_path, monkeypatch):
+        path = self._written_and_sealed(tmp_path, 10**9)
+        monkeypatch.setattr(formats, "_hash_file", _never_hashed)
+        assert formats.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_a_file_rewritten_at_the_same_size_is_hashed_again(self, tmp_path):
+        path = self._written_and_sealed(tmp_path, 10**9)
+        data = self._flip_last_byte(path)
+        assert formats.file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+    def test_a_file_not_older_than_its_seal_is_hashed_again_under_its_recorded_key(self, tmp_path, monkeypatch):
+        path = self._written_and_sealed(tmp_path, 0)  # sealed in the file's own tick
+        key = formats._stat_key(path)
+        data = self._flip_last_byte(path)
+        monkeypatch.setattr(formats, "_stat_key", lambda p: key)  # as if the rewrite had left the key as it was
+        assert formats.file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+    def test_an_unsealed_digest_holds_only_for_the_stage_that_wrote_the_file(self, tmp_path, monkeypatch):
+        written, read = tmp_path / "w.plcd", tmp_path / "r.bin"
+        formats.write_point_cloud(written, PointCloud(np.zeros((2, 3)), np.ones(2), None, None))
+        read.write_bytes(b"written outside the codecs")
+        assert formats.file_sha256(read) == hashlib.sha256(read.read_bytes()).hexdigest()  # recorded unsealed
+        hashed = []
+        hash_file = formats._hash_file
+        monkeypatch.setattr(formats, "_hash_file", lambda p, key: hashed.append(p) or hash_file(p, key))
+        formats.file_sha256(written, own=True)
+        formats.file_sha256(written)
+        formats.file_sha256(read, own=True)
+        assert hashed == [written, read]
+
+    def test_the_memo_keeps_the_last_files_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_MEMO_FILES", 3)
+        monkeypatch.setattr(formats, "_DIGESTS", type(formats._DIGESTS)())
+        for k in range(5):
+            formats.write_mask(tmp_path / f"m{k}.msk2", Mask2D(0, np.eye(k + 1, dtype=bool)))
+        assert [d.key for d in formats._DIGESTS.values()] == [formats._stat_key(tmp_path / f"m{k}.msk2")
+                                                             for k in (2, 3, 4)]
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

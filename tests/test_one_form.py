@@ -27,6 +27,10 @@ exists, so that no stale entry covers a future name.
 A sixth scan holds the tests to `src/`: a `monkeypatch.setattr` on a
 `cylpano` module must replace a name that module's own code loads, or the
 patch reaches no caller and the test around it checks nothing.
+
+A seventh holds `formats.py` to one write path: only its hashing write frame
+opens a file for writing, so no codec writes a byte whose digest the memo
+has not taken.
 """
 
 import ast
@@ -265,3 +269,25 @@ def test_package_namespace_binds_only_the_version():
             bound.add(node.name)
     assert sorted(name for name in bound if not name.startswith("_")) == []
     assert "__version__" in bound
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call may create or change a file: an `open` in a mode that is not read-only, or a writing helper."""
+    name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+    if name in ("write_text", "write_bytes", "tofile", "save", "savez", "savez_compressed", "savetxt"):
+        return True
+    if name != "open":
+        return False
+    # `Path.open(mode)` or `open(path, mode)`; `os.open(path, flags)` always counts, its path being no mode
+    at = 0 if isinstance(call.func, ast.Attribute) else 1
+    mode = call.args[at] if len(call.args) > at else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_formats_writes_files_only_through_its_hashing_frame():
+    tree = MODULES["formats"]
+    writers = sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for call in ast.walk(fn) if isinstance(call, ast.Call) and _writes_a_file(call)})
+    assert writers == ["_writing"]
+    frame = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_writing")
+    assert "update" in _loaded_attributes(frame)  # the frame's bytes pass through its sha256
