@@ -1,13 +1,14 @@
 """Command-line pipeline: synth | voxelize | augment | fuse | queries | eval | render-overlay | replay | batch.
 
 Every stage writes its artifacts plus a manifest.json recording the argv,
-seed, config hash, and input/output content hashes; each output hash is of
-the bytes the stage wrote. `cylpano replay` re-runs the stage a manifest
-records: first it checks that the config and every input still hash as
-recorded, then that the rerun's outputs hash as the recorded outputs, and it
-exits 1 naming the files that differ. `cylpano batch` runs stage command
-lines, one per line, from a file or stdin, in one process, and stops at the
-first line that fails. Stage errors exit nonzero with the error name on stderr.
+seed, config hash, and the content hashes of every file the stage's `formats`
+codecs read (inputs) and wrote (outputs, each hashed from the bytes written).
+`cylpano replay` re-runs the stage a manifest records: first it checks that the
+config and every input still hash as recorded, then that the rerun's outputs
+hash as the recorded outputs, and it exits 1 naming the files that differ.
+`cylpano batch` runs stage command lines, one per line, from a file or stdin,
+in one process, and stops at the first line that fails. Stage errors exit
+nonzero with the error name on stderr.
 """
 
 from __future__ import annotations
@@ -40,31 +41,25 @@ from .synth import generate_scene, render_overlay
 from .tokens import FeatureMap, SpeParams, TokenSet, VoxelFeatures, build_tokens, containing_rows
 
 
-_sha256 = formats.file_sha256  # `cli._sha256` stays importable
+def _write_manifest(args, seed, timings, counters=None):
+    """manifest.json in the stage's `--out`, listing the files its codecs read and wrote (`_dispatch` records them).
 
-
-def _write_manifest(
-    out_dir: Path, command: str, argv: list[str], seed, config_path, inputs, outputs, timings, counters=None
-):
-    """manifest.json in `out_dir`; `outputs` are the files the stage wrote, so a file left there before is not listed.
-
-    Each output's hash is the digest its writer took of the bytes it wrote; the
-    manifest then seals every digest taken so far, so a later stage that reads
-    one of these files as an input need not hash it again.
+    It seals every digest taken so far, so a later stage that reads one of these files need not hash it again.
     """
+    (read, written), out_dir, config_path = args._run, Path(args.out), getattr(args, "config", None)
     # one read, so the hash is of the bytes the snapshot shows
     config = Path(config_path).read_bytes() if config_path else None
     manifest = {
-        "version": 1,
-        "command": command,
-        "argv": argv,
+        "version": 2,
+        "command": args.command,
+        "argv": args._argv,
         "seed": seed,
         "config": str(config_path) if config_path else None,
         "config_sha256": hashlib.sha256(config).hexdigest() if config_path else None,
         # decoded as `Path.read_text` decodes: the locale's encoding, universal newlines
         "config_snapshot": io.TextIOWrapper(io.BytesIO(config)).read() if config_path else None,
-        "inputs": {str(p): formats.file_sha256(p) for p in inputs},
-        "outputs": {str(p.relative_to(out_dir)): formats.file_sha256(p, own=True) for p in sorted(outputs)},
+        "inputs": {path: formats.file_sha256(path) for path in read},
+        "outputs": {str(path.relative_to(out_dir)): sha256 for path, sha256 in sorted(written.items())},
         "timings": timings,
         "counters": counters or {},
     }
@@ -89,17 +84,12 @@ def _load_sample(sample_dir) -> MultiModalSample:
     return MultiModalSample(cloud, images, cams)
 
 
-def _write_sample(out_dir: Path, sample: MultiModalSample) -> list[Path]:
-    """Write the cloud, calibration and images; returns their paths."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "images").mkdir(exist_ok=True)
-    paths = [out_dir / "cloud.plcd", out_dir / "calib.json"]
-    formats.write_point_cloud(paths[0], sample.cloud)
-    formats.write_calibration(paths[1], sample.cams)
+def _write_sample(out_dir: Path, sample: MultiModalSample):
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    formats.write_point_cloud(out_dir / "cloud.plcd", sample.cloud)
+    formats.write_calibration(out_dir / "calib.json", sample.cams)
     for k, img in enumerate(sample.images):
-        paths.append(out_dir / "images" / f"cam{k:02d}.ppm")
-        formats.write_ppm(paths[-1], img)
-    return paths
+        formats.write_ppm(out_dir / "images" / f"cam{k:02d}.ppm", img)
 
 
 def cmd_synth(args) -> int:
@@ -109,17 +99,14 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     synth = generate_scene(scene_cfg)
     out = Path(args.out)
-    written = _write_sample(out, synth.sample)
+    _write_sample(out, synth.sample)
     (out / "masks").mkdir(exist_ok=True)
     for stale in (out / "masks").glob("mask_*.msk2"):  # queries --masks reads every mask there
         stale.unlink()
     for i, mask in enumerate(synth.masks):
-        written.append(out / "masks" / f"mask_{i:03d}.msk2")
-        formats.write_mask(written[-1], mask)
-    written.append(out / "classes.cfg")
-    synth.table.save(written[-1])
-    _write_manifest(out, "synth", args._argv, args.seed, args.config, [], written,
-                    {"synth": time.perf_counter() - t0})
+        formats.write_mask(out / "masks" / f"mask_{i:03d}.msk2", mask)
+    formats.write_class_table(out / "classes.cfg", synth.table)
+    _write_manifest(args, args.seed, {"synth": time.perf_counter() - t0})
     return 0
 
 
@@ -132,19 +119,9 @@ def cmd_voxelize(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.write_provenance(out / "voxels.pvox", grid.indices3, grid.source)
-    (out / "summary.json").write_text(
-        json.dumps(
-            {
-                "points": len(cloud),
-                "occupied_voxels": grid.num_voxels,
-                "dropped_points": int(len(grid.dropped)),
-                "grid": list(cfg.grid.shape),
-            },
-            indent=1,
-        )
-    )
-    _write_manifest(out, "voxelize", args._argv, None, args.config, [args.cloud],
-                    [out / "voxels.pvox", out / "summary.json"], {"voxelize": dt})
+    formats.write_json(out / "summary.json", {"points": len(cloud), "occupied_voxels": grid.num_voxels,
+                                              "dropped_points": int(len(grid.dropped)), "grid": list(cfg.grid.shape)})
+    _write_manifest(args, None, {"voxelize": dt})
     return 0
 
 
@@ -166,10 +143,9 @@ def cmd_augment(args) -> int:
         ],
     }
     out = Path(args.out)
-    written = _write_sample(out, result.sample) + [out / "provenance.pvox"]
-    formats.write_provenance(written[-1], result.grid.indices3, result.grid.source)
-    inputs = [Path(args.org) / "cloud.plcd", Path(args.new) / "cloud.plcd"]
-    _write_manifest(out, "augment", args._argv, args.seed, args.config, inputs, written, {"augment": dt}, counters)
+    _write_sample(out, result.sample)
+    formats.write_provenance(out / "provenance.pvox", result.grid.indices3, result.grid.source)
+    _write_manifest(args, args.seed, {"augment": dt}, counters)
     return 0
 
 
@@ -227,9 +203,7 @@ def cmd_fuse(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.write_tokens(out / "tokens.toks", tokens)
-    inputs = [Path(args.sample) / "cloud.plcd"] + ([args.features] if args.features else [])
-    _write_manifest(out, "fuse", args._argv, cfg.tokens.seed, args.config, inputs, [out / "tokens.toks"],
-                    {"fuse": dt}, counters)
+    _write_manifest(args, cfg.tokens.seed, {"fuse": dt}, counters)
     return 0
 
 
@@ -256,10 +230,8 @@ def cmd_queries(args) -> int:
         if cam is None or mask.bitmap.shape != (cam.height, cam.width):
             raise ShapeMismatchError(f"{mask.bitmap.shape} mask of camera {mask.camera_id} does not fit the rig")
     tex = texture_hints(masks, sample.cloud, sample.cams, qc.dbscan_eps, qc.dbscan_min_pts)
-    table = ClassTable.load(args.classes) if args.classes else ClassTable.synthetic()
-    qs = assemble_queries(
-        geo, tex, grid, tokens, params, qc.l_pr, qc.l_lt, num_classes=len(table.entries)
-    )
+    table = formats.read_class_table(args.classes) if args.classes else ClassTable.synthetic()
+    qs = assemble_queries(geo, tex, grid, tokens, params, qc.l_pr, qc.l_lt, num_classes=len(table.entries))
     dt = time.perf_counter() - t0
     counters = {
         "hints_geometric": len(geo),
@@ -271,18 +243,14 @@ def cmd_queries(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.write_queries(out / "queries.qrys", qs)
-    inputs = [Path(args.sample) / "cloud.plcd", args.tokens]
-    _write_manifest(
-        out, "queries", args._argv, cfg.tokens.seed, args.config, inputs, [out / "queries.qrys"], {"queries": dt},
-        counters,
-    )
+    _write_manifest(args, cfg.tokens.seed, {"queries": dt}, counters)
     return 0
 
 
 def cmd_eval(args) -> int:
     pred_cloud = formats.read_point_cloud(args.pred)
     gt_cloud = formats.read_point_cloud(args.gt)
-    table = ClassTable.load(args.classes)
+    table = formats.read_class_table(args.classes)
     t0 = time.perf_counter()
     report = evaluate(
         SegLabeling(pred_cloud.semantic, pred_cloud.instance, table),
@@ -290,10 +258,10 @@ def cmd_eval(args) -> int:
         min_points=args.min_points,
     )
     dt = time.perf_counter() - t0
-    out_path = Path(args.report)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report.to_dict(), indent=1))
-    agg = report.to_dict()["aggregates"]
+    Path(args.report).parent.mkdir(parents=True, exist_ok=True)
+    scores = report.to_dict()
+    formats.write_json(args.report, scores)
+    agg = scores["aggregates"]
     print(
         f"PQ {agg['pq']:.4f}  SQ {agg['sq']:.4f}  RQ {agg['rq']:.4f}  "
         f"PQ_dagger {agg['pq_dagger']:.4f}  mIoU {agg['miou']:.4f}  ({dt:.3f}s)"
@@ -306,10 +274,9 @@ def cmd_render_overlay(args) -> int:
     images = render_overlay(sample.cloud, sample.images, sample.cams)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = [out / f"overlay{k:02d}.ppm" for k in range(len(images))]
-    for path, img in zip(written, images):
-        formats.write_ppm(path, img)
-    _write_manifest(out, "render-overlay", args._argv, None, None, [Path(args.sample) / "cloud.plcd"], written, {})
+    for k, img in enumerate(images):
+        formats.write_ppm(out / f"overlay{k:02d}.ppm", img)
+    _write_manifest(args, None, {})
     return 0
 
 
@@ -451,7 +418,8 @@ def _dispatch(argv: list[str]) -> int:
     if getattr(args, "seed", 0) < 0:  # numpy generators take non-negative seeds
         raise BadConfigError(f"--seed must be >= 0, got {args.seed}")
     # by name when it runs, so a `cmd_*` replaced after the parser was built is the one called
-    return globals()[args.func](args)
+    with formats.recording() as args._run:
+        return globals()[args.func](args)
 
 
 def _error_text(e: Exception) -> str:

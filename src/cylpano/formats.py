@@ -12,19 +12,24 @@ shapes, so round-trips are bit-exact across platforms:
   PVOX  per-voxel provenance: u32 count; per voxel u16 r,theta,z, u8 tag
   SPEW  embedding weights: u32 dim; shape-prefixed f64 blocks
 
-Camera calibrations are JSON (numbers parse as 64-bit floats); images are
-binary PPM (P6).
+Camera calibrations are JSON (numbers parse as 64-bit floats), as are stage
+summaries and eval reports; class tables are INI and images binary PPM (P6).
 
-Every writer sends the bytes it writes through one sha256 and records the
-digest under the file's stat key, so a manifest need not read a file back to
-hash it; `file_sha256` says when a recorded digest still holds.
+Codecs open files to read only through `_open`, and write them only through
+`_writing`, which sends the bytes through one sha256. Both add to the running
+stage's `recording()`, the paths read and the digests written, which is all a
+manifest lists. A digest is also kept under the file's stat key, so a later
+stage need not read the file back to hash it; `file_sha256` says when it holds.
 """
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import hashlib
+import io
 import json
+import locale
 import math
 import os
 import re
@@ -37,6 +42,7 @@ import numpy as np
 from .errors import BadConfigError, BadMagicError, ShapeMismatchError, TruncatedFileError
 from .geometry import CameraModel
 from .grid import PointCloud
+from .metrics import ClassTable
 from .queries import LocationHint, Mask2D, QuerySet
 from .tokens import SpeParams, TokenSet
 
@@ -111,13 +117,34 @@ def _u32(*vals) -> bytes:
     return np.asarray(vals, dtype="<u4").tobytes()
 
 
+_RUNS: list[tuple[dict[str, None], dict[Path, str]]] = []  # a record per stage running, innermost last
+
+
+@contextlib.contextmanager
+def recording():
+    """({path read: None}, {path written: its sha256}) through the codecs until the block ends, each block its own."""
+    _RUNS.append(({}, {}))
+    try:
+        yield _RUNS[-1]
+    finally:
+        _RUNS.pop()
+
+
+def _open(path):
+    """`path` opened for binary reading, and recorded as read by the running stage."""
+    f = open(path, "rb")
+    if _RUNS:
+        _RUNS[-1][0][str(path)] = None
+    return f
+
+
 @contextlib.contextmanager
 def _read(path, magic: bytes, n: int):
     """A reader over the open file past its 4-byte `magic` and `n` u32 header fields, and those fields.
 
     The `with` body reads the payload; leaving it checks that no byte is left over.
     """
-    with open(path, "rb") as f:
+    with _open(path) as f:
         r = _Reader(f, path)
         got = r.take(4)
         if got != magic:
@@ -133,7 +160,6 @@ _MEMO_FILES = 1024  # digests kept: the files most recently written or hashed, s
 class _Digest:
     key: tuple  # the file's `_stat_key` when `sha256` was taken
     sha256: str
-    written: bool  # taken from the bytes a writer wrote, not read back
     seal: int | None = None  # `st_mtime_ns` of the first manifest written after it was recorded
 
 
@@ -146,9 +172,9 @@ def _stat_key(path) -> tuple[int, int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _record(key: tuple, sha256: str, written: bool):
+def _record(key: tuple, sha256: str):
     _DIGESTS.pop(key[:2], None)
-    _DIGESTS[key[:2]] = _Digest(key, sha256, written)
+    _DIGESTS[key[:2]] = _Digest(key, sha256)
     if len(_DIGESTS) > _MEMO_FILES:
         _DIGESTS.popitem(last=False)
 
@@ -161,29 +187,24 @@ def _hash_file(path, key: tuple) -> str:
             h.update(chunk)
     digest = h.hexdigest()
     if _stat_key(path) == key:  # else it changed while it was read
-        _record(key, digest, written=False)
+        _record(key, digest)
     return digest
 
 
-def file_sha256(path, own: bool = False) -> str:
+def file_sha256(path) -> str:
     """The sha256 of the file at `path`, hashed only when no recorded digest still holds for it.
 
     A digest holds while the file's stat key is the one recorded with it and
-    either the file's mtime is strictly older than the digest's seal, the
-    manifest written after the digest was recorded, or no manifest has been
-    written since and the digest is of the bytes the caller's stage wrote
-    (`own`). The seal is git's racy-clean rule, with the manifest as the
-    index: a change after the seal moves the mtime to the seal's tick or later.
+    the file's mtime is strictly older than the digest's seal, the manifest
+    written after the digest was recorded. The seal is git's racy-clean rule,
+    with the manifest as the index: a change after the seal moves the mtime to
+    the seal's tick or later. An unsealed digest never holds.
     """
     key = _stat_key(path)
     entry = _DIGESTS.get(key[:2])
-    if entry is None or entry.key != key:
-        return _hash_file(path, key)
-    if entry.seal is None:  # recorded since the last manifest
-        holds = own and entry.written
-    else:
-        holds = key[3] < entry.seal
-    return entry.sha256 if holds else _hash_file(path, key)
+    if entry is not None and entry.key == key and entry.seal is not None and key[3] < entry.seal:
+        return entry.sha256
+    return _hash_file(path, key)
 
 
 def seal(path):
@@ -197,14 +218,17 @@ def seal(path):
 
 @contextlib.contextmanager
 def _writing(path):
-    """`write(data)` into a new file at `path`; the bytes pass through one sha256 recorded as the file's digest."""
+    """`write(data)` into a new file at `path`; the bytes pass through one sha256, recorded as the file's digest
+    in the memo and as written by the running stage."""
     h = hashlib.sha256()
     with open(path, "wb") as f:
         def write(data):
             h.update(data)
             f.write(data)
         yield write
-    _record(_stat_key(path), h.hexdigest(), written=True)
+    _record(_stat_key(path), h.hexdigest())
+    if _RUNS:
+        _RUNS[-1][1][Path(path)] = h.hexdigest()
 
 
 def _write(path, magic: bytes, header, *arrays: np.ndarray, records=None):
@@ -370,7 +394,7 @@ def write_ppm(path, image: np.ndarray):
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:  # into a writable buffer that the image then views
+    with _open(path) as f:  # into a writable buffer that the image then views
         data = bytearray(os.fstat(f.fileno()).st_size)
         f.readinto(data)
     if not data.startswith(b"P6"):
@@ -399,13 +423,13 @@ def write_calibration(path, cams: list[CameraModel]):
             for cam in cams
         ]
     }
-    with _writing(path) as write:
-        write(json.dumps(payload, indent=1).encode())  # ASCII: `json.dumps` escapes the rest
+    write_json(path, payload)
 
 
 def read_calibration(path) -> list[CameraModel]:
     try:
-        payload = json.loads(Path(path).read_text())
+        with io.TextIOWrapper(_open(path)) as f:  # decoded as `open(path)` decodes
+            payload = json.loads(f.read())
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise BadConfigError(f"cannot parse calibration {path}: {exc}") from exc
     cameras = payload.get("cameras", []) if isinstance(payload, dict) else None
@@ -452,3 +476,43 @@ def read_spe_params(path) -> SpeParams:
         return SpeParams(dim, *arrays)
     except ValueError as exc:  # a block of the wrong shape, or a non-finite weight
         raise ShapeMismatchError(f"{path}: {exc}") from exc
+
+
+def write_json(path, payload):
+    with _writing(path) as write:
+        write(json.dumps(payload, indent=1).encode())  # ASCII: `json.dumps` escapes the rest
+
+
+def write_class_table(path, table: ClassTable):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp["classes"] = {str(cid): f"{name},{kind}" for cid, (name, kind) in sorted(table.entries.items())}
+    text = io.StringIO()
+    cp.write(text)
+    with _writing(path) as write:
+        write(text.getvalue().encode(locale.getpreferredencoding(False)))  # as `open(path, "w")` encodes
+
+
+def read_class_table(path) -> ClassTable:
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with io.TextIOWrapper(_open(path)) as f:  # the locale's encoding and universal newlines, as `cp.read`
+            cp.read_file(f, path)
+    except OSError as exc:
+        raise BadConfigError(f"cannot read class table {path}") from exc
+    except configparser.Error as exc:  # no section header, a duplicate key, ...
+        raise BadConfigError(f"malformed class table {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadConfigError(f"cannot decode class table {path}: {exc}") from exc
+    if "classes" not in cp:
+        raise BadConfigError("class table needs a [classes] section")
+    entries = {}
+    for key, value in cp["classes"].items():
+        try:
+            name, kind = value.split(",")
+            entries[int(key)] = (name.strip(), kind.strip())
+        except ValueError as exc:
+            raise BadConfigError(f"bad class entry {key} = {value}") from exc
+    try:
+        return ClassTable(entries)
+    except ValueError as exc:  # an unknown kind or an id past u16
+        raise BadConfigError(f"{path}: {exc}") from exc

@@ -11,12 +11,11 @@ stuff class's PQ for its semantic IoU.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BadConfigError, IndexOutOfRangeError, LengthMismatchError
+from .errors import IndexOutOfRangeError, LengthMismatchError
 from .grid import lookup
 
 THING, STUFF, IGNORE = "thing", "stuff", "ignore"
@@ -60,38 +59,6 @@ class ClassTable:
     @classmethod
     def synthetic(cls) -> "ClassTable":
         return cls(dict(SYNTH_CLASSES))
-
-    def save(self, path):
-        cp = configparser.ConfigParser(interpolation=None)
-        cp["classes"] = {
-            str(cid): f"{name},{kind}" for cid, (name, kind) in sorted(self.entries.items())
-        }
-        with open(path, "w") as f:
-            cp.write(f)
-
-    @classmethod
-    def load(cls, path) -> "ClassTable":
-        cp = configparser.ConfigParser(interpolation=None)
-        try:
-            if not cp.read(path):
-                raise BadConfigError(f"cannot read class table {path}")
-        except configparser.Error as exc:  # no section header, a duplicate key, ...
-            raise BadConfigError(f"malformed class table {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise BadConfigError(f"cannot decode class table {path}: {exc}") from exc
-        if "classes" not in cp:
-            raise BadConfigError("class table needs a [classes] section")
-        entries = {}
-        for key, value in cp["classes"].items():
-            try:
-                name, kind = value.split(",")
-                entries[int(key)] = (name.strip(), kind.strip())
-            except ValueError as exc:
-                raise BadConfigError(f"bad class entry {key} = {value}") from exc
-        try:
-            return cls(entries)
-        except ValueError as exc:  # an unknown kind or an id past u16
-            raise BadConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass

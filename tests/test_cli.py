@@ -869,11 +869,9 @@ def test_wrong_size_image_error_names_the_file(fused_scene, tmp_path, capsys):
 
 
 def test_sha256_in_chunks_equals_whole_file_hash(tmp_path):
-    from cylpano.cli import _sha256
-
     path = tmp_path / "blob"
     path.write_bytes(np.random.default_rng(0).integers(0, 256, 7 << 19, dtype=np.uint8).tobytes())  # 3.5 MiB
-    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert formats.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_manifest_hashes_the_config_bytes_its_snapshot_shows(tmp_path):
@@ -1081,6 +1079,83 @@ class TestReplayVerifies:
         assert main(["replay", "--manifest", str(run / "org" / "manifest.json"), "--out", str(run / "o2")]) == 1
         assert capsys.readouterr().err.rstrip().endswith("outputs differ from "
                                                          f"{run / 'org' / 'manifest.json'}: cloud.plcd")
+
+
+class TestManifestsFromTheCodecs:
+    """A manifest lists every file its stage's codecs read, and a one-process chain hashes each file as it is
+    written: a later stage's manifest takes the digest the writer recorded, so no file is read only to be hashed."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        """A chain run in this process, with fuse given `--features` and a config `weights_path`, queries given
+        `--classes`, then render-overlay and eval. Returns its directory, the weights' path and each file that
+        `formats._hash_file` read."""
+        from cylpano.tokens import SpeParams
+
+        cfg = small_config(tmp_path)
+        loaded = load_config(cfg)
+        formats.write_spe_params(tmp_path / "w.spew", SpeParams.create(loaded.grid, loaded.tokens.dim, seed=5))
+        loaded.tokens.weights_path = "w.spew"
+        save_config(cfg, loaded)
+        (w, h), ds = loaded.synth.image_size, loaded.tokens.feat_downsample
+        shape = (loaded.synth.camera_count, h // ds, w // ds, loaded.tokens.dim)
+        maps = np.random.default_rng(5).standard_normal(shape)
+        formats.write_feature_maps(tmp_path / "f.fmap", maps.astype(np.float32))
+        run = tmp_path / "run"
+        chain = _chain(cfg, run)
+        chain[4] += ["--features", str(tmp_path / "f.fmap")]
+        chain[5] += ["--classes", str(run / "org" / "classes.cfg")]
+        chain += [["render-overlay", "--sample", str(run / "aug"), "--out", str(run / "overlay")],
+                  ["eval", "--pred", str(run / "aug" / "cloud.plcd"), "--gt", str(run / "aug" / "cloud.plcd"),
+                   "--classes", str(run / "org" / "classes.cfg"), "--report", str(run / "eval" / "report.json")]]
+        hashed = []
+        hash_file = formats._hash_file
+        monkeypatch.setattr(formats, "_hash_file", lambda path, key: hashed.append(path) or hash_file(path, key))
+        assert [main(argv) for argv in chain] == [0] * 8
+        return run, load_config(cfg).tokens.weights_path, hashed
+
+    def test_each_manifest_lists_exactly_what_its_stage_read(self, run):
+        run, weights, _ = run
+
+        def sample(name):
+            d = run / name
+            return [d / "cloud.plcd", d / "calib.json", *sorted((d / "images").glob("cam*.ppm"))]
+
+        expected = {
+            "org": [], "new": [],
+            "vox": [run / "org" / "cloud.plcd"],
+            "aug": sample("org") + sample("new"),
+            "fuse": [*sample("aug"), run.parent / "f.fmap", weights],
+            "queries": [*sample("aug"), run / "fuse" / "tokens.toks", weights,
+                        *sorted((run / "org" / "masks").glob("*.msk2")), run / "org" / "classes.cfg"],
+            "overlay": sample("aug"),
+        }
+        assert len(expected["aug"]) == 8 and len(expected["queries"]) > 7
+        for name, paths in expected.items():
+            inputs = json.loads((run / name / "manifest.json").read_text())["inputs"]
+            assert sorted(inputs) == sorted(map(str, paths)), name
+            assert inputs == {p: sha(Path(p)) for p in inputs}
+
+    def test_a_one_process_chain_reads_no_file_only_to_hash_it(self, run):
+        # each input's mtime must be strictly older than the manifest that sealed it, so this needs file
+        # timestamps finer than the gap between a stage's last write and its manifest
+        _, _, hashed = run
+        assert hashed == []
+
+    def test_replay_names_a_swapped_mask_before_the_stage_runs(self, tmp_path, monkeypatch, capsys):
+        from cylpano.queries import Mask2D
+
+        run = tmp_path / "run"
+        assert [main(argv) for argv in _chain(small_config(tmp_path), run)] == [0] * 6
+        mask = run / "org" / "masks" / "mask_000.msk2"
+        old = formats.read_mask(mask)
+        formats.write_mask(mask, Mask2D(old.camera_id, np.ones_like(old.bitmap)))  # a full-image mask
+        calls = []
+        monkeypatch.setattr(cli, "cmd_queries", lambda args: calls.append(args) or 0)
+        manifest = run / "queries" / "manifest.json"
+        assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "q2")]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.rstrip() == f"ReplayMismatchError: inputs differ from {manifest}: {mask}"
 
 
 def test_import_loads_no_scipy_spatial():

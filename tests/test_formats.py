@@ -13,7 +13,6 @@ from cylpano.config import PipelineConfig, load_config, save_config
 from cylpano.errors import BadConfigError, BadMagicError, ShapeMismatchError, TruncatedFileError
 from cylpano.geometry import similarity_matrix, transform_camera
 from cylpano.grid import CylGridSpec, PointCloud
-from cylpano.metrics import ClassTable
 from cylpano.queries import LocationHint, Mask2D, QuerySet
 from cylpano.synth import ring_camera
 from cylpano.tokens import TokenSet
@@ -363,8 +362,8 @@ class TestConfig:
 
         literal = ClassTable({1: ("gro%und", "stuff"), 2: ("100%(car)s", "thing")})  # % is literal
         for table in (ClassTable.synthetic(), literal):
-            table.save(tmp_path / "c.cfg")
-            assert ClassTable.load(tmp_path / "c.cfg") == table
+            formats.write_class_table(tmp_path / "c.cfg", table)
+            assert formats.read_class_table(tmp_path / "c.cfg") == table
 
     def test_nms_radius_meters_converts_through_radial_bin_width(self, tmp_path):
         from cylpano.config import QueryConfig
@@ -490,7 +489,7 @@ class TestConfigMemo:
         (tmp_path / "crlf.cfg").write_bytes(text.replace("\n", "\r\n").encode())
         assert load_config(tmp_path / "crlf.cfg") == PipelineConfig()
 
-    @pytest.mark.parametrize("load, what", [(load_config, "config"), (ClassTable.load, "class table")])
+    @pytest.mark.parametrize("load, what", [(load_config, "config"), (formats.read_class_table, "class table")])
     def test_a_file_that_is_not_utf8_is_a_bad_config(self, tmp_path, load, what):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"[classes]\n1 = car,thing\xff\n")
@@ -742,10 +741,10 @@ class TestWriteDigests:
     def test_the_recorded_digest_is_the_file_hash(self, tmp_path_factory, case):
         write, args = case
         path = tmp_path_factory.mktemp("digest") / "artifact"
-        write(path, *args)
-        with pytest.MonkeyPatch.context() as monkeypatch:
+        with pytest.MonkeyPatch.context() as monkeypatch, formats.recording() as (_, written):
             monkeypatch.setattr(formats, "_hash_file", _never_hashed)  # so the digest is the one the writer took
-            assert formats.file_sha256(path, own=True) == hashlib.sha256(path.read_bytes()).hexdigest()
+            write(path, *args)
+        assert written == {path: hashlib.sha256(path.read_bytes()).hexdigest()}
 
     @staticmethod
     def _written_and_sealed(tmp_path, seal_after_ns):
@@ -783,7 +782,7 @@ class TestWriteDigests:
         monkeypatch.setattr(formats, "_stat_key", lambda p: key)  # as if the rewrite had left the key as it was
         assert formats.file_sha256(path) == hashlib.sha256(data).hexdigest()
 
-    def test_an_unsealed_digest_holds_only_for_the_stage_that_wrote_the_file(self, tmp_path, monkeypatch):
+    def test_an_unsealed_digest_is_never_trusted_written_or_read(self, tmp_path, monkeypatch):
         written, read = tmp_path / "w.plcd", tmp_path / "r.bin"
         formats.write_point_cloud(written, PointCloud(np.zeros((2, 3)), np.ones(2), None, None))
         read.write_bytes(b"written outside the codecs")
@@ -791,9 +790,8 @@ class TestWriteDigests:
         hashed = []
         hash_file = formats._hash_file
         monkeypatch.setattr(formats, "_hash_file", lambda p, key: hashed.append(p) or hash_file(p, key))
-        formats.file_sha256(written, own=True)
         formats.file_sha256(written)
-        formats.file_sha256(read, own=True)
+        formats.file_sha256(read)
         assert hashed == [written, read]
 
     def test_the_memo_keeps_the_last_files_recorded(self, tmp_path, monkeypatch):

@@ -30,7 +30,13 @@ patch reaches no caller and the test around it checks nothing.
 
 A seventh holds `formats.py` to one write path: only its hashing write frame
 opens a file for writing, so no codec writes a byte whose digest the memo
-has not taken.
+has not taken. An eighth holds it to one read path: only its recording read
+frame, and the hash of a file no codec reads, open a file for reading, so a
+manifest lists every file a stage read.
+
+A ninth holds `cli.py` and `metrics.py` to the codecs: outside an allow-list
+by function, none of their calls opens, reads or writes a file, so every
+artifact a stage reads or writes is in its manifest.
 """
 
 import ast
@@ -291,3 +297,55 @@ def test_formats_writes_files_only_through_its_hashing_frame():
     assert writers == ["_writing"]
     frame = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_writing")
     assert "update" in _loaded_attributes(frame)  # the frame's bytes pass through its sha256
+
+
+def _call_name(call: ast.Call):
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
+def _parsers(fn) -> set[str]:
+    """Names a function binds to a new `configparser` parser, whose `read(path)` opens the file it is given."""
+    return {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and _call_name(node.value) in ("ConfigParser", "RawConfigParser") for t in node.targets
+            if isinstance(t, ast.Name)}
+
+
+def _reads_a_file(call: ast.Call, parsers: set[str]) -> bool:
+    """Whether a call may open a file to read it: an `open` in a mode that reads, or a reading helper."""
+    name = _call_name(call)
+    if name in ("read_text", "read_bytes", "fromfile", "load", "loadtxt", "genfromtxt", "memmap"):
+        return True
+    if name == "read":  # on a parser it opens its argument; on an open file it reads on
+        return isinstance(call.func, ast.Attribute) and getattr(call.func.value, "id", None) in parsers
+    if name != "open":
+        return False
+    at = 0 if isinstance(call.func, ast.Attribute) else 1
+    mode = call.args[at] if len(call.args) > at else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and not set(mode.value) & set("r+"))
+
+
+def test_formats_opens_files_to_read_only_through_its_recording_frame():
+    readers = sorted({fn.name for fn in ast.walk(MODULES["formats"]) if isinstance(fn, ast.FunctionDef)
+                      for call in ast.walk(fn) if isinstance(call, ast.Call) and _reads_a_file(call, _parsers(fn))})
+    assert readers == ["_hash_file", "_open"]
+
+
+# the names a call has when it opens, reads or writes a file itself, not through a codec
+FILE_CALLS = {"open", "read", "readinto", "read_text", "read_bytes", "write", "write_text", "write_bytes", "tofile",
+              "fromfile", "save", "savez", "savez_compressed", "savetxt", "load", "loadtxt", "genfromtxt", "memmap"}
+ALLOWED_FILE_CALLS = {
+    "cli._write_manifest": "the manifest, and the config bytes its hash and snapshot come from",
+    "cli.cmd_replay": "the manifest it replays, and the rerun's",
+    "cli.cmd_batch": "the file, or stdin, of command lines",
+}
+
+
+def test_cli_and_metrics_touch_files_only_through_the_codecs():
+    touching = {
+        f"{module}.{getattr(node, 'name', '<module>')}"
+        for module in ("cli", "metrics")
+        for node in MODULES[module].body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and _call_name(call) in FILE_CALLS
+    }
+    assert touching == set(ALLOWED_FILE_CALLS)
