@@ -181,11 +181,15 @@ def ranges(starts, sizes: np.ndarray) -> np.ndarray:
 
 def segment_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
     """Every (i, j) with i in range(a_start[s], a_start[s] + a_size[s]) and j in range(b_start[s],
-    b_start[s] + b_size[s]), segment pair s by segment pair and j fastest; one size may be a scalar."""
-    size = a_size * b_size
-    s = np.repeat(np.arange(len(size)), size)
-    k = ranges(0, size)
-    return a_start[s] + k // b_size[s], b_start[s] + k % b_size[s]
+    b_start[s] + b_size[s]), segment pair s by segment pair and j fastest; a_size may be the scalar 1.
+
+    Each i pairs with its segment's range of j, so no pair needs a division:
+    with a_size 1 the i are the starts as they are, and otherwise each i
+    becomes a segment of its own.
+    """
+    if np.ndim(a_size) == 0 and a_size == 1:
+        return np.repeat(a_start, b_size), ranges(b_start, b_size)
+    return segment_pairs(ranges(a_start, a_size), 1, np.repeat(b_start, a_size), np.repeat(b_size, a_size))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRangeError
-from .grid import CylGrid, PointCloud, centroids_batch, lookup, segment_pairs
+from .grid import CylGrid, PointCloud, centroids_batch, lookup, ranges, segment_pairs
 from .geometry import CameraModel, cart_to_polar, valid_projections
 from .tokens import SpeParams, TokenSet, nearest_occupied_rows, spe_batch
 
@@ -213,15 +213,31 @@ def _components(pairs: np.ndarray, n: int) -> np.ndarray:
         if not split.any():
             return root
         np.minimum.at(root, np.maximum(ra[split], rb[split]), np.minimum(ra[split], rb[split]))
-        while not np.array_equal(root[root], root):
-            root = root[root]
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
-def _within(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """Whether each row of p lies within eps of the same row of q, by `cKDTree`'s rule:
-    the squared differences summed over x, y and z in that order, compared with eps * eps."""
-    d = p - q
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps * eps
+def _within(xyz: np.ndarray, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each point i lies within eps of the point j beside it, by `cKDTree`'s rule: the squared
+    differences summed over x, y and z in that order, compared with eps * eps. xyz is (3, n), one row per axis."""
+    x, y, z = xyz
+    dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+    return dx * dx + dy * dy + dz * dz <= eps * eps
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct keys, one position of each in keys, and each key's index among them.
+
+    Unlike `np.unique`'s `return_index`, the position need not be the first
+    one, so the default sort serves, which is faster than the stable one.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.diff(ordered, prepend=ordered[:1] - 1) != 0
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
 
 
 # the offsets after zero, in lexicographic order, of the cells linked outright
@@ -289,19 +305,20 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     Coarse blocks. Cells group into coarse blocks of 4 x 4 x 4 compressed
     cells, keyed the same way, and two points within eps always lie in the
     same or adjacent coarse blocks. Every point the cells leave unsure is
-    tested against every point of the 27 coarse blocks around its own: this
-    gives its exact neighbour count and, if it is not core, its core
-    neighbours. Core cells in different components can still hold
-    neighbouring core points: the core points are grouped by (coarse block,
-    component), and each group is tested against the groups of other
-    components in its own and the adjacent coarse blocks, so no pair inside
-    one component is formed; each pair within eps joins two components.
+    tested against every point of the 27 coarse blocks around its own, which
+    are listed once for each block that holds such a point: this gives its
+    exact neighbour count and, if it is not core, its core neighbours. Core
+    cells in different components can still hold neighbouring core points:
+    the core points are grouped by (coarse block, component), and each group
+    is tested against the groups of other components in its own and the
+    adjacent coarse blocks, so no pair inside one component is formed; two
+    groups that hold a pair within eps join their components.
 
     Every distance decision that the cells do not settle is made by
-    `_within`, so the labels are exact under that rule. It can round to the
-    other side of eps than `np.linalg.norm(p - q)` for a pair within an ulp
-    of eps, so labels equal a norm-based expansion only when no pair lies on
-    such a tie.
+    `_within` on the x, y and z columns, copied once per call, so the labels
+    are exact under that rule. It can round to the other side of eps than
+    `np.linalg.norm(p - q)` for a pair within an ulp of eps, so labels equal
+    a norm-based expansion only when no pair lies on such a tie.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -310,40 +327,48 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
     if not eps > 0 or min_pts < 1:  # a NaN eps fails here too
         raise ValueError("need eps > 0 and min_pts >= 1")
-    rel = pts - pts.min(axis=0)
+    xyz = pts.T.copy()  # the x, y and z columns that every distance test reads
+    rel = xyz - xyz.min(axis=1, keepdims=True)
     side = eps / (2.0 * np.sqrt(3.0))
     side *= 1.0 - 1e-9 - 4.0 * np.finfo(np.float64).eps * rel.max() / side
     ijk = np.floor(rel / side)
     # each axis' cell coordinates, with every gap of more than 4 cells cut to 5
-    order, axes = np.argsort(ijk, axis=0), np.arange(3)
-    c = np.empty((n, 3), dtype=np.int64)
-    c[order, axes] = np.minimum(np.diff(ijk[order, axes], axis=0, prepend=0.0), 5.0).cumsum(axis=0)
-    key, reach = _keys(c, _NEAR)
-    cells, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    order, axes = np.argsort(ijk, axis=1), np.arange(3)[:, None]
+    c = np.empty((3, n), dtype=np.int64)
+    c[axes, order] = np.minimum(np.diff(ijk[axes, order], axis=1, prepend=0.0), 5.0).cumsum(axis=1)
+    key, reach = _keys(c.T, _NEAR)
+    cells, rep, cell = _distinct(key)
     m = len(cells)
 
     # pairs of cells linked outright, each pair once
-    nb = lookup(cells, reach[first])
+    nb = lookup(cells, reach[rep])
     a, k = np.nonzero(nb >= 0)
     b = nb[a, k]
     counts = np.bincount(cell, minlength=m)
     core = (counts + np.bincount(a, counts[b], m) + np.bincount(b, counts[a], m))[cell] >= min_pts
     # the coarse blocks, the points of each and the blocks around each: the
     # block itself, the 13 after it, then the 13 that it comes after
-    key, reach = _keys(c[first] // 4, np.concatenate([np.zeros((1, 3), dtype=np.int64), _CUBE, -_CUBE]))
-    blocks, b_first, cell_block = np.unique(key, return_index=True, return_inverse=True)
-    around = lookup(blocks, reach[b_first])
+    key, reach = _keys(c[:, rep].T // 4, np.concatenate([np.zeros((1, 3), dtype=np.int64), _CUBE, -_CUBE]))
+    blocks, b_rep, cell_block = _distinct(key)
+    around = lookup(blocks, reach[b_rep])
     block = cell_block[cell]
-    by_block = np.argsort(block, kind="stable")
+    by_block = np.argsort(block)
     size = np.bincount(block, minlength=len(blocks))
     start = np.cumsum(size) - size
 
-    # every point the cells leave unsure against every point of its coarse blocks
+    # every point the cells leave unsure against every point of the coarse
+    # blocks around its own, listed once for each block that holds one
     unsure = np.flatnonzero(~core)
-    dst = around[block[unsure]].reshape(-1)
-    i, j = segment_pairs(np.repeat(unsure, around.shape[1]), 1, start[dst], np.where(dst >= 0, size[dst], 0))
-    j = by_block[j]
-    hit = _within(pts[i], pts[j], eps)
+    held = np.zeros(len(blocks), dtype=bool)
+    held[block[unsure]] = True
+    dst = np.where(held[:, None], around, -1).reshape(-1)
+    near_size = np.where(dst >= 0, size[dst], 0)
+    near = by_block[ranges(start[dst], near_size)]
+    near_size = near_size.reshape(len(blocks), -1).sum(axis=1)
+    near_start = np.cumsum(near_size) - near_size
+    i, j = segment_pairs(unsure, 1, near_start[block[unsure]], near_size[block[unsure]])
+    j = near[j]
+    hit = np.flatnonzero(_within(xyz, i, j, eps))
     i, j = i[hit], j[hit]
     core[unsure] = np.bincount(i, minlength=n)[unsure] >= min_pts
 
@@ -357,22 +382,23 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         # each group against the groups of other components in its own block
         # (each pair once) and in the 13 blocks after it
         cp = np.flatnonzero(core)
-        groups, g = np.unique(block[cp] * m + comp[cell[cp]], return_inverse=True)
-        g_block, g_comp = np.divmod(groups, m)
-        members = cp[np.argsort(g, kind="stable")]
-        g_size = np.bincount(g, minlength=len(groups))
-        g_start = np.cumsum(g_size) - g_size
+        group = block[cp] * m + comp[cell[cp]]
+        order = np.argsort(group)
+        members, group = cp[order], group[order]
+        g_start = np.flatnonzero(np.diff(group, prepend=-1))
+        g_size = np.diff(g_start, append=len(cp))
+        g_block, g_comp = np.divmod(group[g_start], m)
         run = np.bincount(g_block, minlength=len(blocks))  # each block's groups
         dst = around[g_block, :1 + len(_CUBE)].reshape(-1)
-        ga, gb = segment_pairs(np.repeat(np.arange(len(groups)), 1 + len(_CUBE)), 1,
+        ga, gb = segment_pairs(np.repeat(np.arange(len(g_start)), 1 + len(_CUBE)), 1,
                                np.cumsum(run)[dst] - run[dst], np.where(dst >= 0, run[dst], 0))
         cross = (g_comp[ga] != g_comp[gb]) & ((ga < gb) | (g_block[ga] != g_block[gb]))
         ga, gb = ga[cross], gb[cross]
         pa, pb = segment_pairs(g_start[ga], g_size[ga], g_start[gb], g_size[gb])
-        pa, pb = members[pa], members[pb]
-        hit = _within(pts[pa], pts[pb], eps)
-        joined = np.unique(comp[cell[pa[hit]]] * m + comp[cell[pb[hit]]])  # one per pair of components
-        comp = _components(np.stack(np.divmod(joined, m), axis=1), m)[comp]
+        # the pairs of groups that hold a pair within eps; each pair of groups is one run of point pairs
+        runs = g_size[ga] * g_size[gb]
+        joined = np.logical_or.reduceat(_within(xyz, members[pa], members[pb], eps), np.cumsum(runs) - runs)
+        comp = _components(np.stack([g_comp[ga[joined]], g_comp[gb[joined]]], axis=1), m)[comp]
 
     # number the clusters by their lowest core point
     core_comp = comp[cell[core]]
@@ -432,12 +458,12 @@ def texture_hints(
             pixels[mask.camera_id] = camera_pixels(cloud, cam)
         idx = frustum_points(mask, cam, pixels[mask.camera_id])
         pts = cloud.xyz[idx].astype(np.float64)
-        labels = dbscan(pts, eps, min_pts)
-        for lab in range(labels.max(initial=-1) + 1):
-            members = pts[labels == lab]
-            hints.append(
-                LocationHint(members.mean(axis=0), len(members) / len(pts), "texture")
-            )
+        # one bincount per axis adds each cluster's points in index order, as
+        # an axis-0 mean does; the noise points fall in bin 0
+        bins = dbscan(pts, eps, min_pts) + 1
+        sizes = np.bincount(bins)[1:]
+        centroids = np.stack([np.bincount(bins, weights=pts[:, ax])[1:] for ax in range(3)], axis=1) / sizes[:, None]
+        hints += [LocationHint(c, size / len(pts), "texture") for c, size in zip(centroids, sizes.tolist())]
     return hints
 
 

@@ -173,7 +173,7 @@ def generate_scene(cfg: SceneConfig) -> SynthSample:
     images, depths, inst_maps = render_provenance(cloud, cams, cfg.scan_id, cfg.splat_radius)
     masks = []
     for cam_id, imap in enumerate(inst_maps):
-        for obj_id in np.flatnonzero(np.bincount(imap.ravel())[1:]) + 1:
+        for obj_id in np.unique(imap[imap > 0]):
             masks.append(Mask2D(cam_id, imap == obj_id))
     return SynthSample(MultiModalSample(cloud, images, cams), depths, inst_maps, masks, ClassTable.synthetic())
 

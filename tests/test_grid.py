@@ -455,9 +455,14 @@ class TestSortedKeyPrimitives:
     @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 3), st.integers(-9, 9), st.integers(0, 3)),
                     max_size=8))
     def test_segment_pairs_equals_a_loop(self, segments):
-        i, j = segment_pairs(*(np.array([seg[c] for seg in segments], dtype=np.int64) for c in range(4)))
+        a_start, a_size, b_start, b_size = (np.array([seg[c] for seg in segments], dtype=np.int64) for c in range(4))
+        i, j = segment_pairs(a_start, a_size, b_start, b_size)
         assert list(zip(i.tolist(), j.tolist())) == [
             (x, y) for a, n, b, m in segments for x in range(a, a + n) for y in range(b, b + m)]
+        # the scalar a_size 1, one point against each segment's range
+        i, j = segment_pairs(a_start, 1, b_start, b_size)
+        assert i.dtype == j.dtype == np.int64
+        assert list(zip(i.tolist(), j.tolist())) == [(a, y) for a, _, b, m in segments for y in range(b, b + m)]
 
     def test_segment_pairs_with_a_zero_size_side_or_a_scalar_size(self):
         for a_size, b_size in (([0, 2], [3, 1]), ([2, 1], [0, 2])):  # segment 0 is empty on one side

@@ -521,7 +521,12 @@ class TestDbscan:
                 assert (found[:, 1] == found[:, 0] + len(p)).all()
                 tree = np.zeros(len(p), dtype=bool)
                 tree[found[:, 0]] = True
-                assert np.array_equal(_within(p, q, eps), tree)
+                d = p - q  # the rule on rows of p and q
+                assert np.array_equal(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps * eps, tree)
+                # the column form `dbscan` calls, on the pairs of one cloud, in either order
+                xyz, k = np.concatenate([p, q]).T.copy(), np.arange(len(p))
+                assert np.array_equal(_within(xyz, k, k + len(p), eps), tree)
+                assert np.array_equal(_within(xyz, k + len(p), k, eps), tree)
                 norm_misses += np.count_nonzero((np.linalg.norm(p - q, axis=1) <= eps) != tree)
         # the layout reaches pairs on which the rounding of the rule decides
         assert norm_misses > 0
