@@ -293,14 +293,24 @@ def _changed(recorded: dict[str, str], root: Path) -> list[str]:
     return changed
 
 
+# the stages that write a manifest, so the ones a manifest can replay
+_REPLAYABLE = ("synth", "voxelize", "augment", "fuse", "queries", "render-overlay")
+
+
 def cmd_replay(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
-        argv, inputs, outputs = list(manifest["argv"]), dict(manifest["inputs"]), dict(manifest["outputs"])
+        argv, inputs, outputs = manifest["argv"], dict(manifest["inputs"]), dict(manifest["outputs"])
         if manifest["config"] is not None:
             inputs[manifest["config"]] = manifest["config_sha256"]
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise BadConfigError(f"cannot parse manifest {args.manifest}: {exc}") from exc
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise BadConfigError(f"manifest {args.manifest}: argv is not a list of strings")
+    if not argv or argv[0] not in _REPLAYABLE:
+        raise BadConfigError(f"manifest {args.manifest}: argv runs none of {', '.join(_REPLAYABLE)}")
+    if argv[-1] == "--out":
+        raise BadConfigError(f"manifest {args.manifest}: argv ends in --out with no value")
     changed = _changed(inputs, Path())
     if changed:
         raise ReplayMismatchError(f"inputs differ from {args.manifest}: {', '.join(changed)}")
@@ -317,7 +327,11 @@ def cmd_replay(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    text = sys.stdin.read() if args.lines == "-" else Path(args.lines).read_text()
+    source = "stdin" if args.lines == "-" else args.lines
+    try:
+        text = sys.stdin.read() if args.lines == "-" else Path(args.lines).read_text()
+    except UnicodeDecodeError as exc:  # decoded as the locale's encoding
+        raise BadConfigError(f"cannot decode command lines from {source}: {exc}") from exc
     for n, line in enumerate(text.splitlines(), 1):
         try:
             try:

@@ -1,16 +1,21 @@
 """Binary and structured-text codecs for every pipeline artifact.
 
 All binary formats are little-endian with a 4-byte magic followed by explicit
-shapes, so round-trips are bit-exact across platforms:
+shapes, so round-trips are bit-exact across platforms. After the header each
+field is one contiguous row-major block, in the order listed:
 
-  PLCD  point cloud: u32 count; per point f32 x,y,z,intensity, u16 sem, u16 inst
-  FMAP  feature maps: u32 K,H',W',D; f32 row-major data
-  TOKS  fused tokens: u32 count, D; per token u16 r,theta,z; 2*D f32 content
+  PLC2  point cloud: u32 count; f32 x,y,z; f32 intensity; u16 sem; u16 inst
+  FMAP  feature maps: u32 K,H',W',D; f32 data
+  TOK2  fused tokens: u32 count, D; u16 r,theta,z; 2*D f32 content
   MSK2  2D mask, RLE: u32 cam,H,W, run count; u32 runs starting with zeros
-  QRY2  queries: u32 n_prior,n_noprior,n_semantic,D; per prior query f32 x,y,z,
-        confidence, u8 origin, 2*D f32 content, D f32 spe; then f32 vectors
-  PVOX  per-voxel provenance: u32 count; per voxel u16 r,theta,z, u8 tag
+  QRY3  queries: u32 n_prior,n_noprior,n_semantic,D; per prior query f32 x,y,z;
+        f32 confidence; u8 origin; 2*D f32 content; D f32 spe; then the
+        no-prior and semantic vectors, D f32 each
+  PVX2  per-voxel provenance: u32 count; u16 r,theta,z; u8 tag
   SPEW  embedding weights: u32 dim; shape-prefixed f64 blocks
+
+The older per-record layouts PLCD, TOKS, PVOX and QRY2 have the same sizes as
+these, so only the magic tells them apart; they and QRYS raise `BadMagicError`.
 
 Camera calibrations are JSON (numbers parse as 64-bit floats), as are stage
 summaries and eval reports; class tables are INI and images binary PPM (P6).
@@ -46,16 +51,11 @@ from .metrics import ClassTable
 from .queries import LocationHint, Mask2D, QuerySet
 from .tokens import SpeParams, TokenSet
 
-PLCD_DTYPE = np.dtype([("xyz", "<f4", (3,)), ("intensity", "<f4"), ("semantic", "<u2"), ("instance", "<u2")])
-PVOX_DTYPE = np.dtype([("idx", "<u2", (3,)), ("tag", "u1")])
 ORIGIN_CODES = {"geometric": 0, "texture": 1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
 _PPM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"  # whitespace and `#` comments, each to the end of its line
 # width, height and maxval, each after a gap, then one whitespace byte: a `#` after it is pixel data
 PPM_HEADER = re.compile(rb"P6%s(\d+)%s(\d+)%s(\d+)\s" % (_PPM_GAP, _PPM_GAP, _PPM_GAP))
-
-
-_CHUNK = 4096  # records per read of a structured array: about 4 MiB at a dim-128 TOKS record
 
 
 class _Reader:
@@ -84,28 +84,12 @@ class _Reader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
 
-    def array(self, dtype, count: int) -> np.ndarray:
-        """`count` values of a plain `dtype`, read into the array returned."""
+    def array(self, dtype, *shape: int) -> np.ndarray:
+        """The next block: a `shape` array of `dtype`, read into the array returned."""
         dtype = np.dtype(dtype)
-        self._claim(dtype.itemsize * count)
-        out = np.empty(count, dtype)
+        self._claim(dtype.itemsize * math.prod(shape))  # exact, where np.prod wraps
+        out = np.empty(shape, dtype)
         self._fill(out)
-        return out
-
-    def fields(self, dtype: np.dtype, count: int) -> dict[str, np.ndarray]:
-        """`count` records of a structured `dtype` as one (count, *field shape) array per field.
-
-        The records pass through one buffer of at most `_CHUNK` records, so the
-        whole record array is never held next to its fields.
-        """
-        self._claim(dtype.itemsize * count)
-        out = {name: np.empty((count, *dtype[name].shape), dtype[name].base) for name in dtype.names}
-        buf = np.empty(min(count, _CHUNK), dtype)
-        for start in range(0, count, _CHUNK):
-            part = buf[:count - start]
-            self._fill(part)
-            for name, a in out.items():
-                a[start:start + len(part)] = part[name]
         return out
 
     def done(self):
@@ -231,46 +215,33 @@ def _writing(path):
         _RUNS[-1][1][Path(path)] = h.hexdigest()
 
 
-def _write(path, magic: bytes, header, *arrays: np.ndarray, records=None):
-    """Write `magic`, the u32 `header` fields, the `records`, then each contiguous array's own buffer.
-
-    `records` is a structured dtype and one array per field, all of one
-    length. They pass through one buffer of at most `_CHUNK` records, as
-    `_Reader.fields` reads them, so the whole record array is never built.
-    """
+def _write(path, magic: bytes, header, *blocks: np.ndarray):
+    """Write `magic`, the u32 `header` fields, then each C-contiguous block's own buffer: no joined copy."""
     with _writing(path) as write:
         write(magic + _u32(*header))
-        if records is not None:
-            dtype, fields = records
-            count = len(next(iter(fields.values())))
-            buf = np.empty(min(count, _CHUNK), dtype)
-            for start in range(0, count, _CHUNK):
-                part = buf[:count - start]
-                for name, a in fields.items():
-                    part[name] = a[start:start + len(part)]
-                write(part.data)
-        for a in arrays:
+        for a in blocks:
             write(a.data)
 
 
 def _u16_indices(idx3) -> np.ndarray:
-    """(M, 3) voxel indices for a u16 record field; raises on any that would wrap."""
+    """(M, 3) voxel indices as a u16 block; raises on any that would wrap."""
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     if ((idx3 < 0) | (idx3 > 0xFFFF)).any():
         raise ShapeMismatchError("voxel index does not fit a u16 field (at most 65535 bins per axis)")
-    return idx3
+    return idx3.astype("<u2")
 
 
 def write_point_cloud(path, cloud: PointCloud):
-    fields = {"xyz": cloud.xyz, "intensity": cloud.intensity, "semantic": cloud.semantic, "instance": cloud.instance}
-    _write(path, b"PLCD", [len(cloud)], records=(PLCD_DTYPE, fields))
+    # each field is float32 or uint16 already, so `ascontiguousarray` copies only a strided one
+    _write(path, b"PLC2", [len(cloud)], *(np.ascontiguousarray(a, t) for a, t in (
+        (cloud.xyz, "<f4"), (cloud.intensity, "<f4"), (cloud.semantic, "<u2"), (cloud.instance, "<u2"))))
 
 
 def read_point_cloud(path) -> PointCloud:
-    with _read(path, b"PLCD", 1) as (r, (n,)):
-        rec = r.fields(PLCD_DTYPE, n)
+    with _read(path, b"PLC2", 1) as (r, (n,)):
+        fields = r.array("<f4", n, 3), r.array("<f4", n), r.array("<u2", n), r.array("<u2", n)
     try:
-        return PointCloud(rec["xyz"], rec["intensity"], rec["semantic"], rec["instance"])
+        return PointCloud(*fields)
     except ValueError as exc:  # a non-finite coordinate
         raise ShapeMismatchError(f"{path}: {exc}") from exc
 
@@ -285,30 +256,26 @@ def write_feature_maps(path, maps: np.ndarray):
 
 def read_feature_maps(path) -> np.ndarray:
     with _read(path, b"FMAP", 4) as (r, (k, h, w, d)):
-        data = r.array("<f4", k * h * w * d)
+        data = r.array("<f4", k, h, w, d)
     if min(h, w) < 1:
         raise ShapeMismatchError(f"{path}: {h}x{w} feature maps hold no cell")
-    return data.reshape(k, h, w, d)
-
-
-def _token_dtype(dim: int) -> np.dtype:
-    return np.dtype([("idx", "<u2", 3), ("content", "<f4", 2 * dim)])
+    return data
 
 
 def write_tokens(path, tokens: TokenSet):
-    # `build_tokens` content is float32 already, so no cast
-    fields = {"idx": _u16_indices(tokens.indices3), "content": tokens.content}
-    _write(path, b"TOKS", [len(tokens), tokens.dim], records=(_token_dtype(tokens.dim), fields))
+    # `build_tokens` content is float32 already, so its own buffer is written
+    _write(path, b"TOK2", [len(tokens), tokens.dim], _u16_indices(tokens.indices3),
+           np.ascontiguousarray(tokens.content, "<f4"))
 
 
 def read_tokens(path, spec) -> tuple[np.ndarray, np.ndarray]:
-    """Read token records: returns ((M, 3) voxel indices, (M, 2*D) float32 content)."""
-    with _read(path, b"TOKS", 2) as (r, (n, dim)):
-        rec = r.fields(_token_dtype(dim), n)
-    idx3 = rec["idx"].astype(np.int64)
+    """Read tokens: returns ((M, 3) voxel indices, (M, 2*D) float32 content)."""
+    with _read(path, b"TOK2", 2) as (r, (n, dim)):
+        idx3 = r.array("<u2", n, 3).astype(np.int64)
+        content = r.array("<f4", n, 2 * dim)
     if (idx3 >= np.array(spec.shape)).any():
         raise ShapeMismatchError("token voxel index outside the grid spec")
-    return idx3, rec["content"]
+    return idx3, content
 
 
 def write_mask(path, mask: Mask2D):
@@ -331,56 +298,36 @@ def read_mask(path) -> Mask2D:
     return Mask2D(cam_id, flat.reshape(h, w))
 
 
-def _prior_dtype(dim: int) -> np.dtype:
-    return np.dtype([
-        ("xyz", "<f4", (3,)), ("confidence", "<f4"), ("origin", "u1"),
-        ("content", "<f4", (2 * dim,)), ("spe", "<f4", (dim,)),
-    ])
-
-
 def write_queries(path, qs: QuerySet):
-    fields = {
-        "xyz": np.reshape([h.position for h in qs.hints], (-1, 3)),
-        "confidence": np.array([h.confidence for h in qs.hints]),
-        "origin": np.array([ORIGIN_CODES[h.origin] for h in qs.hints]),
-        "content": qs.prior_content,
-        "spe": qs.prior_spe,
-    }
-    _write(path, b"QRY2", [qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim],
-           qs.no_prior.astype("<f4"), qs.semantic.astype("<f4"), records=(_prior_dtype(qs.dim), fields))
+    hints = qs.hints
+    _write(path, b"QRY3", [qs.num_prior, len(qs.no_prior), len(qs.semantic), qs.dim],
+           np.array([h.position for h in hints], "<f4").reshape(-1, 3),
+           np.array([h.confidence for h in hints], "<f4"),
+           np.array([ORIGIN_CODES[h.origin] for h in hints], "u1"),
+           *(np.ascontiguousarray(a, "<f4") for a in (qs.prior_content, qs.prior_spe, qs.no_prior, qs.semantic)))
 
 
 def read_queries(path) -> QuerySet:
-    with _read(path, b"QRY2", 4) as (r, (n_prior, n_lt, n_sem, dim)):
-        rec = r.fields(_prior_dtype(dim), n_prior)
-        no_prior = r.array("<f4", n_lt * dim).reshape(n_lt, dim)
-        semantic = r.array("<f4", n_sem * dim).reshape(n_sem, dim)
-    unknown = ~np.isin(rec["origin"], list(ORIGIN_NAMES))
+    with _read(path, b"QRY3", 4) as (r, (n_prior, n_lt, n_sem, dim)):
+        xyz, confidence, origin = r.array("<f4", n_prior, 3), r.array("<f4", n_prior), r.array("u1", n_prior)
+        content, spe = r.array("<f4", n_prior, 2 * dim), r.array("<f4", n_prior, dim)
+        no_prior, semantic = r.array("<f4", n_lt, dim), r.array("<f4", n_sem, dim)
+    unknown = ~np.isin(origin, list(ORIGIN_NAMES))
     if unknown.any():
-        raise ShapeMismatchError(f"{path}: unknown hint origin code {rec['origin'][unknown][0]}")
-    hints = [
-        LocationHint(xyz, float(conf), ORIGIN_NAMES[code])
-        for xyz, conf, code in zip(rec["xyz"], rec["confidence"], rec["origin"])
-    ]
-    return QuerySet(
-        dim=dim,
-        prior_content=rec["content"],
-        prior_spe=rec["spe"],
-        hints=hints,
-        no_prior=no_prior,
-        semantic=semantic,
-    )
+        raise ShapeMismatchError(f"{path}: unknown hint origin code {origin[unknown][0]}")
+    hints = [LocationHint(p, float(c), ORIGIN_NAMES[code]) for p, c, code in zip(xyz, confidence, origin)]
+    return QuerySet(dim=dim, prior_content=content, prior_spe=spe, hints=hints, no_prior=no_prior, semantic=semantic)
 
 
 def write_provenance(path, idx3: np.ndarray, tags: np.ndarray):
     idx3 = _u16_indices(idx3)
-    _write(path, b"PVOX", [len(idx3)], records=(PVOX_DTYPE, {"idx": idx3, "tag": np.asarray(tags, dtype=np.uint8)}))
+    _write(path, b"PVX2", [len(idx3)], idx3, np.ascontiguousarray(tags, "u1"))
 
 
 def read_provenance(path) -> tuple[np.ndarray, np.ndarray]:
-    with _read(path, b"PVOX", 1) as (r, (n,)):
-        rec = r.fields(PVOX_DTYPE, n)
-    return rec["idx"].astype(np.int64), rec["tag"]
+    with _read(path, b"PVX2", 1) as (r, (n,)):
+        idx3, tags = r.array("<u2", n, 3), r.array("u1", n)
+    return idx3.astype(np.int64), tags
 
 
 def write_ppm(path, image: np.ndarray):
@@ -394,10 +341,10 @@ def write_ppm(path, image: np.ndarray):
 
 
 def read_ppm(path) -> np.ndarray:
-    with _open(path) as f:  # into a writable buffer that the image then views
-        data = bytearray(os.fstat(f.fileno()).st_size)
-        f.readinto(data)
-    if not data.startswith(b"P6"):
+    with _open(path) as f:
+        r = _Reader(f, path)
+        data = r.array("u1", r.size)  # the whole file, in a writable buffer that the image then views
+    if data[:2].tobytes() != b"P6":
         raise BadMagicError(f"{path}: not a binary PPM")
     header = PPM_HEADER.match(data)
     if header is None:
@@ -407,7 +354,7 @@ def read_ppm(path) -> np.ndarray:
         raise ShapeMismatchError(f"{path}: only maxval 255 supported")
     if len(data) - header.end() < w * h * 3:
         raise TruncatedFileError(f"{path}: PPM payload short")
-    return np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=header.end()).reshape(h, w, 3)
+    return data[header.end():header.end() + w * h * 3].reshape(h, w, 3)
 
 
 def write_calibration(path, cams: list[CameraModel]):
@@ -469,7 +416,7 @@ def read_spe_params(path) -> SpeParams:
         for _ in range(n_arrays):
             ndim = r.u32()
             shape = tuple(r.u32() for _ in range(ndim))
-            arrays.append(r.array("<f8", math.prod(shape)).reshape(shape))  # exact, where np.prod wraps
+            arrays.append(r.array("<f8", *shape))
     if n_arrays != 6:
         raise ShapeMismatchError(f"{path}: expected 6 weight blocks, found {n_arrays}")
     try:

@@ -24,7 +24,7 @@ class PointCloud:
     """Point records: float32 xyz/intensity, uint16 labels, uint8 scan-source tag.
 
     A label or tag array left out is zeros: semantic class 0 is "unlabeled"
-    and instance 0 is "no instance", as a PLCD file stores them.
+    and instance 0 is "no instance", as a PLC2 file stores them.
     """
 
     xyz: np.ndarray

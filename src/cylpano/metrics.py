@@ -37,7 +37,7 @@ class ClassTable:
 
     def __post_init__(self):
         for cid, (name, kind) in self.entries.items():
-            if not 0 <= cid <= 0xFFFF:  # the u16 semantic field of a PLCD cloud
+            if not 0 <= cid <= 0xFFFF:  # the u16 semantic field of a PLC2 cloud
                 raise ValueError(f"class id {cid} outside [0, 65535]")
             if kind not in (THING, STUFF, IGNORE):
                 raise ValueError(f"class {cid} ({name}) has unknown kind {kind!r}")

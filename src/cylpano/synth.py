@@ -49,7 +49,7 @@ class SceneConfig:
         if self.ground_points < 0:
             raise ValueError("counts must be >= 0")
         check_range("n_objects", self.n_objects)
-        if self.n_objects[1] > 65535:  # instance ids 1..n are uint16, as PLCD stores them
+        if self.n_objects[1] > 65535:  # instance ids 1..n are uint16, as PLC2 stores them
             raise ValueError("n_objects must be <= 65535")
         check_range("points_per_object", self.points_per_object)
         for name in ("box_size", "pillar_radius", "pillar_height", "wall_length"):

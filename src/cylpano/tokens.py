@@ -17,7 +17,7 @@ of SPE_BLOCK // 4 rows, which stays in cache, the per-bin terms are added and
 `build_tokens` adds the sub-block's embedding to its LiDAR half (the
 statistics placeholder is kept factored and multiplied out per sub-block)
 and to its image means, each sum stored straight into the float32 content,
-rounded as the TOKS codec stores it. The image means are gathered from one
+rounded as the TOK2 codec stores it. The image means are gathered from one
 table per call (`_image_means`), which holds the stacked feature maps, a
 zero row and the means of the voxels that sample two or more cells, summed
 in numpy in the order of a CSR matrix product. So no (M, dim) embedding or
@@ -351,7 +351,7 @@ class TokenSet:
     """Fused tokens for all non-empty voxels, ordered by (r, theta, z).
 
     `build_tokens` fills every field, with float32 content; a set read back
-    from TOKS holds only the voxels and content, with `params` and
+    from TOK2 holds only the voxels and content, with `params` and
     `image_valid` left None. No embedding is stored; `spe` computes it.
     """
 
@@ -407,7 +407,7 @@ def build_tokens(
     table, mean_rows, counts = _image_means(grid, fmaps, cams, dim, bilinear)
     means = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), dim))
     for rows, block in _spe_blocks(grid.indices3, grid.spec, params):
-        # summed in float64 and rounded once on the store, as the TOKS codec stores it
+        # summed in float64 and rounded once on the store, as the TOK2 codec stores it
         np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
         # mode="raise" would buffer `means`; `mean_rows` holds rows of `table` only
         np.take(table, mean_rows[rows], axis=0, out=means[:len(block)], mode="clip")

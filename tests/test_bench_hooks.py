@@ -73,7 +73,7 @@ def test_token_fields_the_workloads_read(tmp_path):
     assert tokens.content.dtype == np.float32
     assert np.array_equal(tokens.spe, spe_batch(tokens.indices3, spec, params))
 
-    # a set read back from TOKS, as the queries command rebuilds it, carries no embedding
+    # a set read back from TOK2, as the queries command rebuilds it, carries no embedding
     formats.write_tokens(tmp_path / "t.toks", tokens)
     idx3, content = formats.read_tokens(tmp_path / "t.toks", spec)
     read = TokenSet(spec, spec.flatten(idx3), content)

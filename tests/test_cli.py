@@ -400,7 +400,7 @@ class TestChain:
         for d in (org, vox, fuse):
             (d / "old").mkdir(parents=True)
             (d / "stale.bin").write_bytes(b"left by an earlier run")
-            (d / "old" / "tokens.toks").write_bytes(b"TOKS")
+            (d / "old" / "tokens.toks").write_bytes(b"TOK2")
         assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
         assert main(["voxelize", "--config", cfg, "--cloud", str(org / "cloud.plcd"), "--out", str(vox)]) == 0
         assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
@@ -999,7 +999,7 @@ class TestBatch:
 
     def test_a_failing_line_stops_the_batch(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
-        (tmp_path / "short.plcd").write_bytes(b"PLCD" + (5).to_bytes(4, "little"))  # five points, none present
+        (tmp_path / "short.plcd").write_bytes(b"PLC2" + (5).to_bytes(4, "little"))  # five points, none present
         lines = [
             shlex.join(["synth", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "org")]),
             "# the next line fails",
@@ -1021,6 +1021,18 @@ class TestBatch:
         (tmp_path / "chain.txt").write_text(line + "\n")
         assert main(["batch", str(tmp_path / "chain.txt")]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(error)
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_lines_exit_1_naming_their_source(self, tmp_path, monkeypatch, capsys, source):
+        data = b"\xff\xfe" + "synth --out o\n".encode("utf-16-le")  # a UTF-16 file, which UTF-8 cannot decode
+        if source == "file":
+            (tmp_path / "chain.txt").write_bytes(data)
+            arg = name = str(tmp_path / "chain.txt")
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            arg, name = "-", "stdin"
+        assert main(["batch", arg]) == 1
+        assert capsys.readouterr().err.startswith(f"BadConfigError: cannot decode command lines from {name}: ")
 
 
 class TestReplayVerifies:
@@ -1059,6 +1071,26 @@ class TestReplayVerifies:
         assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("ReplayMismatchError: inputs differ") and err.rstrip().endswith(str(tokens))
+
+    @pytest.mark.parametrize("argv, error", [
+        ("voxelize --out o", "argv is not a list of strings"),
+        (["voxelize", "--out", 3], "argv is not a list of strings"),
+        ([], "argv runs none of "),
+        (["eval", "--pred", "c.plcd", "--gt", "c.plcd", "--classes", "c.cfg", "--report", "r.json"],
+         "argv runs none of "),  # eval writes no manifest
+        ("itself", "argv runs none of "),
+        (["voxelize", "--out"], "argv ends in --out with no value"),
+    ], ids=["string", "not-all-strings", "empty", "eval", "replays-itself", "out-without-value"])
+    def test_an_argv_that_runs_no_stage_exits_1_before_anything_runs(self, tmp_path, capsys, argv, error):
+        manifest, out = tmp_path / "manifest.json", tmp_path / "o"
+        if argv == "itself":
+            argv = ["replay", "--manifest", str(manifest), "--out", str(out)]
+        # an input that is gone, so a check of the inputs before the argv would name it instead
+        inputs = {str(tmp_path / "gone.plcd"): "0" * 64}
+        manifest.write_text(json.dumps({"argv": argv, "config": None, "inputs": inputs, "outputs": {}}))
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"BadConfigError: manifest {manifest}: {error}")
+        assert not out.exists()
 
     def test_a_changed_config_exits_1(self, chain, capsys):
         run, cfg = chain

@@ -58,7 +58,7 @@ class TestPointCloudCodec:
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "t.plcd"
-        path.write_bytes(b"PLCD" + np.asarray([5], dtype="<u4").tobytes() + b"\0" * 10)
+        path.write_bytes(b"PLC2" + np.asarray([5], dtype="<u4").tobytes() + b"\0" * 10)
         with pytest.raises(TruncatedFileError):
             formats.read_point_cloud(path)
 
@@ -172,7 +172,7 @@ class TestTensorCodecs:
     def test_unknown_origin_code_rejected(self, tmp_path):
         path = tmp_path / "q.qrys"
         data = self._one_query_file(path)
-        data[4 + 16 + 16] = 7  # origin byte of the first prior record, after xyz and confidence
+        data[4 + 16 + 12 + 4] = 7  # the first origin byte, after the header and the xyz and confidence blocks
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeMismatchError, match="origin code 7"):
             formats.read_queries(path)
@@ -232,6 +232,30 @@ class TestImagesAndCalibration:
         data, error = PPM_BAD_FILES[case]
         (tmp_path / "i.ppm").write_bytes(data)
         with pytest.raises(error):
+            formats.read_ppm(tmp_path / "i.ppm")
+
+    def test_ppm_that_shrinks_after_it_is_opened_is_truncated(self, tmp_path, monkeypatch):
+        formats.write_ppm(tmp_path / "i.ppm", PPM_IMAGE)
+        open_file = formats._open
+
+        class Shrunk:  # reads one byte fewer than the size `fstat` reports, as if the file lost its tail
+            def __init__(self, path):
+                self.f = open_file(path)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def readinto(self, buf):
+                return self.f.readinto(memoryview(buf).cast("B")[:-1])
+
+        monkeypatch.setattr(formats, "_open", Shrunk)
+        with pytest.raises(TruncatedFileError):
             formats.read_ppm(tmp_path / "i.ppm")
 
     def test_calibration_round_trip_bit_exact(self, tmp_path):
@@ -409,10 +433,10 @@ class TestConfig:
             read_spe_params(tmp_path / "big.spew")
 
     @pytest.mark.parametrize("read, header", [
-        (formats.read_point_cloud, b"PLCD" + struct.pack("<I", 2**32 - 1)),
-        (formats.read_provenance, b"PVOX" + struct.pack("<I", 2**32 - 1)),
-        (lambda p: formats.read_tokens(p, CylGridSpec()), b"TOKS" + struct.pack("<2I", 2**32 - 1, 128)),
-        (formats.read_queries, b"QRY2" + struct.pack("<4I", 2**32 - 1, 0, 0, 128)),
+        (formats.read_point_cloud, b"PLC2" + struct.pack("<I", 2**32 - 1)),
+        (formats.read_provenance, b"PVX2" + struct.pack("<I", 2**32 - 1)),
+        (lambda p: formats.read_tokens(p, CylGridSpec()), b"TOK2" + struct.pack("<2I", 2**32 - 1, 128)),
+        (formats.read_queries, b"QRY3" + struct.pack("<4I", 2**32 - 1, 0, 0, 128)),
         (formats.read_mask, b"MSK2" + struct.pack("<4I", 0, 4, 4, 2**32 - 1)),
     ], ids=["plcd", "pvox", "toks", "qry2", "msk2"])
     def test_record_count_past_file_size_is_truncated_before_allocating(self, tmp_path, read, header):
@@ -527,7 +551,7 @@ class TestReadMemory:
 
 
 class TestWriteMemory:
-    """A writer passes its records through a bounded chunk, not a whole record array."""
+    """A writer writes each field array's own buffer, and builds no record array."""
 
     def test_write_tokens_peaks_below_half_the_file(self, tmp_path):
         spec = CylGridSpec()
@@ -649,15 +673,13 @@ class TestCodecProperties:
         xyz = np.array([[1.5, -2.0, 3.25], [0.0, 7.0, -0.5]], np.float32)
         cloud = PointCloud(xyz, [0.25, 1.0], [3, 65535], [0, 7])
         formats.write_point_cloud(tmp_path / "c.plcd", cloud)
-        expect = b"PLCD" + struct.pack("<I", 2) + b"".join(
-            struct.pack("<ffffHH", *xyz[k], i, s, n) for k, (i, s, n) in enumerate([(0.25, 3, 0), (1.0, 65535, 7)])
-        )
+        expect = b"PLC2" + struct.pack("<I", 2) + struct.pack("<6f", *xyz.reshape(-1))
+        expect += struct.pack("<2f", 0.25, 1.0) + struct.pack("<2H", 3, 65535) + struct.pack("<2H", 0, 7)
         assert (tmp_path / "c.plcd").read_bytes() == expect
 
     def test_provenance_byte_layout(self, tmp_path):
         formats.write_provenance(tmp_path / "p.pvox", [[1, 2, 3], [65535, 0, 40]], [1, 0])
-        expect = b"PVOX" + struct.pack("<I", 2) + struct.pack("<HHHB", 1, 2, 3, 1)
-        expect += struct.pack("<HHHB", 65535, 0, 40, 0)
+        expect = b"PVX2" + struct.pack("<I", 2) + struct.pack("<6H", 1, 2, 3, 65535, 0, 40) + struct.pack("<2B", 1, 0)
         assert (tmp_path / "p.pvox").read_bytes() == expect
 
     @pytest.mark.parametrize("m", [0, 1, 3])
@@ -666,10 +688,32 @@ class TestCodecProperties:
         flat = np.array([5, 77, 383])[:m]
         content = np.arange(m * 4, dtype=np.float64).reshape(m, 4) / 3.0 - 1.0
         formats.write_tokens(tmp_path / "t.toks", TokenSet(spec, flat, content))
-        expect = b"TOKS" + struct.pack("<II", m, 2) + b"".join(
-            struct.pack("<HHH4f", *spec.unflatten(flat)[k], *content[k]) for k in range(m)
-        )
+        expect = b"TOK2" + struct.pack("<II", m, 2) + struct.pack(f"<{3 * m}H", *spec.unflatten(flat).reshape(-1))
+        expect += struct.pack(f"<{4 * m}f", *content.reshape(-1))
         assert (tmp_path / "t.toks").read_bytes() == expect
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_queries_byte_layout(self, tmp_path, p):
+        hints = [LocationHint([1.5, -2.0, 0.25], 0.75, "texture"), LocationHint([3.0, 4.0, -1.0], 0.5, "geometric")]
+        content = np.arange(p * 4, dtype=np.float32).reshape(p, 4) / 4
+        spe = content[:, :2] - 1
+        qs = QuerySet(2, content, spe, hints[:p], np.full((3, 2), 2.5, np.float32), np.full((1, 2), -0.5, np.float32))
+        formats.write_queries(tmp_path / "q.qrys", qs)
+        expect = b"QRY3" + struct.pack("<4I", p, 3, 1, 2)
+        expect += struct.pack(f"<{3 * p}f", *[v for h in hints[:p] for v in h.position])
+        expect += struct.pack(f"<{p}f", *[h.confidence for h in hints[:p]]) + bytes([1, 0][:p])
+        expect += struct.pack(f"<{4 * p}f", *content.reshape(-1)) + struct.pack(f"<{2 * p}f", *spe.reshape(-1))
+        expect += struct.pack("<6f", *[2.5] * 6) + struct.pack("<2f", -0.5, -0.5)
+        assert (tmp_path / "q.qrys").read_bytes() == expect
+
+    @pytest.mark.parametrize("old", [b"PLCD", b"TOKS", b"PVOX", b"QRY2", b"QRYS"])
+    def test_a_file_in_an_older_record_layout_is_rejected_by_its_magic(self, tmp_path, old):
+        read = {b"PLCD": formats.read_point_cloud, b"PVOX": formats.read_provenance,
+                b"TOKS": lambda path: formats.read_tokens(path, CylGridSpec())}.get(old, formats.read_queries)
+        path = tmp_path / "old.bin"
+        path.write_bytes(old + bytes(16))  # the magic is checked before any count is read
+        with pytest.raises(BadMagicError, match=f"got {old!r}"):
+            read(path)
 
     @pytest.mark.parametrize("r", [65535, 65536])
     def test_voxel_indices_past_u16_rejected(self, tmp_path, r):
@@ -748,7 +792,7 @@ class TestWriteDigests:
 
     @staticmethod
     def _written_and_sealed(tmp_path, seal_after_ns):
-        """A PLCD file written through its writer, its digest sealed `seal_after_ns` after the file's mtime."""
+        """A PLC2 file written through its writer, its digest sealed `seal_after_ns` after the file's mtime."""
         path = tmp_path / "c.plcd"
         formats.write_point_cloud(path, PointCloud(np.arange(30.0).reshape(10, 3), np.ones(10), None, None))
         manifest = tmp_path / "manifest.json"

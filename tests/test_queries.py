@@ -145,7 +145,7 @@ def labeled_cloud(xyz, instance):
 
 class TestHeatmap:
     def test_no_instances_gives_zero_map(self, tmp_path):
-        """Instance ids all 0, or labels left out: in memory and read back from PLCD alike."""
+        """Instance ids all 0, or labels left out: in memory and read back from PLC2 alike."""
         xyz = np.array([[5.0, 0.0, 0.0], [7.0, 1.0, 0.0]])
         unlabeled = PointCloud(xyz, np.zeros(2))
         write_point_cloud(tmp_path / "c.plcd", unlabeled)
