@@ -19,10 +19,17 @@ import functools
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 import time
 from pathlib import Path
+
+# One BLAS and one OpenMP thread unless the user set a count, before numpy is imported: `build_tokens`
+# fills in two lanes of its own, and a BLAS pool on top of them oversubscribes a 2-CPU host.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 # numpy loads these on first use (np.random.default_rng, and np.unique through np.ma.is_masked); every chain

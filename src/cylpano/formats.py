@@ -320,8 +320,10 @@ def read_queries(path) -> QuerySet:
 
 
 def write_provenance(path, idx3: np.ndarray, tags: np.ndarray):
-    idx3 = _u16_indices(idx3)
-    _write(path, b"PVX2", [len(idx3)], idx3, np.ascontiguousarray(tags, "u1"))
+    idx3, tags = _u16_indices(idx3), np.ascontiguousarray(tags, "u1")
+    if tags.shape != (len(idx3),):
+        raise ShapeMismatchError(f"{tags.size} source tags for {len(idx3)} voxel indices")
+    _write(path, b"PVX2", [len(idx3)], idx3, tags)
 
 
 def read_provenance(path) -> tuple[np.ndarray, np.ndarray]:

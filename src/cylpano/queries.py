@@ -481,6 +481,10 @@ class QuerySet:
     def __post_init__(self):
         if self.prior_content.shape != (len(self.hints), 2 * self.dim):
             raise ValueError("one content row of length 2*dim per hint")
+        if self.prior_spe.shape != (len(self.hints), self.dim):
+            raise ValueError("one embedding row of length dim per hint")
+        if any(a.ndim != 2 or a.shape[1] != self.dim for a in (self.no_prior, self.semantic)):
+            raise ValueError("no-prior and semantic queries must be rows of length dim")
 
     @property
     def num_prior(self) -> int:

@@ -12,21 +12,38 @@ terms that depend on one bin index come from per-bin tables. `spe_batch` and
 that follow one rule: a level's blocks hold a fixed number of rows, and a
 lone last row joins the block before it, since numpy multiplies a lone row
 by gemv, which rounds unlike gemm. Per super-block of 2 * SPE_BLOCK rows the
-x/y sinusoid product goes into a super-block embedding buffer. Per sub-block
-of SPE_BLOCK // 4 rows, which stays in cache, the per-bin terms are added and
-`build_tokens` adds the sub-block's embedding to its LiDAR half (the
-statistics placeholder is kept factored and multiplied out per sub-block)
-and to its image means, each sum stored straight into the float32 content,
-rounded as the TOK2 codec stores it. The image means are gathered from one
-table per call (`_image_means`), which holds the stacked feature maps, a
-zero row and the means of the voxels that sample two or more cells, summed
-in numpy in the order of a CSR matrix product. So no (M, dim) embedding or
-feature array is ever made, and image means only for the voxels of several
-samples; `spe_batch` computes the embedding.
+x/y sinusoids go into a buffer. Per sub-block of SPE_BLOCK // 2 rows, which
+stays in cache, their product with `psi_w` goes into a sub-block embedding
+buffer, the per-bin terms are added, and `build_tokens` adds the embedding
+to the sub-block's LiDAR half (the statistics placeholder is kept factored
+and multiplied out per sub-block) and to its image means, each float64 sum
+rounded once as it is stored into the float32 content, as the TOK2 codec
+stores it. The
+image means are gathered from one table per call (`_image_means`), which
+holds the stacked feature maps, a zero row and the means of the voxels that
+sample two or more cells, summed in numpy in the order of a CSR matrix
+product. So no (M, dim) embedding or feature array is ever made, and image
+means only for the voxels of several samples; `spe_batch` computes the
+embedding.
+
+`build_tokens` fills the content in two lanes when the process may run on
+two CPUs and there are 2 * SPE_BLOCK rows or more: the calling thread fills
+the rows up to the sub-block boundary nearest the middle, and one worker
+thread per process the rest, while numpy, inside each call, lets go of the
+interpreter lock. The image means, the centroids and the per-bin tables are
+taken before, on the calling thread, so every function the benchmark's span
+recorder wraps runs there. The lanes' sub-blocks are those of one lane over
+all rows, so the content has the same bytes on one CPU or two. Each lane
+has its own buffers, all allocated by the calling thread: a (4 * N_BANDS,
+super-block) float64 buffer of sinusoids and two (sub-block, dim) float64
+buffers, 1.4 MB a lane at dim 128.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,20 +163,27 @@ def corner_distances(corners: np.ndarray) -> np.ndarray:
     return np.linalg.norm(corners - corners.mean(axis=1, keepdims=True), axis=2)
 
 
-def _sinusoids(coords: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _sinusoids(coords: np.ndarray, scales: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sine and cosine bands of (c, m) coordinates, shape (2 * N_BANDS * c, m).
 
     Band k of coordinate c is sin and cos of pi * c * scale * 2^k; each band
-    after the first comes from the one before by the double-angle formulas.
+    after the first comes from the one before by the double-angle formulas,
+    2 sin cos and (cos - sin)(cos + sin). Written into the front of the flat
+    buffer `out` when one is given, with no temporary array.
     """
-    feats = np.empty((2, N_BANDS) + coords.shape)  # sine / cosine, band, coordinate
+    shape = (2, N_BANDS) + coords.shape  # sine / cosine, band, coordinate
+    feats = np.empty(shape) if out is None else out[:math.prod(shape)].reshape(shape)
     sin, cos = feats
-    args = np.pi * coords * scales[:, None]
-    np.sin(args, out=sin[0])
-    np.cos(args, out=cos[0])
+    np.multiply(coords, np.pi, out=cos[0])
+    cos[0] *= scales[:, None]
+    np.sin(cos[0], out=sin[0])
+    np.cos(cos[0], out=cos[0])
     for k in range(1, N_BANDS):
-        np.multiply(2.0 * sin[k - 1], cos[k - 1], out=sin[k])
-        np.multiply(cos[k - 1] - sin[k - 1], cos[k - 1] + sin[k - 1], out=cos[k])
+        np.add(cos[k - 1], sin[k - 1], out=sin[k])
+        np.subtract(cos[k - 1], sin[k - 1], out=cos[k])
+        cos[k] *= sin[k]
+        np.multiply(sin[k - 1], 2.0, out=sin[k])
+        sin[k] *= cos[k - 1]
     return feats.reshape(2 * N_BANDS * coords.shape[0], coords.shape[1])
 
 
@@ -177,10 +201,10 @@ def scale_encoding(dists: np.ndarray, params: SpeParams) -> np.ndarray:
     return h @ params.phi_w2.T + params.phi_b2
 
 
-SPE_BLOCK = 1024  # sizes both block levels of the embedding and fusion pass
-# a sub-block and its five (rows, dim) temporaries fit in a 2 MB L2 cache
-_SUB_BLOCK = SPE_BLOCK // 4
-# a super-block's x/y sinusoid product is one gemm, and its embedding buffer stays near 2 MB
+SPE_BLOCK = 1024  # sizes both block levels of the embedding and fusion pass, and the rows that take two lanes
+# per sub-block the x/y product, the per-bin terms and both stores; its two (rows, dim) buffers stay in a 2 MB L2 cache
+_SUB_BLOCK = SPE_BLOCK // 2
+# per super-block the x/y sinusoids, 4 * N_BANDS float64 values a row
 _SUPER_BLOCK = 2 * SPE_BLOCK
 
 
@@ -192,16 +216,20 @@ def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.nd
     """`_build_bin_tables`, built once per grid spec and weight values and handed out read-only.
 
     Keyed on the values, not on the objects: a caller may build new weights
-    equal to the last ones, or reassign a field of the last ones.
+    equal to the last ones, or reassign a field of the last ones. A call
+    returns the tables it found or built, never a second read of the memo,
+    which a call on another thread may have cleared in between.
     """
     weights = (params.coord_scales, params.psi_w, params.phi_w1, params.phi_b1, params.phi_w2, params.phi_b2)
     key = (spec, *((a.dtype.str, a.shape, a.tobytes()) for a in weights))
-    if key not in _BIN_TABLES:
-        _BIN_TABLES.clear()
-        _BIN_TABLES[key] = _build_bin_tables(spec, params)
-        for table in _BIN_TABLES[key]:
+    tables = _BIN_TABLES.get(key)
+    if tables is None:
+        tables = _build_bin_tables(spec, params)
+        for table in tables:
             table.flags.writeable = False  # every later call with the same key shares it
-    return _BIN_TABLES[key]
+        _BIN_TABLES.clear()
+        _BIN_TABLES[key] = tables
+    return tables
 
 
 def _build_bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,29 +269,44 @@ def _blocks(start: int, stop: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _spe_blocks(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams):
-    """The embedding of (M, 3) bin indices, on two block levels.
+def _lane_buffers(n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A lane's buffers for n rows: its sinusoids, and its sub-block's embedding and (sub-block, dim) buffer."""
+    sub = min(n, _SUB_BLOCK + 1)  # a lone last row joins the block before it
+    return np.empty(4 * N_BANDS * min(n, _SUPER_BLOCK + 1)), np.empty((sub, dim)), np.empty((sub, dim))
 
-    Yields (rows, view) for each sub-block in row order. The x and y sinusoid
-    term of the super-block (the only one that needs the voxel's own
-    centroid) goes into one buffer, which the next super-block overwrites;
-    the rho, theta, z and scale terms from per-bin tables (`_bin_tables`) are
-    added to `view`, the sub-block's rows of it, before it is yielded.
+
+def _embedding(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams):
+    """The embedding of (M, 3) bin indices, as `blocks(start, stop, buffers)` over a range of its rows.
+
+    The x and y of the centroids (the only term that needs a voxel's own
+    centroid) and the per-bin tables (`_bin_tables`) are taken here, once, on
+    the calling thread; `centroids_batch` also rejects indices outside the
+    grid. `blocks` yields (rows, view) for each sub-block of start .. stop in
+    row order, `view` being the sub-block's embedding in the lane's buffer.
+    Per super-block the x/y sinusoids go into the lane's sinusoid buffer; per
+    sub-block their product with `psi_w` goes into `view`, and the rho,
+    theta, z and scale terms are gathered through the lane's (sub-block, dim)
+    buffer and added to it. So that buffer is free again while the caller
+    holds `view`. A start that is a multiple of _SUB_BLOCK gives the
+    sub-blocks of one lane over all M rows.
     """
-    xy = centroids_batch(idx3, spec)[:, :2].T  # also rejects indices outside the grid
+    xy = centroids_batch(idx3, spec)[:, :2].T
     tables = _bin_tables(spec, params)
     w_xy = _psi(params, slice(0, 2))
-    gathered = np.empty((min(len(idx3), _SUB_BLOCK + 1), params.dim))
-    whole = np.empty((min(len(idx3), _SUPER_BLOCK + 1), params.dim))
-    for sup in _blocks(0, len(idx3), _SUPER_BLOCK):
-        out = whole[:sup.stop - sup.start]
-        np.matmul(_sinusoids(xy[:, sup], params.coord_scales[:2]).T, w_xy, out=out)
-        for rows in _blocks(sup.start, sup.stop, _SUB_BLOCK):
-            view = out[rows.start - sup.start:rows.stop - sup.start]
-            for axis, table in enumerate(tables):
-                # mode="raise" would buffer `view`; the indices are known to be in range
-                view += np.take(table, idx3[rows, axis], axis=0, out=gathered[:len(view)], mode="clip")
-            yield rows, view
+
+    def blocks(start: int, stop: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        sines, emb, sub = buffers
+        for sup in _blocks(start, stop, _SUPER_BLOCK):
+            bands = _sinusoids(xy[:, sup], params.coord_scales[:2], sines)
+            for rows in _blocks(sup.start, sup.stop, _SUB_BLOCK):
+                view = emb[:rows.stop - rows.start]
+                np.matmul(bands[:, rows.start - sup.start:rows.stop - sup.start].T, w_xy, out=view)
+                for axis, table in enumerate(tables):
+                    # mode="raise" would buffer `view`; the indices are known to be in range
+                    view += table.take(idx3[rows, axis], axis=0, out=sub[:len(view)], mode="clip")
+                yield rows, view
+
+    return blocks
 
 
 def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndarray:
@@ -275,7 +318,7 @@ def spe_batch(idx3: np.ndarray, spec: CylGridSpec, params: SpeParams) -> np.ndar
     """
     idx3 = np.asarray(idx3, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(idx3), params.dim))
-    for rows, view in _spe_blocks(idx3, spec, params):
+    for rows, view in _embedding(idx3, spec, params)(0, len(idx3), _lane_buffers(len(idx3), params.dim)):
         out[rows] = view
     return out
 
@@ -322,8 +365,9 @@ class VoxelFeatures:
     def dim(self) -> int:
         return self.raw.shape[1] if self.proj is None else self.proj.shape[0]
 
-    def rows(self, rows: slice) -> np.ndarray:  # (raw @ proj.T)[rows]
-        return self.raw[rows] if self.proj is None else self.raw[rows] @ self.proj.T
+    def rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """(raw @ proj.T)[rows], the product written into `out`; `raw`'s own rows if `proj` is None."""
+        return self.raw[rows] if self.proj is None else np.matmul(self.raw[rows], self.proj.T, out=out)
 
     @classmethod
     def for_grid(cls, grid: CylGrid, feats: np.ndarray) -> "VoxelFeatures":
@@ -405,14 +449,60 @@ def build_tokens(
 
     content = np.empty((grid.num_voxels, 2 * dim), dtype=np.float32)
     table, mean_rows, counts = _image_means(grid, fmaps, cams, dim, bilinear)
-    means = np.empty((min(grid.num_voxels, _SUB_BLOCK + 1), dim))
-    for rows, block in _spe_blocks(grid.indices3, grid.spec, params):
-        # summed in float64 and rounded once on the store, as the TOK2 codec stores it
-        np.add(block, voxel_feats.rows(rows), out=content[rows, :dim])
-        # mode="raise" would buffer `means`; `mean_rows` holds rows of `table` only
-        np.take(table, mean_rows[rows], axis=0, out=means[:len(block)], mode="clip")
-        np.add(block, means[:len(block)], out=content[rows, dim:])
+    blocks = _embedding(grid.indices3, grid.spec, params)
+
+    def fill(start: int, stop: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        for rows, block in blocks(start, stop, buffers):
+            sub = buffers[2][:len(block)]
+            # each half summed in float64 and rounded once on the store, as the TOK2 codec stores it;
+            # mode="raise" would buffer `sub`, and `mean_rows` holds rows of `table` only
+            half = table.take(mean_rows[rows], axis=0, out=sub, mode="clip")
+            half += block
+            content[rows, dim:] = half
+            block += voxel_feats.rows(rows, sub)
+            content[rows, :dim] = block
+
+    bounds = _lane_bounds(grid.num_voxels)
+    # every lane's buffers are allocated here, on the calling thread, and a lane calls no function the span
+    # recorder wraps
+    lanes = [(a, b, _lane_buffers(b - a, dim)) for a, b in zip(bounds[:-1], bounds[1:])]
+    others = [_worker().submit(fill, *lane) for lane in lanes[1:]]
+    try:
+        fill(*lanes[0])
+    finally:
+        wait(others)
+    for other in others:
+        other.result()
     return TokenSet(grid.spec, grid.voxel_ids.copy(), content, params, counts > 0)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _lane_bounds(m: int) -> list[int]:
+    """Row bounds of `build_tokens`' lanes over m rows.
+
+    Two lanes, split at the sub-block boundary nearest m / 2, when the
+    process may run on two CPUs and m is 2 * SPE_BLOCK or more; one lane
+    otherwise. Either way the sub-blocks are those of one lane over all m
+    rows, so the content is the same.
+    """
+    if m < 2 * SPE_BLOCK or _cpus() < 2:
+        return [0, m]
+    return [0, (m + _SUB_BLOCK) // (2 * _SUB_BLOCK) * _SUB_BLOCK, m]
+
+
+_WORKER: tuple[int, ThreadPoolExecutor] | None = None  # (process id, its executor)
+
+
+def _worker() -> ThreadPoolExecutor:
+    """This process's one worker thread for a second lane, started on first use (and after a fork)."""
+    global _WORKER
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="cylpano-lane"))
+    return _WORKER[1]
 
 
 def _image_means(
@@ -476,9 +566,10 @@ def _image_means(
     # per level, the cells and weights of the rows that have one there
     ends = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
     levels = [(pair_cell[starts[:n] + j], pair_w[starts[:n] + j, None]) for j, n in enumerate(ends)]
-    gathered = np.empty((min(len(multi), _SUB_BLOCK), dim))
-    for a in range(0, len(multi), _SUB_BLOCK):  # chunk by chunk, each level a prefix of the chunk
-        b = min(a + _SUB_BLOCK, len(multi))
+    chunk = SPE_BLOCK // 4  # rows; with its gathered buffer it stays in a 2 MB L2 cache
+    gathered = np.empty((min(len(multi), chunk), dim))
+    for a in range(0, len(multi), chunk):  # chunk by chunk, each level a prefix of the chunk
+        b = min(a + chunk, len(multi))
         acc = table[n_cells + 1 + a:n_cells + 1 + b]
         for j, (cell, w) in enumerate(levels):
             n = min(b, len(cell)) - a

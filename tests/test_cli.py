@@ -1225,3 +1225,22 @@ def test_chain_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == f"{[0] * len(chain)} []"
     assert (tmp_path / "fuse-bilinear" / "tokens.toks").read_bytes() != (Path(fuse) / "tokens.toks").read_bytes()
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [None, "3"])
+def test_stage_pins_blas_threads_unless_the_user_set_them(tmp_path, user):
+    # importing `cli` sets the pins in this process too, so the fresh interpreter gets an environment without them
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    argv = ["synth", "--config", small_config(tmp_path), "--seed", "1", "--out", str(tmp_path / "org")]
+    code = ("import json, os, sys, cylpano.cli; code = cylpano.cli.main(json.loads(sys.argv[1])); "
+            f"print(code, [os.environ.get(v) for v in {THREAD_VARS!r}])")
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == f"0 {['1', user or '1', '1', '1', '1']}"

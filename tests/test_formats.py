@@ -186,6 +186,24 @@ class TestTensorCodecs:
         assert np.array_equal(got_idx, idx3)
         assert np.array_equal(got_tags, tags)
 
+    def test_provenance_with_a_tag_per_index_too_many_is_not_written(self, tmp_path):
+        with pytest.raises(ShapeMismatchError, match="3 source tags for 2 voxel indices"):
+            formats.write_provenance(tmp_path / "p.pvox", [[1, 2, 3], [4, 5, 6]], [1, 0, 1])
+        assert not (tmp_path / "p.pvox").exists()
+
+    def test_query_set_with_a_wrong_embedding_width_is_not_built(self):
+        with pytest.raises(ValueError, match="embedding row of length dim"):
+            QuerySet(2, np.ones((1, 4), np.float32), np.ones((1, 3), np.float32),
+                     [LocationHint([1.0, 2.0, 0.5], 0.75, "texture")], np.zeros((1, 2), np.float32),
+                     np.zeros((1, 2), np.float32))
+
+    @pytest.mark.parametrize("field", ["no_prior", "semantic"])
+    def test_query_set_with_placeholder_rows_of_a_wrong_width_is_not_built(self, field):
+        rows = {"no_prior": np.zeros((1, 2), np.float32), "semantic": np.zeros((1, 2), np.float32)}
+        rows[field] = np.zeros((1, 3), np.float32)
+        with pytest.raises(ValueError, match="rows of length dim"):
+            QuerySet(2, np.ones((0, 4), np.float32), np.ones((0, 2), np.float32), [], **rows)
+
 
 PPM_IMAGE = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)  # 3 wide, 2 high
 PPM_GOOD_HEADERS = {
@@ -522,7 +540,7 @@ class TestConfigMemo:
 
 
 class TestReadMemory:
-    """A reader holds its arrays and a bounded chunk, not the file and copies of it."""
+    """A reader holds its arrays, not the file and copies of it."""
 
     @staticmethod
     def _traced_peak(read, path) -> int:

@@ -1,11 +1,15 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylpano import tokens as tokens_module
 from cylpano.config import TokenConfig
 from cylpano.errors import DimensionMismatchError, IndexOutOfRangeError, NoValidProjectionError
 from cylpano.geometry import cart_to_polar, rotation_z, valid_projections
@@ -31,6 +35,7 @@ from cylpano.tokens import (
 )
 
 from oracles import bilinear_sample, looped_image_means, position_encoding, reference_image_half
+from test_bench_hooks import spans  # the benchmark's span recorder, loaded from bench/spans.py
 
 SPEC = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
 
@@ -231,6 +236,21 @@ class TestBinTableMemo:
         assert any(not np.array_equal(a, b) for a, b in zip(after, before))
         assert [t.tobytes() for t in after] == [t.tobytes() for t in _build_bin_tables(SPEC, params)]
 
+    def test_callers_on_several_threads_with_alternating_weights_get_their_own_tables(self):
+        idx = np.column_stack([np.arange(12) % b for b in SPEC.shape])
+        params = [SpeParams.create(SPEC, dim=8, seed=seed) for seed in range(5)]
+        expected = [spe_batch(idx, SPEC, p).tobytes() for p in params]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(spe_batch, idx, SPEC, params[i % 5]) for i in range(600)]
+                done, pending = wait(futures, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pending
+        assert [f.result().tobytes() for f in futures] == [expected[i % 5] for i in range(600)]
+
     def test_another_grid_gives_its_own_tables(self):
         params = SpeParams.create(SPEC, dim=16, seed=3)
         other = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 3.0))
@@ -306,7 +326,7 @@ class TestBuildTokens:
         grid = voxelize(PointCloud(np.array([[100.0, 0.0, 0.0]]), np.zeros(1)), SPEC)
         params = SpeParams.create(SPEC, dim=4, seed=0)
         placeholder = VoxelFeatures.stats_placeholder(grid, 4, TokenConfig().seed)
-        dense = placeholder.rows(slice(0, grid.num_voxels))
+        dense = placeholder.rows(slice(0, grid.num_voxels), np.empty((grid.num_voxels, 4)))
         assert dense.dtype == np.float64 and dense.shape == (0, 4)
         feats = VoxelFeatures.for_grid(grid, np.zeros((0, 4)))
         tokens = build_tokens(grid, feats, [const_fmap(2.0)], [cam], params)
@@ -456,7 +476,7 @@ class TestBuildTokens:
         fmaps = [FeatureMap(np.random.default_rng(m).standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
         params = SpeParams.create(spec, dim=dim, seed=2)
         placeholder = VoxelFeatures.stats_placeholder(grid, dim, seed=3)
-        multiplied_out = placeholder.rows(slice(0, m))
+        multiplied_out = placeholder.rows(slice(0, m), np.empty((m, dim)))
         assert multiplied_out.shape == (m, dim)
         dense = VoxelFeatures.for_grid(grid, multiplied_out)
         factored = build_tokens(grid, placeholder, fmaps, cams, params, bilinear=bilinear)
@@ -464,9 +484,9 @@ class TestBuildTokens:
                               build_tokens(grid, dense, fmaps, cams, params, bilinear=bilinear).content)
 
     @pytest.mark.parametrize("bilinear", [False, True])
-    @pytest.mark.parametrize("m", [255, 256, 257, 2047, 2048, 2049, 2305, 4097])
+    @pytest.mark.parametrize("m", [255, 256, 257, 511, 512, 513, 2047, 2048, 2049, 2305, 4097])
     def test_two_block_levels_equal_unblocked_reference(self, m, bilinear):
-        """Edges of the SPE_BLOCK // 4-row sub-blocks and the 2 * SPE_BLOCK-row super-blocks, and lone last rows."""
+        """Edges of the SPE_BLOCK // 2-row sub-blocks and the 2 * SPE_BLOCK-row super-blocks, and lone last rows."""
         spec = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
         r, t, z = spec.unflatten(np.arange(m)).T  # the first m cells, one point at the center of each
         rho = (spec.r_edges[r] + spec.r_edges[r + 1]) / 2
@@ -488,7 +508,7 @@ class TestBuildTokens:
         means, seen = self._brute_force_image_half(grid, fmaps, cams, bilinear)
         assert 0 < seen.sum() < m
         assert np.array_equal(tokens.image_valid, seen)
-        assert_within_one_float32_ulp(tokens.content[:, :dim], spe_ref + placeholder.rows(slice(0, m)))
+        assert_within_one_float32_ulp(tokens.content[:, :dim], spe_ref + placeholder.rows(slice(0, m), np.empty((m, dim))))
         assert_within_one_float32_ulp(tokens.content[:, dim:], spe_ref + means)
         assert np.array_equal(tokens.spe, spe_batch(grid.indices3, spec, params))
         # every row goes through gemm, also a lone last row of a super-block
@@ -604,6 +624,105 @@ class TestBuildTokens:
             VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels - 1, 4)))
         with pytest.raises(DimensionMismatchError):
             build_tokens(grid, VoxelFeatures.for_grid(grid, np.zeros((grid.num_voxels, 5))), [], [], params)
+
+
+def first_cells_grid(spec, m):
+    """Grid of the first m cells of `spec`, one point at the center of each."""
+    r, t, z = spec.unflatten(np.arange(m)).T
+    rho = (spec.r_edges[r] + spec.r_edges[r + 1]) / 2
+    theta = (spec.theta_edges[t] + spec.theta_edges[t + 1]) / 2
+    zc = (spec.z_edges[z] + spec.z_edges[z + 1]) / 2
+    xyz = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), zc])
+    grid = voxelize(PointCloud(xyz, np.random.default_rng(m).random(m)), spec)
+    assert grid.num_voxels == m
+    return grid
+
+
+class TestLanes:
+    """`build_tokens` fills its rows in two lanes on two CPUs, and writes the bytes of one lane."""
+
+    SPEC = CylGridSpec(80, 36, 4, (1.0, 41.0), (-0.5, 0.5))
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    # below and at the two-lane threshold, one past it, and a tail with a lone last row
+    @pytest.mark.parametrize("m", [2 * SPE_BLOCK - 1, 2 * SPE_BLOCK, 2 * SPE_BLOCK + 1, 3 * SPE_BLOCK + _SUB_BLOCK + 1])
+    def test_two_lanes_write_the_bytes_of_one(self, monkeypatch, m, bilinear):
+        grid = first_cells_grid(self.SPEC, m)
+        dim = 6
+        rng = np.random.default_rng(m)
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0), ring_camera(2.0, 40, 24, 16.0, 0.2)]
+        fmaps = [FeatureMap(rng.standard_normal((8, 12, dim)).astype(np.float32), 48, 32),
+                 FeatureMap(rng.standard_normal((6, 10, dim)).astype(np.float32), 40, 24)]
+        params = SpeParams.create(self.SPEC, dim=dim, seed=2)
+        # the factored placeholder, and features with no projection as `for_grid` takes them
+        voxel_feats = [VoxelFeatures.stats_placeholder(grid, dim, seed=3),
+                       VoxelFeatures.for_grid(grid, rng.normal(size=(m, dim)))]
+        built = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(tokens_module, "_cpus", lambda cpus=cpus: cpus)
+            assert len(tokens_module._lane_bounds(m)) == (3 if cpus == 2 and m >= 2 * SPE_BLOCK else 2)
+            built[cpus] = [build_tokens(grid, feats, fmaps, cams, params, bilinear=bilinear) for feats in voxel_feats]
+        for one, two in zip(built[1], built[2]):
+            assert 0 < one.image_valid.sum() < m
+            assert one.content.tobytes() == two.content.tobytes()
+            assert one.image_valid.tobytes() == two.image_valid.tobytes()
+
+    @pytest.mark.parametrize("m", [2 * SPE_BLOCK, 3 * SPE_BLOCK + _SUB_BLOCK + 1])
+    def test_lanes_split_at_a_sub_block_boundary_near_the_middle(self, monkeypatch, m):
+        monkeypatch.setattr(tokens_module, "_cpus", lambda: 2)
+        start, mid, stop = tokens_module._lane_bounds(m)
+        assert (start, stop) == (0, m) and mid % _SUB_BLOCK == 0
+        assert abs(mid - m / 2) <= _SUB_BLOCK / 2
+
+    def test_concurrent_callers_under_a_short_switch_interval_write_the_bytes_of_one_lane(self, monkeypatch):
+        """Callers on more threads than CPUs share the one worker thread, and each lane keeps its own buffers."""
+        m = 3 * SPE_BLOCK + _SUB_BLOCK + 1
+        grid = first_cells_grid(self.SPEC, m)
+        dim = 6
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0)]
+        fmaps = [FeatureMap(np.random.default_rng(2).standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
+        params = SpeParams.create(self.SPEC, dim=dim, seed=2)
+        feats = VoxelFeatures.stats_placeholder(grid, dim, seed=3)
+        monkeypatch.setattr(tokens_module, "_cpus", lambda: 1)
+        expected = build_tokens(grid, feats, fmaps, cams, params).content.tobytes()
+        monkeypatch.setattr(tokens_module, "_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(build_tokens, grid, feats, fmaps, cams, params) for _ in range(8)]
+                done, pending = wait(futures, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pending
+        assert all(f.result().content.tobytes() == expected for f in done)
+
+    def test_wrapped_functions_run_on_the_calling_thread(self, monkeypatch):
+        """Every function the benchmark's tracer wraps runs on the thread that called `build_tokens`,
+        so its spans stay nested."""
+        m = 3 * SPE_BLOCK + 1
+        grid = first_cells_grid(self.SPEC, m)
+        dim = 6
+        cams = [ring_camera(0.0, 48, 32, 24.0, 0.0)]
+        fmaps = [FeatureMap(np.random.default_rng(1).standard_normal((8, 12, dim)).astype(np.float32), 48, 32)]
+        params = SpeParams.create(self.SPEC, dim=dim, seed=11)  # new weights: the per-bin tables are built
+        feats = VoxelFeatures.stats_placeholder(grid, dim, seed=3)
+        monkeypatch.setattr(tokens_module, "_cpus", lambda: 2)
+        tracer = spans.Tracer()
+        opened = tracer.open
+        seen = []
+        tracer.open = lambda name: seen.append((name, threading.get_ident())) or opened(name)
+        tracer.install(0)
+        try:
+            tokens_module.build_tokens(grid, feats, fmaps, cams, params)  # the module's name, which the tracer wraps
+        finally:
+            tracer.remove()
+        names = {name for name, _ in seen}
+        assert {"tokens.build_tokens", "grid.centroids_batch", "grid.extreme_points_batch",
+                "geometry.valid_projections"} <= names
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+        assert [s.name for s in tracer.spans].count("grid.centroids_batch") == 1
+        assert tracer.stack == []
 
 
 class TestNearestOccupiedRow:
