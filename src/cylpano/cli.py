@@ -156,14 +156,13 @@ def cmd_augment(args) -> int:
     return 0
 
 
-# the last rig's placeholder maps, by ([tokens] seed, camera index, map height, map width, dim)
-_PLACEHOLDER_MAPS: dict[tuple, np.ndarray] = {}
-
-
-def _draw_placeholder(seed: int, k: int, h: int, w: int, dim: int) -> np.ndarray:
-    data = placeholder_queries(h * w, dim, seed, k).reshape(h, w, dim)
-    data.flags.writeable = False  # every later call with the same key shares it
-    return data
+@functools.lru_cache(maxsize=1)  # the last rig's
+def _placeholder_maps(seed: int, sizes: tuple[tuple[int, int], ...], dim: int) -> tuple[np.ndarray, ...]:
+    """Read-only (h, w, dim) placeholder maps, one per camera's (h, w) in `sizes`, camera k's from stream [seed, k]."""
+    maps = tuple(placeholder_queries(h * w, dim, seed, k).reshape(h, w, dim) for k, (h, w) in enumerate(sizes))
+    for data in maps:
+        data.flags.writeable = False  # every later call with the same rig shares it
+    return maps
 
 
 def _feature_maps(args, cfg, cams) -> list[FeatureMap]:
@@ -176,11 +175,9 @@ def _feature_maps(args, cfg, cams) -> list[FeatureMap]:
             raise ShapeMismatchError(f"feature dim {data.shape[3]} != configured {dim}")
         return [FeatureMap(data[k], cams[k].width, cams[k].height) for k in range(len(cams))]
     ds = cfg.tokens.feat_downsample
-    keys = [(cfg.tokens.seed, k, max(1, cam.height // ds), max(1, cam.width // ds), dim) for k, cam in enumerate(cams)]
-    maps = {key: _PLACEHOLDER_MAPS[key] if key in _PLACEHOLDER_MAPS else _draw_placeholder(*key) for key in keys}
-    _PLACEHOLDER_MAPS.clear()
-    _PLACEHOLDER_MAPS.update(maps)
-    return [FeatureMap(maps[key], cam.width, cam.height) for key, cam in zip(keys, cams)]
+    sizes = tuple((max(1, cam.height // ds), max(1, cam.width // ds)) for cam in cams)
+    maps = _placeholder_maps(cfg.tokens.seed, sizes, dim)
+    return [FeatureMap(data, cam.width, cam.height) for data, cam in zip(maps, cams)]
 
 
 def _spe_params(cfg) -> SpeParams:

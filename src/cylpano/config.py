@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import copy
+import functools
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -137,12 +138,8 @@ def _build(section, cls, *args, **kwargs):
         raise BadConfigError(f"[{section}] {exc}") from exc
 
 
-# the last config parsed, by (its text, the absolute directory a relative weights_path resolves against)
-_PARSED: dict[tuple[str, str], PipelineConfig] = {}
-
-
 def load_config(path) -> PipelineConfig:
-    """The config in the file at `path`, parsed once per text and directory; each call gets its own copy."""
+    """The config in the file at `path`, parsed once per text, path and directory; each call gets its own copy."""
     try:
         with open(path) as f:  # universal newlines, as configparser reads
             text = f.read()
@@ -150,17 +147,16 @@ def load_config(path) -> PipelineConfig:
         raise BadConfigError(f"cannot read config {path}") from exc
     except UnicodeDecodeError as exc:
         raise BadConfigError(f"cannot decode config {path}: {exc}") from exc
-    key = (text, os.path.dirname(os.path.abspath(path)))
-    if key not in _PARSED:
-        _PARSED.clear()  # a text that fails to parse leaves nothing behind
-        _PARSED[key] = _parse_config(text, path, key[1])
-    cfg = copy.deepcopy(_PARSED[key])  # callers set seeds on what they get
+    # callers set seeds on what they get
+    cfg = copy.deepcopy(_parse_config(text, path, os.path.dirname(os.path.abspath(path))))
     if cfg.tokens.weights_path and not os.path.exists(cfg.tokens.weights_path):
         raise BadConfigError(f"weights_path {cfg.tokens.weights_path!r} does not exist")
     return cfg
 
 
+@functools.lru_cache(maxsize=1)  # the last config parsed; a text that fails to parse is not kept
 def _parse_config(text: str, path, directory: str) -> PipelineConfig:
+    """The config in `text`, read from `path`; a relative weights_path resolves against `directory`."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text, source=os.fspath(path))

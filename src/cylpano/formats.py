@@ -453,14 +453,14 @@ def read_class_table(path) -> ClassTable:
     except UnicodeDecodeError as exc:
         raise BadConfigError(f"cannot decode class table {path}: {exc}") from exc
     if "classes" not in cp:
-        raise BadConfigError("class table needs a [classes] section")
+        raise BadConfigError(f"{path}: class table needs a [classes] section")
     entries = {}
     for key, value in cp["classes"].items():
         try:
             name, kind = value.split(",")
             entries[int(key)] = (name.strip(), kind.strip())
         except ValueError as exc:
-            raise BadConfigError(f"bad class entry {key} = {value}") from exc
+            raise BadConfigError(f"{path}: bad class entry {key} = {value}") from exc
     try:
         return ClassTable(entries)
     except ValueError as exc:  # an unknown kind or an id past u16

@@ -28,8 +28,9 @@ embedding.
 
 `build_tokens` fills the content in two lanes when the process may run on
 two CPUs and there are 2 * SPE_BLOCK rows or more: the calling thread fills
-the rows up to the sub-block boundary nearest the middle, and one worker
-thread per process the rest, while numpy, inside each call, lets go of the
+the rows up to the sub-block boundary nearest the middle, and the one
+worker thread of its process id (`functools.cache`, so a forked child starts
+its own) the rest, while numpy, inside each call, lets go of the
 interpreter lock. The image means, the centroids and the per-bin tables are
 taken before, on the calling thread, so every function the benchmark's span
 recorder wraps runs there. The lanes' sub-blocks are those of one lane over
@@ -41,6 +42,7 @@ buffers, 1.4 MB a lane at dim 128.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -466,7 +468,7 @@ def build_tokens(
     # every lane's buffers are allocated here, on the calling thread, and a lane calls no function the span
     # recorder wraps
     lanes = [(a, b, _lane_buffers(b - a, dim)) for a, b in zip(bounds[:-1], bounds[1:])]
-    others = [_worker().submit(fill, *lane) for lane in lanes[1:]]
+    others = [_worker(os.getpid()).submit(fill, *lane) for lane in lanes[1:]]
     try:
         fill(*lanes[0])
     finally:
@@ -494,15 +496,10 @@ def _lane_bounds(m: int) -> list[int]:
     return [0, (m + _SUB_BLOCK) // (2 * _SUB_BLOCK) * _SUB_BLOCK, m]
 
 
-_WORKER: tuple[int, ThreadPoolExecutor] | None = None  # (process id, its executor)
-
-
-def _worker() -> ThreadPoolExecutor:
-    """This process's one worker thread for a second lane, started on first use (and after a fork)."""
-    global _WORKER
-    if _WORKER is None or _WORKER[0] != os.getpid():
-        _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="cylpano-lane"))
-    return _WORKER[1]
+@functools.cache
+def _worker(pid: int) -> ThreadPoolExecutor:
+    """Process `pid`'s one worker thread for a second lane, started on first use; a forked child starts its own."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="cylpano-lane")
 
 
 def _image_means(
@@ -523,7 +520,7 @@ def _image_means(
     -0.0, and each row has a cell of weight at least 1/4, whose product with a
     feature that is not -0.0 is not -0.0 either.
     """
-    pts = np.take(grid.cloud.xyz, grid.order, axis=0)
+    pts, point_rows = np.take(grid.cloud.xyz, grid.order, axis=0), grid.point_rows
     sizes = [fmap.data.shape[0] * fmap.data.shape[1] for fmap in fmaps]
     offsets, n_cells = np.cumsum([0] + sizes), sum(sizes)
     counts = np.zeros(grid.num_voxels, dtype=np.int64)
@@ -531,7 +528,7 @@ def _image_means(
     for fmap, cam, offset in zip(fmaps, cams, offsets):
         uv, _, valid = valid_projections(pts, cam)
         idx, w = fmap.cells(uv[valid], bilinear)
-        vrows = grid.point_rows[valid]
+        vrows = point_rows[valid]
         counts += np.bincount(vrows, minlength=grid.num_voxels)
         rows.append(np.repeat(vrows, idx.shape[1]))
         cells.append((idx + offset).ravel())

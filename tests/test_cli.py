@@ -500,8 +500,10 @@ def _config_case(text):
 
 
 def _classes_case(text):
+    """`cylpano eval --classes` on a class table file holding `text`, or on no file if `text` is None."""
     def case(base, cfg, tmp):
-        (tmp / "classes.cfg").write_text(text)
+        if text is not None:
+            (tmp / "classes.cfg").write_text(text)
         cloud = str(base / "org" / "cloud.plcd")
         return ["eval", "--pred", cloud, "--gt", cloud, "--classes", str(tmp / "classes.cfg"),
                 "--report", str(tmp / "r.json")]
@@ -636,6 +638,32 @@ def _tokens_of_another_sample_case(base, cfg, tmp):
     assert main(["fuse", "--config", cfg, "--sample", str(tmp / "other"), "--out", str(tmp / "fuse")]) == 0
     return ["queries", "--config", cfg, "--sample", str(base / "org"), "--tokens", str(tmp / "fuse" / "tokens.toks"),
             "--out", str(tmp / "o")]
+
+
+def _larger_grid_tokens_case(base, cfg, tmp):
+    larger = load_config(cfg)
+    larger.grid = dataclasses.replace(larger.grid, theta_bins=2 * larger.grid.theta_bins)
+    save_config(tmp / "larger.cfg", larger)
+    assert main(["fuse", "--config", str(tmp / "larger.cfg"), "--sample", str(base / "org"),
+                 "--out", str(tmp / "fuse")]) == 0
+    return ["queries", "--config", cfg, "--sample", str(base / "org"), "--tokens", str(tmp / "fuse" / "tokens.toks"),
+            "--out", str(tmp / "o")]
+
+
+def _other_rig_case(**synth):
+    """All-strategy `augment` of the shared sample with a new one synthesized with other `synth` values."""
+    def case(base, cfg, tmp):
+        other = load_config(cfg)
+        for key, value in synth.items():
+            setattr(other.synth, key, value)
+        save_config(tmp / "other.cfg", other)
+        assert main(["synth", "--config", str(tmp / "other.cfg"), "--seed", "2", "--out", str(tmp / "new")]) == 0
+        swap = load_config(cfg)
+        swap.augment.p_instance = swap.augment.p_height_swap = swap.augment.p_angle_swap = 1.0
+        save_config(tmp / "swap.cfg", swap)
+        return ["augment", "--config", str(tmp / "swap.cfg"), "--org", str(base / "org"), "--new", str(tmp / "new"),
+                "--seed", "2", "--out", str(tmp / "o")]
+    return case
 
 
 def _missing_camera_image_case(base, cfg, tmp):
@@ -782,6 +810,12 @@ MALFORMED = {
     "ppm-negative-width": (_ppm_header_case(b"P6\n-96 72\n255\n"), "TruncatedFileError"),
     "image-size-not-camera-size-render-overlay": (_image_size_case("render-overlay"), "ShapeMismatchError"),
     "image-size-not-camera-size-augment": (_image_size_case("augment"), "ShapeMismatchError"),
+    "queries-tokens-of-a-larger-grid": (_larger_grid_tokens_case, "ShapeMismatchError"),
+    "classes-missing-file": (_classes_case(None), "BadConfigError"),
+    "classes-no-classes-section": (_classes_case("[other]\n1 = car,thing\n"), "BadConfigError"),
+    "classes-entry-without-kind": (_classes_case("[classes]\n1 = justname\n"), "BadConfigError"),
+    "augment-rigs-of-2-and-3-cameras": (_other_rig_case(camera_count=3), "SpecMismatchError"),
+    "augment-images-of-different-sizes": (_other_rig_case(image_size=(48, 36)), "SpecMismatchError"),
 }
 
 
@@ -934,22 +968,17 @@ class TestPerProcessReuse:
         import cylpano.tokens
 
         calls = []
-
-        def count(module, name):  # the uncached builder, counted; its memo starts empty
-            build = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or build(*args))
-
-        count(cylpano.config, "_parse_config")
-        count(cylpano.tokens, "_build_bin_tables")
-        monkeypatch.setattr(cylpano.config, "_PARSED", {})
+        build = cylpano.tokens._build_bin_tables  # the uncached builder, counted; its memo starts empty
+        monkeypatch.setattr(cylpano.tokens, "_build_bin_tables", lambda *args: calls.append("tables") or build(*args))
         monkeypatch.setattr(cylpano.tokens, "_BIN_TABLES", {})
+        cylpano.config._parse_config.cache_clear()
         cfg = small_config(tmp_path)
         org, fuse = tmp_path / "org", tmp_path / "fuse"
         assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(org)]) == 0
         assert main(["fuse", "--config", cfg, "--sample", str(org), "--out", str(fuse)]) == 0
         assert main(["queries", "--config", cfg, "--sample", str(org), "--tokens", str(fuse / "tokens.toks"),
                      "--masks", str(org / "masks"), "--out", str(tmp_path / "queries")]) == 0
-        assert sorted(calls) == ["_build_bin_tables", "_parse_config"]
+        assert (cylpano.config._parse_config.cache_info().misses, calls) == (1, ["tables"])
 
     def test_one_process_writes_what_fresh_processes_write(self, tmp_path):
         configs = {}

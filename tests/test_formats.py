@@ -78,6 +78,11 @@ class TestTensorCodecs:
         formats.write_feature_maps(tmp_path / "f.fmap", maps)
         assert np.array_equal(formats.read_feature_maps(tmp_path / "f.fmap"), maps)
 
+    def test_feature_maps_of_three_axes_are_not_written(self, tmp_path):
+        with pytest.raises(ShapeMismatchError, match="must be"):
+            formats.write_feature_maps(tmp_path / "f.fmap", np.zeros((6, 8, 4), np.float32))
+        assert not (tmp_path / "f.fmap").exists()
+
     def test_tokens_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         spec = CylGridSpec(12, 8, 4, (0.0, 24.0), (-2.0, 2.0))
@@ -234,6 +239,12 @@ class TestImagesAndCalibration:
         img = rng.integers(0, 256, (9, 13, 3)).astype(np.uint8)
         formats.write_ppm(tmp_path / "i.ppm", img)
         assert np.array_equal(formats.read_ppm(tmp_path / "i.ppm"), img)
+
+    @pytest.mark.parametrize("shape", [(9, 13), (9, 13, 4), (2, 9, 13, 3)])
+    def test_ppm_of_an_image_not_h_w_3_is_not_written(self, tmp_path, shape):
+        with pytest.raises(ShapeMismatchError, match="must be"):
+            formats.write_ppm(tmp_path / "i.ppm", np.zeros(shape, np.uint8))
+        assert not (tmp_path / "i.ppm").exists()
 
     def test_ppm_bad_magic(self, tmp_path):
         (tmp_path / "x.ppm").write_bytes(b"P5\n2 2\n255\n\0\0\0\0")
@@ -406,6 +417,13 @@ class TestConfig:
         for table in (ClassTable.synthetic(), literal):
             formats.write_class_table(tmp_path / "c.cfg", table)
             assert formats.read_class_table(tmp_path / "c.cfg") == table
+
+    @pytest.mark.parametrize("text, what", [("[other]\n1 = car,thing\n", r"needs a \[classes\] section"),
+                                            ("[classes]\n1 = justname\n", "bad class entry 1 = justname")])
+    def test_class_table_errors_name_the_file(self, tmp_path, text, what):
+        (tmp_path / "c.cfg").write_text(text)
+        with pytest.raises(BadConfigError, match=f"c.cfg: .*{what}"):
+            formats.read_class_table(tmp_path / "c.cfg")
 
     def test_nms_radius_meters_converts_through_radial_bin_width(self, tmp_path):
         from cylpano.config import QueryConfig

@@ -37,6 +37,11 @@ manifest lists every file a stage read.
 A ninth holds `cli.py` and `metrics.py` to the codecs: outside an allow-list
 by function, none of their calls opens, reads or writes a file, so every
 artifact a stage reads or writes is in its manifest.
+
+A tenth holds `src/` to one form of per-process state: no `global`
+statement, and outside an allow-list by name, no function changes a
+module-level container, by a mutating method or by item or attribute
+assignment. A memo is a `functools` cache on the function that computes it.
 """
 
 import ast
@@ -349,3 +354,52 @@ def test_cli_and_metrics_touch_files_only_through_the_codecs():
         if isinstance(call, ast.Call) and _call_name(call) in FILE_CALLS
     }
     assert touching == set(ALLOWED_FILE_CALLS)
+
+
+# the module-level containers a function may change, by module and name
+ALLOWED_MODULE_STATE = {
+    "formats._RUNS": "a stack of the stages running, pushed and popped by `recording`",
+    "formats._DIGESTS": "file digests checked against each file's stat and sealed by the next manifest",
+    "tokens._BIN_TABLES": "keyed on the weights' bytes, which `lru_cache` could key on only by rebuilding the weights",
+}
+MUTATORS = {"clear", "update", "pop", "popitem", "append", "extend", "insert", "remove", "add", "discard", "setdefault"}
+
+
+def _root(node):
+    """The name a chain of subscripts and attributes starts from, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_changes() -> set[str]:
+    """Each `global` statement in a function, and each module-level name a function changes, as `module.name`."""
+    found = set()
+    for module, tree in MODULES.items():
+        top = {n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    found.update(f"{module}: global {name}" for name in node.names)
+                    continue
+                if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    changed = _root(node)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                    changed = _root(node.func.value)
+                else:
+                    continue
+                if changed in top and changed not in local:
+                    found.add(f"{module}.{changed}")
+    return found
+
+
+def test_module_state_changes_only_through_the_allow_list():
+    """A hand-written memo or a `global` is a second form of the `functools` cache."""
+    found = _module_state_changes()
+    assert sorted(found - set(ALLOWED_MODULE_STATE)) == []
+    assert sorted(set(ALLOWED_MODULE_STATE) - found) == []  # no entry outlives the state it exempts

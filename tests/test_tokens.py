@@ -13,7 +13,7 @@ from cylpano import tokens as tokens_module
 from cylpano.config import TokenConfig
 from cylpano.errors import DimensionMismatchError, IndexOutOfRangeError, NoValidProjectionError
 from cylpano.geometry import cart_to_polar, rotation_z, valid_projections
-from cylpano.grid import CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
+from cylpano.grid import CylGrid, CylGridSpec, PointCloud, centroids_batch, extreme_points_batch, voxelize
 from cylpano.synth import ring_camera
 from cylpano.tokens import (
     SPE_BLOCK,
@@ -565,6 +565,18 @@ class TestBuildTokens:
         assert counts[containing_rows(grid, stack[:1])[0]] == 3
         # a bilinear row of 17 or more entries, more than libstdc++'s sort keeps in input order
         assert counts[containing_rows(grid, crowd[:1])[0]] * 4 >= 17
+
+    def test_image_means_takes_the_point_rows_once_per_call(self, monkeypatch):
+        """`point_rows` repeats each row index over its points, so a call takes it once, not once per camera."""
+        reads = []
+        point_rows = CylGrid.point_rows
+        monkeypatch.setattr(CylGrid, "point_rows", property(lambda grid: reads.append(1) or point_rows.fget(grid)))
+        rng = np.random.default_rng(2)
+        xyz = np.column_stack([rng.uniform(-12, 12, (200, 2)), rng.uniform(-1, 1, 200)])
+        grid = voxelize(PointCloud(xyz, rng.random(200)), SPEC)
+        cams = [ring_camera(k * 2.0, 32, 24, 12.0, 0.0) for k in range(3)]
+        _image_means(grid, [const_fmap(1.0, hw=(4, 4), image=(32, 24)) for _ in cams], cams, 4, False)
+        assert reads == [1]
 
     def test_peak_memory_stays_below_one_feature_array(self):
         # one point at the center of every cell: 9 blocks of voxels
