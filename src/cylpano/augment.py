@@ -158,7 +158,7 @@ def apply_mix(org: CylGrid, new: CylGrid, mask: np.ndarray) -> CylGrid:
     counts = np.concatenate([org.counts[org_keep], new.counts[new_keep]])
     source = np.concatenate([org.source[org_keep], new.source[new_keep]])
     run_starts = np.cumsum(counts) - counts
-    perm = np.argsort(voxel_ids, kind="stable")  # merges the two sorted runs
+    perm = np.argsort(voxel_ids, kind="stable")  # timsort merges the two sorted runs in linear time
     counts = counts[perm]
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     order = ranges(run_starts[perm], counts)

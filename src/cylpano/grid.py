@@ -6,7 +6,8 @@ partition has no gaps: every in-range point lands in exactly one voxel and
 out-of-range points are recorded in a dropped list. `voxelize` bins a cloud's
 x, y and z columns straight to flat voxel ids by the rule of
 `CylGridSpec.bin_points`; `centroids_batch` gathers each edge-table entry of
-a voxel once and sums its corners in `extreme_points_batch` order.
+a voxel once and sums its corners in `extreme_points_batch` order. Each
+sorted-key rule has one copy: `lookup`, `ranges`, `segment_pairs`, `sort_pairs`.
 """
 
 from __future__ import annotations
@@ -192,6 +193,26 @@ def segment_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndar
     return segment_pairs(ranges(a_start, a_size), 1, np.repeat(b_start, a_size), np.repeat(b_size, a_size))
 
 
+def sort_pairs(cells: np.ndarray, ranks: np.ndarray, n_cells: int,
+               n_ranks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, ranks, first): the int64 pairs sorted by cell, then rank, and a flag on each cell's first pair.
+
+    Cells lie in range(n_cells) and ranks in range(n_ranks). One unstable sort
+    of the keys cell * n_ranks + rank orders them, or `np.lexsort` where those
+    keys would overflow int64. With positions as ranks this is the stable sort
+    of the cells; with points ranked by (depth, index), each cell's first pair
+    is its nearest point: a z-buffer.
+    """
+    if n_cells * n_ranks < 2**63:
+        key = cells * n_ranks + ranks
+        key.sort()
+        cells, ranks = np.divmod(key, n_ranks)
+    else:
+        order = np.lexsort((ranks, cells))
+        cells, ranks = cells[order], ranks[order]
+    return cells, ranks, np.diff(cells, prepend=-1) != 0
+
+
 @dataclass
 class PairingTable:
     """Per-camera voxel-to-image rectangles, keyed by sorted flat voxel id."""
@@ -259,28 +280,13 @@ def voxelize(cloud: PointCloud, spec: CylGridSpec) -> CylGrid:
     """
     rho, theta, z = polar_columns(cloud.xyz)
     inside = spec._inside(rho, z)
-    dropped = np.flatnonzero(~inside)
-    kept = None
-    if len(dropped):
-        kept = np.flatnonzero(inside)
-        rho, theta, z = rho[kept], theta[kept], z[kept]
-    r_bins, t_bins, z_bins = spec._axis_bins(rho, theta, z)
+    kept, dropped = np.flatnonzero(inside), np.flatnonzero(~inside)
+    r_bins, t_bins, z_bins = spec._axis_bins(rho[kept], theta[kept], z[kept])
     flat = (r_bins * spec.theta_bins + t_bins) * spec.z_bins + z_bins  # `flatten` of the bin triple
-    n = len(flat)
-    if spec.num_cells * n < 2**63:
-        # flat * n + position is unique, so one unstable sort of these keys gives
-        # the stable order: the sorted flat ids are key // n, the permutation key % n
-        key = flat * n + np.arange(n)
-        key.sort()
-        flat_sorted, perm = np.divmod(key, n)
-    else:  # the keys would overflow int64
-        perm = np.argsort(flat, kind="stable")
-        flat_sorted = flat[perm]
-    order = perm if kept is None else kept[perm]
-    is_first = np.diff(flat_sorted, prepend=-1) != 0  # each voxel's first entry
+    flat_sorted, order, is_first = sort_pairs(flat, kept, spec.num_cells, len(cloud))
     first = np.flatnonzero(is_first)
     voxel_ids = flat_sorted[first]
-    starts = np.append(first, n).astype(np.int64)
+    starts = np.append(first, len(kept)).astype(np.int64)
     # each entry's tag into its voxel row; uint8 tags are never below the zero start
     source = np.zeros(len(first), dtype=np.uint8)
     np.maximum.at(source, np.cumsum(is_first) - 1, cloud.source[order])

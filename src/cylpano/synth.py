@@ -16,7 +16,7 @@ import numpy as np
 
 from .augment import MultiModalSample, check_range
 from .geometry import CameraModel, rotation_z, valid_projections
-from .grid import PointCloud
+from .grid import PointCloud, sort_pairs
 from .metrics import ClassTable
 from .queries import Mask2D
 
@@ -187,19 +187,15 @@ def rasterize(
     projection cell; the nearest point wins a pixel, ties break to the lowest
     point index, so the result is independent of any processing order.
 
-    The visible points are ranked once by (depth, index), and each splat
-    candidate gets the key `pixel * m + rank` for m visible points. One sort of
-    these keys orders the candidates by pixel, then depth, then index, so the
-    first key of each pixel is its winner. The keys fit in int64 while
-    width * height * m < 2**63, which holds for any image under 2.1
-    gigapixels with a u32-counted cloud.
+    The visible points are ranked once by (depth, index), and `sort_pairs` of
+    the splat candidates' (pixel, rank) pairs makes each pixel's first pair its
+    winner.
     """
     uv, depth, valid = valid_projections(xyz, cam)
     idx = np.flatnonzero(valid)
     ranked = idx[np.argsort(depth[idx], kind="stable")]  # stable: idx is ascending
-    m = len(ranked)
     px = np.floor(uv[ranked]).astype(np.int64)
-    keys = []
+    pixels, ranks = [], []
     r = splat_radius
     for dx in range(-r, r + 1):
         for dy in range(-r, r + 1):
@@ -208,11 +204,12 @@ def rasterize(
             u = px[:, 0] + dx
             v = px[:, 1] + dy
             ok = np.flatnonzero((u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height))
-            keys.append((v[ok] * cam.width + u[ok]) * m + ok)
-    pix, rank = np.divmod(np.sort(np.concatenate(keys)), m)
-    first = np.flatnonzero(np.diff(pix, prepend=-1))  # each pixel's nearest candidate
-    pid = ranked[rank[first]]
-    return pix[first], pid, depth[pid]
+            pixels.append(v[ok] * cam.width + u[ok])
+            ranks.append(ok)
+    pix, rank, first = sort_pairs(np.concatenate(pixels), np.concatenate(ranks), cam.width * cam.height, len(ranked))
+    win = np.flatnonzero(first)  # one nonzero pass for both gathers
+    pid = ranked[rank[win]]
+    return pix[win], pid, depth[pid]
 
 
 def render_provenance(

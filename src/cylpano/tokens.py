@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoValidProjectionError
 from .geometry import TWO_PI, CameraModel, cart_to_polar, valid_projections
-from .grid import CylGrid, CylGridSpec, centroids_batch, extreme_points_batch, lookup, segment_pairs
+from .grid import CylGrid, CylGridSpec, centroids_batch, extreme_points_batch, lookup, segment_pairs, sort_pairs
 
 
 @dataclass
@@ -539,11 +539,9 @@ def _image_means(
     mean_rows[rows[lone]] = cells[lone]
 
     # the other rows' distinct (row, cell) pairs in ascending order, their weights summed in input order
-    keys = rows[~lone] * (n_cells + 1) + cells[~lone]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.diff(keys, prepend=-1) != 0
-    pair_w = np.bincount(np.cumsum(new) - 1, weights=wts[~lone][order])
+    at = np.flatnonzero(~lone)
+    keys, at, new = sort_pairs(rows[at] * (n_cells + 1) + cells[at], at, grid.num_voxels * (n_cells + 1), len(rows))
+    pair_w = np.bincount(np.cumsum(new) - 1, weights=wts[at])
     pair_row, pair_cell = np.divmod(keys[new], n_cells + 1)
     starts = np.flatnonzero(np.diff(pair_row, prepend=-1))
 

@@ -726,6 +726,14 @@ def _null_width(calib):
     return calib
 
 
+def _intrinsic_entry(at, value):
+    """A calibration edit that sets entry `at` of camera 0's row-major K; `json.dumps` writes a NaN as NaN."""
+    def edit(calib):
+        calib["cameras"][0]["K"][at] = value
+        return calib
+    return edit
+
+
 MALFORMED = {
     "config-no-section-header": (_config_case("r_bins = 4\n"), "BadConfigError"),
     "config-duplicate-key": (_config_case("[grid]\nr_bins = 4\nr_bins = 5\n"), "BadConfigError"),
@@ -816,6 +824,11 @@ MALFORMED = {
     "classes-entry-without-kind": (_classes_case("[classes]\n1 = justname\n"), "BadConfigError"),
     "augment-rigs-of-2-and-3-cameras": (_other_rig_case(camera_count=3), "SpecMismatchError"),
     "augment-images-of-different-sizes": (_other_rig_case(image_size=(48, 36)), "SpecMismatchError"),
+    "config-negative-ground-points": (_config_case("[synth]\nground_points = -1\n"), "BadConfigError"),
+    "config-zero-camera-count": (_config_case("[synth]\ncamera_count = 0\n"), "BadConfigError"),
+    "augment-unknown-strategy-mode": (_augment_config_case("strategy_mode", "sideways"), "BadConfigError"),
+    "calibration-nan-intrinsic": (_calibration_case(_intrinsic_entry(2, float("nan"))), "BadConfigError"),
+    "calibration-intrinsic-below-diagonal": (_calibration_case(_intrinsic_entry(3, 0.5)), "BadConfigError"),
 }
 
 
@@ -1120,6 +1133,28 @@ class TestReplayVerifies:
         assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"BadConfigError: manifest {manifest}: {error}")
         assert not out.exists()
+
+    def test_a_deleted_input_exits_1_naming_it(self, chain, monkeypatch, capsys):
+        run, _ = chain
+        cloud = run / "org" / "cloud.plcd"
+        cloud.unlink()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_voxelize", lambda args: calls.append(args) or 0)
+        manifest = run / "vox" / "manifest.json"
+        assert main(["replay", "--manifest", str(manifest), "--out", str(run / "v2")]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.rstrip() == f"ReplayMismatchError: inputs differ from {manifest}: {cloud}"
+
+    def test_an_argv_with_out_equals_dir_replays_into_the_replay_out(self, tmp_path, capsys):
+        cfg, org, replayed = small_config(tmp_path), tmp_path / "org", tmp_path / "replayed"
+        assert main(["synth", "--config", cfg, "--seed", "2", f"--out={org}"]) == 0
+        manifest = json.loads((org / "manifest.json").read_text())
+        assert manifest["argv"][-1] == f"--out={org}"
+        before = {p: sha(p) for p in sorted(org.rglob("*")) if p.is_file()}
+        assert main(["replay", "--manifest", str(org / "manifest.json"), "--out", str(replayed)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {p: sha(p) for p in sorted(org.rglob("*")) if p.is_file()} == before
+        assert json.loads((replayed / "manifest.json").read_text())["outputs"] == manifest["outputs"]
 
     def test_a_changed_config_exits_1(self, chain, capsys):
         run, cfg = chain

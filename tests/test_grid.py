@@ -14,6 +14,7 @@ from cylpano.grid import (
     pair_voxel_image,
     ranges,
     segment_pairs,
+    sort_pairs,
     voxelize,
 )
 from cylpano.synth import ring_camera
@@ -414,7 +415,51 @@ class TestPairing:
 
 
 class TestSortedKeyPrimitives:
-    """`lookup`, `ranges` and `segment_pairs` against brute-force Python loops."""
+    """`lookup`, `ranges` and `segment_pairs` against brute-force Python loops, `sort_pairs` against `np.lexsort`."""
+
+    # (n_cells, n_ranks): small ones, and products of 2**63 - 1, 2**63 and 2**64, the last two past the key sort
+    PAIR_SIZES = st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           st.sampled_from([((2**63 - 1) // 7, 7), (2**60, 8), (2**62, 4)]))
+
+    @staticmethod
+    def _values(n):
+        """A few values in range(n), the last one often among them."""
+        return st.lists(st.one_of(st.just(n - 1), st.integers(0, n - 1)), min_size=1, max_size=4)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sizes=PAIR_SIZES, data=st.data())
+    def test_sort_pairs_equals_lexsort(self, sizes, data):
+        n_cells, n_ranks = sizes
+        # a few cells and ranks, picked many times: cells repeat, and ranks repeat across cells
+        # as splat candidates' do, so some pairs repeat too
+        cells, ranks = data.draw(self._values(n_cells)), data.draw(self._values(n_ranks))
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=30))
+        c = np.array([cells[i % len(cells)] for i, _ in picks], dtype=np.int64)
+        r = np.array([ranks[j % len(ranks)] for _, j in picks], dtype=np.int64)
+        got_c, got_r, first = sort_pairs(c, r, n_cells, n_ranks)
+        order = np.lexsort((r, c))
+        assert got_c.dtype == got_r.dtype == np.int64
+        assert (got_c.tolist(), got_r.tolist()) == (c[order].tolist(), r[order].tolist())
+        assert first.tolist() == [k == 0 or c[order][k] != c[order][k - 1] for k in range(len(c))]
+
+    def test_sort_pairs_of_none_and_of_one_pair(self):
+        for c, r in (([], []), ([4], [2])):
+            got_c, got_r, first = sort_pairs(np.array(c, dtype=np.int64), np.array(r, dtype=np.int64), 5, 3)
+            assert (got_c.tolist(), got_r.tolist(), first.tolist()) == (c, r, [True] * len(c))
+        got_c, got_r, first = sort_pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 5, 0)
+        assert (got_c.tolist(), got_r.tolist(), first.tolist()) == ([], [], [])
+
+    def test_sort_pairs_takes_lexsort_from_a_product_of_2_63(self, monkeypatch):
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys[0])) or lexsort(keys))
+        for n_cells, n_ranks in (((2**63 - 1) // 7, 7), (2**60, 8), (2**62, 4)):
+            c = np.array([n_cells - 1, 0, n_cells - 1, 0], dtype=np.int64)
+            r = np.array([n_ranks - 1, 3, 0, 1], dtype=np.int64)
+            got_c, got_r, first = sort_pairs(c, r, n_cells, n_ranks)
+            assert got_c.tolist() == [0, 0, n_cells - 1, n_cells - 1]
+            assert got_r.tolist() == [1, 3, 0, n_ranks - 1]
+            assert first.tolist() == [True, False, True, False]
+        assert calls == [4, 4]
 
     @settings(max_examples=100, deadline=None)
     @given(st.sets(st.integers(-50, 50), max_size=12), st.lists(st.integers(-60, 60), max_size=30))

@@ -42,6 +42,10 @@ A tenth holds `src/` to one form of per-process state: no `global`
 statement, and outside an allow-list by name, no function changes a
 module-level container, by a mutating method or by item or attribute
 assignment. A memo is a `functools` cache on the function that computes it.
+
+An eleventh holds `src/` to one (cell, rank) sort: outside `grid.sort_pairs`,
+a stable or key sort (a stable `argsort`, `np.lexsort`, `np.sort` or a
+`.sort()`) appears only at an allow-listed call, each with its reason.
 """
 
 import ast
@@ -403,3 +407,41 @@ def test_module_state_changes_only_through_the_allow_list():
     found = _module_state_changes()
     assert sorted(found - set(ALLOWED_MODULE_STATE)) == []
     assert sorted(set(ALLOWED_MODULE_STATE) - found) == []  # no entry outlives the state it exempts
+
+
+# the stable and key sorts outside `grid.sort_pairs`, by function and call
+ALLOWED_SORTS = {
+    "synth.rasterize: np.argsort(depth[idx], kind='stable')":
+        "ranks the visible points by float depth, which no int64 key holds; `sort_pairs` then takes the ranks",
+    "tokens._image_means: np.argsort(-lengths, kind='stable')":
+        "the jagged order of rows by falling cell count: a permutation of rows, not a grouping by cell",
+    "queries.build_bev_heatmap: np.argsort(inst[labeled], kind='stable')":
+        "numpy radix-sorts the uint16 instance ids, about 3x faster than a key sort",
+    "augment.apply_mix: np.argsort(voxel_ids, kind='stable')":
+        "timsort merges the two sorted runs of voxel ids in linear time",
+    "queries.nms_peaks: np.lexsort((cand, -flat[cand]))":
+        "orders by descending float confidence, which no int64 key holds",
+}
+
+
+def _sorts() -> set[str]:
+    """`module.function: call` of each stable or key sort in `src/`, under the innermost function that makes it."""
+    owner = {}
+    for module, tree in MODULES.items():
+        for fn in ast.walk(tree):  # outer functions first, so an inner one takes its own calls
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({call: f"{module}.{fn.name}" for call in ast.walk(fn) if isinstance(call, ast.Call)})
+    return {f"{name}: {ast.unparse(call)}" for call, name in owner.items()
+            if _call_name(call) in ("lexsort", "sort")
+            or _call_name(call) == "argsort" and any(k.arg == "kind" and isinstance(k.value, ast.Constant)
+                                                     and k.value.value in ("stable", "mergesort")
+                                                     for k in call.keywords)}
+
+
+def test_stable_and_key_sorts_only_in_sort_pairs_and_the_allow_list():
+    """A hand-written (cell, rank) key sort is a second copy of `grid.sort_pairs`."""
+    found = _sorts()
+    pair_sort = {site for site in found if site.startswith("grid.sort_pairs: ")}
+    assert sorted(found - pair_sort - set(ALLOWED_SORTS)) == []
+    assert sorted(set(ALLOWED_SORTS) - found) == []  # no entry outlives its sort
+    assert pair_sort  # nor does the exemption of `sort_pairs`

@@ -628,6 +628,20 @@ class TestBuildTokens:
         with pytest.raises(NoValidProjectionError):
             centroid_image_feature(corners, fmap, cam)
 
+    def test_centroid_feature_is_the_centre_cells_feature(self):
+        spec = CylGridSpec(25, 8, 4, (0.0, 50.0), (-5.0, 3.0))
+        cam = ring_camera(0.0, 640, 360, 300.0, 0.0)
+        fmap = FeatureMap(np.arange(36 * 64 * 4, dtype=np.float32).reshape(36, 64, 4), 640, 360)
+        corners = extreme_points_batch(np.array([[3, 0, 1]]), spec)[0]
+        center = corners.mean(axis=0)
+        # the ring camera looks along +x, image right along -y and image down along -z
+        u = 320.0 - 300.0 * center[1] / center[0]
+        v = 180.0 - 300.0 * center[2] / center[0]
+        assert (int(u / 10), int(v / 10)) == (19, 28)  # well inside a cell, (195.7, 280.5)
+        got = centroid_image_feature(corners, fmap, cam)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fmap.data[28, 19])
+
     def test_feature_coverage_validated(self):
         rng = np.random.default_rng(8)
         grid = self._scene(rng)
