@@ -1,9 +1,13 @@
 """Golden digests: every file two small in-process chains write, against a committed table of sha256 digests.
 
-Chain `default` runs the default config; chain `forced` forces every augment
-strategy and every global transform, bilinear sampling and the `density`
-heatmap. Each runs synth twice, then voxelize, augment, fuse, queries with
-`--masks` and `--classes`, and eval, all through `cli.main` in this process.
+Chains `default` and `default-seed-4` run the default config from scenes 0
+and 4; chain `forced` forces every augment strategy and every global
+transform, bilinear sampling and the `density` heatmap. Chains `paste`,
+`height` and `angle` force that strategy alone with no global transform, so
+augment bins the cloud it mixed no further; the `-transformed` chains add the
+global transforms of `forced`. Each runs synth twice, then voxelize, augment,
+fuse, queries with `--masks` and `--classes`, and eval, all through
+`cli.main` in this process.
 The table holds the sha256 of each file written, and of each manifest the
 `outputs` and `counters` (timings and paths vary from run to run).
 
@@ -27,14 +31,30 @@ from cylpano.config import PipelineConfig, save_config
 TABLE = Path(__file__).with_name("golden_digests.json")
 
 
+# the strategies, by the name augment records them under and their probability field
+STRATEGIES = {"instance": "p_instance", "height": "p_height_swap", "angle": "p_angle_swap"}
+TRANSFORM = {"rotation_range": 0.5, "flip_prob": 1.0, "scale_range": (0.9, 1.1)}
+
+
 def _configs() -> dict[str, tuple[PipelineConfig, int]]:
     """Chain name -> (its config, the seed of its first scene)."""
     forced = PipelineConfig()
-    forced.augment = dataclasses.replace(forced.augment, p_instance=1.0, p_height_swap=1.0, p_angle_swap=1.0,
-                                         rotation_range=0.5, flip_prob=1.0, scale_range=(0.9, 1.1))
+    forced.augment = dataclasses.replace(forced.augment, **dict.fromkeys(STRATEGIES.values(), 1.0), **TRANSFORM)
     forced.tokens.bilinear = True
     forced.queries.heatmap_mode = "density"
-    return {"default": (PipelineConfig(), 0), "forced": (forced, 2)}
+    chains = {"default": (PipelineConfig(), 0), "forced": (forced, 2), "default-seed-4": (PipelineConfig(), 4)}
+    for seed, (strategy, p) in enumerate(STRATEGIES.items(), start=3):
+        for suffix, transform in (("", {}), ("-transformed", TRANSFORM)):
+            alone = PipelineConfig()
+            alone.augment = dataclasses.replace(alone.augment, **{**dict.fromkeys(STRATEGIES.values(), 0.0), p: 1.0},
+                                                **transform)
+            chains[_name(strategy) + suffix] = (alone, 2 * seed)
+    return chains
+
+
+def _name(strategy: str) -> str:
+    """The chain name of a strategy forced alone."""
+    return "paste" if strategy == "instance" else strategy
 
 
 def run_chains(root: Path) -> dict:
@@ -69,6 +89,9 @@ def run_chains(root: Path) -> dict:
 def test_every_artifact_matches_the_golden_table(tmp_path):
     table = json.loads(TABLE.read_text())
     got = run_chains(tmp_path)
+    for strategy in STRATEGIES:  # a chain that forces one strategy runs that one alone
+        for name in (_name(strategy), _name(strategy) + "-transformed"):
+            assert got["manifests"][f"{name}/aug/manifest.json"]["counters"]["strategies"] == [strategy]
     changed = [key for part in ("files", "manifests")
                for key in sorted(table[part].keys() | got[part].keys()) if table[part].get(key) != got[part].get(key)]
     assert not changed, (f"differ from {TABLE.name}: {', '.join(changed)} "
