@@ -68,9 +68,9 @@ class AugConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
         if not self.split_choices or min(self.split_choices) < 1:
             raise ValueError("split_choices must be non-empty, each entry >= 1")
-        for name in ("paste_translation", "paste_rotation", "rotation_range"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("paste_translation", "paste_rotation", "rotation_range"):  # each draw is uniform in [-x, x]
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         check_range("instance_count_range", self.instance_count_range)
         check_range("paste_scale_range", self.paste_scale_range, positive=True)
         check_range("scale_range", self.scale_range, positive=True)
@@ -90,7 +90,7 @@ def instance_paste_mask(idx3: np.ndarray, spec: CylGridSpec) -> np.ndarray:
 
 
 def scene_swap_mask(axis: str, selected, spec: CylGridSpec) -> np.ndarray:
-    """Mask selecting whole slices of one axis; the other two axes are fully covered."""
+    """Mask selecting whole slices of one axis, in one contiguous pass; the other two axes are fully covered."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
     k = AXES.index(axis)
@@ -98,9 +98,9 @@ def scene_swap_mask(axis: str, selected, spec: CylGridSpec) -> np.ndarray:
     sel = np.unique(np.asarray(list(selected), dtype=np.int64))
     if len(sel) and (sel[0] < 0 or sel[-1] >= n):
         raise IndexOutOfRangeError(f"selected {axis} bins outside [0, {n})")
-    mask = np.zeros(spec.shape, dtype=bool)
-    np.moveaxis(mask, k, 0)[sel] = True
-    return mask
+    line = np.zeros(n, dtype=bool)
+    line[sel] = True
+    return np.broadcast_to(line.reshape([n if a == k else 1 for a in range(3)]), spec.shape).copy()
 
 
 def alternating_slices(n_bins: int, splits: int) -> np.ndarray:

@@ -81,11 +81,14 @@ def build_bev_heatmap(grid: CylGrid, mode: str, sigma: float) -> np.ndarray:
         raise ValueError("mode must be 'gt_gaussian' or 'density'")
 
     # one Gaussian window over row offsets x theta offsets, each theta offset
-    # taken the shorter way round, so columns a wide window visits twice agree
-    w = 0 if sigma <= 0.0 else int(np.ceil(4.0 * sigma))
+    # taken the shorter way round, so columns a wide window visits twice agree;
+    # no wider than the grid, and one bin when 2 * sigma**2 underflows to 0
+    var = 2.0 * sigma**2 if sigma > 0.0 else 0.0
+    w = min(int(np.ceil(4.0 * sigma)), max(spec.r_bins - 1, spec.theta_bins // 2)) if var > 0.0 else 0
     off = np.arange(-w, w + 1)
     dist_sq = off[:, None] ** 2 + _theta_offset(off % spec.theta_bins, spec.theta_bins) ** 2
-    window = np.ones((1, 1)) if sigma <= 0.0 else np.exp(-dist_sq / (2.0 * sigma**2))
+    with np.errstate(over="ignore"):  # a quotient past the float range gives exp(-inf) = 0
+        window = np.exp(-dist_sq / var) if var > 0.0 else np.ones((1, 1))
     # every instance's points from one stable sort by id (a radix sort of uint16, 3x faster than `sort_pairs`),
     # so each centre is the mean of the same rows, in the same order, as a per-id selection gives
     inst = grid.cloud.instance

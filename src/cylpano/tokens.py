@@ -7,19 +7,19 @@ entirely while the member points are visible. Each voxel's position embedding
 combines a sinusoidal encoding of its centroid (in Cartesian and polar
 coordinates) with a small MLP over the distances from the centroid to the
 voxel's eight corners, so tokens carry both location and physical scale; the
-terms that depend on one bin index come from per-bin tables. `spe_batch` and
-`build_tokens` work on two block levels (Lam, Rothberg & Wolf, ASPLOS 1991)
-that follow one rule: a level's blocks hold a fixed number of rows, and a
-lone last row joins the block before it, since numpy multiplies a lone row
+terms that depend on one bin index come from per-bin tables, which a
+`functools.lru_cache` keeps for the last grid spec and weights. `spe_batch`
+and `build_tokens` work on two block levels (Lam, Rothberg & Wolf, ASPLOS
+1991) that follow one rule: a level's blocks hold a fixed number of rows, and
+a lone last row joins the block before it, since numpy multiplies a lone row
 by gemv, which rounds unlike gemm. Per super-block of 2 * SPE_BLOCK rows the
 x/y sinusoids go into a buffer. Per sub-block of SPE_BLOCK // 2 rows, which
 stays in cache, their product with `psi_w` goes into a sub-block embedding
-buffer, the per-bin terms are added, and `build_tokens` adds the embedding
-to the sub-block's LiDAR half (the statistics placeholder is kept factored
-and multiplied out per sub-block) and to its image means, each float64 sum
-rounded once as it is stored into the float32 content, as the TOK2 codec
-stores it. The
-image means are gathered from one table per call (`_image_means`), which
+buffer, the per-bin terms are added, and `build_tokens` adds the embedding to
+the sub-block's LiDAR half (the statistics placeholder is kept factored and
+multiplied out per sub-block) and to its image means, each float64 sum rounded
+once as it is stored into the float32 content, as the TOK2 codec stores it.
+The image means are gathered from one table per call (`_image_means`), which
 holds the stacked feature maps, a zero row and the means of the voxels that
 sample two or more cells, summed in numpy in the order of a CSR matrix
 product. So no (M, dim) embedding or feature array is ever made, and image
@@ -210,27 +210,23 @@ _SUB_BLOCK = SPE_BLOCK // 2
 _SUPER_BLOCK = 2 * SPE_BLOCK
 
 
-# the last grid's and weights' per-bin tables, by the spec and each weight's dtype, shape and bytes
-_BIN_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def _bin_tables(spec: CylGridSpec, params: SpeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_build_bin_tables`, built once per grid spec and weight values and handed out read-only.
 
     Keyed on the values, not on the objects: a caller may build new weights
-    equal to the last ones, or reassign a field of the last ones. A call
-    returns the tables it found or built, never a second read of the memo,
-    which a call on another thread may have cleared in between.
+    equal to the last ones, or change or reassign a weight of the last ones.
     """
     weights = (params.coord_scales, params.psi_w, params.phi_w1, params.phi_b1, params.phi_w2, params.phi_b2)
-    key = (spec, *((a.dtype.str, a.shape, a.tobytes()) for a in weights))
-    tables = _BIN_TABLES.get(key)
-    if tables is None:
-        tables = _build_bin_tables(spec, params)
-        for table in tables:
-            table.flags.writeable = False  # every later call with the same key shares it
-        _BIN_TABLES.clear()
-        _BIN_TABLES[key] = tables
+    return _tables_of(spec, params.dim, *((a.dtype.str, a.shape, a.tobytes()) for a in weights))
+
+
+@functools.lru_cache(maxsize=1)
+def _tables_of(spec: CylGridSpec, dim: int, *weights: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The last grid's tables, of the weights given as (dtype, shape, bytes) and read in place from the bytes."""
+    params = SpeParams(dim, *(np.frombuffer(data, dtype).reshape(shape) for dtype, shape, data in weights))
+    tables = _build_bin_tables(spec, params)
+    for table in tables:
+        table.flags.writeable = False  # every later call with the same key shares it
     return tables
 
 

@@ -774,6 +774,8 @@ MALFORMED = {
     "augment-zero-split-choice": (_augment_config_case("split_choices", (0,)), "BadConfigError"),
     "augment-negative-split-choice": (_augment_config_case("split_choices", (-2,)), "BadConfigError"),
     "augment-nan-rotation-range": (_augment_config_case("rotation_range", float("nan")), "BadConfigError"),
+    "augment-negative-rotation-range": (_augment_config_case("rotation_range", -0.5), "BadConfigError"),
+    "augment-negative-paste-translation": (_augment_config_case("paste_translation", -1.0), "BadConfigError"),
     "augment-nan-flip-prob": (_augment_config_case("flip_prob", float("nan")), "BadConfigError"),
     "augment-zero-scale-range": (_augment_config_case("scale_range", (0.0, 0.0)), "BadConfigError"),
     "augment-reversed-instance-count-range": (_augment_config_case("instance_count_range", (5, 1)), "BadConfigError"),
@@ -983,7 +985,7 @@ class TestPerProcessReuse:
         calls = []
         build = cylpano.tokens._build_bin_tables  # the uncached builder, counted; its memo starts empty
         monkeypatch.setattr(cylpano.tokens, "_build_bin_tables", lambda *args: calls.append("tables") or build(*args))
-        monkeypatch.setattr(cylpano.tokens, "_BIN_TABLES", {})
+        cylpano.tokens._tables_of.cache_clear()
         cylpano.config._parse_config.cache_clear()
         cfg = small_config(tmp_path)
         org, fuse = tmp_path / "org", tmp_path / "fuse"

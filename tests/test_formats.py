@@ -885,6 +885,7 @@ class TestWriteDigests:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 COUNT = st.integers(0, 2**64)
 SIZE = st.integers(1, 2**64)
 # configparser strips a value's surrounding whitespace and ends it at a newline
@@ -912,8 +913,8 @@ def pipeline_configs(draw):
     augment = AugConfig(
         p_instance=p_instance, p_height_swap=p_height, p_angle_swap=p_angle,
         split_choices=tuple(draw(st.lists(SIZE, min_size=1, max_size=5))),
-        instance_count_range=draw(ordered(COUNT)), strategy_mode=mode, paste_translation=draw(FINITE),
-        paste_rotation=draw(FINITE), paste_scale_range=draw(ordered(POSITIVE)), rotation_range=draw(FINITE),
+        instance_count_range=draw(ordered(COUNT)), strategy_mode=mode, paste_translation=draw(NON_NEGATIVE),
+        paste_rotation=draw(NON_NEGATIVE), paste_scale_range=draw(ordered(POSITIVE)), rotation_range=draw(NON_NEGATIVE),
         flip_prob=draw(st.floats(0.0, 1.0)), scale_range=draw(ordered(POSITIVE)), rng_seed=draw(COUNT),
     )
     tokens = TokenConfig(dim=draw(SIZE), seed=draw(COUNT), feat_downsample=draw(SIZE), bilinear=draw(st.booleans()))

@@ -31,30 +31,25 @@ from cylpano.config import PipelineConfig, save_config
 TABLE = Path(__file__).with_name("golden_digests.json")
 
 
-# the strategies, by the name augment records them under and their probability field
-STRATEGIES = {"instance": "p_instance", "height": "p_height_swap", "angle": "p_angle_swap"}
+# each chain that forces one strategy alone: the name augment records the strategy under, and its probability
+ALONE = {"paste": ("instance", "p_instance"), "height": ("height", "p_height_swap"), "angle": ("angle", "p_angle_swap")}
 TRANSFORM = {"rotation_range": 0.5, "flip_prob": 1.0, "scale_range": (0.9, 1.1)}
 
 
 def _configs() -> dict[str, tuple[PipelineConfig, int]]:
     """Chain name -> (its config, the seed of its first scene)."""
+    off = {p: 0.0 for _, p in ALONE.values()}
     forced = PipelineConfig()
-    forced.augment = dataclasses.replace(forced.augment, **dict.fromkeys(STRATEGIES.values(), 1.0), **TRANSFORM)
+    forced.augment = dataclasses.replace(forced.augment, **dict.fromkeys(off, 1.0), **TRANSFORM)
     forced.tokens.bilinear = True
     forced.queries.heatmap_mode = "density"
     chains = {"default": (PipelineConfig(), 0), "forced": (forced, 2), "default-seed-4": (PipelineConfig(), 4)}
-    for seed, (strategy, p) in enumerate(STRATEGIES.items(), start=3):
+    for seed, (name, (_, p)) in enumerate(ALONE.items(), start=3):
         for suffix, transform in (("", {}), ("-transformed", TRANSFORM)):
             alone = PipelineConfig()
-            alone.augment = dataclasses.replace(alone.augment, **{**dict.fromkeys(STRATEGIES.values(), 0.0), p: 1.0},
-                                                **transform)
-            chains[_name(strategy) + suffix] = (alone, 2 * seed)
+            alone.augment = dataclasses.replace(alone.augment, **{**off, p: 1.0}, **transform)
+            chains[name + suffix] = (alone, 2 * seed)
     return chains
-
-
-def _name(strategy: str) -> str:
-    """The chain name of a strategy forced alone."""
-    return "paste" if strategy == "instance" else strategy
 
 
 def run_chains(root: Path) -> dict:
@@ -89,9 +84,9 @@ def run_chains(root: Path) -> dict:
 def test_every_artifact_matches_the_golden_table(tmp_path):
     table = json.loads(TABLE.read_text())
     got = run_chains(tmp_path)
-    for strategy in STRATEGIES:  # a chain that forces one strategy runs that one alone
-        for name in (_name(strategy), _name(strategy) + "-transformed"):
-            assert got["manifests"][f"{name}/aug/manifest.json"]["counters"]["strategies"] == [strategy]
+    for name, (strategy, _) in ALONE.items():  # a chain that forces one strategy runs that one alone
+        for chain in (name, name + "-transformed"):
+            assert got["manifests"][f"{chain}/aug/manifest.json"]["counters"]["strategies"] == [strategy]
     changed = [key for part in ("files", "manifests")
                for key in sorted(table[part].keys() | got[part].keys()) if table[part].get(key) != got[part].get(key)]
     assert not changed, (f"differ from {TABLE.name}: {', '.join(changed)} "

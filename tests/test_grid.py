@@ -211,7 +211,7 @@ class TestKeySort:
             assert grid.num_voxels == voxels
             assert_grid_equals_stable_sort(grid, cloud, self.SPEC)
 
-    def test_keys_that_would_overflow_take_the_stable_argsort(self):
+    def test_keys_that_would_overflow_take_np_lexsort(self):
         spec = CylGridSpec(2**20, 2**20, 2**20, (0.0, 50.0), (-5.0, 3.0))
         rng = np.random.default_rng(21)
         xyz = np.column_stack([rng.uniform(-30, 30, (12, 2)), rng.uniform(-4, 2, 12)])

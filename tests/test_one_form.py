@@ -364,7 +364,6 @@ def test_cli_and_metrics_touch_files_only_through_the_codecs():
 ALLOWED_MODULE_STATE = {
     "formats._RUNS": "a stack of the stages running, pushed and popped by `recording`",
     "formats._DIGESTS": "file digests checked against each file's stat and sealed by the next manifest",
-    "tokens._BIN_TABLES": "keyed on the weights' bytes, which `lru_cache` could key on only by rebuilding the weights",
 }
 MUTATORS = {"clear", "update", "pop", "popitem", "append", "extend", "insert", "remove", "add", "discard", "setdefault"}
 

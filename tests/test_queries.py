@@ -161,6 +161,12 @@ class TestHeatmap:
         idx, _ = SPEC.bin_points(np.array([[5.0, 0.0, 0.0]]))
         assert heat[idx[0, 0], idx[0, 1]] == 1.0
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160])  # 2 * sigma**2 is 0, or a subnormal that 1 / it overflows
+    def test_a_sigma_whose_square_underflows_is_a_delta(self, sigma):
+        grid = voxelize(labeled_cloud(np.array([[5.0, 0.0, 0.0]] * 3), [1, 1, 1]), SPEC)
+        assert np.array_equal(build_bev_heatmap(grid, "gt_gaussian", sigma),
+                              build_bev_heatmap(grid, "gt_gaussian", sigma=0.0))
+
     def test_two_far_instances_are_local_maxima(self):
         xyz = np.array([[5.0, 0.0, 0.0], [5.1, 0.0, 0.0], [-15.0, 0.0, 0.0], [-15.1, 0.0, 0.0]])
         cloud = labeled_cloud(xyz, [1, 1, 2, 2])
@@ -216,7 +222,7 @@ class TestHeatmap:
         assert heat[idx[0, 0], 1] == pytest.approx(heat[idx[0, 0], 4])
 
     @pytest.mark.parametrize("theta_bins", [3, 5, 36])
-    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0, 7.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0, 7.0, 1e6])  # 1e6: a window far wider than the grid
     def test_equals_per_cell_oracle(self, sigma, theta_bins):
         spec = CylGridSpec(10, theta_bins, 2, (0.0, 20.0), (-2.0, 2.0))
         rng = np.random.default_rng(theta_bins)

@@ -207,7 +207,7 @@ class TestBinTableMemo:
     def test_warm_tables_equal_cold_ones_and_are_read_only(self, monkeypatch):
         import cylpano.tokens
 
-        monkeypatch.setattr(cylpano.tokens, "_BIN_TABLES", {})  # so the first call below builds
+        cylpano.tokens._tables_of.cache_clear()  # so the first call below builds
         params = SpeParams.create(SPEC, dim=16, seed=3)
         idx = np.column_stack([np.arange(40) % b for b in SPEC.shape])
         cold_spe = spe_batch(idx, SPEC, params)
